@@ -314,14 +314,24 @@ impl Parser<'_> {
                         c => return Err(format!("bad escape '\\{}'", c as char)),
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so any
-                    // multi-byte sequence is valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "bad utf-8".to_string())?;
-                    let ch = s.chars().next().ok_or_else(|| "empty".to_string())?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                Some(lead) => {
+                    // Consume one UTF-8 scalar, sized by its lead byte.
+                    // Validating only those bytes keeps parsing linear
+                    // (re-validating the rest of the input per character
+                    // made it quadratic).
+                    let len = match lead {
+                        0x00..=0x7f => 1,
+                        0xc0..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        _ => 4,
+                    };
+                    let scalar = self
+                        .bytes
+                        .get(self.pos..self.pos + len)
+                        .and_then(|b| std::str::from_utf8(b).ok())
+                        .ok_or_else(|| format!("bad utf-8 at byte {}", self.pos))?;
+                    out.push_str(scalar);
+                    self.pos += len;
                 }
             }
         }
@@ -454,6 +464,33 @@ mod tests {
         assert_eq!(v.get("s").and_then(Json::as_str), Some("aA\n"));
         assert_eq!(v.get("big").and_then(Json::as_u64), Some(u64::MAX));
         assert_eq!(v.get("e"), Some(&Json::F64(1000.0)));
+    }
+
+    /// `Parser::string` used to re-validate the whole remaining input for
+    /// every character: 4 MB of strings took minutes. Linear parsing takes
+    /// well under a second even unoptimized.
+    #[test]
+    fn parses_megabytes_of_strings_and_round_trips_non_ascii() {
+        let text = "naïve café — 指令缓存 🚀 \"quoted\" \\ tab\t";
+        let doc = Json::Arr(
+            (0..80_000)
+                .map(|i| Json::str(format!("{i} {text}")))
+                .collect(),
+        );
+        let rendered = doc.pretty();
+        assert!(rendered.len() > 4 << 20, "{} bytes", rendered.len());
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&rendered).unwrap();
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(20),
+            "parse took {:?}: quadratic again?",
+            start.elapsed()
+        );
+        assert_eq!(parsed, doc);
+        assert_eq!(
+            parsed.as_arr().and_then(|a| a[7].as_str()),
+            Some(format!("7 {text}").as_str())
+        );
     }
 
     #[test]

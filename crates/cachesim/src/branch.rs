@@ -7,6 +7,8 @@
 //! a *global* history register is polluted when parent and child interleave
 //! per tuple. A bimodal (per-address) predictor is provided for ablation.
 
+use crate::layout::SiteState;
+
 /// Which predictor to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictorKind {
@@ -34,11 +36,7 @@ fn counter_predict(c: u8) -> bool {
 }
 
 fn counter_update(c: u8, taken: bool) -> u8 {
-    if taken {
-        (c + 1).min(3)
-    } else {
-        c.saturating_sub(1)
-    }
+    std::hint::select_unpredictable(taken, (c + 1).min(3), c.saturating_sub(1))
 }
 
 /// Two-bit saturating counters indexed by branch address.
@@ -76,9 +74,7 @@ impl BranchPredictor for BimodalPredictor {
         let predicted = counter_predict(self.table[idx]);
         self.table[idx] = counter_update(self.table[idx], taken);
         let correct = predicted == taken;
-        if !correct {
-            self.mispredictions += 1;
-        }
+        self.mispredictions += u64::from(!correct);
         correct
     }
 
@@ -130,9 +126,7 @@ impl BranchPredictor for GsharePredictor {
         self.table[idx] = counter_update(self.table[idx], taken);
         self.history = ((self.history << 1) | taken as u64) & self.history_mask;
         let correct = predicted == taken;
-        if !correct {
-            self.mispredictions += 1;
-        }
+        self.mispredictions += u64::from(!correct);
         correct
     }
 
@@ -145,12 +139,63 @@ impl BranchPredictor for GsharePredictor {
     }
 }
 
-/// Build a predictor from a [`crate::BranchConfig`].
-pub fn build_predictor(cfg: &crate::BranchConfig) -> Box<dyn BranchPredictor + Send> {
-    match cfg.kind {
-        PredictorKind::Bimodal => Box::new(BimodalPredictor::new(cfg.table_entries)),
-        PredictorKind::Gshare => {
-            Box::new(GsharePredictor::new(cfg.table_entries, cfg.history_bits))
+/// The machine's predictor. An enum rather than a boxed trait object so a
+/// region's whole run of branch sites dispatches once
+/// and the per-site update inlines.
+#[derive(Debug, Clone)]
+pub enum Predictor {
+    /// Per-address counters.
+    Bimodal(BimodalPredictor),
+    /// Global-history-xor-address counters.
+    Gshare(GsharePredictor),
+}
+
+impl Predictor {
+    /// Build the predictor a [`crate::BranchConfig`] describes.
+    pub fn new(cfg: &crate::BranchConfig) -> Self {
+        match cfg.kind {
+            PredictorKind::Bimodal => Predictor::Bimodal(BimodalPredictor::new(cfg.table_entries)),
+            PredictorKind::Gshare => {
+                Predictor::Gshare(GsharePredictor::new(cfg.table_entries, cfg.history_bits))
+            }
+        }
+    }
+
+    /// Fire every static site of a region once, in order, each with the
+    /// next outcome of its deterministic pattern.
+    pub(crate) fn run_sites(&mut self, sites: &mut [SiteState]) {
+        fn run(p: &mut impl BranchPredictor, sites: &mut [SiteState]) {
+            for site in sites {
+                let taken = site.step();
+                p.predict_and_update(site.addr, taken);
+            }
+        }
+        match self {
+            Predictor::Bimodal(p) => run(p, sites),
+            Predictor::Gshare(p) => run(p, sites),
+        }
+    }
+}
+
+impl BranchPredictor for Predictor {
+    fn predict_and_update(&mut self, site: u64, taken: bool) -> bool {
+        match self {
+            Predictor::Bimodal(p) => p.predict_and_update(site, taken),
+            Predictor::Gshare(p) => p.predict_and_update(site, taken),
+        }
+    }
+
+    fn branches(&self) -> u64 {
+        match self {
+            Predictor::Bimodal(p) => p.branches(),
+            Predictor::Gshare(p) => p.branches(),
+        }
+    }
+
+    fn mispredictions(&self) -> u64 {
+        match self {
+            Predictor::Bimodal(p) => p.mispredictions(),
+            Predictor::Gshare(p) => p.mispredictions(),
         }
     }
 }
@@ -238,13 +283,14 @@ mod tests {
     }
 
     #[test]
-    fn build_predictor_dispatches() {
+    fn predictor_enum_dispatches() {
         let cfg = crate::BranchConfig {
             kind: PredictorKind::Bimodal,
             table_entries: 64,
             history_bits: 8,
         };
-        let mut p = build_predictor(&cfg);
+        let mut p = Predictor::new(&cfg);
+        assert!(matches!(p, Predictor::Bimodal(_)));
         p.predict_and_update(0, true);
         assert_eq!(p.branches(), 1);
     }

@@ -4,7 +4,9 @@
 //! the simulator cares about hit/miss behaviour, not contents.
 
 use crate::config::CacheConfig;
+use crate::hash::U64Map;
 use crate::heat::HeatCell;
+use crate::lru::{with_width, LruSets, EMPTY};
 use std::collections::HashMap;
 
 /// Opt-in cross-owner eviction attribution (see [`Cache::set_owner`]).
@@ -19,7 +21,7 @@ struct OwnerTrack {
     /// Tag charged for evictions performed from now on.
     owner: u32,
     /// line -> owner tag that evicted it (entries removed on refill).
-    evicted_by: HashMap<u64, u32>,
+    evicted_by: U64Map<u32>,
     cross_misses: u64,
 }
 
@@ -27,23 +29,34 @@ struct OwnerTrack {
 ///
 /// Kept boxed and separate from [`OwnerTrack`] so the plain and
 /// owner-tracked hot paths stay untouched when heat is off. Segment ids are
-/// small integers interned by the machine layer; id 0 means "no segment
+/// small integers interned by the layout layer; id 0 means "no segment
 /// announced" ([`crate::heat::UNTRACKED_SEGMENT`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct HeatTrack {
     /// Segment charged for misses and evictions from now on.
     cur_seg: u16,
-    /// `(segment, owner)` → accumulated cell.
-    cells: HashMap<(u16, u32), HeatCell>,
+    /// `segment << 32 | owner` → accumulated cell.
+    cells: U64Map<HeatCell>,
     /// line → `(segment, owner)` that evicted it (removed on refill).
-    evicted: HashMap<u64, (u16, u32)>,
-    /// line → segment that fetched it (for residency snapshots).
-    line_seg: HashMap<u64, u16>,
+    evicted: U64Map<(u16, u32)>,
+    /// Segment that fetched the line in each way, parallel to `LruSets::ways`
+    /// (for residency snapshots); 0 for lines older than the ledger.
+    way_seg: Vec<u16>,
 }
 
 impl HeatTrack {
+    fn new(ways: usize) -> Self {
+        HeatTrack {
+            cur_seg: 0,
+            cells: U64Map::default(),
+            evicted: U64Map::default(),
+            way_seg: vec![0; ways],
+        }
+    }
+
     fn cell(&mut self, seg: u16, owner: u32) -> &mut HeatCell {
-        self.cells.entry((seg, owner)).or_default()
+        let key = u64::from(seg) << 32 | u64::from(owner);
+        self.cells.entry(key).or_default()
     }
 }
 
@@ -54,11 +67,9 @@ pub struct Cache {
     cfg: CacheConfig,
     line_shift: u32,
     set_mask: u64,
-    /// `tags[set * assoc + way]`; `u64::MAX` marks an empty way.
-    tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`; larger = more recent.
-    stamps: Vec<u64>,
-    tick: u64,
+    /// Resident line numbers, tag and LRU stamp side by side so one set is
+    /// one contiguous scan.
+    lines: LruSets,
     accesses: u64,
     misses: u64,
     /// `None` (the default) keeps the hot path free of attribution work.
@@ -76,9 +87,7 @@ impl Cache {
             cfg,
             line_shift: cfg.line_size.trailing_zeros(),
             set_mask: (sets - 1) as u64,
-            tags: vec![u64::MAX; sets * cfg.associativity],
-            stamps: vec![0; sets * cfg.associativity],
-            tick: 0,
+            lines: LruSets::new(sets, cfg.associativity),
             accesses: 0,
             misses: 0,
             track: None,
@@ -98,7 +107,7 @@ impl Cache {
             None => {
                 self.track = Some(OwnerTrack {
                     owner: tag,
-                    evicted_by: HashMap::new(),
+                    evicted_by: U64Map::default(),
                     cross_misses: 0,
                 })
             }
@@ -117,7 +126,7 @@ impl Cache {
     /// (misses taken before enabling are in no cell).
     pub fn enable_heat(&mut self) {
         if self.heat.is_none() {
-            self.heat = Some(Box::default());
+            self.heat = Some(Box::new(HeatTrack::new(self.lines.ways().len())));
         }
     }
 
@@ -140,7 +149,11 @@ impl Cache {
     pub fn heat_cells(&self) -> Vec<((u16, u32), HeatCell)> {
         self.heat
             .as_ref()
-            .map(|h| h.cells.iter().map(|(&k, &v)| (k, v)).collect())
+            .map(|h| {
+                let rows = h.cells.iter();
+                rows.map(|(&key, &cell)| (((key >> 32) as u16, key as u32), cell))
+                    .collect()
+            })
             .unwrap_or_default()
     }
 
@@ -152,13 +165,11 @@ impl Cache {
             return Vec::new();
         };
         let mut acc: HashMap<(usize, u16), u32> = HashMap::new();
-        for (i, &tag) in self.tags.iter().enumerate() {
-            if tag == u64::MAX {
-                continue;
+        for (i, way) in self.lines.ways().iter().enumerate() {
+            if way.tag != EMPTY {
+                *acc.entry((i / self.lines.assoc(), h.way_seg[i]))
+                    .or_insert(0) += 1;
             }
-            let set = i / self.cfg.associativity;
-            let seg = h.line_seg.get(&tag).copied().unwrap_or(0);
-            *acc.entry((set, seg)).or_insert(0) += 1;
         }
         acc.into_iter().map(|((s, g), n)| (s, g, n)).collect()
     }
@@ -175,46 +186,69 @@ impl Cache {
 
     /// Access the line containing `addr`. Returns `true` on hit. A miss
     /// fills the line, evicting the LRU way of its set.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
+        with_width!(self.lines.assoc(), N => self.access_one::<N>(addr))
+    }
+
+    /// Access each address in order, handing every one that misses to
+    /// `refill`: [`Cache::access`] with the set width resolved once for the
+    /// whole walk instead of once per line.
+    #[inline]
+    pub(crate) fn access_each(&mut self, addrs: &[u64], mut refill: impl FnMut(u64)) {
+        with_width!(self.lines.assoc(), N => {
+            let mut previous = EMPTY;
+            for &addr in addrs {
+                // The line just accessed is resident and already the most
+                // recent of its set: accessing it again changes nothing
+                // (both L1i lines of one L2 line, refilled back to back).
+                if addr >> self.line_shift == previous {
+                    continue;
+                }
+                previous = addr >> self.line_shift;
+                if !self.lookup::<N>(addr) {
+                    refill(addr);
+                }
+            }
+        });
+        self.accesses += addrs.len() as u64;
+    }
+
+    /// One out-of-line body per width, so a lone access pays for the
+    /// registers of its own width only.
+    #[inline(never)]
+    fn access_one<const N: usize>(&mut self, addr: u64) -> bool {
         self.accesses += 1;
-        self.tick += 1;
+        self.lookup::<N>(addr)
+    }
+
+    /// [`Cache::access`] minus the access count, on a cache whose sets are
+    /// `N` ways wide (0: any).
+    #[inline(always)]
+    fn lookup<const N: usize>(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
-        let set = (line & self.set_mask) as usize;
-        let assoc = self.cfg.associativity;
-        let base = set * assoc;
-        let ways = &mut self.tags[base..base + assoc];
-
-        // Hit path: scan the ways.
-        for (w, tag) in ways.iter().enumerate() {
-            if *tag == line {
-                self.stamps[base + w] = self.tick;
-                return true;
-            }
+        let t = self.lines.touch::<N>((line & self.set_mask) as usize, line);
+        if t.hit {
+            return true;
         }
-
-        // Miss: evict LRU way.
         self.misses += 1;
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..assoc {
-            let s = self.stamps[base + w];
-            if self.tags[base + w] == u64::MAX {
-                victim = w;
-                break;
-            }
-            if s < oldest {
-                oldest = s;
-                victim = w;
-            }
+        if self.track.is_some() || self.heat.is_some() {
+            self.attribute_miss(line, t.old, t.slot);
         }
-        let old = self.tags[base + victim];
+        false
+    }
+
+    /// Ledger work for a miss on `line` that displaced `old` from way
+    /// `slot`; only reached with owner tracking or heat on.
+    #[inline(never)]
+    fn attribute_miss(&mut self, line: u64, old: u64, slot: usize) {
         let mut cross = false;
         if let Some(t) = &mut self.track {
             if t.evicted_by.remove(&line).is_some_and(|tag| tag != t.owner) {
                 t.cross_misses += 1;
                 cross = true;
             }
-            if old != u64::MAX {
+            if old != EMPTY {
                 t.evicted_by.insert(old, t.owner);
             }
         }
@@ -234,27 +268,30 @@ impl Cache {
             }
             let cell = h.cell(seg, owner);
             cell.misses += 1;
-            if cross {
-                cell.cross_misses += 1;
-            }
-            if old != u64::MAX {
-                h.cell(seg, owner).evictions += 1;
+            cell.cross_misses += u64::from(cross);
+            if old != EMPTY {
+                cell.evictions += 1;
                 h.evicted.insert(old, (seg, owner));
-                h.line_seg.remove(&old);
             }
-            h.line_seg.insert(line, seg);
+            h.way_seg[slot] = seg;
         }
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.tick;
-        false
+    }
+
+    /// Credit `n` accesses known to hit without changing which line the
+    /// next miss evicts — the caller ([`crate::Machine::exec_region`]'s
+    /// clean-region replay) has shown recency is already at its fixed point.
+    pub(crate) fn credit_hits(&mut self, n: u64) {
+        self.accesses += n;
     }
 
     /// Probe without filling: is the line resident?
     pub fn contains(&self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
-        let set = (line & self.set_mask) as usize;
-        let base = set * self.cfg.associativity;
-        self.tags[base..base + self.cfg.associativity].contains(&line)
+        let assoc = self.lines.assoc();
+        let base = (line & self.set_mask) as usize * assoc;
+        self.lines.ways()[base..base + assoc]
+            .iter()
+            .any(|w| w.tag == line)
     }
 
     /// Total accesses so far.
@@ -279,20 +316,18 @@ impl Cache {
     /// Empty the cache (counters are preserved). A flush is not an
     /// eviction *by* anyone, so pending cross-owner attributions clear too.
     pub fn flush(&mut self) {
-        self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
+        self.lines.clear();
         if let Some(t) = &mut self.track {
             t.evicted_by.clear();
         }
         if let Some(h) = &mut self.heat {
             h.evicted.clear();
-            h.line_seg.clear();
         }
     }
 
     /// Number of resident lines (for invariants/tests).
     pub fn resident_lines(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != u64::MAX).count()
+        self.lines.ways().iter().filter(|w| w.tag != EMPTY).count()
     }
 }
 

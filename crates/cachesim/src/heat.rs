@@ -16,12 +16,55 @@
 //!
 //! Hits never touch the ledger — enabling heat changes no modeled counter.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Mutex;
 
-/// Segment id for lines fetched before any segment was announced (or under
-/// code outside the named vocabulary). Id 0 is reserved by the machine's
-/// interner for this name.
+/// Segment name for lines fetched before any segment was announced (or under
+/// code outside the named vocabulary). Id 0 is reserved for it.
 pub const UNTRACKED_SEGMENT: &str = "(untracked)";
+
+/// Process-wide segment-name interner: a name gets its small id once, when
+/// [`crate::CodeLayout::define`] lays the segment out, so the per-execution
+/// path announces an integer and never compares strings. Ids are stable for
+/// the life of the process and equal for equal names across layouts, which
+/// is what lets one long-lived machine attribute the regions of many
+/// queries.
+struct SegmentNames {
+    ids: BTreeMap<String, u16>,
+    /// `names[id - 1]`; id 0 is [`UNTRACKED_SEGMENT`].
+    names: Vec<String>,
+}
+
+static SEGMENT_NAMES: Mutex<SegmentNames> = Mutex::new(SegmentNames {
+    ids: BTreeMap::new(),
+    names: Vec::new(),
+});
+
+/// The heat-ledger id of segment `name` (never 0).
+pub(crate) fn segment_id(name: &str) -> u16 {
+    let mut table = SEGMENT_NAMES
+        .lock()
+        .expect("segment-name interner poisoned");
+    if let Some(&id) = table.ids.get(name) {
+        return id;
+    }
+    let id = u16::try_from(table.names.len() + 1).expect("more than 65535 segment names");
+    table.names.push(name.to_string());
+    table.ids.insert(name.to_string(), id);
+    id
+}
+
+/// The name behind a ledger id; ids nobody interned (0, or a raw
+/// [`crate::Cache::set_heat_segment`] caller's) read as untracked.
+pub(crate) fn segment_name(id: u16) -> String {
+    let table = SEGMENT_NAMES
+        .lock()
+        .expect("segment-name interner poisoned");
+    let name = (id as usize)
+        .checked_sub(1)
+        .and_then(|i| table.names.get(i));
+    name.map_or(UNTRACKED_SEGMENT, String::as_str).to_string()
+}
 
 /// One cell of the heat ledger: all activity of `(segment, owner)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

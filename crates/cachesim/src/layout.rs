@@ -12,7 +12,8 @@
 //! footprints automatically count common code once (§6.1).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Maximum synthetic function size in bytes ("most functions < 1 K").
 pub const FUNC_BYTES: usize = 832;
@@ -60,17 +61,57 @@ pub enum SiteKind {
 }
 
 impl SiteKind {
+    /// Length of the site's repeating pattern: taken every time but the
+    /// last of each period.
+    pub fn period(self) -> u32 {
+        match self {
+            SiteKind::Biased => 64,
+            SiteKind::Mixed => 3,
+            SiteKind::Loop => 8,
+        }
+    }
+
     /// Deterministic outcome of the `count`-th execution of a site.
     pub fn outcome(self, count: u64) -> bool {
-        match self {
-            SiteKind::Biased => count % 64 != 63,
-            SiteKind::Mixed => count % 3 != 2,
-            SiteKind::Loop => count % 8 != 7,
-        }
+        let period = u64::from(self.period());
+        count % period != period - 1
     }
 }
 
+/// One static branch site of a [`CodeRegion`] and where its pattern stands.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SiteState {
+    pub(crate) addr: u64,
+    period: u32,
+    /// Executions so far, modulo `period`.
+    phase: u32,
+}
+
+impl SiteState {
+    /// The site's next outcome ([`SiteKind::outcome`] of its execution
+    /// count), advancing the pattern. Selects only: a region's sites mix
+    /// three periods, which the host cannot predict.
+    #[inline(always)]
+    pub(crate) fn step(&mut self) -> bool {
+        let last = self.phase + 1 == self.period;
+        self.phase = std::hint::select_unpredictable(last, 0, self.phase + 1);
+        !last
+    }
+}
+
+/// Line tables are kept per L1i line size, indexed by its log2. A function
+/// is at most [`FUNC_BYTES`] long, so every line size from 1 KB up fetches
+/// exactly each function's base and shares the last table.
+const LINE_TABLES: usize = FUNC_BYTES.next_power_of_two().trailing_zeros() as usize + 1;
+
 /// One immutable, laid-out segment.
+///
+/// Everything [`crate::Machine::exec_region`] needs per execution is
+/// flattened here once per segment and shared through the [`SegmentRef`]:
+/// the heat-ledger id and instruction total at [`CodeLayout::define`] time,
+/// the line table the first time a machine with that L1i line size executes
+/// the segment (the layout does not know the machine). Building a
+/// [`CodeRegion`] over defined segments therefore costs nothing per line.
 #[derive(Debug)]
 pub struct SegmentCode {
     /// Segment name (unique within a layout).
@@ -81,6 +122,42 @@ pub struct SegmentCode {
     pub functions: Vec<(u64, u32)>,
     /// Static branch sites as `(address, kind)`.
     pub sites: Vec<(u64, SiteKind)>,
+    heat_id: u16,
+    instructions: u64,
+    lines: [OnceLock<Box<[u64]>>; LINE_TABLES],
+}
+
+impl SegmentCode {
+    /// Process-wide heat-ledger id of this segment's name (never 0; equal
+    /// names in different layouts share it).
+    pub(crate) fn heat_id(&self) -> u16 {
+        self.heat_id
+    }
+
+    /// Instructions one execution of the segment retires (4-byte
+    /// instructions, counted per function).
+    pub(crate) fn instructions(&self) -> u64 {
+        self.instructions
+    }
+
+    /// The address fetched for every instruction line of one execution, in
+    /// fetch order, on a cache with `line_size`-byte lines: each function
+    /// from its base in `line_size` steps.
+    pub(crate) fn lines(&self, line_size: usize) -> &[u64] {
+        debug_assert!(line_size.is_power_of_two());
+        let slot = (line_size.trailing_zeros() as usize).min(LINE_TABLES - 1);
+        self.lines[slot].get_or_init(|| {
+            let count = self
+                .functions
+                .iter()
+                .map(|&(_, len)| (len as usize).div_ceil(line_size));
+            let mut lines = Vec::with_capacity(count.sum());
+            for &(base, len) in &self.functions {
+                lines.extend((base..base + len as u64).step_by(line_size));
+            }
+            lines.into_boxed_slice()
+        })
+    }
 }
 
 /// Shared handle to a laid-out segment.
@@ -198,6 +275,9 @@ impl CodeLayout {
             remaining -= len as usize;
         }
         let seg = Arc::new(SegmentCode {
+            heat_id: crate::heat::segment_id(&spec.name),
+            instructions: functions.iter().map(|&(_, len)| len as u64 / 4).sum(),
+            lines: std::array::from_fn(|_| OnceLock::new()),
             name: spec.name.clone(),
             bytes: spec.bytes,
             functions,
@@ -233,19 +313,32 @@ impl CodeLayout {
 /// are shared, the execution counters are private to the clone.
 #[derive(Debug, Clone)]
 pub struct CodeRegion {
+    /// Names the (immutable) segment list: equal ids fetch the same lines
+    /// and pages in the same order. Clones keep it.
+    fetch_id: u64,
     segments: Vec<SegmentRef>,
-    /// `(address, kind, executions)` for every site of every segment.
-    site_state: Vec<(u64, SiteKind, u64)>,
+    /// Every site of every segment, in segment order.
+    site_state: Vec<SiteState>,
 }
+
+/// Next [`CodeRegion::fetch_id`]; 0 is the empty region's.
+static NEXT_FETCH_ID: AtomicU64 = AtomicU64::new(1);
 
 impl CodeRegion {
     /// Build a region over the given segments.
     pub fn new(segments: Vec<SegmentRef>) -> Self {
         let site_state = segments
             .iter()
-            .flat_map(|s| s.sites.iter().map(|&(a, k)| (a, k, 0)))
+            .flat_map(|s| s.sites.iter())
+            .map(|&(addr, kind)| SiteState {
+                addr,
+                period: kind.period(),
+                phase: 0,
+            })
             .collect();
         CodeRegion {
+            // Relaxed: the id is only ever compared for equality.
+            fetch_id: NEXT_FETCH_ID.fetch_add(1, Ordering::Relaxed),
             segments,
             site_state,
         }
@@ -254,9 +347,16 @@ impl CodeRegion {
     /// An empty region (an operator with no simulated code, used in tests).
     pub fn empty() -> Self {
         CodeRegion {
+            fetch_id: 0,
             segments: Vec::new(),
             site_state: Vec::new(),
         }
+    }
+
+    /// Identity of this region's instruction-fetch sequence (see
+    /// [`crate::Machine::exec_region`]'s clean-region replay).
+    pub(crate) fn fetch_id(&self) -> u64 {
+        self.fetch_id
     }
 
     /// The segments making up this region.
@@ -265,7 +365,7 @@ impl CodeRegion {
     }
 
     /// Mutable view of site execution state (used by [`crate::Machine`]).
-    pub(crate) fn site_state_mut(&mut self) -> &mut [(u64, SiteKind, u64)] {
+    pub(crate) fn site_state_mut(&mut self) -> &mut [SiteState] {
         &mut self.site_state
     }
 

@@ -27,15 +27,17 @@ pub mod branch;
 pub mod cache;
 pub mod config;
 pub mod counters;
+mod hash;
 pub mod heat;
 pub mod layout;
+mod lru;
 pub mod machine;
 pub mod misscurve;
 pub mod prefetch;
 pub mod report;
 pub mod tlb;
 
-pub use branch::{BimodalPredictor, BranchPredictor, GsharePredictor, PredictorKind};
+pub use branch::{BimodalPredictor, BranchPredictor, GsharePredictor, Predictor, PredictorKind};
 pub use cache::Cache;
 pub use config::{BranchConfig, CacheConfig, Latencies, MachineConfig};
 pub use counters::PerfCounters;

@@ -1,10 +1,10 @@
 //! The machine facade: caches + TLB + predictor + prefetcher + counters.
 
-use crate::branch::{build_predictor, BranchPredictor};
+use crate::branch::{BranchPredictor, Predictor};
 use crate::cache::Cache;
 use crate::config::MachineConfig;
 use crate::counters::PerfCounters;
-use crate::heat::{HeatSnapshot, UNTRACKED_SEGMENT};
+use crate::heat::{self, HeatSnapshot};
 use crate::layout::CodeRegion;
 use crate::prefetch::StreamPrefetcher;
 use crate::report::BreakdownReport;
@@ -18,20 +18,82 @@ pub struct Machine {
     cfg: MachineConfig,
     l1i: Cache,
     l1d: Cache,
-    l2: Cache,
+    l2: L2,
     itlb: Tlb,
-    predictor: Box<dyn BranchPredictor + Send>,
-    prefetcher: StreamPrefetcher,
+    predictor: Predictor,
     instructions: u64,
-    l2_accesses: u64,
-    l2_misses: u64,
-    l2_covered: u64,
-    l2_line_shift: u32,
     /// Counters merged in from other simulated cores (worker machines).
     absorbed: PerfCounters,
-    /// Segment-name interner for the L1i heat ledger; index = segment id.
-    /// `None` while the heatmap is off (the common case).
-    heat_names: Option<Vec<String>>,
+    /// Scratch: addresses of the L1i misses of the segment being fetched.
+    l1i_refills: Vec<u64>,
+    /// The region the previous `exec_region` fetched, for clean-region
+    /// replay (see [`Machine::exec_region`]).
+    last_fetch: Option<Fetch>,
+}
+
+/// The unified L2 behind both L1s, with its sequential stream prefetcher.
+struct L2 {
+    cache: Cache,
+    prefetcher: StreamPrefetcher,
+    line_shift: u32,
+    accesses: u64,
+    misses: u64,
+    covered: u64,
+}
+
+impl L2 {
+    /// Refill one L1d miss, training and consulting the prefetcher.
+    fn refill_data(&mut self, addr: u64) {
+        self.accesses += 1;
+        if !self.cache.access(addr) {
+            self.misses += 1;
+            if self.prefetcher.observe_miss(addr >> self.line_shift) {
+                self.covered += 1;
+            }
+        }
+    }
+
+    /// Refill a run of L1i misses, in order. Instruction refills are not
+    /// prefetchable (the P4 trace cache rebuilds traces on demand): the
+    /// prefetcher neither sees nor covers them.
+    fn refill_code(&mut self, addrs: &[u64]) {
+        self.accesses += addrs.len() as u64;
+        let misses = &mut self.misses;
+        self.cache.access_each(addrs, |_| *misses += 1);
+    }
+}
+
+/// One region's instruction fetch: what it adds to the counters, and
+/// whether the latest walk of its lines (through L1i) and of its pages
+/// (through the ITLB) found every one of them resident.
+#[derive(Debug, Clone, Copy)]
+struct Fetch {
+    fetch_id: u64,
+    lines: u64,
+    pages: u64,
+    instructions: u64,
+    l1i_clean: bool,
+    itlb_clean: bool,
+}
+
+impl Fetch {
+    /// The fetch of a region not walked yet.
+    fn of(region: &CodeRegion, line_size: usize) -> Self {
+        let mut fetch = Fetch {
+            fetch_id: region.fetch_id(),
+            lines: 0,
+            pages: 0,
+            instructions: 0,
+            l1i_clean: false,
+            itlb_clean: false,
+        };
+        for seg in region.segments() {
+            fetch.lines += seg.lines(line_size).len() as u64;
+            fetch.pages += seg.functions.len() as u64;
+            fetch.instructions += seg.instructions();
+        }
+        fetch
+    }
 }
 
 impl Machine {
@@ -41,17 +103,20 @@ impl Machine {
         Machine {
             l1i: Cache::new(cfg.l1i),
             l1d: Cache::new(cfg.l1d),
-            l2: Cache::new(cfg.l2),
+            l2: L2 {
+                cache: Cache::new(cfg.l2),
+                prefetcher: StreamPrefetcher::new(cfg.prefetch_streams),
+                line_shift: cfg.l2.line_size.trailing_zeros(),
+                accesses: 0,
+                misses: 0,
+                covered: 0,
+            },
             itlb: Tlb::new(cfg.itlb_entries),
-            predictor: build_predictor(&cfg.branch),
-            prefetcher: StreamPrefetcher::new(cfg.prefetch_streams),
+            predictor: Predictor::new(&cfg.branch),
             instructions: 0,
-            l2_accesses: 0,
-            l2_misses: 0,
-            l2_covered: 0,
-            l2_line_shift: cfg.l2.line_size.trailing_zeros(),
             absorbed: PerfCounters::default(),
-            heat_names: None,
+            l1i_refills: Vec::new(),
+            last_fetch: None,
             cfg,
         }
     }
@@ -61,57 +126,70 @@ impl Machine {
         &self.cfg
     }
 
-    fn l2_access(&mut self, addr: u64, prefetchable: bool) {
-        self.l2_accesses += 1;
-        if !self.l2.access(addr) {
-            self.l2_misses += 1;
-            let line = addr >> self.l2_line_shift;
-            if prefetchable && self.prefetcher.observe_miss(line) {
-                self.l2_covered += 1;
-            }
-        }
-    }
-
     /// Simulate one execution of an operator's code: every function is
     /// entered (one ITLB lookup), every instruction line is fetched through
     /// L1i (missing to L2/memory), and every static branch site fires with
     /// its deterministic data-independent pattern.
+    ///
+    /// **Clean-region replay.** If the previous `exec_region` on this
+    /// machine fetched this same region and its walk through L1i missed
+    /// nowhere, walking it again would hit everywhere and leave every LRU
+    /// order exactly as it is: nothing but `exec_region` touches L1i, hits
+    /// evict nothing, and a set's recency order after a miss-free pass is a
+    /// function of the pass alone. So the pass is credited in O(1) instead
+    /// of walked. The ITLB replays the same way, independently. Branch
+    /// sites always run — predictor state depends on history.
     pub fn exec_region(&mut self, region: &mut CodeRegion) {
-        let line = self.cfg.l1i.line_size as u64;
+        let mut fetch = match self.last_fetch {
+            Some(last) if last.fetch_id == region.fetch_id() => last,
+            _ => Fetch::of(region, self.cfg.l1i.line_size),
+        };
+        if fetch.itlb_clean {
+            self.itlb.credit_hits(fetch.pages);
+        } else {
+            fetch.itlb_clean = self.walk_pages(region);
+        }
+        if fetch.l1i_clean {
+            self.l1i.credit_hits(fetch.lines);
+        } else {
+            fetch.l1i_clean = self.walk_lines(region);
+        }
+        self.instructions += fetch.instructions;
+        self.last_fetch = Some(fetch);
+        self.predictor.run_sites(region.site_state_mut());
+    }
+
+    /// Enter every function of `region` through the ITLB; `true` if none
+    /// missed.
+    fn walk_pages(&mut self, region: &CodeRegion) -> bool {
+        let misses = self.itlb.misses();
         for seg in region.segments() {
-            if let Some(names) = &mut self.heat_names {
-                // Announce the segment so L1i misses in the loop below land
-                // in its heat cell. Interning is per segment execution, not
-                // per line, and the vocabulary is ~30 names.
-                let id = match names.iter().position(|n| n == &seg.name) {
-                    Some(i) => i,
-                    None => {
-                        names.push(seg.name.clone());
-                        names.len() - 1
-                    }
-                };
-                self.l1i.set_heat_segment(id as u16);
-            }
-            for &(base, len) in &seg.functions {
+            for &(base, _) in &seg.functions {
                 self.itlb.access(base);
-                self.instructions += (len as u64) / 4;
-                let mut addr = base;
-                let end = base + len as u64;
-                while addr < end {
-                    if !self.l1i.access(addr) {
-                        // Instruction refill from L2 (not prefetchable: the
-                        // P4 trace cache rebuilds traces on demand).
-                        self.l2_access(addr, false);
-                    }
-                    addr += line;
-                }
             }
         }
-        for (addr, kind, count) in region.site_state_mut() {
-            let taken = kind.outcome(*count);
-            *count += 1;
-            self.predictor.predict_and_update(*addr, taken);
+        self.itlb.misses() == misses
+    }
+
+    /// Fetch every instruction line of `region` through L1i; `true` if none
+    /// missed.
+    fn walk_lines(&mut self, region: &CodeRegion) -> bool {
+        let misses = self.l1i.misses();
+        for seg in region.segments() {
+            if self.l1i.heat_enabled() {
+                // Announce the segment so L1i misses below land in its cell.
+                self.l1i.set_heat_segment(seg.heat_id());
+            }
+            // The segment's misses reach L2 after its L1i pass rather than
+            // interleaved with it: the same L2 accesses in the same order,
+            // as two tight loops.
+            let refills = &mut self.l1i_refills;
+            refills.clear();
+            self.l1i
+                .access_each(seg.lines(self.cfg.l1i.line_size), |addr| refills.push(addr));
+            self.l2.refill_code(refills);
         }
+        self.l1i.misses() == misses
     }
 
     /// Resolve one data-dependent branch (e.g. a predicate outcome) at the
@@ -136,7 +214,7 @@ impl Machine {
         let end = addr + len.max(1) as u64;
         while a < end {
             if !self.l1d.access(a) {
-                self.l2_access(a, true);
+                self.l2.refill_data(a);
             }
             a += line;
         }
@@ -167,15 +245,16 @@ impl Machine {
     /// miss-conservation (Σ cell misses == `l1i_misses`); attribution adds
     /// zero modeled cost either way.
     pub fn enable_heatmap(&mut self) {
-        if self.heat_names.is_none() {
-            self.heat_names = Some(vec![UNTRACKED_SEGMENT.to_string()]);
+        if !self.l1i.heat_enabled() {
             self.l1i.enable_heat();
+            // The next walk announces its segments to the new ledger.
+            self.last_fetch = None;
         }
     }
 
     /// Whether the heat ledger is on.
     pub fn heatmap_enabled(&self) -> bool {
-        self.heat_names.is_some()
+        self.l1i.heat_enabled()
     }
 
     /// Resolve the L1i heat ledger into names: per-(segment, owner) miss/
@@ -184,21 +263,18 @@ impl Machine {
     /// with [`HeatSnapshot::merge`].
     pub fn heat_snapshot(&self) -> HeatSnapshot {
         let mut snap = HeatSnapshot::default();
-        let Some(names) = &self.heat_names else {
+        if !self.l1i.heat_enabled() {
             return snap;
-        };
+        }
         snap.sets = self.l1i.sets();
-        let name_of = |id: u16| -> String {
-            names
-                .get(id as usize)
-                .cloned()
-                .unwrap_or_else(|| UNTRACKED_SEGMENT.to_string())
-        };
         for ((seg, owner), cell) in self.l1i.heat_cells() {
-            snap.cells.insert((name_of(seg), owner), cell);
+            snap.cells.insert((heat::segment_name(seg), owner), cell);
         }
         for (set, seg, n) in self.l1i.heat_residency() {
-            *snap.residency.entry((set, name_of(seg))).or_insert(0) += n;
+            *snap
+                .residency
+                .entry((set, heat::segment_name(seg)))
+                .or_insert(0) += n;
         }
         snap
     }
@@ -226,9 +302,9 @@ impl Machine {
                 l1i_cross_misses: self.l1i.cross_misses(),
                 l1d_accesses: self.l1d.accesses(),
                 l1d_misses: self.l1d.misses(),
-                l2_accesses: self.l2_accesses,
-                l2_misses: self.l2_misses,
-                l2_covered: self.l2_covered,
+                l2_accesses: self.l2.accesses,
+                l2_misses: self.l2.misses,
+                l2_covered: self.l2.covered,
                 itlb_accesses: self.itlb.accesses(),
                 itlb_misses: self.itlb.misses(),
                 branches: self.predictor.branches(),

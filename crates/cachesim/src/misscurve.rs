@@ -27,13 +27,8 @@ pub struct MissPoint {
 fn fetch_region(cache: &mut Cache, region: &CodeRegion) -> u64 {
     let before = cache.misses();
     for seg in region.segments() {
-        for &(base, len) in &seg.functions {
-            let mut addr = base;
-            let end = base + len as u64;
-            while addr < end {
-                cache.access(addr);
-                addr += 64;
-            }
+        for &addr in seg.lines(cache.config().line_size) {
+            cache.access(addr);
         }
     }
     cache.misses() - before

@@ -3,15 +3,16 @@
 //! Used for instruction pages (the paper reports ITLB misses dropping by
 //! ~60–86 % under buffering). 4 KB pages.
 
+use crate::lru::{with_width, LruSets};
+
 const PAGE_SHIFT: u32 = 12;
 
 /// Fully-associative LRU TLB over 4 KB pages.
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    /// Resident page numbers, MRU first. Small (≤ tens of entries), so a
-    /// vector beats any hashing scheme.
-    pages: Vec<u64>,
-    entries: usize,
+    /// One set holding every entry: the same `(page, stamp)` scan as a
+    /// cache set.
+    pages: LruSets,
     accesses: u64,
     misses: u64,
 }
@@ -21,30 +22,25 @@ impl Tlb {
     pub fn new(entries: usize) -> Self {
         assert!(entries > 0, "TLB must have at least one entry");
         Tlb {
-            pages: Vec::with_capacity(entries),
-            entries,
+            pages: LruSets::new(1, entries),
             accesses: 0,
             misses: 0,
         }
     }
 
     /// Translate the page containing `addr`; returns `true` on TLB hit.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.accesses += 1;
         let page = addr >> PAGE_SHIFT;
-        if let Some(pos) = self.pages.iter().position(|&p| p == page) {
-            // Move to MRU position.
-            self.pages.remove(pos);
-            self.pages.insert(0, page);
-            true
-        } else {
-            self.misses += 1;
-            if self.pages.len() == self.entries {
-                self.pages.pop();
-            }
-            self.pages.insert(0, page);
-            false
-        }
+        let hit = with_width!(self.pages.assoc(), N => self.pages.touch::<N>(0, page).hit);
+        self.misses += u64::from(!hit);
+        hit
+    }
+
+    /// Credit `n` translations known to hit, as `Cache::credit_hits`.
+    pub(crate) fn credit_hits(&mut self, n: u64) {
+        self.accesses += n;
     }
 
     /// Total accesses.
@@ -59,7 +55,7 @@ impl Tlb {
 
     /// Number of configured entries.
     pub fn entries(&self) -> usize {
-        self.entries
+        self.pages.assoc()
     }
 }
 
