@@ -26,15 +26,15 @@ pub use server_bench::{server_metrics, server_table, ServerReport, ServerSweepEn
 pub use traffic::{run_traffic, RegimeSpec, TrafficConfig, TrafficRun};
 
 /// Execute Query 1 with the ablation-only **copying** buffer (§5 argues the
-/// production buffer must store pointers instead). Built by hand because
-/// plans always instantiate the pointer variant. Returns
+/// production buffer must store pointers instead). The tree is assembled by
+/// hand because plans always instantiate the pointer variant, then driven
+/// through the executor's own spine, so `--timeout-ms` and `BUFFERDB_FAULT`
+/// apply as to every other run. Returns
 /// `(modeled seconds, instructions retired)`.
 pub fn run_copy_buffered_query1(ctx: &experiments::ExperimentCtx) -> (f64, u64) {
-    use bufferdb_core::context::ExecContext;
     use bufferdb_core::exec::agg::AggregateOp;
-    use bufferdb_core::exec::copybuffer::CopyBufferOp;
+    use bufferdb_core::exec::buffer::BufferOp;
     use bufferdb_core::exec::seqscan::SeqScanOp;
-    use bufferdb_core::exec::Operator;
     use bufferdb_core::footprint::FootprintModel;
     use bufferdb_core::plan::PlanNode;
 
@@ -57,14 +57,8 @@ pub fn run_copy_buffered_query1(ctx: &experiments::ExperimentCtx) -> (f64, u64) 
     let mut fm = FootprintModel::new();
     let scan =
         Box::new(SeqScanOp::new(&ctx.catalog, &mut fm, &table, predicate, None).expect("scan"));
-    let copy = Box::new(CopyBufferOp::new(&mut fm, scan, ctx.refine.buffer_size).expect("copy"));
-    let mut agg = AggregateOp::new(&mut fm, copy, group_by, aggs).expect("agg");
-
-    let mut exec_ctx = ExecContext::new(ctx.machine.clone());
-    agg.open(&mut exec_ctx).expect("open");
-    while agg.next(&mut exec_ctx).expect("next").is_some() {}
-    agg.close(&mut exec_ctx).expect("close");
-    let counters = exec_ctx.machine.snapshot();
-    let breakdown = exec_ctx.machine.breakdown_for(&counters);
-    (breakdown.seconds(), counters.instructions)
+    let copy = Box::new(BufferOp::copying(&mut fm, scan, ctx.refine.buffer_size).expect("copy"));
+    let agg = Box::new(AggregateOp::new(&mut fm, copy, group_by, aggs).expect("agg"));
+    let run = runner::run_root("copy-buffered", agg, &fm, &ctx.machine);
+    (run.stats.seconds(), run.stats.counters.instructions)
 }

@@ -3,8 +3,9 @@
 
 use crate::json::{Json, SCHEMA_VERSION};
 use bufferdb_cachesim::{format_counter_comparison, pct_reduction, MachineConfig};
-use bufferdb_core::exec::execute_query;
+use bufferdb_core::exec::{drive_root, execute_query, Operator, QueryOutcome};
 use bufferdb_core::fault::FaultRegistry;
+use bufferdb_core::footprint::FootprintModel;
 use bufferdb_core::obs::{ExchangeLane, HistSummary, TraceReport};
 use bufferdb_core::plan::PlanNode;
 use bufferdb_core::session::QueryOpts;
@@ -145,7 +146,23 @@ fn run_plan_inner(
     threads: usize,
     trace: bool,
 ) -> RunResult {
-    let mut outcome = execute_query(plan, catalog, cfg, &exec_options(threads, trace));
+    let outcome = execute_query(plan, catalog, cfg, &exec_options(threads, trace));
+    package(label, outcome)
+}
+
+/// [`run_plan`] for an operator tree assembled by hand (built against
+/// `fm`) instead of from a plan: same spine, same process-wide timeout and
+/// fault registry, same failure contract.
+pub(crate) fn run_root(
+    label: &str,
+    root: Box<dyn Operator>,
+    fm: &FootprintModel,
+    cfg: &MachineConfig,
+) -> RunResult {
+    package(label, drive_root(root, fm, cfg, &exec_options(1, false)))
+}
+
+fn package(label: &str, mut outcome: QueryOutcome) -> RunResult {
     let trace = outcome.take_trace();
     let (rows, stats, _profile, error) = outcome.into_parts();
     if let Some(err) = error {

@@ -11,16 +11,14 @@ use crate::context::ExecContext;
 use crate::exec::{schema_slot_bytes, Operator, DEFAULT_BATCH};
 use crate::footprint::{FootprintModel, OpKind};
 use crate::plan::{AggFunc, AggSpec};
-use bufferdb_cachesim::CodeRegion;
+use bufferdb_cachesim::{CodeRegion, Machine};
 use bufferdb_types::{ops, Datum, DbError, Result, Schema, SchemaRef, Tuple};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Running state of one aggregate. Shared with the push executor
-/// ([`crate::exec::push`]) so both backends fold values identically —
-/// bit-identical accumulation is what the mode-equivalence tests pin.
+/// Running state of one aggregate.
 #[derive(Debug, Clone)]
-pub(crate) enum AggState {
+enum AggState {
     Count(i64),
     Sum(Option<Datum>),
     Min(Option<Datum>),
@@ -29,7 +27,7 @@ pub(crate) enum AggState {
 }
 
 impl AggState {
-    pub(crate) fn new(func: AggFunc) -> AggState {
+    fn new(func: AggFunc) -> AggState {
         match func {
             AggFunc::CountStar | AggFunc::Count => AggState::Count(0),
             AggFunc::Sum => AggState::Sum(None),
@@ -39,7 +37,7 @@ impl AggState {
         }
     }
 
-    pub(crate) fn update(&mut self, value: Option<&Datum>) -> Result<()> {
+    fn update(&mut self, value: Option<&Datum>) -> Result<()> {
         match self {
             AggState::Count(n) => {
                 // COUNT(*) is fed None-as-star; COUNT(expr) skips NULLs.
@@ -100,7 +98,7 @@ impl AggState {
         Ok(())
     }
 
-    pub(crate) fn finish(&self) -> Datum {
+    fn finish(&self) -> Datum {
         match self {
             AggState::Count(n) => Datum::Int(*n),
             AggState::Sum(acc) | AggState::Min(acc) | AggState::Max(acc) => {
@@ -128,7 +126,7 @@ fn datum_to_f64(d: &Datum) -> Option<f64> {
 
 /// Hashable, equatable group key (floats are rejected at build time).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum KeyAtom {
+enum KeyAtom {
     Null,
     Bool(bool),
     Int(i64),
@@ -137,7 +135,7 @@ pub(crate) enum KeyAtom {
     Dec(i128, u8),
 }
 
-pub(crate) fn key_atom(d: &Datum) -> Result<KeyAtom> {
+fn key_atom(d: &Datum) -> Result<KeyAtom> {
     Ok(match d {
         Datum::Null => KeyAtom::Null,
         Datum::Bool(b) => KeyAtom::Bool(*b),
@@ -161,11 +159,123 @@ pub(crate) fn key_atom(d: &Datum) -> Result<KeyAtom> {
     })
 }
 
+fn new_states(aggs: &[AggSpec]) -> Vec<AggState> {
+    aggs.iter().map(|a| AggState::new(a.func)).collect()
+}
+
+fn update_states(
+    machine: &mut Machine,
+    aggs: &[AggSpec],
+    states: &mut [AggState],
+    row: &Tuple,
+) -> Result<()> {
+    for (spec, state) in aggs.iter().zip(states.iter_mut()) {
+        match (&spec.input, spec.func) {
+            (_, AggFunc::CountStar) => state.update(None)?,
+            (Some(e), _) => {
+                machine.add_instructions(e.instruction_cost());
+                state.update(Some(&e.eval(row)?))?;
+            }
+            (None, func) => unreachable!("{func:?} without an argument passed Accumulator::new"),
+        }
+    }
+    Ok(())
+}
+
+type Group = (Vec<Datum>, Vec<AggState>);
+
+/// The aggregate's row kernel: plain or hash-grouped accumulation with
+/// first-seen group order. [`AggregateOp`] feeds it one child tuple per
+/// region execution; the fused push sink ([`crate::exec::push`]) a whole
+/// batch per region execution. Both fold through the same `AggState`s, so
+/// results are bit-identical.
+pub(crate) struct Accumulator {
+    group_by: Vec<usize>,
+    aggs: Vec<AggSpec>,
+    /// Running states of a plain (ungrouped) aggregate.
+    states: Vec<AggState>,
+    groups: HashMap<Vec<KeyAtom>, Group>,
+    /// Group keys in first-seen order (the output order).
+    order: Vec<Vec<KeyAtom>>,
+    ht_base: u64,
+}
+
+impl Accumulator {
+    pub(crate) fn new(group_by: Vec<usize>, aggs: Vec<AggSpec>) -> Result<Self> {
+        for a in &aggs {
+            if a.input.is_none() && a.func != AggFunc::CountStar {
+                return Err(DbError::InvalidPlan(format!(
+                    "{:?} requires an argument",
+                    a.func
+                )));
+            }
+        }
+        Ok(Accumulator {
+            group_by,
+            aggs,
+            states: Vec::new(),
+            groups: HashMap::new(),
+            order: Vec::new(),
+            ht_base: 0,
+        })
+    }
+
+    /// Start a fresh accumulation (allocating the simulated group table
+    /// when grouping).
+    pub(crate) fn reset(&mut self, ctx: &mut ExecContext) {
+        self.states = new_states(&self.aggs);
+        self.groups.clear();
+        self.order.clear();
+        if !self.group_by.is_empty() {
+            self.ht_base = ctx.arena.sim_alloc(1 << 20);
+        }
+    }
+
+    /// Fold one input row in.
+    pub(crate) fn update(&mut self, machine: &mut Machine, row: &Tuple) -> Result<()> {
+        if self.group_by.is_empty() {
+            return update_states(machine, &self.aggs, &mut self.states, row);
+        }
+        let mut key = Vec::with_capacity(self.group_by.len());
+        for &g in &self.group_by {
+            key.push(key_atom(row.get(g))?);
+        }
+        // One hash-bucket touch per input row.
+        machine.data_read(self.ht_base + (fx_hash(&key) & 0xFFFF) * 16, 16);
+        let (_, states) = self.groups.entry(key).or_insert_with_key(|key| {
+            self.order.push(key.clone());
+            let key_vals = self.group_by.iter().map(|&g| row.get(g).clone()).collect();
+            (key_vals, new_states(&self.aggs))
+        });
+        update_states(machine, &self.aggs, states, row)
+    }
+
+    /// The result rows: one for a plain aggregate (even over empty input),
+    /// one per group in first-seen order otherwise.
+    pub(crate) fn finish(&mut self) -> Vec<Tuple> {
+        if self.group_by.is_empty() {
+            return vec![Tuple::new(
+                self.states.iter().map(AggState::finish).collect(),
+            )];
+        }
+        std::mem::take(&mut self.order)
+            .into_iter()
+            // Every key in `order` was inserted into `groups`, so the filter
+            // never drops anything; it just keeps this path free of
+            // panicking lookups.
+            .filter_map(|k| self.groups.remove(&k))
+            .map(|(mut vals, states)| {
+                vals.extend(states.iter().map(AggState::finish));
+                Tuple::new(vals)
+            })
+            .collect()
+    }
+}
+
 /// Aggregation operator.
 pub struct AggregateOp {
     child: Box<dyn Operator>,
-    group_by: Vec<usize>,
-    aggs: Vec<AggSpec>,
+    acc: Accumulator,
     schema: SchemaRef,
     code: CodeRegion,
     /// Emit queue after the (blocking for group-by, single-pass for plain)
@@ -175,7 +285,6 @@ pub struct AggregateOp {
     drained: bool,
     out_region: u32,
     batch_hint: usize,
-    ht_base: u64,
 }
 
 impl AggregateOp {
@@ -194,127 +303,48 @@ impl AggregateOp {
             }
             fields.push(input.field(g).clone());
         }
-        for a in &aggs {
-            let ty = match a.func {
-                AggFunc::CountStar | AggFunc::Count => bufferdb_types::DataType::Int,
-                AggFunc::Avg => bufferdb_types::DataType::Float,
-                _ => match &a.input {
-                    Some(e) => e.data_type(&input)?,
-                    None => {
-                        return Err(DbError::InvalidPlan(format!(
-                            "{:?} requires an argument",
-                            a.func
-                        )))
-                    }
-                },
+        let code = fm.region_for(&OpKind::aggregate(&aggs));
+        let acc = Accumulator::new(group_by, aggs)?;
+        for a in &acc.aggs {
+            let ty = match (a.func, &a.input) {
+                (AggFunc::CountStar | AggFunc::Count, _) => bufferdb_types::DataType::Int,
+                (AggFunc::Avg, _) => bufferdb_types::DataType::Float,
+                (_, Some(e)) => e.data_type(&input)?,
+                (_, None) => unreachable!("rejected by Accumulator::new"),
             };
             fields.push(bufferdb_types::Field::nullable(a.name.clone(), ty));
         }
-        let schema = Schema::new(fields).into_ref();
-        let code = fm.region_for(&OpKind::aggregate(&aggs));
         Ok(AggregateOp {
             child,
-            group_by,
-            aggs,
-            schema,
+            acc,
+            schema: Schema::new(fields).into_ref(),
             code,
             results: Vec::new(),
             pos: 0,
             drained: false,
             out_region: u32::MAX,
             batch_hint: DEFAULT_BATCH,
-            ht_base: 0,
         })
     }
 
-    fn update_states(
-        &self,
-        ctx: &mut ExecContext,
-        states: &mut [AggState],
-        row: &Tuple,
-    ) -> Result<()> {
-        for (spec, state) in self.aggs.iter().zip(states.iter_mut()) {
-            match (&spec.input, spec.func) {
-                (_, AggFunc::CountStar) => state.update(None)?,
-                (Some(e), _) => {
-                    ctx.machine.add_instructions(e.instruction_cost());
-                    let v = e.eval(row)?;
-                    state.update(Some(&v))?;
-                }
-                (None, _) => {
-                    return Err(DbError::InvalidPlan(format!(
-                        "{:?} requires an argument",
-                        spec.func
-                    )))
-                }
-            }
-        }
-        Ok(())
-    }
-
+    /// Consume the whole input, executing the aggregation code once per
+    /// input row interleaved with the child's code.
     fn drain(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        if self.group_by.is_empty() {
-            let mut states: Vec<AggState> =
-                self.aggs.iter().map(|a| AggState::new(a.func)).collect();
-            while let Some(slot) = self.child.next(ctx)? {
-                ctx.check_cancel()?;
-                ctx.tuple_yield();
-                ctx.machine.exec_region(&mut self.code);
-                let row = ctx.arena.tuple(slot).clone();
-                self.update_states(ctx, &mut states, &row)?;
-            }
-            let vals: Vec<Datum> = states.iter().map(AggState::finish).collect();
-            self.results = vec![Tuple::new(vals)];
-        } else {
-            self.ht_base = ctx.arena.sim_alloc(1 << 20);
-            let mut groups: HashMap<Vec<KeyAtom>, (Vec<Datum>, Vec<AggState>)> = HashMap::new();
-            let mut order: Vec<Vec<KeyAtom>> = Vec::new();
-            while let Some(slot) = self.child.next(ctx)? {
-                ctx.check_cancel()?;
-                ctx.tuple_yield();
-                ctx.machine.exec_region(&mut self.code);
-                let row = ctx.arena.tuple(slot).clone();
-                let mut key = Vec::with_capacity(self.group_by.len());
-                let mut key_vals = Vec::with_capacity(self.group_by.len());
-                for &g in &self.group_by {
-                    key.push(key_atom(row.get(g))?);
-                    key_vals.push(row.get(g).clone());
-                }
-                // One hash-bucket touch per input row.
-                let h = fx_hash(&key);
-                ctx.machine.data_read(self.ht_base + (h & 0xFFFF) * 16, 16);
-                let entry = groups.entry(key.clone()).or_insert_with(|| {
-                    order.push(key);
-                    (
-                        key_vals,
-                        self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                    )
-                });
-                let states = &mut entry.1;
-                let mut tmp = std::mem::take(states);
-                self.update_states(ctx, &mut tmp, &row)?;
-                entry.1 = tmp;
-            }
-            self.results = order
-                .into_iter()
-                // Every key in `order` was inserted into `groups` above, so
-                // the filter never drops anything; it just keeps this path
-                // free of panicking lookups.
-                .filter_map(|k| groups.remove(&k))
-                .map(|(key_vals, states)| {
-                    let mut vals = key_vals;
-                    vals.extend(states.iter().map(AggState::finish));
-                    Tuple::new(vals)
-                })
-                .collect();
+        self.acc.reset(ctx);
+        while let Some(slot) = self.child.next(ctx)? {
+            ctx.check_cancel()?;
+            ctx.tuple_yield();
+            ctx.machine.exec_region(&mut self.code);
+            self.acc.update(&mut ctx.machine, ctx.arena.tuple(slot))?;
         }
+        self.results = self.acc.finish();
         self.pos = 0;
         self.drained = true;
         Ok(())
     }
 }
 
-pub(crate) fn fx_hash(key: &[KeyAtom]) -> u64 {
+fn fx_hash(key: &[KeyAtom]) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
     key.hash(&mut h);

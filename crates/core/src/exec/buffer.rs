@@ -17,10 +17,13 @@
 //! overhead of copying would reduce the benefit of buffering instructions".
 //! The child is told (batch hint) to keep `size` output tuples alive, the
 //! Rust rendering of PostgreSQL's delegate-deallocation-to-ancestor rule.
+//! [`BufferOp::copying`] builds the variant §5 argues against — tuple copies
+//! in the buffer's own region — so the ablation can price that sentence;
+//! plans only ever instantiate the pointer variant.
 
 use crate::arena::TupleSlot;
 use crate::context::ExecContext;
-use crate::exec::Operator;
+use crate::exec::{schema_slot_bytes, Operator};
 use crate::fault;
 use crate::footprint::{FootprintModel, OpKind};
 use crate::obs::hist;
@@ -33,6 +36,19 @@ use bufferdb_types::{Datum, DbError, Result, SchemaRef};
 const STORE_INSTR: u64 = 12;
 /// Instruction cost of returning one pointed tuple.
 const RETURN_INSTR: u64 = 10;
+/// Instruction cost of copying one tuple byte (field-by-field datum copy).
+const COPY_INSTR_PER_BYTE: u64 = 1;
+/// Fixed instruction cost of one tuple copy.
+const COPY_INSTR_FIXED: u64 = 16;
+
+/// What the buffer's array holds.
+enum Store {
+    /// Pointers to tuples that stay in the child's memory space; the array
+    /// itself lives at the simulated address `array_base`.
+    Pointers { array_base: u64 },
+    /// Copies of the child's tuples in the arena `region` this buffer owns.
+    Copies { region: u32 },
+}
 
 /// The buffer operator.
 pub struct BufferOp {
@@ -43,9 +59,10 @@ pub struct BufferOp {
     slots: Vec<TupleSlot>,
     pos: usize,
     end_of_tuples: bool,
-    array_base: u64,
+    store: Store,
     /// Extra live-slot demand announced by a parent (a stacked buffer):
-    /// forwarded to the child, since we return the child's slots directly.
+    /// forwarded to the child when we return the child's slots directly,
+    /// added to our own region when we return copies.
     parent_hint: usize,
     /// Profiler identity for fill/occupancy/drain gauges (`None` = unprofiled).
     obs_id: Option<ObsId>,
@@ -54,6 +71,20 @@ pub struct BufferOp {
 impl BufferOp {
     /// Wrap `child` with a buffer of `size` tuple pointers.
     pub fn new(fm: &mut FootprintModel, child: Box<dyn Operator>, size: usize) -> Result<Self> {
+        Self::with_store(fm, child, size, Store::Pointers { array_base: 0 })
+    }
+
+    /// Wrap `child` with a buffer of `size` tuple **copies** (ablation only).
+    pub fn copying(fm: &mut FootprintModel, child: Box<dyn Operator>, size: usize) -> Result<Self> {
+        Self::with_store(fm, child, size, Store::Copies { region: u32::MAX })
+    }
+
+    fn with_store(
+        fm: &mut FootprintModel,
+        child: Box<dyn Operator>,
+        size: usize,
+        store: Store,
+    ) -> Result<Self> {
         if size == 0 {
             return Err(DbError::InvalidPlan("buffer size must be > 0".into()));
         }
@@ -67,7 +98,7 @@ impl BufferOp {
             slots: Vec::with_capacity(size),
             pos: 0,
             end_of_tuples: false,
-            array_base: 0,
+            store,
             parent_hint: 0,
             obs_id: None,
         })
@@ -91,12 +122,25 @@ impl Operator for BufferOp {
     }
 
     fn open(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        // The child must keep `size` output tuples alive while we hold
-        // pointers to them (+1 for the tuple being produced), plus whatever
-        // window a parent holding *our* outputs (= the child's slots) needs.
-        self.child.set_batch_hint(self.size + self.parent_hint + 1);
-        self.child.open(ctx)?;
-        self.array_base = ctx.arena.sim_alloc(self.size as u64 * 8);
+        // Someone must keep `size` output tuples alive while the array
+        // refers to them (+1 for the tuple being produced), plus whatever
+        // window a parent holding *our* outputs needs: the child when we
+        // hold pointers (our outputs are its slots), our own region when we
+        // hold copies.
+        let window = self.size + self.parent_hint + 1;
+        match &mut self.store {
+            Store::Pointers { array_base } => {
+                self.child.set_batch_hint(window);
+                self.child.open(ctx)?;
+                *array_base = ctx.arena.sim_alloc(self.size as u64 * 8);
+            }
+            Store::Copies { region } => {
+                self.child.open(ctx)?;
+                *region = ctx
+                    .arena
+                    .alloc_region(window as u32, schema_slot_bytes(&self.schema));
+            }
+        }
         self.slots.clear();
         self.pos = 0;
         self.end_of_tuples = false;
@@ -131,12 +175,22 @@ impl Operator for BufferOp {
             self.pos = 0;
             while self.slots.len() < self.size {
                 match self.child.next(ctx)? {
-                    Some(slot) => {
-                        ctx.machine
-                            .data_write(self.array_base + self.slots.len() as u64 * 8, 8);
-                        ctx.machine.add_instructions(STORE_INSTR);
-                        self.slots.push(slot);
-                    }
+                    Some(slot) => self.slots.push(match self.store {
+                        Store::Pointers { array_base } => {
+                            ctx.machine
+                                .data_write(array_base + self.slots.len() as u64 * 8, 8);
+                            ctx.machine.add_instructions(STORE_INSTR);
+                            slot
+                        }
+                        // The copy: read the child's tuple, write our own.
+                        Store::Copies { region } => {
+                            let t = ctx.arena.read(slot, &mut ctx.machine).clone();
+                            ctx.machine.add_instructions(
+                                t.simulated_width() as u64 * COPY_INSTR_PER_BYTE + COPY_INSTR_FIXED,
+                            );
+                            ctx.arena.store(region, t, &mut ctx.machine)
+                        }
+                    }),
                     None => {
                         self.end_of_tuples = true;
                         break;
@@ -159,10 +213,16 @@ impl Operator for BufferOp {
             }
         }
         if self.pos < self.slots.len() {
-            ctx.machine
-                .data_read(self.array_base + self.pos as u64 * 8, 8);
-            ctx.machine.add_instructions(RETURN_INSTR);
             let slot = self.slots[self.pos];
+            match self.store {
+                Store::Pointers { array_base } => {
+                    ctx.machine.data_read(array_base + self.pos as u64 * 8, 8);
+                    ctx.machine.add_instructions(RETURN_INSTR);
+                }
+                Store::Copies { .. } => {
+                    ctx.arena.read(slot, &mut ctx.machine);
+                }
+            }
             self.pos += 1;
             if self.pos == self.slots.len() {
                 ctx.obs_buffer_drain(self.obs_id);
@@ -195,8 +255,7 @@ impl Operator for BufferOp {
     }
 
     fn set_batch_hint(&mut self, n: usize) {
-        // A buffer's own storage is just the pointer array; we forward the
-        // demand because our outputs ARE the child's slots.
+        // Applied at `open`, where the store decides who keeps the window.
         self.parent_hint = self.parent_hint.max(n);
     }
 }
@@ -228,19 +287,44 @@ mod tests {
         Box::new(SeqScanOp::new(c, fm, "t", pred, None).unwrap())
     }
 
+    type Ctor = fn(&mut FootprintModel, Box<dyn Operator>, usize) -> Result<BufferOp>;
+    const BOTH_STORES: [(&str, Ctor); 2] =
+        [("pointers", BufferOp::new), ("copies", BufferOp::copying)];
+
     #[test]
     fn buffer_is_transparent() {
-        let (c, mut fm, mut ctx) = setup(257);
-        let child = scan(&c, &mut fm, None);
-        let mut op = BufferOp::new(&mut fm, child, 100).unwrap();
-        op.open(&mut ctx).unwrap();
-        let mut got = Vec::new();
-        while let Some(s) = op.next(&mut ctx).unwrap() {
-            got.push(ctx.arena.tuple(s).get(0).as_int().unwrap());
+        for (store, ctor) in BOTH_STORES {
+            let (c, mut fm, mut ctx) = setup(257);
+            let child = scan(&c, &mut fm, None);
+            let mut op = ctor(&mut fm, child, 100).unwrap();
+            op.open(&mut ctx).unwrap();
+            let mut got = Vec::new();
+            while let Some(s) = op.next(&mut ctx).unwrap() {
+                got.push(ctx.arena.tuple(s).get(0).as_int().unwrap());
+            }
+            assert_eq!(got, (0..257).collect::<Vec<_>>(), "{store}");
+            assert!(
+                op.next(&mut ctx).unwrap().is_none(),
+                "{store}: stays exhausted"
+            );
+            op.close(&mut ctx).unwrap();
         }
-        assert_eq!(got, (0..257).collect::<Vec<_>>());
-        assert!(op.next(&mut ctx).unwrap().is_none(), "stays exhausted");
-        op.close(&mut ctx).unwrap();
+    }
+
+    #[test]
+    fn copying_costs_more_than_pointers() {
+        // Same workload, pointer store vs copy store: the copy variant must
+        // execute more instructions and touch more data (§5).
+        let [ptr, copy] = BOTH_STORES.map(|(_, ctor)| {
+            let (c, mut fm, mut ctx) = setup(2000);
+            let child = scan(&c, &mut fm, None);
+            let mut op = ctor(&mut fm, child, 100).unwrap();
+            op.open(&mut ctx).unwrap();
+            while op.next(&mut ctx).unwrap().is_some() {}
+            ctx.machine.snapshot()
+        });
+        assert!(copy.instructions > ptr.instructions);
+        assert!(copy.l1d_accesses > ptr.l1d_accesses);
     }
 
     #[test]
@@ -264,30 +348,39 @@ mod tests {
     }
 
     #[test]
-    fn empty_child() {
-        let (c, mut fm, mut ctx) = setup(0);
-        let child = scan(&c, &mut fm, None);
-        let mut op = BufferOp::new(&mut fm, child, 100).unwrap();
-        op.open(&mut ctx).unwrap();
-        assert!(op.next(&mut ctx).unwrap().is_none());
+    fn empty_child_and_rescan() {
+        for (store, ctor) in BOTH_STORES {
+            let (c, mut fm, mut ctx) = setup(0);
+            let child = scan(&c, &mut fm, None);
+            let mut op = ctor(&mut fm, child, 100).unwrap();
+            op.open(&mut ctx).unwrap();
+            assert!(op.next(&mut ctx).unwrap().is_none(), "{store}");
+            op.rescan(&mut ctx, None).unwrap();
+            assert!(
+                op.next(&mut ctx).unwrap().is_none(),
+                "{store}: after rescan"
+            );
+        }
     }
 
     #[test]
     fn rescan_resets_buffer_state() {
-        let (c, mut fm, mut ctx) = setup(10);
-        let child = scan(&c, &mut fm, None);
-        let mut op = BufferOp::new(&mut fm, child, 4).unwrap();
-        op.open(&mut ctx).unwrap();
-        for _ in 0..10 {
-            assert!(op.next(&mut ctx).unwrap().is_some());
+        for (store, ctor) in BOTH_STORES {
+            let (c, mut fm, mut ctx) = setup(10);
+            let child = scan(&c, &mut fm, None);
+            let mut op = ctor(&mut fm, child, 4).unwrap();
+            op.open(&mut ctx).unwrap();
+            for _ in 0..10 {
+                assert!(op.next(&mut ctx).unwrap().is_some(), "{store}");
+            }
+            assert!(op.next(&mut ctx).unwrap().is_none(), "{store}");
+            op.rescan(&mut ctx, None).unwrap();
+            let mut n = 0;
+            while op.next(&mut ctx).unwrap().is_some() {
+                n += 1;
+            }
+            assert_eq!(n, 10, "{store}");
         }
-        assert!(op.next(&mut ctx).unwrap().is_none());
-        op.rescan(&mut ctx, None).unwrap();
-        let mut n = 0;
-        while op.next(&mut ctx).unwrap().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 10);
     }
 
     #[test]

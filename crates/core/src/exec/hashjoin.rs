@@ -23,10 +23,119 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// start-up: insert on the coordinating core instead.
 const PARALLEL_BUILD_MIN_ROWS: usize = 256;
 
-pub(crate) fn mix(mut x: u64) -> u64 {
+fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// The join's row kernel: the materialized build side, its key → row-index
+/// table and the simulated bucket array. [`HashJoinOp`] probes it once per
+/// `next` call under the probe region; the fused push probe stage
+/// ([`crate::exec::push`]) once per batch row under the group's region.
+pub(crate) struct JoinTable {
+    build_key: usize,
+    match_site: u64,
+    /// key -> indices into `rows`, in build order.
+    index: HashMap<i64, Vec<u32>>,
+    /// Materialized build tuples (the hash table owns copies, as
+    /// PostgreSQL's hash node does).
+    rows: Vec<Tuple>,
+    /// Simulated base address of the bucket array.
+    ht_base: u64,
+    bucket_mask: u64,
+}
+
+impl JoinTable {
+    pub(crate) fn new(fm: &mut FootprintModel, build_key: usize) -> Self {
+        JoinTable {
+            build_key,
+            match_site: fm.predicate_site(),
+            index: HashMap::new(),
+            rows: Vec::new(),
+            ht_base: 0,
+            bucket_mask: 0,
+        }
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.index.clear();
+        self.rows.clear();
+    }
+
+    fn bucket_addr(&self, key: i64) -> u64 {
+        self.ht_base + (mix(key as u64) & self.bucket_mask) * 16
+    }
+
+    /// Size the simulated bucket array once the build row count is known.
+    fn alloc_buckets(&mut self, ctx: &mut ExecContext) {
+        let buckets = (self.rows.len().max(1) * 2).next_power_of_two() as u64;
+        self.bucket_mask = buckets - 1;
+        self.ht_base = ctx.arena.sim_alloc(buckets * 16);
+    }
+
+    /// Serial blocking build: drain `child`, interleaving the build `code`
+    /// with the child's code per row (the PCPC pattern the refiner may
+    /// break with a buffer below the join), then account one bucket write
+    /// per insert.
+    pub(crate) fn build_serial(
+        &mut self,
+        ctx: &mut ExecContext,
+        child: &mut dyn Operator,
+        code: &mut CodeRegion,
+    ) -> Result<()> {
+        self.clear();
+        while let Some(slot) = child.next(ctx)? {
+            ctx.check_cancel()?;
+            ctx.tuple_yield();
+            ctx.fault(fault::HASHJOIN_BUILD)?;
+            ctx.machine.exec_region(code);
+            let row = ctx.arena.tuple(slot).clone();
+            // NULL build keys never match; they are stored but unreachable.
+            if let Some(k) = row.get(self.build_key).as_int() {
+                self.index
+                    .entry(k)
+                    .or_default()
+                    .push(self.rows.len() as u32);
+            }
+            self.rows.push(row);
+        }
+        self.alloc_buckets(ctx);
+        // Writes are modeled in build-row order — the order the inserts
+        // actually happened — not by iterating `index`, whose randomized
+        // hash order would make the simulated miss counts nondeterministic.
+        for row in &self.rows {
+            if let Some(k) = row.get(self.build_key).as_int() {
+                ctx.machine.data_write(self.bucket_addr(k), 16);
+            }
+        }
+        Ok(())
+    }
+
+    /// Probe with one tuple's key: a random bucket read — the working set
+    /// that competes with large buffers for cache (§7.4) — and the match
+    /// branch. Returns the matching build-row indices in build order; a
+    /// NULL key matches nothing and touches no bucket.
+    pub(crate) fn probe(&self, machine: &mut Machine, key: Option<i64>) -> &[u32] {
+        let matches = match key {
+            None => &[],
+            Some(k) => {
+                machine.data_read(self.bucket_addr(k), 16);
+                self.matches(k)
+            }
+        };
+        machine.branch(self.match_site, !matches.is_empty());
+        matches
+    }
+
+    /// Build-row indices stored under `key` (no simulated access).
+    fn matches(&self, key: i64) -> &[u32] {
+        self.index.get(&key).map_or(&[], Vec::as_slice)
+    }
+
+    pub(crate) fn row(&self, idx: u32) -> &Tuple {
+        &self.rows[idx as usize]
+    }
 }
 
 /// Hash join operator.
@@ -34,21 +143,13 @@ pub struct HashJoinOp {
     probe: Box<dyn Operator>,
     build: Box<dyn Operator>,
     probe_key: usize,
-    build_key: usize,
     schema: SchemaRef,
     probe_code: CodeRegion,
     build_code: CodeRegion,
-    match_site: u64,
-    /// key -> indices into `build_rows`.
-    table: HashMap<i64, Vec<u32>>,
-    /// Materialized build tuples (the hash table owns copies, as
-    /// PostgreSQL's hash node does).
-    build_rows: Vec<Tuple>,
-    /// Simulated base address of the bucket array.
-    ht_base: u64,
-    bucket_mask: u64,
-    /// In-flight probe state: matches for the current probe tuple.
-    pending: Option<(TupleSlot, Vec<u32>, usize)>,
+    table: JoinTable,
+    /// In-flight probe state: the probe tuple, its key, and the position of
+    /// its next unreturned match.
+    pending: Option<(TupleSlot, i64, usize)>,
     out_region: u32,
     batch_hint: usize,
 }
@@ -65,28 +166,24 @@ impl HashJoinOp {
         let schema = probe.schema().join(&build.schema()).into_ref();
         let probe_code = fm.region_for(&OpKind::HashProbe);
         let build_code = fm.region_for(&OpKind::HashBuild);
-        let match_site = fm.predicate_site();
         HashJoinOp {
             probe,
             build,
             probe_key,
-            build_key,
             schema,
             probe_code,
             build_code,
-            match_site,
-            table: HashMap::new(),
-            build_rows: Vec::new(),
-            ht_base: 0,
-            bucket_mask: 0,
+            table: JoinTable::new(fm, build_key),
             pending: None,
             out_region: u32::MAX,
             batch_hint: DEFAULT_BATCH,
         }
     }
 
-    fn bucket_addr(&self, key: i64) -> u64 {
-        self.ht_base + (mix(key as u64) & self.bucket_mask) * 16
+    /// Emit the join of `probe_slot` with build row `idx`.
+    fn emit(&self, ctx: &mut ExecContext, probe_slot: TupleSlot, idx: u32) -> TupleSlot {
+        let joined = ctx.arena.tuple(probe_slot).join(self.table.row(idx));
+        ctx.arena.store(self.out_region, joined, &mut ctx.machine)
     }
 
     /// Partitioned hash-table insertion over already-drained build rows.
@@ -107,24 +204,24 @@ impl HashJoinOp {
     /// typed errors only.
     fn parallel_insert(&mut self, ctx: &mut ExecContext) -> Result<()> {
         let workers = ctx.build_threads;
-        if self.build_rows.len() < PARALLEL_BUILD_MIN_ROWS {
-            for (idx, row) in self.build_rows.iter().enumerate() {
+        let table = &mut self.table;
+        if table.rows.len() < PARALLEL_BUILD_MIN_ROWS {
+            for (idx, row) in table.rows.iter().enumerate() {
                 ctx.check_cancel()?;
                 ctx.fault(fault::HASHJOIN_BUILD)?;
                 ctx.machine.exec_region(&mut self.build_code);
-                if let Some(k) = row.get(self.build_key).as_int() {
-                    ctx.machine
-                        .data_write(self.ht_base + (mix(k as u64) & self.bucket_mask) * 16, 16);
-                    self.table.entry(k).or_default().push(idx as u32);
+                if let Some(k) = row.get(table.build_key).as_int() {
+                    ctx.machine.data_write(table.bucket_addr(k), 16);
+                    table.index.entry(k).or_default().push(idx as u32);
                 }
             }
             return Ok(());
         }
         let cfg = ctx.machine.config().clone();
-        let rows = &self.build_rows;
-        let build_key = self.build_key;
-        let ht_base = self.ht_base;
-        let mask = self.bucket_mask;
+        let rows = &table.rows;
+        let build_key = table.build_key;
+        let ht_base = table.ht_base;
+        let mask = table.bucket_mask;
         let code = &self.build_code;
         let stop = AtomicBool::new(false);
         let cancel = ctx.cancel.clone();
@@ -247,7 +344,7 @@ impl HashJoinOp {
             ctx.machine.absorb(&counters);
             ctx.absorb_trace(trace);
             match result {
-                Ok(part) => self.table.extend(part),
+                Ok(part) => table.index.extend(part),
                 Err(e) => {
                     if first_err.is_none() {
                         first_err = Some(e);
@@ -257,7 +354,7 @@ impl HashJoinOp {
         }
         match first_err {
             Some(e) => {
-                self.table.clear();
+                table.index.clear();
                 Err(e)
             }
             None => Ok(()),
@@ -281,55 +378,22 @@ impl Operator for HashJoinOp {
             .arena
             .alloc_region(self.batch_hint as u32 + 1, schema_slot_bytes(&self.schema));
 
-        self.table.clear();
-        self.build_rows.clear();
         if ctx.build_threads > 1 {
             // Parallel build: the child is one iterator, so the drain itself
             // stays on this core — but build-code execution and hash
             // insertion move to a key-partitioned worker pool.
+            self.table.clear();
             while let Some(slot) = self.build.next(ctx)? {
                 ctx.check_cancel()?;
                 ctx.tuple_yield();
                 let row = ctx.arena.tuple(slot).clone();
-                self.build_rows.push(row);
+                self.table.rows.push(row);
             }
-            let buckets = (self.build_rows.len().max(1) * 2).next_power_of_two() as u64;
-            self.bucket_mask = buckets - 1;
-            self.ht_base = ctx.arena.sim_alloc(buckets * 16);
+            self.table.alloc_buckets(ctx);
             self.parallel_insert(ctx)?;
         } else {
-            // Serial blocking build: drain the build child, interleaving
-            // build code with the child's code per row (the PCPC pattern the
-            // refiner may break with a buffer below us).
-            while let Some(slot) = self.build.next(ctx)? {
-                ctx.check_cancel()?;
-                ctx.tuple_yield();
-                ctx.fault(fault::HASHJOIN_BUILD)?;
-                ctx.machine.exec_region(&mut self.build_code);
-                let row = ctx.arena.tuple(slot).clone();
-                let key = row.get(self.build_key).as_int();
-                let idx = self.build_rows.len() as u32;
-                self.build_rows.push(row);
-                if let Some(k) = key {
-                    self.table.entry(k).or_default().push(idx);
-                }
-                // NULL build keys never match; they are stored but unreachable.
-            }
-
-            // Size the simulated bucket array now that the count is known,
-            // then account one write per insert.
-            let buckets = (self.build_rows.len().max(1) * 2).next_power_of_two() as u64;
-            self.bucket_mask = buckets - 1;
-            self.ht_base = ctx.arena.sim_alloc(buckets * 16);
-            // Writes are modeled in build-row order — the order the inserts
-            // actually happened — not by iterating `table`, whose randomized
-            // hash order would make the simulated miss counts nondeterministic.
-            for row in &self.build_rows {
-                if let Some(k) = row.get(self.build_key).as_int() {
-                    ctx.machine
-                        .data_write(self.ht_base + (mix(k as u64) & self.bucket_mask) * 16, 16);
-                }
-            }
+            self.table
+                .build_serial(ctx, self.build.as_mut(), &mut self.build_code)?;
         }
         self.pending = None;
         Ok(())
@@ -337,42 +401,26 @@ impl Operator for HashJoinOp {
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<TupleSlot>> {
         ctx.machine.exec_region(&mut self.probe_code);
-        loop {
-            if let Some((probe_slot, matches, pos)) = &mut self.pending {
-                if *pos < matches.len() {
-                    let build_row = &self.build_rows[matches[*pos] as usize];
-                    *pos += 1;
-                    let joined = ctx.arena.tuple(*probe_slot).join(build_row);
-                    let slot = ctx.arena.store(self.out_region, joined, &mut ctx.machine);
-                    return Ok(Some(slot));
+        if let Some((probe_slot, key, pos)) = self.pending {
+            let matches = self.table.matches(key);
+            self.pending = (pos + 1 < matches.len()).then_some((probe_slot, key, pos + 1));
+            return Ok(Some(self.emit(ctx, probe_slot, matches[pos])));
+        }
+        while let Some(slot) = self.probe.next(ctx)? {
+            let key = ctx.arena.tuple(slot).get(self.probe_key).as_int();
+            let matches = self.table.probe(&mut ctx.machine, key);
+            if let (Some(k), Some(&first)) = (key, matches.first()) {
+                if matches.len() > 1 {
+                    self.pending = Some((slot, k, 1));
                 }
-                self.pending = None;
-            }
-            match self.probe.next(ctx)? {
-                None => return Ok(None),
-                Some(slot) => {
-                    let key = ctx.arena.tuple(slot).get(self.probe_key).as_int();
-                    let matches = match key {
-                        None => Vec::new(), // NULL probe key matches nothing
-                        Some(k) => {
-                            // Random bucket access: the working set that
-                            // competes with large buffers for cache (§7.4).
-                            ctx.machine.data_read(self.bucket_addr(k), 16);
-                            self.table.get(&k).cloned().unwrap_or_default()
-                        }
-                    };
-                    ctx.machine.branch(self.match_site, !matches.is_empty());
-                    if !matches.is_empty() {
-                        self.pending = Some((slot, matches, 0));
-                    }
-                }
+                return Ok(Some(self.emit(ctx, slot, first)));
             }
         }
+        Ok(None)
     }
 
     fn close(&mut self, ctx: &mut ExecContext) -> Result<()> {
         self.table.clear();
-        self.build_rows.clear();
         self.probe.close(ctx)?;
         self.build.close(ctx)
     }

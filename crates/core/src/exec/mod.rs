@@ -8,7 +8,6 @@
 
 pub mod agg;
 pub mod buffer;
-pub mod copybuffer;
 pub mod exchange;
 pub mod filter;
 pub mod hashjoin;
@@ -25,18 +24,24 @@ pub mod sort;
 pub mod sysscan;
 
 use crate::arena::TupleSlot;
-use crate::context::ExecContext;
-use crate::fault;
+use crate::cancel::CancelToken;
+use crate::context::{CoreSlicer, ExecContext};
+use crate::fault::{self, FaultRegistry};
 use crate::footprint::FootprintModel;
 use crate::obs::trace::{TraceEvent, TraceReport, Tracer};
 use crate::obs::{ProfiledOp, QueryProfile, QueryProfiler};
 use crate::plan::PlanNode;
 use crate::session::QueryOpts;
 use crate::stats::ExecStats;
-use bufferdb_cachesim::{HeatSnapshot, MachineConfig};
+use bufferdb_cachesim::{
+    BreakdownReport, CodeLayout, HeatSnapshot, Machine, MachineConfig, PerfCounters,
+};
 use bufferdb_storage::Catalog;
 use bufferdb_types::{DataType, Datum, DbError, Result, SchemaRef, Tuple};
+use exchange::ExchangeDelegate;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Default live-slot window for an operator's output region when no buffer
 /// operator raised it: the consumer holds at most the current tuple while the
@@ -345,27 +350,23 @@ pub struct QueryOutcome {
 }
 
 impl QueryOutcome {
-    /// Assemble an outcome (executor-internal; downstream code only reads).
-    pub(crate) fn new(
-        rows: Vec<Tuple>,
-        stats: ExecStats,
-        profile: Option<QueryProfile>,
-        error: Option<DbError>,
-        trace: Option<TraceReport>,
-    ) -> Self {
+    /// The outcome of a query that failed before its drive started: no
+    /// rows, zero counters (priced on `cfg`), no profile, no trace.
+    pub(crate) fn failed(cfg: &MachineConfig, error: DbError) -> Self {
+        let counters = PerfCounters::default();
         QueryOutcome {
-            rows,
-            stats,
-            profile,
-            error,
-            trace,
+            rows: Vec::new(),
+            stats: ExecStats {
+                rows: 0,
+                counters,
+                breakdown: BreakdownReport::from_counters(&counters, cfg),
+                wall: Duration::ZERO,
+            },
+            profile: None,
+            error: Some(error),
+            trace: None,
             heat: None,
         }
-    }
-
-    /// Attach the per-segment L1i heatmap (executor-internal).
-    pub(crate) fn set_heat(&mut self, heat: HeatSnapshot) {
-        self.heat = Some(heat);
     }
 
     /// The per-segment L1i heatmap (when requested via
@@ -451,83 +452,193 @@ pub fn execute_query(
     if opts.wants_profile() {
         fm.enable_obs();
     }
+    match build_executor(plan, catalog, &mut fm) {
+        Ok(root) => drive_root(root, &fm, cfg, opts),
+        Err(e) => QueryOutcome::failed(cfg, e),
+    }
+}
+
+/// Drive an already-built operator tree to completion on a fresh machine
+/// under `opts` — [`execute_query`] minus the plan → tree step, for callers
+/// that assemble operators no plan node instantiates. `fm` is the model
+/// `root` was built against (its registered labels shape the profile).
+pub fn drive_root(
+    root: Box<dyn Operator>,
+    fm: &FootprintModel,
+    cfg: &MachineConfig,
+    opts: &QueryOpts,
+) -> QueryOutcome {
+    run_drive(DriveSpec::new(root, fm, opts), None, cfg)
+}
+
+/// Everything the drive spine needs that is decided before the drive starts.
+pub(crate) struct DriveSpec {
+    pub(crate) root: Box<dyn Operator>,
+    /// Profiler labels (empty when profiling is off).
+    pub(crate) labels: Vec<String>,
+    pub(crate) cancel: CancelToken,
+    pub(crate) faults: Arc<FaultRegistry>,
+    pub(crate) trace: bool,
+    /// Seal the drive machine's L1i heat ledger into the outcome.
+    pub(crate) heatmap: bool,
+    /// Worker budget for intra-operator parallelism (the hash-join build).
+    pub(crate) build_threads: usize,
+    /// Owner tag for cross-query miss attribution. 0 — the simulator's
+    /// "untagged" sentinel, never handed out by a server — marks a solo
+    /// run, which never switches attribution on.
+    pub(crate) tag: u32,
+    /// Cooperative time-slicer installed into the drive context. Only the
+    /// virtual server's session core sets one, so resident queries
+    /// time-share a single simulated machine at tuple granularity.
+    pub(crate) slicer: Option<Box<dyn CoreSlicer>>,
+}
+
+impl DriveSpec {
+    /// A solo drive of `root` (built against `fm`) under `opts`.
+    pub(crate) fn new(root: Box<dyn Operator>, fm: &FootprintModel, opts: &QueryOpts) -> Self {
+        DriveSpec {
+            root,
+            labels: fm.obs_labels().to_vec(),
+            cancel: opts.resolve_cancel(),
+            faults: opts.resolve_faults(),
+            trace: opts.wants_trace(),
+            heatmap: opts.wants_heatmap(),
+            build_threads: opts.thread_override().unwrap_or(1).max(1),
+            tag: 0,
+            slicer: None,
+        }
+    }
+
+    /// A pool drive for a multi-query server: `plan` is built on the calling
+    /// thread against clones of the server's pre-linked `master` layout
+    /// (every query and every lane maps each operator to the same text
+    /// addresses). Parallelism comes from the pool, never from nested build
+    /// threads, and heat is a server-level ledger. The server assigns
+    /// `tag` once the build has succeeded.
+    pub(crate) fn for_server(
+        plan: &PlanNode,
+        catalog: &Catalog,
+        master: &CodeLayout,
+        opts: &QueryOpts,
+    ) -> Result<Self> {
+        let mut fm = FootprintModel::with_layout(master.clone());
+        if opts.wants_profile() {
+            fm.enable_obs();
+        }
+        let root = build_executor_with(plan, catalog, &mut fm, &|| {
+            FootprintModel::with_layout(master.clone())
+        })?;
+        Ok(DriveSpec {
+            heatmap: false,
+            build_threads: 1,
+            ..DriveSpec::new(root, &fm, opts)
+        })
+    }
+}
+
+/// The one drive spine: run `spec.root` open → next* → close and seal rows,
+/// counters, profile, trace and heat into a [`QueryOutcome`]. Typed errors
+/// and contained panics both land in the outcome, never unwind.
+///
+/// A solo run (`pool` is `None`) drives a fresh machine. A server drive
+/// borrows a long-lived pool machine for the duration and installs the
+/// server's phase delegate, which also owns the counter accounting — other
+/// queries' work on the same machine must not be charged to this one.
+pub(crate) fn run_drive(
+    spec: DriveSpec,
+    pool: Option<(&mut Machine, Box<dyn ExchangeDelegate>)>,
+    cfg: &MachineConfig,
+) -> QueryOutcome {
     let wall_start = std::time::Instant::now();
-    let built = build_executor(plan, catalog, &mut fm);
     let mut ctx = ExecContext::new(cfg.clone());
-    ctx.build_threads = opts.thread_override().unwrap_or(1).max(1);
-    ctx.cancel = opts.resolve_cancel();
-    ctx.faults = opts.resolve_faults();
-    if opts.wants_profile() {
-        ctx.profiler = Some(QueryProfiler::new(fm.obs_labels()));
+    let mut home = None;
+    if let Some((machine, mut delegate)) = pool {
+        std::mem::swap(&mut ctx.machine, machine);
+        home = Some(machine);
+        delegate.begin_drive(ctx.machine.snapshot());
+        ctx.delegate = Some(delegate);
     }
-    if opts.wants_trace() {
-        ctx.tracer = Some(Tracer::new("coordinator"));
+    if spec.tag != 0 {
+        ctx.machine.set_query_tag(spec.tag);
     }
-    if opts.wants_heatmap() {
+    ctx.build_threads = spec.build_threads;
+    ctx.cancel = spec.cancel;
+    ctx.faults = spec.faults;
+    ctx.slicer = spec.slicer;
+    if !spec.labels.is_empty() {
+        ctx.profiler = Some(QueryProfiler::new(&spec.labels));
+    }
+    if spec.trace {
+        ctx.tracer = Some(Tracer::new(&match spec.tag {
+            0 => "coordinator".into(),
+            tag => format!("query-{tag}"),
+        }));
+    }
+    if spec.heatmap {
         ctx.machine.enable_heatmap();
     }
+    let mut root = spec.root;
     let mut rows = Vec::new();
+    let caught = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
+        root.open(&mut ctx)?;
+        while let Some(slot) = root.next(&mut ctx)? {
+            // Root drive loop is the universal cancellation granule:
+            // plans with no buffer, exchange, or blocking operator
+            // still stop within one output row.
+            ctx.check_cancel()?;
+            ctx.tuple_yield();
+            rows.push(ctx.arena.tuple(slot).clone());
+        }
+        root.close(&mut ctx)
+    }));
     let mut panicked = false;
-    let error = match built {
-        Err(e) => Some(e),
-        Ok(mut root) => {
-            let caught = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
-                root.open(&mut ctx)?;
-                while let Some(slot) = root.next(&mut ctx)? {
-                    // Root drive loop is the universal cancellation granule:
-                    // plans with no buffer, exchange, or blocking operator
-                    // still stop within one output row.
-                    ctx.check_cancel()?;
-                    rows.push(ctx.arena.tuple(slot).clone());
-                }
-                root.close(&mut ctx)
-            }));
-            match caught {
-                Ok(Ok(())) => None,
-                Ok(Err(e)) => Some(e),
-                Err(payload) => {
-                    panicked = true;
-                    Some(DbError::WorkerFailed(format!(
-                        "executor panicked: {}",
-                        fault::panic_message(&*payload)
-                    )))
-                }
-            }
+    let error = match caught {
+        Ok(Ok(())) => None,
+        Ok(Err(e)) => Some(e),
+        Err(payload) => {
+            panicked = true;
+            ctx.trace(TraceEvent::WorkerPanic);
+            Some(DbError::WorkerFailed(format!(
+                "executor panicked: {}",
+                fault::panic_message(&*payload)
+            )))
         }
     };
-    if panicked {
-        ctx.trace(TraceEvent::WorkerPanic);
-    }
-    let wall = wall_start.elapsed();
-    let counters = ctx.machine.snapshot();
+    let final_snap = ctx.machine.snapshot();
+    let counters = match ctx.delegate.take() {
+        Some(mut d) => d.seal_drive(final_snap),
+        // A solo run owns its machine outright. (On a server drive this
+        // arm is unreachable: the exchange always puts the delegate back.)
+        None => final_snap,
+    };
     let breakdown = ctx.machine.breakdown_for(&counters);
     // Typed errors unwind through `ProfiledOp`, which closes its bracket on
     // the way out, so the profile still conserves exactly. A panic skips
     // those exits and leaves the enter-stack unbalanced: drop the profile
     // (the whole-query counters above remain valid either way).
     let profile = match ctx.profiler.take() {
-        Some(p) if !panicked => Some(p.finish(counters)),
+        Some(p) if !panicked => Some(p.seal(counters)),
         _ => None,
     };
     // The trace, by contrast, is kept even after a panic: rings are plain
     // already-written memory, and the events leading up to the failure are
     // the recorder's whole point.
     let trace = ctx.tracer.take().map(Tracer::finish);
-    let row_count = rows.len() as u64;
-    let mut out = QueryOutcome::new(
-        rows,
-        ExecStats {
-            rows: row_count,
+    let heat = spec.heatmap.then(|| ctx.machine.heat_snapshot());
+    if let Some(machine) = home {
+        std::mem::swap(&mut ctx.machine, machine);
+    }
+    QueryOutcome {
+        stats: ExecStats {
+            rows: rows.len() as u64,
             counters,
             breakdown,
-            wall,
+            wall: wall_start.elapsed(),
         },
+        rows,
         profile,
         error,
         trace,
-    );
-    if opts.wants_heatmap() {
-        out.set_heat(ctx.machine.heat_snapshot());
+        heat,
     }
-    out
 }

@@ -14,54 +14,37 @@
 //! [`crate::optimizer::choose_pipeline_modes`] uses that price).
 //!
 //! The backend shares everything else with the pull executor: plans,
-//! catalog, the tuple arena, the profiler bracket protocol, fault sites
-//! ([`crate::fault::SEQSCAN_NEXT`] per candidate row,
-//! [`crate::fault::HASHJOIN_BUILD`] per build row), cancellation, and the
-//! exchange morsel contract (the fused scan claims `ctx.morsel` at `open`,
-//! so push pipelines run unchanged inside exchange workers). Output is
-//! **bit-identical** to pull: rows flow in scan order, hash-join matches
-//! emit in build-insertion order, aggregate accumulation reuses
-//! `AggState` with the same first-seen group order.
+//! catalog, the tuple arena, the profiler bracket protocol, cancellation,
+//! and — above all — the row kernels. The fused scan is the pull scan's
+//! `ScanCursor` (same fault site per candidate row, same morsel claim at
+//! `open`, so push pipelines run unchanged inside exchange workers), the
+//! probe stage is the pull join's `JoinTable`, the sink is the pull
+//! aggregate's `Accumulator`. A push group differs from the pull
+//! operators only in *who owns the loop* and *how often the code region
+//! executes* (once per batch instead of once per tuple), which is why its
+//! output is **bit-identical** to pull.
 
 use crate::arena::TupleSlot;
 use crate::context::ExecContext;
-use crate::exec::agg::{fx_hash, key_atom, AggState, KeyAtom};
-use crate::exec::hashjoin::mix;
+use crate::exec::agg::Accumulator;
+use crate::exec::hashjoin::JoinTable;
+use crate::exec::seqscan::ScanCursor;
 use crate::exec::{schema_slot_bytes, Operator, DEFAULT_BATCH};
 use crate::expr::Expr;
-use crate::fault;
 use crate::footprint::{FootprintModel, OpKind};
-use crate::plan::{push_member_kinds, AggFunc, AggSpec, PlanNode};
+use crate::plan::{push_member_kinds, PlanNode};
 use bufferdb_cachesim::CodeRegion;
-use bufferdb_storage::{Catalog, Table};
-use bufferdb_types::{Datum, DbError, Result, SchemaRef, Tuple};
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use bufferdb_storage::Catalog;
+use bufferdb_types::{DbError, Result, SchemaRef, Tuple};
+use std::collections::VecDeque;
 
 /// Source rows pumped per fused-region execution. One batch is one pass of
 /// the push driver's hot loop; within it only the combined region is live.
 const PUSH_BATCH_ROWS: u32 = 256;
 
-/// Instructions charged per additional candidate row inside one batch —
-/// the same tight inner loop the pull scan charges per extra candidate.
-const SCAN_LOOP_INSTR: u64 = 90;
-
 /// Instructions charged per tuple handed upward from the emit queue (the
 /// push driver's dequeue is branch-free pointer work, not a region re-entry).
 const EMIT_LOOP_INSTR: u64 = 24;
-
-/// The fused scan at the bottom of a push pipeline. Mirrors
-/// [`crate::exec::seqscan::SeqScanOp`] row for row — same data reads, same
-/// predicate branch site discipline, same morsel claim.
-struct PushSource {
-    table: Arc<Table>,
-    predicate: Option<Expr>,
-    pred_site: u64,
-    projection: Option<Vec<Expr>>,
-    pos: u32,
-    start: u32,
-    limit: u32,
-}
 
 /// One fused non-terminal stage.
 enum Stage {
@@ -74,186 +57,12 @@ enum Stage {
     },
     /// Hash-join probe. The build side stays a pull subtree drained at
     /// `open` (blocking, like the pull join); only probing is fused.
-    Probe(ProbeStage),
-}
-
-struct ProbeStage {
-    build: Box<dyn Operator>,
-    build_code: CodeRegion,
-    probe_key: usize,
-    build_key: usize,
-    match_site: u64,
-    table: HashMap<i64, Vec<u32>>,
-    build_rows: Vec<Tuple>,
-    ht_base: u64,
-    bucket_mask: u64,
-}
-
-impl ProbeStage {
-    /// Serial blocking build, identical to the pull join's serial path:
-    /// build code per row, bucket array sized after the drain, one
-    /// simulated write per insert in build-row order.
-    fn open_build(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        self.build.open(ctx)?;
-        self.table.clear();
-        self.build_rows.clear();
-        while let Some(slot) = self.build.next(ctx)? {
-            ctx.check_cancel()?;
-            ctx.tuple_yield();
-            ctx.fault(fault::HASHJOIN_BUILD)?;
-            ctx.machine.exec_region(&mut self.build_code);
-            let row = ctx.arena.tuple(slot).clone();
-            let key = row.get(self.build_key).as_int();
-            let idx = self.build_rows.len() as u32;
-            self.build_rows.push(row);
-            if let Some(k) = key {
-                self.table.entry(k).or_default().push(idx);
-            }
-        }
-        let buckets = (self.build_rows.len().max(1) * 2).next_power_of_two() as u64;
-        self.bucket_mask = buckets - 1;
-        self.ht_base = ctx.arena.sim_alloc(buckets * 16);
-        for row in &self.build_rows {
-            if let Some(k) = row.get(self.build_key).as_int() {
-                ctx.machine
-                    .data_write(self.ht_base + (mix(k as u64) & self.bucket_mask) * 16, 16);
-            }
-        }
-        Ok(())
-    }
-
-    fn apply(&mut self, ctx: &mut ExecContext, rows: Vec<Tuple>) -> Vec<Tuple> {
-        let mut out = Vec::new();
-        for row in rows {
-            let matches: &[u32] = match row.get(self.probe_key).as_int() {
-                None => &[], // NULL probe key matches nothing
-                Some(k) => {
-                    ctx.machine
-                        .data_read(self.ht_base + (mix(k as u64) & self.bucket_mask) * 16, 16);
-                    self.table.get(&k).map(Vec::as_slice).unwrap_or(&[])
-                }
-            };
-            ctx.machine.branch(self.match_site, !matches.is_empty());
-            for &m in matches {
-                out.push(row.join(&self.build_rows[m as usize]));
-            }
-        }
-        out
-    }
-}
-
-/// Terminal aggregate sink: consumes every batch, emits once at the end.
-struct AggSink {
-    group_by: Vec<usize>,
-    aggs: Vec<AggSpec>,
-    states: Vec<AggState>,
-    groups: HashMap<Vec<KeyAtom>, (Vec<Datum>, Vec<AggState>)>,
-    order: Vec<Vec<KeyAtom>>,
-    ht_base: u64,
-    emitted: bool,
-}
-
-impl AggSink {
-    fn new(group_by: Vec<usize>, aggs: Vec<AggSpec>) -> Result<Self> {
-        for a in &aggs {
-            if a.input.is_none() && a.func != AggFunc::CountStar {
-                return Err(DbError::InvalidPlan(format!(
-                    "{:?} requires an argument",
-                    a.func
-                )));
-            }
-        }
-        Ok(AggSink {
-            group_by,
-            aggs,
-            states: Vec::new(),
-            groups: HashMap::new(),
-            order: Vec::new(),
-            ht_base: 0,
-            emitted: false,
-        })
-    }
-
-    fn reset(&mut self, ctx: &mut ExecContext) {
-        self.states = self.aggs.iter().map(|a| AggState::new(a.func)).collect();
-        self.groups.clear();
-        self.order.clear();
-        self.emitted = false;
-        if !self.group_by.is_empty() {
-            self.ht_base = ctx.arena.sim_alloc(1 << 20);
-        }
-    }
-
-    fn update_states(
-        ctx: &mut ExecContext,
-        aggs: &[AggSpec],
-        states: &mut [AggState],
-        row: &Tuple,
-    ) -> Result<()> {
-        for (spec, state) in aggs.iter().zip(states.iter_mut()) {
-            match (&spec.input, spec.func) {
-                (_, AggFunc::CountStar) => state.update(None)?,
-                (Some(e), _) => {
-                    ctx.machine.add_instructions(e.instruction_cost());
-                    let v = e.eval(row)?;
-                    state.update(Some(&v))?;
-                }
-                (None, _) => {
-                    return Err(DbError::InvalidPlan(format!(
-                        "{:?} requires an argument",
-                        spec.func
-                    )))
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn consume(&mut self, ctx: &mut ExecContext, rows: Vec<Tuple>) -> Result<()> {
-        for row in rows {
-            if self.group_by.is_empty() {
-                Self::update_states(ctx, &self.aggs, &mut self.states, &row)?;
-            } else {
-                let mut key = Vec::with_capacity(self.group_by.len());
-                let mut key_vals = Vec::with_capacity(self.group_by.len());
-                for &g in &self.group_by {
-                    key.push(key_atom(row.get(g))?);
-                    key_vals.push(row.get(g).clone());
-                }
-                // One hash-bucket touch per input row, as in the pull path.
-                let h = fx_hash(&key);
-                ctx.machine.data_read(self.ht_base + (h & 0xFFFF) * 16, 16);
-                let entry = self.groups.entry(key.clone()).or_insert_with(|| {
-                    self.order.push(key);
-                    (
-                        key_vals,
-                        self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                    )
-                });
-                let mut tmp = std::mem::take(&mut entry.1);
-                Self::update_states(ctx, &self.aggs, &mut tmp, &row)?;
-                entry.1 = tmp;
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self) -> Vec<Tuple> {
-        if self.group_by.is_empty() {
-            let vals: Vec<Datum> = self.states.iter().map(AggState::finish).collect();
-            vec![Tuple::new(vals)]
-        } else {
-            std::mem::take(&mut self.order)
-                .into_iter()
-                .filter_map(|k| self.groups.remove(&k))
-                .map(|(key_vals, states)| {
-                    let mut vals = key_vals;
-                    vals.extend(states.iter().map(AggState::finish));
-                    Tuple::new(vals)
-                })
-                .collect()
-        }
-    }
+    Probe {
+        build: Box<dyn Operator>,
+        build_code: CodeRegion,
+        probe_key: usize,
+        table: JoinTable,
+    },
 }
 
 /// A fused push pipeline behind the pull [`Operator`] interface: the parent
@@ -264,10 +73,12 @@ pub struct PushPipelineOp {
     schema: SchemaRef,
     /// The fused group's combined code region.
     code: CodeRegion,
-    source: PushSource,
+    source: ScanCursor,
     /// Stages in application order (closest to the scan first).
     stages: Vec<Stage>,
-    agg: Option<AggSink>,
+    agg: Option<Accumulator>,
+    /// Whether the aggregate's result rows have been queued.
+    agg_emitted: bool,
     emit: VecDeque<Tuple>,
     source_done: bool,
     out_region: u32,
@@ -299,6 +110,7 @@ impl PushPipelineOp {
             source,
             stages,
             agg,
+            agg_emitted: false,
             emit: VecDeque::new(),
             source_done: false,
             out_region: u32::MAX,
@@ -312,47 +124,15 @@ impl PushPipelineOp {
         ctx.check_cancel()?;
         ctx.machine.exec_region(&mut self.code);
         let mut batch = Vec::new();
-        let mut scanned = 0u32;
-        let mut first = true;
-        while scanned < PUSH_BATCH_ROWS {
-            if self.source.pos >= self.source.limit {
+        for scanned in 0..PUSH_BATCH_ROWS {
+            let Some(id) = self.source.claim(ctx)? else {
                 self.source_done = true;
                 break;
-            }
-            ctx.fault(fault::SEQSCAN_NEXT)?;
-            ctx.tuple_yield();
-            let id = self.source.pos;
-            self.source.pos += 1;
-            scanned += 1;
-            if !first {
-                ctx.machine.add_instructions(SCAN_LOOP_INSTR);
-            }
-            first = false;
-            ctx.machine.data_read(
-                self.source.table.row_addr(id),
-                self.source.table.row_width(id),
-            );
-            let row = self.source.table.row(id);
-            if let Some(pred) = &self.source.predicate {
-                let keep = pred.eval_predicate(row)?;
-                ctx.machine.add_instructions(pred.instruction_cost());
-                ctx.machine.branch(self.source.pred_site, keep);
-                if !keep {
-                    continue;
-                }
-            }
-            let out = match &self.source.projection {
-                None => row.clone(),
-                Some(exprs) => {
-                    let mut vals = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        ctx.machine.add_instructions(e.instruction_cost());
-                        vals.push(e.eval(row)?);
-                    }
-                    Tuple::new(vals)
-                }
             };
-            batch.push(out);
+            ctx.tuple_yield();
+            if let Some(row) = self.source.eval(ctx, id, scanned == 0)? {
+                batch.push(row);
+            }
         }
         for stage in &mut self.stages {
             if batch.is_empty() {
@@ -386,11 +166,26 @@ impl PushPipelineOp {
                     }
                     out
                 }
-                Stage::Probe(p) => p.apply(ctx, batch),
+                Stage::Probe {
+                    probe_key, table, ..
+                } => {
+                    let mut out = Vec::new();
+                    for row in batch {
+                        let key = row.get(*probe_key).as_int();
+                        for &m in table.probe(&mut ctx.machine, key) {
+                            out.push(row.join(table.row(m)));
+                        }
+                    }
+                    out
+                }
             };
         }
         match &mut self.agg {
-            Some(a) => a.consume(ctx, batch)?,
+            Some(acc) => {
+                for row in &batch {
+                    acc.update(&mut ctx.machine, row)?;
+                }
+            }
             None => self.emit.extend(batch),
         }
         Ok(())
@@ -406,8 +201,8 @@ fn walk(
     fm: &mut FootprintModel,
     worker_fm: &dyn Fn() -> FootprintModel,
     at_root: bool,
-    agg: &mut Option<AggSink>,
-) -> Result<(PushSource, Vec<Stage>)> {
+    agg: &mut Option<Accumulator>,
+) -> Result<(ScanCursor, Vec<Stage>)> {
     if fm.obs_enabled() {
         fm.obs_register(super::obs_label(node));
     }
@@ -422,7 +217,7 @@ fn walk(
                     "push group: aggregate must sit at the pipeline root".into(),
                 ));
             }
-            *agg = Some(AggSink::new(group_by.clone(), aggs.clone())?);
+            *agg = Some(Accumulator::new(group_by.clone(), aggs.clone())?);
             walk(input, catalog, fm, worker_fm, false, agg)
         }
         PlanNode::Filter { input, predicate } => {
@@ -448,22 +243,16 @@ fn walk(
             build_key,
         } => {
             let build_code = fm.region_for(&OpKind::HashBuild);
-            let match_site = fm.predicate_site();
+            let table = JoinTable::new(fm, *build_key);
             // Probe side first so label registration follows plan pre-order
             // (children are [probe, build]).
             let (src, mut stages) = walk(probe, catalog, fm, worker_fm, false, agg)?;
-            let build_op = super::build_rec(build, catalog, fm, worker_fm)?;
-            stages.push(Stage::Probe(ProbeStage {
-                build: build_op,
+            stages.push(Stage::Probe {
+                build: super::build_rec(build, catalog, fm, worker_fm)?,
                 build_code,
                 probe_key: *probe_key,
-                build_key: *build_key,
-                match_site,
-                table: HashMap::new(),
-                build_rows: Vec::new(),
-                ht_base: 0,
-                bucket_mask: 0,
-            }));
+                table,
+            });
             Ok((src, stages))
         }
         PlanNode::SeqScan {
@@ -471,20 +260,12 @@ fn walk(
             predicate,
             projection,
         } => {
+            let projection = projection
+                .as_ref()
+                .map(|v| v.iter().map(|(e, _)| e.clone()).collect());
             let table = catalog.table(table)?;
-            let pred_site = fm.predicate_site();
             Ok((
-                PushSource {
-                    table,
-                    predicate: predicate.clone(),
-                    pred_site,
-                    projection: projection
-                        .as_ref()
-                        .map(|v| v.iter().map(|(e, _)| e.clone()).collect()),
-                    pos: 0,
-                    start: 0,
-                    limit: 0,
-                },
+                ScanCursor::new(table, fm, predicate.clone(), projection),
                 Vec::new(),
             ))
         }
@@ -510,21 +291,21 @@ impl Operator for PushPipelineOp {
             .alloc_region(self.batch_hint as u32 + 1, schema_slot_bytes(&self.schema));
         self.emit.clear();
         self.source_done = false;
-        let count = self.source.table.row_count() as u32;
-        self.source.start = 0;
-        self.source.limit = count;
-        // An exchange worker hands us a morsel: scan only that row range.
-        if let Some((lo, hi)) = ctx.morsel.take() {
-            self.source.start = lo.min(count);
-            self.source.limit = hi.min(count);
-        }
-        self.source.pos = self.source.start;
-        if let Some(a) = &mut self.agg {
-            a.reset(ctx);
+        self.source.open(ctx);
+        if let Some(acc) = &mut self.agg {
+            acc.reset(ctx);
+            self.agg_emitted = false;
         }
         for stage in &mut self.stages {
-            if let Stage::Probe(p) = stage {
-                p.open_build(ctx)?;
+            if let Stage::Probe {
+                build,
+                build_code,
+                table,
+                ..
+            } = stage
+            {
+                build.open(ctx)?;
+                table.build_serial(ctx, build.as_mut(), build_code)?;
             }
         }
         Ok(())
@@ -538,17 +319,17 @@ impl Operator for PushPipelineOp {
                 return Ok(Some(slot));
             }
             if self.source_done {
-                if let Some(a) = &mut self.agg {
-                    if !a.emitted {
-                        a.emitted = true;
+                match &mut self.agg {
+                    Some(acc) if !self.agg_emitted => {
+                        self.agg_emitted = true;
                         // Finalization pass over the group table: one last
                         // run of the fused region.
                         ctx.machine.exec_region(&mut self.code);
-                        self.emit.extend(a.finish());
+                        self.emit.extend(acc.finish());
                         continue;
                     }
+                    _ => return Ok(None),
                 }
-                return Ok(None);
             }
             self.pump_batch(ctx)?;
         }
@@ -557,10 +338,9 @@ impl Operator for PushPipelineOp {
     fn close(&mut self, ctx: &mut ExecContext) -> Result<()> {
         self.emit.clear();
         for stage in &mut self.stages {
-            if let Stage::Probe(p) = stage {
-                p.table.clear();
-                p.build_rows.clear();
-                p.build.close(ctx)?;
+            if let Stage::Probe { build, table, .. } = stage {
+                table.clear();
+                build.close(ctx)?;
             }
         }
         Ok(())

@@ -16,22 +16,115 @@ use bufferdb_types::{Datum, DbError, Result, Schema, SchemaRef, Tuple};
 use std::sync::Arc;
 
 /// Instructions charged per additional candidate row examined within one
-/// `next` call (the scan's inner loop stays cache-resident, §7.3).
+/// execution of the scan's code region (the inner loop stays
+/// cache-resident, §7.3).
 const INNER_LOOP_INSTR: u64 = 90;
 
-/// Sequential scan operator.
-pub struct SeqScanOp {
+/// The scan's row kernel: range claim, per-candidate fault site, data read,
+/// predicate + branch, projection. [`SeqScanOp`] runs it under one region
+/// execution per returned tuple; the fused push source
+/// ([`crate::exec::push`]) under one per batch. The caller owns the loop:
+/// [`ScanCursor::claim`] a candidate, then [`ScanCursor::eval`] it.
+pub(crate) struct ScanCursor {
     table: Arc<Table>,
     predicate: Option<Expr>,
     pred_site: u64,
     projection: Option<Vec<Expr>>,
-    schema: SchemaRef,
-    code: CodeRegion,
     pos: u32,
     /// First row id of the scanned range (0 unless a morsel was claimed).
     start: u32,
     /// One past the last row id of the scanned range.
     limit: u32,
+}
+
+impl ScanCursor {
+    pub(crate) fn new(
+        table: Arc<Table>,
+        fm: &mut FootprintModel,
+        predicate: Option<Expr>,
+        projection: Option<Vec<Expr>>,
+    ) -> Self {
+        ScanCursor {
+            table,
+            predicate,
+            pred_site: fm.predicate_site(),
+            projection,
+            pos: 0,
+            start: 0,
+            limit: 0,
+        }
+    }
+
+    /// Position at the start of the scanned range: the whole table, or the
+    /// morsel an exchange worker left in the context.
+    pub(crate) fn open(&mut self, ctx: &mut ExecContext) {
+        let count = self.table.row_count() as u32;
+        (self.start, self.limit) = match ctx.morsel.take() {
+            Some((lo, hi)) => (lo.min(count), hi.min(count)),
+            None => (0, count),
+        };
+        self.pos = self.start;
+    }
+
+    /// Restart at the beginning of the range claimed at `open`.
+    pub(crate) fn rewind(&mut self) {
+        self.pos = self.start;
+    }
+
+    /// Claim the next candidate row id, passing the per-candidate fault
+    /// site; `None` once the range is exhausted.
+    pub(crate) fn claim(&mut self, ctx: &mut ExecContext) -> Result<Option<u32>> {
+        if self.pos >= self.limit {
+            return Ok(None);
+        }
+        ctx.fault(fault::SEQSCAN_NEXT)?;
+        let id = self.pos;
+        self.pos += 1;
+        Ok(Some(id))
+    }
+
+    /// Read candidate `id`, apply predicate and projection; `None` when the
+    /// predicate rejects it. Every candidate but the `first` since the
+    /// caller last executed its code region pays the inner-loop charge.
+    pub(crate) fn eval(
+        &self,
+        ctx: &mut ExecContext,
+        id: u32,
+        first: bool,
+    ) -> Result<Option<Tuple>> {
+        if !first {
+            ctx.machine.add_instructions(INNER_LOOP_INSTR);
+        }
+        ctx.machine
+            .data_read(self.table.row_addr(id), self.table.row_width(id));
+        let row = self.table.row(id);
+        if let Some(pred) = &self.predicate {
+            let keep = pred.eval_predicate(row)?;
+            ctx.machine.add_instructions(pred.instruction_cost());
+            ctx.machine.branch(self.pred_site, keep);
+            if !keep {
+                return Ok(None);
+            }
+        }
+        Ok(Some(match &self.projection {
+            None => row.clone(),
+            Some(exprs) => {
+                let mut vals = Vec::with_capacity(exprs.len());
+                for e in exprs {
+                    ctx.machine.add_instructions(e.instruction_cost());
+                    vals.push(e.eval(row)?);
+                }
+                Tuple::new(vals)
+            }
+        }))
+    }
+}
+
+/// Sequential scan operator.
+pub struct SeqScanOp {
+    cursor: ScanCursor,
+    schema: SchemaRef,
+    code: CodeRegion,
     out_region: u32,
     batch_hint: usize,
     opened: bool,
@@ -63,17 +156,11 @@ impl SeqScanOp {
         let code = fm.region_for(&OpKind::SeqScan {
             with_pred: predicate.is_some(),
         });
-        let pred_site = fm.predicate_site();
+        let projection = projection.map(|v| v.into_iter().map(|(e, _)| e).collect());
         Ok(SeqScanOp {
-            table,
-            predicate,
-            pred_site,
-            projection: projection.map(|v| v.into_iter().map(|(e, _)| e).collect()),
+            cursor: ScanCursor::new(table, fm, predicate, projection),
             schema,
             code,
-            pos: 0,
-            start: 0,
-            limit: 0,
             out_region: u32::MAX,
             batch_hint: DEFAULT_BATCH,
             opened: false,
@@ -94,15 +181,7 @@ impl Operator for SeqScanOp {
         self.out_region = ctx
             .arena
             .alloc_region(self.batch_hint as u32 + 1, schema_slot_bytes(&self.schema));
-        let count = self.table.row_count() as u32;
-        self.start = 0;
-        self.limit = count;
-        // An exchange worker hands us a morsel: scan only that row range.
-        if let Some((lo, hi)) = ctx.morsel.take() {
-            self.start = lo.min(count);
-            self.limit = hi.min(count);
-        }
-        self.pos = self.start;
+        self.cursor.open(ctx);
         self.opened = true;
         Ok(())
     }
@@ -111,38 +190,12 @@ impl Operator for SeqScanOp {
         debug_assert!(self.opened, "next before open");
         ctx.machine.exec_region(&mut self.code);
         let mut first = true;
-        while self.pos < self.limit {
-            ctx.fault(fault::SEQSCAN_NEXT)?;
-            let id = self.pos;
-            self.pos += 1;
-            if !first {
-                ctx.machine.add_instructions(INNER_LOOP_INSTR);
+        while let Some(id) = self.cursor.claim(ctx)? {
+            if let Some(out) = self.cursor.eval(ctx, id, first)? {
+                let slot = ctx.arena.store(self.out_region, out, &mut ctx.machine);
+                return Ok(Some(slot));
             }
             first = false;
-            ctx.machine
-                .data_read(self.table.row_addr(id), self.table.row_width(id));
-            let row = self.table.row(id);
-            if let Some(pred) = &self.predicate {
-                let keep = pred.eval_predicate(row)?;
-                ctx.machine.add_instructions(pred.instruction_cost());
-                ctx.machine.branch(self.pred_site, keep);
-                if !keep {
-                    continue;
-                }
-            }
-            let out = match &self.projection {
-                None => row.clone(),
-                Some(exprs) => {
-                    let mut vals = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        ctx.machine.add_instructions(e.instruction_cost());
-                        vals.push(e.eval(row)?);
-                    }
-                    Tuple::new(vals)
-                }
-            };
-            let slot = ctx.arena.store(self.out_region, out, &mut ctx.machine);
-            return Ok(Some(slot));
         }
         Ok(None)
     }
@@ -158,7 +211,7 @@ impl Operator for SeqScanOp {
                 "SeqScan takes no rescan parameter".into(),
             ));
         }
-        self.pos = self.start;
+        self.cursor.rewind();
         Ok(())
     }
 }

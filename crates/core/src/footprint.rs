@@ -77,9 +77,10 @@ const LIMIT_CORE: usize = 300;
 /// whole point of splicing a [`OpKind::ReusedScan`] over a subtree is that
 /// the subtree's operator stack leaves the instruction stream.
 const REUSED_CORE: usize = 1200;
-/// Block-oriented operators (the §2 related-work baseline) carry the same
-/// logic as their tuple-at-a-time versions plus block-management code.
-const BLOCK_EXTRA: usize = 1100;
+/// A retired segment (block-management code of a removed block engine)
+/// that the pre-linked layout still places; see
+/// [`FootprintModel::prelinked`].
+const RESERVED_BLOCK_MGMT: usize = 1100;
 /// The push executor's fused-pipeline driver: the produce loop plus the
 /// inlined consume calls threading a batch through every stage of one
 /// fused group. It replaces the per-operator `exec_dispatch` interleaving
@@ -132,10 +133,6 @@ pub enum OpKind {
     Filter,
     /// LIMIT n.
     Limit,
-    /// Block-oriented variant of another operator (related-work baseline,
-    /// §2: "block oriented processing … requires a complete redesign of
-    /// database operations").
-    Block(Box<OpKind>),
     /// A fused push-based pipeline over the member operators: the whole
     /// group executes as one code region (member segments counted once,
     /// plus the push driver), which is the push model's answer to the
@@ -249,10 +246,6 @@ impl OpKind {
                 out.push(seg("common_rt", COMMON_RT));
                 out.push(seg("limit_core", LIMIT_CORE));
             }
-            OpKind::Block(inner) => {
-                out.extend(inner.segments());
-                out.push(seg("block_mgmt", BLOCK_EXTRA));
-            }
             OpKind::PushGroup(members) => {
                 for m in members {
                     out.extend(m.segments());
@@ -355,7 +348,12 @@ impl FootprintModel {
         define("materialize_core", MATERIALIZE_CORE);
         define("filter_core", FILTER_CORE);
         define("limit_core", LIMIT_CORE);
-        define("block_mgmt", BLOCK_EXTRA);
+        // No operator executes this segment any more, but each placement
+        // advances the layout's page counter and set-load tie-break, so
+        // dropping it would move `push_driver` and `exec_dispatch` — which
+        // every server query executes — and with them every committed
+        // server, heatmap and traffic baseline.
+        define("block_mgmt", RESERVED_BLOCK_MGMT);
         define("push_driver", PUSH_DRIVER);
         define("exec_dispatch", EXEC_DISPATCH);
         layout
@@ -443,8 +441,6 @@ mod tests {
     fn extension_operators_have_footprints() {
         assert_eq!(OpKind::Filter.footprint_bytes(), 800 + 1500 + 900);
         assert_eq!(OpKind::Limit.footprint_bytes(), 800 + 300);
-        let block_scan = OpKind::Block(Box::new(OpKind::SeqScan { with_pred: true }));
-        assert_eq!(block_scan.footprint_bytes(), 13_200 + 1100);
     }
 
     #[test]
@@ -595,7 +591,6 @@ mod tests {
             OpKind::Materialize,
             OpKind::Filter,
             OpKind::Limit,
-            OpKind::Block(Box::new(OpKind::SeqScan { with_pred: true })),
             OpKind::PushGroup(vec![
                 OpKind::SeqScan { with_pred: true },
                 OpKind::Filter,
@@ -618,6 +613,11 @@ mod tests {
             assert_eq!(addrs(&mut m1), addrs(&mut m2), "kind {k:?}");
         }
         assert_eq!(m1.predicate_site(), m2.predicate_site());
+        // The two segments every server query executes keep the addresses
+        // the committed server / heatmap / traffic baselines were taken at.
+        let base = |name: &str| master.get(name).expect("prelinked segment").functions[0].0;
+        assert_eq!(base("push_driver"), 0x47_3880);
+        assert_eq!(base("exec_dispatch"), 0x47_5440);
     }
 
     #[test]

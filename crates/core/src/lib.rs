@@ -19,7 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod block;
 pub mod cancel;
 pub mod context;
 // The executor must stay panic-free outside tests: worker containment and

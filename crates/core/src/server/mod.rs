@@ -39,23 +39,18 @@ mod phase;
 use crate::cancel::CancelToken;
 use crate::context::ExecContext;
 use crate::exec::exchange::{ExchangeDelegate, PhaseOutcome, PhaseRequest};
-use crate::exec::{build_executor_with, Operator, QueryOutcome};
-use crate::fault::{self, FaultRegistry};
+use crate::exec::{run_drive, DriveSpec, QueryOutcome};
 use crate::footprint::FootprintModel;
 use crate::obs::trace::{
-    TimedEvent, TraceClock, TraceEvent, TraceReport, TraceRing, TraceTrack, Tracer,
-    DEFAULT_RING_CAPACITY,
+    TimedEvent, TraceClock, TraceEvent, TraceReport, TraceRing, TraceTrack, DEFAULT_RING_CAPACITY,
 };
-use crate::obs::QueryProfiler;
 use crate::plan::PlanNode;
 use crate::session::QueryOpts;
-use crate::stats::ExecStats;
 use bufferdb_cachesim::{CodeLayout, Machine, MachineConfig, PerfCounters};
 use bufferdb_storage::Catalog;
 use bufferdb_types::{DbError, Result};
 use phase::PhaseState;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -113,7 +108,7 @@ pub struct ServerStats {
 /// whole server run — one for query lifecycle spans
 /// ([`TraceEvent::QueryWait`] / [`TraceEvent::QueryRun`]), one for
 /// session-core activity ([`TraceEvent::CoreTurn`] on the virtual server).
-/// Unlike the per-query [`Tracer`], these rings outlive individual queries,
+/// Unlike the per-query [`crate::obs::trace::Tracer`], these rings outlive individual queries,
 /// so cross-query effects (a burst of admissions, one query's turns
 /// displacing another's cache state) land on one shared timeline.
 ///
@@ -252,22 +247,6 @@ impl<'a> SubmitSpec<'a> {
     }
 }
 
-/// Everything a drive runner needs that is decided at submit time.
-pub(crate) struct DriveSpec {
-    pub(crate) root: Box<dyn Operator>,
-    /// Profiler labels (empty when profiling is off).
-    pub(crate) labels: Vec<String>,
-    pub(crate) tag: u32,
-    pub(crate) cancel: CancelToken,
-    pub(crate) faults: Arc<FaultRegistry>,
-    pub(crate) trace: bool,
-    /// Cooperative time-slicer installed into the drive context. `None` on
-    /// the threaded server (each drive owns its core for the duration);
-    /// the virtual server's session core sets one so resident queries
-    /// time-share a single simulated machine at tuple granularity.
-    pub(crate) slicer: Option<Box<dyn crate::context::CoreSlicer>>,
-}
-
 /// Coordinator-side counter assembly shared by both delegate impls: the
 /// query total is (machine deltas outside phases) + (sum of lane deltas),
 /// because lanes run on other cores — or on this core, excluded here and
@@ -312,87 +291,6 @@ impl DriveAccounting {
     pub(crate) fn total(&self) -> PerfCounters {
         self.drive_total + self.lanes_total
     }
-}
-
-/// Run one admitted query start to finish on the borrowed pool `machine`,
-/// mirroring [`crate::exec::execute_query`]'s containment exactly: typed
-/// errors and contained panics both land in the outcome, never unwind.
-pub(crate) fn run_drive(
-    spec: DriveSpec,
-    machine: &mut Machine,
-    delegate: Box<dyn ExchangeDelegate>,
-    cfg: &MachineConfig,
-) -> QueryOutcome {
-    let wall_start = std::time::Instant::now();
-    let mut ctx = ExecContext::new(cfg.clone());
-    std::mem::swap(&mut ctx.machine, machine);
-    ctx.machine.set_query_tag(spec.tag);
-    ctx.cancel = spec.cancel;
-    ctx.faults = spec.faults;
-    ctx.slicer = spec.slicer;
-    if !spec.labels.is_empty() {
-        ctx.profiler = Some(QueryProfiler::new(&spec.labels));
-    }
-    if spec.trace {
-        ctx.tracer = Some(Tracer::new(&format!("query-{}", spec.tag)));
-    }
-    let mut delegate = delegate;
-    delegate.begin_drive(ctx.machine.snapshot());
-    ctx.delegate = Some(delegate);
-    let mut root = spec.root;
-    let mut rows = Vec::new();
-    let mut panicked = false;
-    let caught = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
-        root.open(&mut ctx)?;
-        while let Some(slot) = root.next(&mut ctx)? {
-            // Root drive loop is the universal cancellation granule.
-            ctx.check_cancel()?;
-            ctx.tuple_yield();
-            rows.push(ctx.arena.tuple(slot).clone());
-        }
-        root.close(&mut ctx)
-    }));
-    let error = match caught {
-        Ok(Ok(())) => None,
-        Ok(Err(e)) => Some(e),
-        Err(payload) => {
-            panicked = true;
-            Some(DbError::WorkerFailed(format!(
-                "server drive panicked: {}",
-                fault::panic_message(&*payload)
-            )))
-        }
-    };
-    if panicked {
-        ctx.trace(TraceEvent::WorkerPanic);
-    }
-    let final_snap = ctx.machine.snapshot();
-    let total = match ctx.delegate.take() {
-        Some(mut d) => d.seal_drive(final_snap),
-        // Unreachable: the exchange always puts the delegate back. Fall
-        // back to whole-machine counters rather than panic.
-        None => final_snap,
-    };
-    let breakdown = ctx.machine.breakdown_for(&total);
-    let profile = match ctx.profiler.take() {
-        Some(p) if !panicked => Some(p.seal(total)),
-        _ => None,
-    };
-    let trace = ctx.tracer.take().map(Tracer::finish);
-    std::mem::swap(&mut ctx.machine, machine);
-    let row_count = rows.len() as u64;
-    QueryOutcome::new(
-        rows,
-        ExecStats {
-            rows: row_count,
-            counters: total,
-            breakdown,
-            wall: wall_start.elapsed(),
-        },
-        profile,
-        error,
-        trace,
-    )
 }
 
 /// An admitted-or-waiting query on the threaded server.
@@ -459,24 +357,10 @@ impl QueryTicket {
     pub fn wait(self) -> QueryOutcome {
         match self.rx.recv() {
             Ok(out) => out,
-            Err(_) => {
-                let zero = PerfCounters::default();
-                let machine = Machine::new(self.cfg);
-                QueryOutcome::new(
-                    Vec::new(),
-                    ExecStats {
-                        rows: 0,
-                        counters: zero,
-                        breakdown: machine.breakdown_for(&zero),
-                        wall: Duration::ZERO,
-                    },
-                    None,
-                    Some(DbError::WorkerFailed(
-                        "server shut down before the query completed".into(),
-                    )),
-                    None,
-                )
-            }
+            Err(_) => QueryOutcome::failed(
+                &self.cfg,
+                DbError::WorkerFailed("server shut down before the query completed".into()),
+            ),
         }
     }
 }
@@ -563,17 +447,10 @@ impl Server {
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(DbError::WorkerFailed("server is shut down".into()));
         }
-        let mut fm = FootprintModel::with_layout(self.master.clone());
-        if opts.wants_profile() {
-            fm.enable_obs();
-        }
-        let master = &self.master;
-        let root = build_executor_with(plan, catalog, &mut fm, &|| {
-            FootprintModel::with_layout(master.clone())
-        })?;
-        let cancel = opts.resolve_cancel();
-        let faults = opts.resolve_faults();
+        let mut spec = DriveSpec::for_server(plan, catalog, &self.master, opts)?;
         let tag = self.shared.next_tag.fetch_add(1, Ordering::Relaxed);
+        spec.tag = tag;
+        let cancel = spec.cancel.clone();
         let (tx, rx) = mpsc::channel();
         let id = self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
         let arrival_ns = lock(&self.shared.recorder)
@@ -582,19 +459,7 @@ impl Server {
         let job = Job {
             id,
             arrival_ns,
-            spec: DriveSpec {
-                root,
-                labels: if opts.wants_profile() {
-                    fm.obs_labels().to_vec()
-                } else {
-                    Vec::new()
-                },
-                tag,
-                cancel: cancel.clone(),
-                faults,
-                trace: opts.wants_trace(),
-                slicer: None,
-            },
+            spec,
             reply: tx,
         };
         lock(&self.shared.state).waiting.push_back(job);
@@ -680,7 +545,11 @@ fn worker_loop(w: usize, shared: &Arc<Shared>) {
                     now
                 })
             };
-            let out = run_drive(job.spec, &mut machine, delegate, &shared.cfg.machine);
+            let out = run_drive(
+                job.spec,
+                Some((&mut machine, delegate)),
+                &shared.cfg.machine,
+            );
             if let Some(start_ns) = run_start_ns {
                 let mut rec = lock(&shared.recorder);
                 if let Some(r) = rec.as_mut() {

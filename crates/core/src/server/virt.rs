@@ -45,14 +45,11 @@
 //! the threaded server (cancel before submission or arm a fault site).
 
 use super::phase::PhaseState;
-use super::{
-    lock, run_drive, DriveAccounting, DriveSpec, ServerConfig, ServerRecorder, ServerStats,
-    SubmitSpec,
-};
+use super::{lock, DriveAccounting, ServerConfig, ServerRecorder, ServerStats, SubmitSpec};
 use crate::cancel::CancelToken;
 use crate::context::{CoreSlicer, ExecContext};
 use crate::exec::exchange::{ExchangeDelegate, PhaseOutcome, PhaseRequest};
-use crate::exec::{build_executor_with, QueryOutcome};
+use crate::exec::{run_drive, DriveSpec, QueryOutcome};
 use crate::fault::FaultRegistry;
 use crate::footprint::FootprintModel;
 use crate::obs::prom::PromText;
@@ -441,39 +438,20 @@ impl VirtualServer {
     pub fn submit(&mut self, spec: SubmitSpec<'_>) -> Result<u64> {
         let (plan, catalog, opts) = (spec.plan(), spec.catalog(), spec.query_opts());
         let arrival_ns = spec.arrival_ns();
-        let cancel = match opts.cancel_override() {
-            Some(c) => c.clone(),
-            None => CancelToken::new(),
-        };
-        let faults = match opts.fault_registry() {
-            Some(f) => Arc::clone(f),
-            None => Arc::clone(&self.faults),
-        };
-        let mut fm = FootprintModel::with_layout(self.master.clone());
-        if opts.wants_profile() {
-            fm.enable_obs();
+        // An explicit token beats a timeout when the spec resolves its
+        // options, so pinning one here is what ignores the timeout.
+        let mut opts = opts.clone();
+        if opts.cancel_override().is_none() {
+            opts = opts.cancel(CancelToken::new());
         }
-        let master = &self.master;
-        let root = build_executor_with(plan, catalog, &mut fm, &|| {
-            FootprintModel::with_layout(master.clone())
-        })?;
+        if opts.fault_registry().is_none() {
+            opts = opts.faults(Arc::clone(&self.faults));
+        }
+        let mut spec = DriveSpec::for_server(plan, catalog, &self.master, &opts)?;
         let id = self.next_id;
         self.next_id += 1;
-        let tag = self.alloc_tag();
+        spec.tag = self.alloc_tag();
         self.submitted += 1;
-        let spec = DriveSpec {
-            root,
-            labels: if opts.wants_profile() {
-                fm.obs_labels().to_vec()
-            } else {
-                Vec::new()
-            },
-            tag,
-            cancel,
-            faults,
-            trace: opts.wants_trace(),
-            slicer: None,
-        };
         let mut c = lock(&self.core);
         if c.waiting.back().is_some_and(|j| j.arrival > arrival_ns) {
             return Err(DbError::ExecProtocol(
@@ -553,7 +531,7 @@ impl VirtualServer {
             let Some(mut machine) = gate.first_turn() else {
                 return;
             };
-            let outcome = run_drive(spec, &mut machine, delegate, &cfg);
+            let outcome = run_drive(spec, Some((&mut machine, delegate)), &cfg);
             let _ = gate.yield_tx.send(YieldMsg {
                 slot: gate.slot,
                 machine,
@@ -753,7 +731,6 @@ impl VirtualServer {
             return;
         };
         let mut c = lock(&self.core);
-        let counters = PerfCounters::default();
         // Restore the granted machine, or install a cold replacement when it
         // was lost with a dead drive thread, so the core is never machineless.
         let machine = machine.unwrap_or_else(|| {
@@ -763,7 +740,6 @@ impl VirtualServer {
             }
             m
         });
-        let breakdown = machine.breakdown_for(&counters);
         c.core_machine = Some(machine);
         c.active -= 1;
         c.completed += 1;
@@ -793,24 +769,17 @@ impl VirtualServer {
             l1i_misses: 0,
             l1i_cross_misses: 0,
         });
+        let outcome = QueryOutcome::failed(
+            &c.cfg,
+            DbError::WorkerFailed("virtual drive thread lost".into()),
+        );
         c.finished.push(CompletedQuery {
             id: r.id,
             tag: r.tag,
             arrival_ns: r.arrival,
             start_ns,
             done_ns: now_v,
-            outcome: QueryOutcome::new(
-                Vec::new(),
-                crate::stats::ExecStats {
-                    rows: 0,
-                    counters,
-                    breakdown,
-                    wall: std::time::Duration::ZERO,
-                },
-                None,
-                Some(DbError::WorkerFailed("virtual drive thread lost".into())),
-                None,
-            ),
+            outcome,
         });
         drop(c);
         if let Some(h) = r.handle {

@@ -1,9 +1,6 @@
-//! Integration: the cost-based optimizer and the block-oriented baseline
-//! running against generated TPC-H data, cross-checked against the
-//! tuple-at-a-time engine.
+//! Integration: the cost-based optimizer running against generated TPC-H
+//! data, cross-checked against reference evaluation.
 
-use bufferdb::core::block::{BlockAggregate, BlockScan};
-use bufferdb::core::context::ExecContext;
 use bufferdb::core::optimizer::{choose_join_plan, JoinCostModel, JoinQuery};
 use bufferdb::prelude::*;
 use bufferdb::tpch;
@@ -76,30 +73,6 @@ fn optimizer_plans_execute_correctly_and_refine_cleanly() {
             .count();
         assert_eq!(a.len(), expected, "{cutoff}");
     }
-}
-
-#[test]
-fn block_engine_agrees_with_tuple_engine_on_query1() {
-    let catalog = tpch::generate_catalog(0.002, 13);
-    let machine = MachineConfig::pentium4_like();
-    let plan = tpch::queries::paper_query1(&catalog).unwrap();
-    let tuple_rows = collect(&plan, &catalog, &machine).unwrap();
-
-    let PlanNode::Aggregate { input, aggs, .. } = plan else {
-        panic!()
-    };
-    let PlanNode::SeqScan {
-        table, predicate, ..
-    } = *input
-    else {
-        panic!()
-    };
-    let mut fm = FootprintModel::new();
-    let scan = Box::new(BlockScan::new(&catalog, &mut fm, &table, predicate, 100).unwrap());
-    let mut agg = BlockAggregate::new(&mut fm, scan, aggs, 100).unwrap();
-    let mut ctx = ExecContext::new(machine);
-    let block_row = agg.execute(&mut ctx).unwrap();
-    assert_eq!(format!("{}", block_row), format!("{}", tuple_rows[0]));
 }
 
 #[test]
