@@ -41,44 +41,61 @@ fn bench_exec_region() {
     });
 }
 
-/// The three `exec_region` patterns the benchmark's traced run probes as
-/// `cachesim.exec_region_{alt,rep,heat}_ns`, over the same two regions: the
-/// paper's Query 1 pair (scan with predicate, three-function aggregate),
-/// which cannot both stay resident in the modeled 16 KB L1i. All report the
-/// cost of one call.
+/// `exec_region` under the patterns that decide how much of it the walk
+/// memo serves. The first three are the ones the benchmark's traced run
+/// probes as `cachesim.exec_region_{alt,rep,heat}_ns`; all run over the
+/// paper's Query 1 operators (scan with predicate, three-function aggregate,
+/// which cannot both stay resident in the modeled 16 KB L1i; a sort for the
+/// three-region cycle) and report the cost of one call and the share of
+/// calls credited from a recorded outcome rather than walked.
 fn bench_exec_region_patterns() {
     let regions = || {
         let mut fm = FootprintModel::new();
-        let scan = fm.region_for(&OpKind::SeqScan { with_pred: true });
-        let agg = fm.region_for(&OpKind::Aggregate {
-            funcs: vec![AggFunc::Sum, AggFunc::Avg, AggFunc::CountStar],
-        });
-        (scan, agg)
+        let funcs = vec![AggFunc::Sum, AggFunc::Avg, AggFunc::CountStar];
+        [
+            OpKind::SeqScan { with_pred: true },
+            OpKind::Aggregate { funcs },
+            OpKind::Sort,
+        ]
+        .map(|op| fm.region_for(&op))
     };
-    // PCPCPC: every call walks the miss path.
-    let alternating = |name: &str, mut machine: Machine| {
-        let (mut a, mut b) = regions();
-        let mut flip = false;
+    // `next(i)` picks the region call `i` executes; where it returns none,
+    // `jump` is executed instead.
+    let pattern = |name: &str, mut machine: Machine, next: &dyn Fn(usize) -> Option<usize>| {
+        let mut cycle = regions();
+        let mut jump = FootprintModel::new().region_for(&OpKind::Filter);
+        let mut i = 0;
         bench(name, || {
-            flip = !flip;
-            machine.exec_region(if flip { &mut a } else { &mut b })
+            i += 1;
+            machine.exec_region(next(i).map_or(&mut jump, |r| &mut cycle[r]))
         });
+        let stats = machine.walk_stats();
+        println!(
+            "{:<34} {:>11.1}% of {} calls credited, {} syncs",
+            "",
+            100.0 * stats.credited as f64 / stats.walks as f64,
+            stats.walks,
+            stats.syncs
+        );
     };
-    alternating(
-        "machine/exec_region_alt",
-        Machine::new(MachineConfig::pentium4_like()),
-    );
-    let mut heated = Machine::new(MachineConfig::pentium4_like());
-    heated.enable_heatmap();
-    alternating("machine/exec_region_heat", heated);
+    let p4 = || Machine::new(MachineConfig::pentium4_like());
 
+    // PCPCPC: every call misses; the memo credits all but the first few.
+    let alternate = |i: usize| Some(i % 2);
+    pattern("machine/exec_region_alt", p4(), &alternate);
+    // The same with attribution on, where a walk that misses stays real.
+    let mut heated = p4();
+    heated.enable_heatmap();
+    pattern("machine/exec_region_heat", heated, &alternate);
+    let mut tagged = p4();
+    tagged.set_query_tag(1);
+    pattern("machine/exec_region_alt_tagged", tagged, &alternate);
     // CCCC…PPPP…: batches of 100, the buffered pattern.
-    let mut machine = Machine::new(MachineConfig::pentium4_like());
-    let (mut a, mut b) = regions();
-    let mut i = 0;
-    bench("machine/exec_region_rep", || {
-        i = (i + 1) % 200;
-        machine.exec_region(if i < 100 { &mut a } else { &mut b })
+    pattern("machine/exec_region_rep", p4(), &|i| Some(i / 100 % 2));
+    // A three-operator pipeline that something else interrupts every 64
+    // calls: the walks after each break are real and pay for a sync.
+    pattern("machine/exec_region_cycle3_break", p4(), &|i| {
+        (i % 64 != 0).then_some(i % 3)
     });
 }
 

@@ -232,7 +232,7 @@ impl Cache {
             return true;
         }
         self.misses += 1;
-        if self.track.is_some() || self.heat.is_some() {
+        if self.attributed() {
             self.attribute_miss(line, t.old, t.slot);
         }
         false
@@ -277,11 +277,30 @@ impl Cache {
         }
     }
 
-    /// Credit `n` accesses known to hit without changing which line the
-    /// next miss evicts — the caller ([`crate::Machine::exec_region`]'s
-    /// clean-region replay) has shown recency is already at its fixed point.
-    pub(crate) fn credit_hits(&mut self, n: u64) {
-        self.accesses += n;
+    /// Whether misses carry owner or heat attribution, which only a real
+    /// access can produce.
+    pub(crate) fn attributed(&self) -> bool {
+        self.track.is_some() || self.heat.is_some()
+    }
+
+    /// Count a walk whose per-line outcome the caller already knows
+    /// ([`crate::Machine::exec_region`]'s walk memo) without touching a way;
+    /// [`Cache::replay_each`] brings recency up to date before the next
+    /// real access.
+    pub(crate) fn credit(&mut self, accesses: u64, misses: u64) {
+        self.accesses += accesses;
+        self.misses += misses;
+    }
+
+    /// Re-apply a credited walk to the ways alone: same fills, victims and
+    /// recency as [`Cache::access_each`], nothing counted or attributed.
+    pub(crate) fn replay_each(&mut self, addrs: &[u64]) {
+        with_width!(self.lines.assoc(), N => for &addr in addrs {
+            let line = addr >> self.line_shift;
+            let t = self.lines.touch::<N>((line & self.set_mask) as usize, line);
+            // Attributed misses are never credited, so never replayed.
+            debug_assert!(t.hit || !self.attributed());
+        });
     }
 
     /// Probe without filling: is the line resident?

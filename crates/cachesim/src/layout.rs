@@ -316,7 +316,7 @@ pub struct CodeRegion {
     /// Names the (immutable) segment list: equal ids fetch the same lines
     /// and pages in the same order. Clones keep it.
     fetch_id: u64,
-    segments: Vec<SegmentRef>,
+    segments: Arc<[SegmentRef]>,
     /// Every site of every segment, in segment order.
     site_state: Vec<SiteState>,
 }
@@ -339,7 +339,7 @@ impl CodeRegion {
         CodeRegion {
             // Relaxed: the id is only ever compared for equality.
             fetch_id: NEXT_FETCH_ID.fetch_add(1, Ordering::Relaxed),
-            segments,
+            segments: segments.into(),
             site_state,
         }
     }
@@ -348,15 +348,20 @@ impl CodeRegion {
     pub fn empty() -> Self {
         CodeRegion {
             fetch_id: 0,
-            segments: Vec::new(),
+            segments: Arc::new([]),
             site_state: Vec::new(),
         }
     }
 
     /// Identity of this region's instruction-fetch sequence (see
-    /// [`crate::Machine::exec_region`]'s clean-region replay).
+    /// [`crate::Machine::exec_region`]'s walk memo).
     pub(crate) fn fetch_id(&self) -> u64 {
         self.fetch_id
+    }
+
+    /// The segment list itself, for holders that outlive this region.
+    pub(crate) fn shared_segments(&self) -> &Arc<[SegmentRef]> {
+        &self.segments
     }
 
     /// The segments making up this region.
@@ -373,7 +378,7 @@ impl CodeRegion {
     pub fn footprint_bytes(&self) -> usize {
         let mut seen: Vec<&str> = Vec::new();
         let mut total = 0;
-        for s in &self.segments {
+        for s in self.segments.iter() {
             if !seen.contains(&s.name.as_str()) {
                 seen.push(&s.name);
                 total += s.bytes;

@@ -4,11 +4,13 @@ use crate::branch::{BranchPredictor, Predictor};
 use crate::cache::Cache;
 use crate::config::MachineConfig;
 use crate::counters::PerfCounters;
+use crate::hash::U64Map;
 use crate::heat::{self, HeatSnapshot};
-use crate::layout::CodeRegion;
+use crate::layout::{CodeRegion, SegmentRef};
 use crate::prefetch::StreamPrefetcher;
 use crate::report::BreakdownReport;
 use crate::tlb::Tlb;
+use std::sync::Arc;
 
 /// One simulated CPU. The query executor drives it with three event kinds:
 /// [`Machine::exec_region`] (an operator executes its code for one call),
@@ -24,11 +26,11 @@ pub struct Machine {
     instructions: u64,
     /// Counters merged in from other simulated cores (worker machines).
     absorbed: PerfCounters,
-    /// Scratch: addresses of the L1i misses of the segment being fetched.
+    /// Addresses of the L1i misses of the latest real walk, in walk order.
     l1i_refills: Vec<u64>,
-    /// The region the previous `exec_region` fetched, for clean-region
-    /// replay (see [`Machine::exec_region`]).
-    last_fetch: Option<Fetch>,
+    /// What earlier walks found, so that a walk whose history repeats is not
+    /// walked again (see [`Machine::exec_region`]).
+    memo: WalkMemo,
 }
 
 /// The unified L2 behind both L1s, with its sequential stream prefetcher.
@@ -63,37 +65,125 @@ impl L2 {
     }
 }
 
-/// One region's instruction fetch: what it adds to the counters, and
-/// whether the latest walk of its lines (through L1i) and of its pages
-/// (through the ITLB) found every one of them resident.
-#[derive(Debug, Clone, Copy)]
-struct Fetch {
-    fetch_id: u64,
+/// Walks the memo logs before it syncs and starts the log over.
+const LOG_ENTRIES: usize = 1024;
+/// Longest history an outcome is recorded under.
+const MAX_HISTORY: usize = 16;
+/// Outcomes kept per region; the oldest is dropped first.
+const MAX_OUTCOMES: usize = 8;
+/// `u64` words the region table may account for (128 KiB); it is emptied
+/// rather than grown past this.
+const MEMO_WORDS: usize = 16 * 1024;
+/// Longest miss list recorded, so one region cannot use up the table.
+const MAX_MISSES: usize = MEMO_WORDS / MAX_OUTCOMES / 2;
+/// Words a region accounts for before its first outcome (table slot and
+/// header), and an outcome on top of its history and miss list.
+const REGION_WORDS: usize = 24;
+const OUTCOME_WORDS: usize = 4;
+
+/// Which regions a machine walked in what order, and what each walk found.
+/// DESIGN.md §18 has the exactness argument.
+#[derive(Default)]
+struct WalkMemo {
+    /// `fetch_id` of every walk since the log was last started over,
+    /// consecutive repeats collapsed: `log[i]` is walk number `start + i`.
+    log: Vec<u64>,
+    start: u64,
+    /// L1i and the ITLB have seen `log[..synced]`; every later entry was
+    /// credited.
+    synced: usize,
+    regions: U64Map<RegionMemo>,
+    /// Words `regions` accounts for, against [`MEMO_WORDS`].
+    words: usize,
+    stats: WalkStats,
+}
+
+/// What the memo knows about one region (one `fetch_id`).
+struct RegionMemo {
+    segments: Arc<[SegmentRef]>,
+    /// Number of the region's latest walk; in the log iff `>= start`.
+    last: u64,
     lines: u64,
     pages: u64,
     instructions: u64,
-    l1i_clean: bool,
-    itlb_clean: bool,
+    /// Oldest first.
+    outcomes: Vec<Outcome>,
 }
 
-impl Fetch {
-    /// The fetch of a region not walked yet.
-    fn of(region: &CodeRegion, line_size: usize) -> Self {
-        let mut fetch = Fetch {
-            fetch_id: region.fetch_id(),
-            lines: 0,
-            pages: 0,
-            instructions: 0,
-            l1i_clean: false,
-            itlb_clean: false,
-        };
-        for seg in region.segments() {
-            fetch.lines += seg.lines(line_size).len() as u64;
-            fetch.pages += seg.functions.len() as u64;
-            fetch.instructions += seg.instructions();
-        }
-        fetch
+/// What a walk of one region found after one history: the log entries
+/// between the region's previous walk and that one.
+struct Outcome {
+    /// The history, then the addresses that missed L1i in walk order.
+    words: Box<[u64]>,
+    history_len: usize,
+    itlb_misses: u64,
+}
+
+impl Outcome {
+    fn l1i_misses(&self) -> &[u64] {
+        &self.words[self.history_len..]
     }
+
+    /// Whether `history` is the one this outcome was recorded under.
+    /// Element by element: histories are a few entries long, and slice
+    /// equality calls out to `bcmp`, which costs more than the rest of a
+    /// credited walk.
+    fn follows(&self, history: &[u64]) -> bool {
+        self.history_len == history.len() && self.words.iter().zip(history).all(|(a, b)| a == b)
+    }
+}
+
+impl WalkMemo {
+    /// Note that walk number `now` fetched `region`, and what it found if
+    /// that is worth keeping. Nothing may be waiting for a sync.
+    fn record(&mut self, now: u64, region: &CodeRegion, line_size: usize, found: Option<Outcome>) {
+        let found_words = found.as_ref().map_or(0, |o| o.words.len() + OUTCOME_WORDS);
+        // Room for the outcome and, in case the region is new, for it too.
+        if self.words + found_words + REGION_WORDS > MEMO_WORDS {
+            self.regions.clear();
+            self.words = 0;
+        }
+        let known = self.regions.entry(region.fetch_id()).or_insert_with(|| {
+            self.words += REGION_WORDS;
+            let mut fresh = RegionMemo {
+                segments: Arc::clone(region.shared_segments()),
+                last: now,
+                lines: 0,
+                pages: 0,
+                instructions: 0,
+                outcomes: Vec::new(),
+            };
+            for seg in region.segments() {
+                fresh.lines += seg.lines(line_size).len() as u64;
+                fresh.pages += seg.functions.len() as u64;
+                fresh.instructions += seg.instructions();
+            }
+            fresh
+        });
+        known.last = now;
+        if let Some(found) = found {
+            if known.outcomes.len() == MAX_OUTCOMES {
+                self.words -= known.outcomes.remove(0).words.len() + OUTCOME_WORDS;
+            }
+            self.words += found_words;
+            known.outcomes.push(found);
+        }
+    }
+}
+
+/// How a machine's [`Machine::exec_region`] calls were served, for tests and
+/// microbenchmarks that must show which path they exercised.
+#[doc(hidden)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct WalkStats {
+    /// `exec_region` calls.
+    pub walks: u64,
+    /// Calls credited from a recorded outcome.
+    pub credited: u64,
+    /// Credited calls whose outcome had L1i misses.
+    pub credited_missing: u64,
+    /// Syncs that had credited walks to re-apply.
+    pub syncs: u64,
 }
 
 impl Machine {
@@ -116,7 +206,7 @@ impl Machine {
             instructions: 0,
             absorbed: PerfCounters::default(),
             l1i_refills: Vec::new(),
-            last_fetch: None,
+            memo: WalkMemo::default(),
             cfg,
         }
     }
@@ -131,65 +221,142 @@ impl Machine {
     /// L1i (missing to L2/memory), and every static branch site fires with
     /// its deterministic data-independent pattern.
     ///
-    /// **Clean-region replay.** If the previous `exec_region` on this
-    /// machine fetched this same region and its walk through L1i missed
-    /// nowhere, walking it again would hit everywhere and leave every LRU
-    /// order exactly as it is: nothing but `exec_region` touches L1i, hits
-    /// evict nothing, and a set's recency order after a miss-free pass is a
-    /// function of the pass alone. So the pass is credited in O(1) instead
-    /// of walked. The ITLB replays the same way, independently. Branch
-    /// sites always run — predictor state depends on history.
+    /// **Walk memo.** Under true LRU a line hits iff fewer than `assoc`
+    /// distinct lines of its set were touched since its own last touch, so
+    /// which lines of a region miss is a pure function of the regions walked
+    /// since that region's previous walk — its *history*. The first time a
+    /// region meets a history it is walked and what the walk found is
+    /// recorded; every later time that outcome is *credited*: the counters
+    /// advance, the recorded misses go through the real L2 (which data
+    /// traffic shares) and no L1i or ITLB way is touched. The next real walk
+    /// first brings their recency up to date (a *sync*). An outcome with L1i
+    /// misses is not credited while owner or heat attribution is on, when it
+    /// matters what each miss displaces. Branch sites always run: the
+    /// predictor has a history of its own.
     pub fn exec_region(&mut self, region: &mut CodeRegion) {
-        let mut fetch = match self.last_fetch {
-            Some(last) if last.fetch_id == region.fetch_id() => last,
-            _ => Fetch::of(region, self.cfg.l1i.line_size),
-        };
-        if fetch.itlb_clean {
-            self.itlb.credit_hits(fetch.pages);
-        } else {
-            fetch.itlb_clean = self.walk_pages(region);
-        }
-        if fetch.l1i_clean {
-            self.l1i.credit_hits(fetch.lines);
-        } else {
-            fetch.l1i_clean = self.walk_lines(region);
-        }
-        self.instructions += fetch.instructions;
-        self.last_fetch = Some(fetch);
         self.predictor.run_sites(region.site_state_mut());
+        let id = region.fetch_id();
+        let repeat = self.memo.log.last() == Some(&id);
+        if !repeat && self.memo.log.len() == LOG_ENTRIES {
+            self.sync();
+            self.memo.start += LOG_ENTRIES as u64;
+            self.memo.log.clear();
+            self.memo.synced = 0;
+        }
+        // While misses are attributed, only a real walk can take one.
+        let attributed = self.l1i.attributed();
+        let creditable = |misses: &[u64]| !attributed || misses.is_empty();
+        let memo = &mut self.memo;
+        memo.stats.walks += 1;
+        // This walk's number; a repeat shares the log entry of the walk
+        // before it.
+        let now = memo.start + memo.log.len() as u64 - u64::from(repeat);
+        // Where in the log this region's history starts — right after its
+        // previous walk — if the log reaches back that far.
+        let mut history_at = None;
+        if let Some(known) = memo.regions.get_mut(&id) {
+            let since = known.last.checked_sub(memo.start);
+            history_at = since.map(|walk| walk as usize + 1);
+            let history = history_at.map(|at| &memo.log[at..]);
+            let recorded = known
+                .outcomes
+                .iter()
+                .rev()
+                .find(|o| history.is_some_and(|h| o.follows(h)) && creditable(o.l1i_misses()));
+            if let Some(outcome) = recorded {
+                let misses = outcome.l1i_misses();
+                self.l1i.credit(known.lines, misses.len() as u64);
+                self.itlb.credit(known.pages, outcome.itlb_misses);
+                self.l2.refill_code(misses);
+                self.instructions += known.instructions;
+                memo.stats.credited += 1;
+                memo.stats.credited_missing += u64::from(!misses.is_empty());
+                known.last = now;
+                if !repeat {
+                    memo.log.push(id);
+                }
+                return;
+            }
+        }
+        self.sync();
+        let itlb_misses = self.itlb.misses();
+        self.walk(region);
+        let itlb_misses = self.itlb.misses() - itlb_misses;
+        // Keep what the walk found only if it could be credited as things
+        // stand.
+        let misses = &self.l1i_refills;
+        let found = history_at
+            .map(|at| &self.memo.log[at..])
+            .filter(|h| h.len() <= MAX_HISTORY)
+            .filter(|_| misses.len() <= MAX_MISSES && creditable(misses))
+            .map(|history| Outcome {
+                words: [history, misses].concat().into_boxed_slice(),
+                history_len: history.len(),
+                itlb_misses,
+            });
+        let memo = &mut self.memo;
+        memo.record(now, region, self.cfg.l1i.line_size, found);
+        if !repeat {
+            memo.log.push(id);
+        }
+        memo.synced = memo.log.len();
     }
 
-    /// Enter every function of `region` through the ITLB; `true` if none
-    /// missed.
-    fn walk_pages(&mut self, region: &CodeRegion) -> bool {
-        let misses = self.itlb.misses();
+    /// Fetch `region` for real: every function base through the ITLB, every
+    /// line through L1i, and the lines that missed — left in `l1i_refills`,
+    /// in walk order — through L2.
+    fn walk(&mut self, region: &CodeRegion) {
+        let refills = &mut self.l1i_refills;
+        refills.clear();
         for seg in region.segments() {
+            self.instructions += seg.instructions();
             for &(base, _) in &seg.functions {
                 self.itlb.access(base);
             }
-        }
-        self.itlb.misses() == misses
-    }
-
-    /// Fetch every instruction line of `region` through L1i; `true` if none
-    /// missed.
-    fn walk_lines(&mut self, region: &CodeRegion) -> bool {
-        let misses = self.l1i.misses();
-        for seg in region.segments() {
             if self.l1i.heat_enabled() {
                 // Announce the segment so L1i misses below land in its cell.
                 self.l1i.set_heat_segment(seg.heat_id());
             }
-            // The segment's misses reach L2 after its L1i pass rather than
-            // interleaved with it: the same L2 accesses in the same order,
-            // as two tight loops.
-            let refills = &mut self.l1i_refills;
-            refills.clear();
             self.l1i
                 .access_each(seg.lines(self.cfg.l1i.line_size), |addr| refills.push(addr));
-            self.l2.refill_code(refills);
         }
-        self.l1i.misses() == misses
+        // The misses reach L2 after the L1i pass rather than interleaved
+        // with it: the same L2 accesses in the same order, as two tight
+        // loops.
+        self.l2.refill_code(refills);
+    }
+
+    /// Bring L1i and ITLB recency up to date with the walks credited since
+    /// the last real one, before anything looks at or changes a way: each
+    /// distinct region among them is walked again once, uncounted, in order
+    /// of its latest occurrence — a way's standing depends only on when its
+    /// line was last touched.
+    fn sync(&mut self) {
+        let memo = &mut self.memo;
+        let credited = memo.synced..memo.log.len();
+        if credited.is_empty() {
+            return;
+        }
+        for at in credited {
+            let known = &memo.regions[&memo.log[at]];
+            if known.last != memo.start + at as u64 {
+                continue;
+            }
+            for seg in known.segments.iter() {
+                for &(base, _) in &seg.functions {
+                    self.itlb.replay(base);
+                }
+                self.l1i.replay_each(seg.lines(self.cfg.l1i.line_size));
+            }
+        }
+        memo.synced = memo.log.len();
+        memo.stats.syncs += 1;
+    }
+
+    /// How `exec_region` calls were served so far.
+    #[doc(hidden)]
+    pub fn walk_stats(&self) -> WalkStats {
+        self.memo.stats
     }
 
     /// Resolve one data-dependent branch (e.g. a predicate outcome) at the
@@ -237,6 +404,8 @@ impl Machine {
     /// instruction cache between concurrent queries. Solo executions never
     /// call this and pay nothing.
     pub fn set_query_tag(&mut self, tag: u32) {
+        // Walks credited so far displaced lines under the old tag, or none.
+        self.sync();
         self.l1i.set_owner(tag);
     }
 
@@ -246,9 +415,9 @@ impl Machine {
     /// zero modeled cost either way.
     pub fn enable_heatmap(&mut self) {
         if !self.l1i.heat_enabled() {
+            // The ledger starts from the ways as the walks so far left them.
+            self.sync();
             self.l1i.enable_heat();
-            // The next walk announces its segments to the new ledger.
-            self.last_fetch = None;
         }
     }
 

@@ -38,9 +38,18 @@ impl Tlb {
         hit
     }
 
-    /// Credit `n` translations known to hit, as `Cache::credit_hits`.
-    pub(crate) fn credit_hits(&mut self, n: u64) {
-        self.accesses += n;
+    /// Count translations whose outcome is already known, as
+    /// [`crate::Cache::credit`].
+    pub(crate) fn credit(&mut self, accesses: u64, misses: u64) {
+        self.accesses += accesses;
+        self.misses += misses;
+    }
+
+    /// Re-apply a credited translation to the entries alone, as
+    /// [`crate::Cache::replay_each`].
+    pub(crate) fn replay(&mut self, addr: u64) {
+        let page = addr >> PAGE_SHIFT;
+        with_width!(self.pages.assoc(), N => self.pages.touch::<N>(0, page));
     }
 
     /// Total accesses.

@@ -4,9 +4,15 @@
 //! * `Cache` and `Tlb` against brute-force MRU lists, over random address
 //!   streams × geometries, with owner tags and the heat ledger on.
 //! * `Machine` against a naive walker that fetches every line of every
-//!   function on every call — no line tables, no clean-region replay —
-//!   assembled from the public `Cache` / `Tlb` / predictor / prefetcher
-//!   pieces. Counters and heat ledger must agree after every single step.
+//!   function on every call — no line tables, no walk memo — assembled from
+//!   the public `Cache` / `Tlb` / predictor / prefetcher pieces. Counters
+//!   and heat ledger must agree after every single step, under a random
+//!   event mix and under the periodic region cycles the memo is built for,
+//!   with attribution never on, on from the start and switched on mid-run;
+//!   each run proves from `Machine::walk_stats` which path it exercised.
+//! * The property the memo rests on, on the naive walker alone: a region's
+//!   walk misses the same lines whenever the same regions were walked since
+//!   its previous walk.
 
 use bufferdb_cachesim::heat::UNTRACKED_SEGMENT;
 use bufferdb_cachesim::{
@@ -233,6 +239,8 @@ struct NaiveMachine {
     absorbed: PerfCounters,
     /// Heat ids are interned by name on first execution; index = id.
     heat_names: Option<Vec<String>>,
+    /// Addresses the latest `exec_region` missed in L1i, in walk order.
+    l1i_missed: Vec<u64>,
 }
 
 type HeatCells = HashMap<(String, u32), HeatCell>;
@@ -260,6 +268,7 @@ impl NaiveMachine {
             l2_covered: 0,
             absorbed: PerfCounters::default(),
             heat_names: None,
+            l1i_missed: Vec::new(),
             cfg,
         }
     }
@@ -279,6 +288,7 @@ impl NaiveMachine {
     /// static site (the real region keeps its own inside).
     fn exec_region(&mut self, region: &CodeRegion, site_counts: &mut [u64]) {
         let line = self.cfg.l1i.line_size as u64;
+        self.l1i_missed.clear();
         for seg in region.segments() {
             if let Some(names) = &mut self.heat_names {
                 let id = names
@@ -296,6 +306,7 @@ impl NaiveMachine {
                 let mut addr = base;
                 while addr < base + len as u64 {
                     if !self.l1i.access(addr) {
+                        self.l1i_missed.push(addr);
                         self.l2_access(addr, false);
                     }
                     addr += line;
@@ -367,11 +378,12 @@ impl NaiveMachine {
     }
 }
 
-/// Regions chosen to hit every replay edge: tiny (cold once, then clean),
-/// a pair that fits together, a pair that thrashes, a clone, regions that
-/// share a segment, a region that lists one segment twice, one too big for
-/// L1i and one with more functions than ITLB entries (both evict their own
-/// lines and must never be credited), and the empty region.
+/// Regions chosen to hit every edge of the memo: tiny (cold once, then
+/// clean), a pair that fits together, a pair that thrashes, a clone, regions
+/// that share a segment, a region that lists one segment twice, one too big
+/// for L1i and one with more functions than ITLB entries (both evict their
+/// own lines, so even their back-to-back repeats miss), and the empty
+/// region.
 fn region_pool(cfg: &MachineConfig) -> Vec<CodeRegion> {
     let mut layout = CodeLayout::new();
     let mut seg = |name: &str, bytes: usize| layout.define(&SegmentSpec::new(name, bytes));
@@ -398,7 +410,20 @@ fn region_pool(cfg: &MachineConfig) -> Vec<CodeRegion> {
     ]
 }
 
-/// A zeroed execution count per static site, per region object.
+/// Indices into [`region_pool`].
+const TINY: usize = 0;
+const SCAN: usize = 1;
+const AGG: usize = 2;
+const SCAN_CLONE: usize = 3;
+const SORT: usize = 4;
+const TWICE: usize = 5;
+const COMMON: usize = 6;
+const HUGE: usize = 7;
+const PAGES: usize = 8;
+const EMPTY: usize = 9;
+
+/// A zeroed execution count per static site, per region object (the real
+/// region keeps its own inside).
 fn fresh_site_counts(regions: &[CodeRegion]) -> Vec<Vec<u64>> {
     regions
         .iter()
@@ -406,24 +431,81 @@ fn fresh_site_counts(regions: &[CodeRegion]) -> Vec<Vec<u64>> {
         .collect()
 }
 
-fn check_machine(cfg: MachineConfig, seed: u64, steps: usize) {
+/// The machine under test and the naive walker, fed the same events.
+struct Pair {
+    regions: Vec<CodeRegion>,
+    /// The naive walker's [`fresh_site_counts`].
+    site_counts: Vec<Vec<u64>>,
+    real: Machine,
+    naive: NaiveMachine,
+    heat: bool,
+}
+
+impl Pair {
+    fn new(cfg: &MachineConfig) -> Self {
+        let regions = region_pool(cfg);
+        Pair {
+            site_counts: fresh_site_counts(&regions),
+            regions,
+            real: Machine::new(cfg.clone()),
+            naive: NaiveMachine::new(cfg.clone()),
+            heat: false,
+        }
+    }
+
+    /// Execute one region on both; what the naive walk fetched.
+    fn exec(&mut self, region: usize) -> PerfCounters {
+        let before = self.naive.snapshot();
+        self.real.exec_region(&mut self.regions[region]);
+        self.naive
+            .exec_region(&self.regions[region], &mut self.site_counts[region]);
+        self.naive.snapshot() - before
+    }
+
+    fn data(&mut self, addr: u64, len: usize) {
+        self.real.data_read(addr, len);
+        self.naive.data_access(addr, len);
+    }
+
+    fn tag(&mut self, tag: u32) {
+        self.real.set_query_tag(tag);
+        self.naive.l1i.set_owner(tag);
+    }
+
+    fn enable_heatmap(&mut self) {
+        self.real.enable_heatmap();
+        self.naive.enable_heatmap();
+        self.heat = true;
+    }
+
+    /// Counters and heat ledger agree.
+    fn check(&self, context: &str) {
+        assert_eq!(self.real.snapshot(), self.naive.snapshot(), "{context}");
+        let snap = self.real.heat_snapshot();
+        let (cells, residency) = self.naive.heat();
+        assert_eq!(snap.cells, cells, "{context}");
+        assert_eq!(snap.residency, residency, "{context}");
+        assert_eq!(self.real.heatmap_enabled(), self.heat, "{context}");
+    }
+}
+
+/// A random event mix. With `attribution`, owner tags arrive at random and
+/// the heat ledger is on from birth, from a third of the way in, or never
+/// (by seed); without, neither ever comes on, so walks that miss are
+/// credited too.
+fn check_machine(cfg: MachineConfig, seed: u64, steps: usize, attribution: bool) {
     let mut rng = Rng(seed);
-    let mut regions = region_pool(&cfg);
-    let mut site_counts = fresh_site_counts(&regions);
-    let mut real = Machine::new(cfg.clone());
-    let mut naive = NaiveMachine::new(cfg.clone());
-    // Heat from birth, heat switched on mid-run, or never.
+    let mut pair = Pair::new(&cfg);
     let heat_at = match seed % 3 {
-        0 => Some(0),
-        1 => Some(steps / 3),
+        0 if attribution => Some(0),
+        1 if attribution => Some(steps / 3),
         _ => None,
     };
     let mut current = 0;
     let (mut clean_repeats, mut missing_execs) = (0, 0);
     for step in 0..steps {
         if heat_at == Some(step) {
-            real.enable_heatmap();
-            naive.enable_heatmap();
+            pair.enable_heatmap();
         }
         let roll = rng.below(20);
         let what = match roll {
@@ -435,67 +517,56 @@ fn check_machine(cfg: MachineConfig, seed: u64, steps: usize) {
                 "alternate"
             }
             12..=14 => {
-                current = rng.below(regions.len() as u64) as usize;
+                current = rng.below(pair.regions.len() as u64) as usize;
                 "jump"
             }
             15 => {
-                let (addr, len) = (0x1000_0000 + rng.below(1 << 16), rng.below(200) as usize);
-                real.data_read(addr, len);
-                naive.data_access(addr, len);
+                pair.data(0x1000_0000 + rng.below(1 << 16), rng.below(200) as usize);
                 "data_read"
             }
             16 => {
                 let (addr, len) = (0x2000_0000 + rng.below(1 << 20), 8);
-                real.data_write(addr, len);
-                naive.data_access(addr, len);
+                pair.real.data_write(addr, len);
+                pair.naive.data_access(addr, len);
                 "data_write"
             }
             17 => {
                 let (site, taken) = (0x40_0000 + rng.below(64) * 16, rng.below(3) != 0);
-                real.branch(site, taken);
-                naive.predictor.predict_and_update(site, taken);
+                pair.real.branch(site, taken);
+                pair.naive.predictor.predict_and_update(site, taken);
                 "branch"
             }
-            18 => {
-                let tag = 1 + rng.below(3) as u32;
-                real.set_query_tag(tag);
-                naive.l1i.set_owner(tag);
+            18 if attribution => {
+                pair.tag(1 + rng.below(3) as u32);
                 "set_query_tag"
             }
             _ => {
                 let n = rng.below(1000);
-                real.add_instructions(n);
-                naive.instructions += n;
+                pair.real.add_instructions(n);
+                pair.naive.instructions += n;
                 let other = PerfCounters {
                     instructions: n,
                     l1i_accesses: 3,
                     ..Default::default()
                 };
-                real.absorb(&other);
-                naive.absorbed = naive.absorbed + other;
+                pair.real.absorb(&other);
+                pair.naive.absorbed = pair.naive.absorbed + other;
                 "add_instructions+absorb"
             }
         };
         if roll <= 14 {
-            let before = naive.snapshot();
-            real.exec_region(&mut regions[current]);
-            naive.exec_region(&regions[current], &mut site_counts[current]);
-            let fetched = naive.snapshot() - before;
+            let fetched = pair.exec(current);
             if fetched.l1i_misses + fetched.itlb_misses > 0 {
                 missing_execs += 1;
             } else if what == "repeat" && fetched.l1i_accesses > 0 {
                 clean_repeats += 1;
             }
         }
-        let context = format!("seed {seed} step {step}: {what} (region {current})");
-        assert_eq!(real.snapshot(), naive.snapshot(), "{context}");
-        let snap = real.heat_snapshot();
-        let (cells, residency) = naive.heat();
-        assert_eq!(snap.cells, cells, "{context}");
-        assert_eq!(snap.residency, residency, "{context}");
-        assert_eq!(real.heatmap_enabled(), heat_at.is_some_and(|at| at <= step));
+        pair.check(&format!(
+            "seed {seed} step {step}: {what} (region {current})"
+        ));
     }
-    // The run must have exercised both paths it claims to compare.
+    // The run must have exercised the paths it claims to compare.
     assert!(
         clean_repeats > 50,
         "seed {seed}: {clean_repeats} clean repeats"
@@ -504,74 +575,273 @@ fn check_machine(cfg: MachineConfig, seed: u64, steps: usize) {
         missing_execs > 50,
         "seed {seed}: {missing_execs} walks with misses"
     );
-}
-
-#[test]
-fn machine_matches_naive_walker_on_pentium4_like() {
-    for seed in 0..6 {
-        check_machine(MachineConfig::pentium4_like(), seed, 1500);
+    let stats = pair.real.walk_stats();
+    assert!(stats.credited > 50 && stats.syncs > 20, "{stats:?}");
+    if !attribution {
+        assert!(stats.credited_missing > 50, "{stats:?}");
     }
 }
 
-#[test]
-fn machine_matches_naive_walker_on_ultrasparc_like() {
-    // 32 B lines, 4-way, gshare.
-    for seed in 10..14 {
-        check_machine(MachineConfig::ultrasparc_like(), seed, 1200);
-    }
+/// When owner tags and the heat ledger come on in [`check_cycles`]: one of
+/// the two at a first switch (tags on even seeds, the ledger on odd ones),
+/// the other at a second.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Attribution {
+    Never,
+    /// At the first step and a third of the way in.
+    FromStart,
+    /// Two thirds and five sixths of the way in.
+    MidRun,
 }
 
-#[test]
-fn machine_matches_naive_walker_on_athlon_like() {
-    // 2-way L1, 16-way L2, 24-entry ITLB, gshare.
-    for seed in 20..24 {
-        check_machine(MachineConfig::athlon_like(), seed, 1200);
-    }
-}
-
-#[test]
-fn machine_matches_naive_walker_when_only_l1i_thrashes() {
-    // A 4 KB L1i under a 64-entry ITLB: regions that evict their own lines
-    // while every page stays translated (no preset separates the two).
-    let mut cfg = MachineConfig::pentium4_like();
-    cfg.l1i.capacity = 4 * 1024;
-    cfg.itlb_entries = 64;
-    for seed in 30..34 {
-        check_machine(cfg.clone(), seed, 1200);
-    }
-}
-
-/// The replay itself, deterministically: cold walk, clean repeats credited,
-/// latch survives everything that does not touch L1i/ITLB, and a region
-/// that evicts its own lines is walked every time.
-#[test]
-fn clean_repeats_are_credited_and_self_evicting_regions_never_are() {
-    let cfg = MachineConfig::pentium4_like();
-    let mut regions = region_pool(&cfg);
-    let mut real = Machine::new(cfg.clone());
-    let mut naive = NaiveMachine::new(cfg.clone());
-    let mut counts = fresh_site_counts(&regions);
-    let (scan, huge) = (1, 7);
-    for round in 0..50 {
-        real.exec_region(&mut regions[scan]);
-        naive.exec_region(&regions[scan], &mut counts[scan]);
-        if round % 7 == 3 {
-            real.data_read(0x1000_0000 + round * 64, 64);
-            naive.data_access(0x1000_0000 + round * 64, 64);
-            real.set_query_tag(round as u32);
-            naive.l1i.set_owner(round as u32);
+/// The instruction stream the memo is built for: a cycle of two to four
+/// regions going round, broken at random points. The log wraps several
+/// times over a run.
+fn check_cycles(cfg: MachineConfig, seed: u64, attribution: Attribution) {
+    const STEPS: usize = 9000;
+    // Thrashing cycles first, among them regions that share a segment, one
+    // that lists a segment twice and a clone standing in for its original;
+    // then the regions that evict their own lines or pages; then cycles
+    // that stay resident, credited even when misses are attributed.
+    let cycles: [&[usize]; 9] = [
+        &[SCAN, SORT],
+        &[SORT, TWICE],
+        &[SCAN, AGG, SORT],
+        &[SCAN, SORT, SCAN_CLONE, TWICE],
+        &[HUGE, AGG],
+        &[HUGE],
+        &[PAGES, SCAN],
+        &[AGG, SORT, COMMON],
+        &[TINY, AGG],
+    ];
+    let mut rng = Rng(seed);
+    let mut pair = Pair::new(&cfg);
+    let mut attributed = false;
+    let mut at_switch = None;
+    let (mut step, mut log_entries, mut previous) = (0, 0, usize::MAX);
+    while step < STEPS {
+        let cycle = cycles[rng.below(cycles.len() as u64) as usize];
+        // Now and then the buffered shape: each region eight times over,
+        // for an eighth as many rounds.
+        let batch = if rng.below(8) == 0 { 8 } else { 1 };
+        for _ in 0..(2 + rng.below(16) as usize).div_ceil(batch) {
+            for &region in cycle.iter().flat_map(|r| std::iter::repeat_n(r, batch)) {
+                let switch = match attribution {
+                    Attribution::Never => false,
+                    Attribution::FromStart => step == 0 || step == STEPS / 3,
+                    Attribution::MidRun => step == STEPS * 2 / 3 || step == STEPS * 5 / 6,
+                };
+                if switch {
+                    at_switch.get_or_insert(pair.real.walk_stats());
+                    if attributed != seed.is_multiple_of(2) {
+                        pair.tag(1);
+                    } else {
+                        pair.enable_heatmap();
+                    }
+                    attributed = true;
+                }
+                pair.exec(region);
+                pair.check(&format!("seed {seed} step {step}: {cycle:?} x{batch}"));
+                // A clone is its original as far as the log can tell.
+                let id = if region == SCAN_CLONE { SCAN } else { region };
+                log_entries += usize::from(id != previous);
+                previous = id;
+                step += 1;
+            }
         }
-        assert_eq!(real.snapshot(), naive.snapshot(), "round {round}");
+        let what = match rng.below(10) {
+            0..=2 => {
+                pair.exec(rng.below(pair.regions.len() as u64) as usize);
+                previous = usize::MAX;
+                "jump"
+            }
+            3 | 4 => {
+                pair.data(0x1000_0000 + rng.below(1 << 20), 64);
+                "data"
+            }
+            5 => {
+                // More walks than any recorded history holds.
+                for _ in 0..9 {
+                    pair.exec(TINY);
+                    pair.exec(EMPTY);
+                }
+                previous = EMPTY;
+                "long history"
+            }
+            6 | 7 if attributed => {
+                pair.tag(1 + rng.below(3) as u32);
+                "tag"
+            }
+            _ => "nothing",
+        };
+        pair.check(&format!("seed {seed} step {step}: break by {what}"));
     }
-    let before = real.snapshot();
+    assert!(log_entries > 2 * 1024, "the log must wrap: {log_entries}");
+    let stats = pair.real.walk_stats();
+    assert!(stats.syncs > 50, "{attribution:?} seed {seed}: {stats:?}");
+    // While nothing is attributed, most walks are credited misses and all.
+    let unattributed = at_switch.unwrap_or(stats);
+    if attribution != Attribution::FromStart {
+        assert!(
+            unattributed.credited_missing * 2 > unattributed.walks,
+            "{attribution:?} seed {seed}: {unattributed:?}"
+        );
+    }
+    // From then on only walks that miss nowhere in L1i are.
+    assert_eq!(stats.credited_missing, unattributed.credited_missing);
+    if attribution != Attribution::Never {
+        assert!(
+            stats.credited > unattributed.credited + 50,
+            "{attribution:?} seed {seed}: {stats:?} after {unattributed:?}"
+        );
+    }
+}
+
+/// Every preset, and a 4 KB L1i under a 64-entry ITLB: regions that evict
+/// their own lines while every page stays translated (no preset separates
+/// the two).
+fn machines() -> Vec<MachineConfig> {
+    let mut l1i_only = MachineConfig::pentium4_like();
+    l1i_only.l1i.capacity = 4 * 1024;
+    l1i_only.itlb_entries = 64;
+    vec![
+        MachineConfig::pentium4_like(),
+        // 32 B lines, 4-way, gshare.
+        MachineConfig::ultrasparc_like(),
+        // 2-way L1, 16-way L2, 24-entry ITLB, gshare.
+        MachineConfig::athlon_like(),
+        l1i_only,
+    ]
+}
+
+#[test]
+fn machine_matches_naive_walker_on_a_random_mix() {
+    for (m, cfg) in machines().into_iter().enumerate() {
+        for seed in 0..4 {
+            check_machine(cfg.clone(), 10 * m as u64 + seed, 1500, true);
+        }
+    }
+}
+
+#[test]
+fn machine_matches_naive_walker_on_a_random_mix_never_attributed() {
+    for (m, cfg) in machines().into_iter().enumerate() {
+        for seed in 0..2 {
+            check_machine(cfg.clone(), 100 + 10 * m as u64 + seed, 1500, false);
+        }
+    }
+}
+
+#[test]
+fn machine_matches_naive_walker_on_cycles_never_attributed() {
+    for (m, cfg) in machines().into_iter().enumerate() {
+        check_cycles(cfg, 200 + m as u64, Attribution::Never);
+    }
+}
+
+#[test]
+fn machine_matches_naive_walker_on_cycles_attributed_from_the_start() {
+    for (m, cfg) in machines().into_iter().enumerate() {
+        check_cycles(cfg, 300 + m as u64, Attribution::FromStart);
+    }
+}
+
+#[test]
+fn machine_matches_naive_walker_on_cycles_attributed_mid_run() {
+    for (m, cfg) in machines().into_iter().enumerate() {
+        // Both ways of switching attribution on, on every machine.
+        check_cycles(cfg.clone(), 400 + 2 * m as u64, Attribution::MidRun);
+        check_cycles(cfg, 401 + 2 * m as u64, Attribution::MidRun);
+    }
+}
+
+/// The memo itself, deterministically: a cold walk, then repeats credited
+/// through everything that leaves L1i and the ITLB alone; and a region that
+/// evicts its own lines, whose repeats are credited too — misses and all.
+#[test]
+fn repeats_are_credited_and_a_self_evicting_region_still_misses_every_pass() {
+    let cfg = MachineConfig::pentium4_like();
+    let mut pair = Pair::new(&cfg);
+    for round in 0..50 {
+        pair.exec(SCAN);
+        if round % 7 == 3 {
+            pair.data(0x1000_0000 + round * 64, 64);
+        }
+        pair.check(&format!("round {round}"));
+    }
+    let stats = pair.real.walk_stats();
+    assert_eq!((stats.credited, stats.credited_missing), (48, 0));
+    let before = pair.real.snapshot();
     for round in 0..20 {
-        real.exec_region(&mut regions[huge]);
-        naive.exec_region(&regions[huge], &mut counts[huge]);
-        assert_eq!(real.snapshot(), naive.snapshot(), "huge round {round}");
+        pair.exec(HUGE);
+        pair.check(&format!("huge round {round}"));
     }
-    let delta = real.snapshot() - before;
+    let delta = pair.real.snapshot() - before;
     assert!(
         delta.l1i_misses >= 20 * (cfg.l1i.capacity as u64 / 64),
         "a region larger than L1i must miss on every pass: {delta:?}"
     );
+    // The first pass follows SCAN, the second records what a repeat finds.
+    assert_eq!(pair.real.walk_stats().credited_missing, 18);
+    // Owner tags make every miss's victim matter: walked again from here.
+    pair.tag(1);
+    for round in 0..5 {
+        pair.exec(HUGE);
+        pair.check(&format!("tagged huge round {round}"));
+    }
+    assert_eq!(pair.real.walk_stats().credited_missing, 18);
+}
+
+// ---------------------------------------------------------------------------
+// (d) What the walk memo rests on, shown on the naive walker alone
+// ---------------------------------------------------------------------------
+
+/// Under true LRU the lines a walk of region R misses, and its ITLB miss
+/// count, are a function of R and of the regions walked since R's previous
+/// walk — consecutive repeats counted once — whatever came before.
+#[test]
+fn a_walk_misses_the_same_lines_whenever_its_history_repeats() {
+    for (m, cfg) in machines().into_iter().enumerate() {
+        let mut rng = Rng(500 + m as u64);
+        let regions = region_pool(&cfg);
+        let mut site_counts = fresh_site_counts(&regions);
+        let mut naive = NaiveMachine::new(cfg);
+        // Every walk so far, consecutive repeats collapsed.
+        let mut log: Vec<usize> = Vec::new();
+        let mut found: HashMap<(usize, Vec<usize>), (Vec<u64>, u64)> = HashMap::new();
+        let (mut repeated, mut repeated_missing) = (0, 0);
+        for _ in 0..12 {
+            // A few regions at a time, so that histories recur.
+            let subset: Vec<usize> = (0..3).map(|_| rng.below(9) as usize).collect();
+            for _ in 0..400 {
+                let mut region = subset[rng.below(3) as usize];
+                if region == SCAN_CLONE {
+                    region = SCAN;
+                }
+                let itlb_before = naive.itlb.misses();
+                naive.exec_region(&regions[region], &mut site_counts[region]);
+                let outcome = (naive.l1i_missed.clone(), naive.itlb.misses() - itlb_before);
+                if let Some(at) = log.iter().rposition(|&r| r == region) {
+                    let history = log[at + 1..].to_vec();
+                    match found.get(&(region, history.clone())) {
+                        Some(earlier) => {
+                            assert_eq!(earlier, &outcome, "region {region} after {history:?}");
+                            repeated += 1;
+                            repeated_missing += usize::from(!outcome.0.is_empty());
+                        }
+                        None => {
+                            found.insert((region, history), outcome);
+                        }
+                    }
+                }
+                if log.last() != Some(&region) {
+                    log.push(region);
+                }
+            }
+        }
+        assert!(
+            repeated > 2000 && repeated_missing > 500,
+            "machine {m}: {repeated} repeated histories, {repeated_missing} with misses"
+        );
+    }
 }
