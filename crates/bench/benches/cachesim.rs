@@ -60,36 +60,51 @@ fn bench_exec_region_patterns() {
         .map(|op| fm.region_for(&op))
     };
     // `next(i)` picks the region call `i` executes; where it returns none,
-    // `jump` is executed instead.
-    let pattern = |name: &str, mut machine: Machine, next: &dyn Fn(usize) -> Option<usize>| {
-        let mut cycle = regions();
-        let mut jump = FootprintModel::new().region_for(&OpKind::Filter);
-        let mut i = 0;
-        bench(name, || {
-            i += 1;
-            machine.exec_region(next(i).map_or(&mut jump, |r| &mut cycle[r]))
-        });
-        let stats = machine.walk_stats();
-        println!(
-            "{:<34} {:>11.1}% of {} calls credited, {} syncs",
-            "",
-            100.0 * stats.credited as f64 / stats.walks as f64,
-            stats.walks,
-            stats.syncs
-        );
+    // `jump` is executed instead. Every `quantum` calls the owner tag passes
+    // to the other of two queries (0: the machine stays as it is).
+    let pattern_in_quanta =
+        |name: &str, mut machine: Machine, next: &dyn Fn(usize) -> Option<usize>, quantum| {
+            let mut cycle = regions();
+            let mut jump = FootprintModel::new().region_for(&OpKind::Filter);
+            let mut i = 0;
+            bench(name, || {
+                i += 1;
+                if quantum != 0 && i % quantum == 0 {
+                    machine.set_query_tag(1 + (i / quantum % 2) as u32);
+                }
+                machine.exec_region(next(i).map_or(&mut jump, |r| &mut cycle[r]))
+            });
+            let stats = machine.walk_stats();
+            let share = |n: u64| 100.0 * n as f64 / stats.walks as f64;
+            println!(
+                "{:<34} {:>11.1}% of {} calls credited ({:.1}% with misses), {} walked \
+                 across a tag change, {} syncs",
+                "",
+                share(stats.credited),
+                stats.walks,
+                share(stats.credited_missing),
+                stats.epoch_refused,
+                stats.syncs
+            );
+        };
+    let pattern = |name: &str, machine: Machine, next: &dyn Fn(usize) -> Option<usize>| {
+        pattern_in_quanta(name, machine, next, 0)
     };
     let p4 = || Machine::new(MachineConfig::pentium4_like());
 
     // PCPCPC: every call misses; the memo credits all but the first few.
     let alternate = |i: usize| Some(i % 2);
     pattern("machine/exec_region_alt", p4(), &alternate);
-    // The same with attribution on, where a walk that misses stays real.
+    // The same with attribution on: the ledger is credited its cells and
+    // evictor records, one owner tag is one epoch ...
     let mut heated = p4();
     heated.enable_heatmap();
     pattern("machine/exec_region_heat", heated, &alternate);
     let mut tagged = p4();
     tagged.set_query_tag(1);
     pattern("machine/exec_region_alt_tagged", tagged, &alternate);
+    // ... and two queries taking turns walk each region once per turn.
+    pattern_in_quanta("machine/exec_region_alt_tag_quanta", p4(), &alternate, 256);
     // CCCC…PPPP…: batches of 100, the buffered pattern.
     pattern("machine/exec_region_rep", p4(), &|i| Some(i / 100 % 2));
     // A three-operator pipeline that something else interrupts every 64

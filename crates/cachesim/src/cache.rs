@@ -25,6 +25,22 @@ struct OwnerTrack {
     cross_misses: u64,
 }
 
+impl OwnerTrack {
+    /// Note that a miss on `line` displaced `old` under the owner in force;
+    /// whether the line had last been evicted by a different one.
+    fn refill(&mut self, line: u64, old: u64) -> bool {
+        let owner = self.owner;
+        let cross = self
+            .evicted_by
+            .remove(&line)
+            .is_some_and(|tag| tag != owner);
+        if old != EMPTY {
+            self.evicted_by.insert(old, owner);
+        }
+        cross
+    }
+}
+
 /// Opt-in per-segment heat attribution (see [`Cache::enable_heat`]).
 ///
 /// Kept boxed and separate from [`OwnerTrack`] so the plain and
@@ -42,6 +58,9 @@ struct HeatTrack {
     /// Segment that fetched the line in each way, parallel to `LruSets::ways`
     /// (for residency snapshots); 0 for lines older than the ledger.
     way_seg: Vec<u16>,
+    /// Lines older than the ledger that the replay under way displaced: one
+    /// it fetches again has hit all along and keeps segment 0.
+    unledgered: Vec<u64>,
 }
 
 impl HeatTrack {
@@ -51,6 +70,7 @@ impl HeatTrack {
             cells: U64Map::default(),
             evicted: U64Map::default(),
             way_seg: vec![0; ways],
+            unledgered: Vec::new(),
         }
     }
 
@@ -100,7 +120,8 @@ impl Cache {
     ///
     /// Misses on lines whose most recent eviction was performed under a
     /// *different* tag accumulate in [`Cache::cross_misses`]. Tracking is
-    /// off by default and costs nothing until the first call.
+    /// off by default and costs nothing until the first call; a call that
+    /// repeats the tag in force stores it again and changes nothing else.
     pub fn set_owner(&mut self, tag: u32) {
         match &mut self.track {
             Some(t) => t.owner = tag,
@@ -112,6 +133,11 @@ impl Cache {
                 })
             }
         }
+    }
+
+    /// The owner tag in force; `None` while tracking is off.
+    pub(crate) fn owner(&self) -> Option<u32> {
+        self.track.as_ref().map(|t| t.owner)
     }
 
     /// Misses on lines last evicted by a different owner tag (a subset of
@@ -192,10 +218,11 @@ impl Cache {
     }
 
     /// Access each address in order, handing every one that misses to
-    /// `refill`: [`Cache::access`] with the set width resolved once for the
-    /// whole walk instead of once per line.
+    /// `refill` with the line it displaced ([`EMPTY`] from a vacant way):
+    /// [`Cache::access`] with the set width resolved once for the whole walk
+    /// instead of once per line.
     #[inline]
-    pub(crate) fn access_each(&mut self, addrs: &[u64], mut refill: impl FnMut(u64)) {
+    pub(crate) fn access_each(&mut self, addrs: &[u64], mut refill: impl FnMut(u64, u64)) {
         with_width!(self.lines.assoc(), N => {
             let mut previous = EMPTY;
             for &addr in addrs {
@@ -206,8 +233,8 @@ impl Cache {
                     continue;
                 }
                 previous = addr >> self.line_shift;
-                if !self.lookup::<N>(addr) {
-                    refill(addr);
+                if let Some(old) = self.lookup::<N>(addr) {
+                    refill(addr, old);
                 }
             }
         });
@@ -219,23 +246,24 @@ impl Cache {
     #[inline(never)]
     fn access_one<const N: usize>(&mut self, addr: u64) -> bool {
         self.accesses += 1;
-        self.lookup::<N>(addr)
+        self.lookup::<N>(addr).is_none()
     }
 
     /// [`Cache::access`] minus the access count, on a cache whose sets are
-    /// `N` ways wide (0: any).
+    /// `N` ways wide (0: any): `None` on a hit, on a miss the line displaced
+    /// ([`EMPTY`] from a vacant way).
     #[inline(always)]
-    fn lookup<const N: usize>(&mut self, addr: u64) -> bool {
+    fn lookup<const N: usize>(&mut self, addr: u64) -> Option<u64> {
         let line = addr >> self.line_shift;
         let t = self.lines.touch::<N>((line & self.set_mask) as usize, line);
         if t.hit {
-            return true;
+            return None;
         }
         self.misses += 1;
         if self.attributed() {
             self.attribute_miss(line, t.old, t.slot);
         }
-        false
+        Some(t.old)
     }
 
     /// Ledger work for a miss on `line` that displaced `old` from way
@@ -244,13 +272,8 @@ impl Cache {
     fn attribute_miss(&mut self, line: u64, old: u64, slot: usize) {
         let mut cross = false;
         if let Some(t) = &mut self.track {
-            if t.evicted_by.remove(&line).is_some_and(|tag| tag != t.owner) {
-                t.cross_misses += 1;
-                cross = true;
-            }
-            if old != EMPTY {
-                t.evicted_by.insert(old, t.owner);
-            }
+            cross = t.refill(line, old);
+            t.cross_misses += u64::from(cross);
         }
         if let Some(h) = &mut self.heat {
             // The cross verdict comes from the owner track above — the heat
@@ -277,30 +300,103 @@ impl Cache {
         }
     }
 
-    /// Whether misses carry owner or heat attribution, which only a real
-    /// access can produce.
-    pub(crate) fn attributed(&self) -> bool {
+    /// Whether misses carry owner or heat attribution.
+    fn attributed(&self) -> bool {
         self.track.is_some() || self.heat.is_some()
     }
 
     /// Count a walk whose per-line outcome the caller already knows
     /// ([`crate::Machine::exec_region`]'s walk memo) without touching a way;
     /// [`Cache::replay_each`] brings recency up to date before the next
-    /// real access.
+    /// real access. The caller vouches that none of the misses is a
+    /// cross-owner miss; with the heat ledger on it also calls
+    /// [`Cache::credit_heat`].
     pub(crate) fn credit(&mut self, accesses: u64, misses: u64) {
         self.accesses += accesses;
         self.misses += misses;
     }
 
-    /// Re-apply a credited walk to the ways alone: same fills, victims and
-    /// recency as [`Cache::access_each`], nothing counted or attributed.
-    pub(crate) fn replay_each(&mut self, addrs: &[u64]) {
+    /// The heat-ledger half of [`Cache::credit`], for the misses a walk
+    /// credited `times` over took while fetching segment `seg`: `victims[i]`
+    /// is the line the miss on address `misses[i]` displaced. The cell of
+    /// `seg` under the owner in force and the evictor records end up as that
+    /// many [`Cache::access_each`] calls would have left them.
+    pub(crate) fn credit_heat(&mut self, seg: u16, misses: &[u64], victims: &[u64], times: u32) {
+        let Some(h) = &mut self.heat else { return };
+        if misses.is_empty() {
+            // A segment that took no miss has no cell to show for it.
+            return;
+        }
+        let owner = self.track.as_ref().map_or(0, |t| t.owner);
+        let cell = h.cell(seg, owner);
+        cell.misses += misses.len() as u64 * u64::from(times);
+        cell.evictions += victims.len() as u64 * u64::from(times);
+        for (&addr, &victim) in misses.iter().zip(victims) {
+            h.evicted.remove(&(addr >> self.line_shift));
+            h.evicted.insert(victim, (seg, owner));
+        }
+    }
+
+    /// Re-apply credited walks of segment `seg` to the ways alone: same
+    /// fills, victims and recency as [`Cache::access_each`], nothing
+    /// counted. Of the attribution state it maintains what follows from the
+    /// ways — which owner evicted each absent line, which segment fetched
+    /// each resident one; cells and evictor segments are
+    /// [`Cache::credit_heat`]'s. Every credited walk since the previous
+    /// replay ran under the owner in force, and a replay ends with
+    /// [`Cache::end_replay`].
+    pub(crate) fn replay_each(&mut self, addrs: &[u64], seg: u16) {
         with_width!(self.lines.assoc(), N => for &addr in addrs {
             let line = addr >> self.line_shift;
             let t = self.lines.touch::<N>((line & self.set_mask) as usize, line);
-            // Attributed misses are never credited, so never replayed.
-            debug_assert!(t.hit || !self.attributed());
+            if !t.hit && self.attributed() {
+                self.replay_miss(line, t.old, t.slot, seg);
+            }
         });
+    }
+
+    #[inline(never)]
+    fn replay_miss(&mut self, line: u64, old: u64, slot: usize, seg: u16) {
+        if let Some(t) = &mut self.track {
+            let cross = t.refill(line, old);
+            debug_assert!(!cross, "a credited miss is never a cross-owner miss");
+        }
+        if let Some(h) = &mut self.heat {
+            // A replay goes by each line's last touch, so it may displace and
+            // fetch again a line that really hit all along.
+            if h.way_seg[slot] == 0 && old != EMPTY {
+                h.unledgered.push(old);
+            }
+            let kept = h.unledgered.contains(&line);
+            h.way_seg[slot] = if kept { 0 } else { seg };
+        }
+    }
+
+    /// The [`Cache::replay_each`] calls that stand for the walks credited so
+    /// far are over.
+    pub(crate) fn end_replay(&mut self) {
+        if let Some(h) = &mut self.heat {
+            h.unledgered.clear();
+        }
+    }
+
+    /// A copy of the ways and of which segment fetched each line — what
+    /// [`Cache::heat_residency`] reads — with counters and ledgers left
+    /// behind: somewhere to [`Cache::replay_each`] without changing `self`.
+    pub(crate) fn ways_only(&self) -> Cache {
+        let heat = self.heat.as_ref().map(|h| {
+            let mut copy = HeatTrack::new(0);
+            copy.way_seg = h.way_seg.clone();
+            Box::new(copy)
+        });
+        Cache {
+            lines: self.lines.clone(),
+            accesses: 0,
+            misses: 0,
+            track: None,
+            heat,
+            ..*self
+        }
     }
 
     /// Probe without filling: is the line resident?

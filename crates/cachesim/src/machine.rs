@@ -7,6 +7,7 @@ use crate::counters::PerfCounters;
 use crate::hash::U64Map;
 use crate::heat::{self, HeatSnapshot};
 use crate::layout::{CodeRegion, SegmentRef};
+use crate::lru::EMPTY;
 use crate::prefetch::StreamPrefetcher;
 use crate::report::BreakdownReport;
 use crate::tlb::Tlb;
@@ -26,8 +27,8 @@ pub struct Machine {
     instructions: u64,
     /// Counters merged in from other simulated cores (worker machines).
     absorbed: PerfCounters,
-    /// Addresses of the L1i misses of the latest real walk, in walk order.
-    l1i_refills: Vec<u64>,
+    /// What the latest real walk found in L1i.
+    fetched: Fetched,
     /// What earlier walks found, so that a walk whose history repeats is not
     /// walked again (see [`Machine::exec_region`]).
     memo: WalkMemo,
@@ -61,8 +62,20 @@ impl L2 {
     fn refill_code(&mut self, addrs: &[u64]) {
         self.accesses += addrs.len() as u64;
         let misses = &mut self.misses;
-        self.cache.access_each(addrs, |_| *misses += 1);
+        self.cache.access_each(addrs, |_, _| *misses += 1);
     }
+}
+
+/// The L1i side of one real walk, in walk order.
+#[derive(Default)]
+struct Fetched {
+    /// Addresses that missed.
+    misses: Vec<u64>,
+    /// With the heat ledger on (empty otherwise): the line each miss
+    /// displaced, and how many of the misses each segment of the region
+    /// took.
+    victims: Vec<u64>,
+    per_segment: Vec<u64>,
 }
 
 /// Walks the memo logs before it syncs and starts the log over.
@@ -74,24 +87,30 @@ const MAX_OUTCOMES: usize = 8;
 /// `u64` words the region table may account for (128 KiB); it is emptied
 /// rather than grown past this.
 const MEMO_WORDS: usize = 16 * 1024;
-/// Longest miss list recorded, so one region cannot use up the table.
+/// Longest miss list recorded, so one region cannot use up the table (with
+/// the heat ledger on, where a miss takes two words, it takes all its
+/// eight outcomes to).
 const MAX_MISSES: usize = MEMO_WORDS / MAX_OUTCOMES / 2;
 /// Words a region accounts for before its first outcome (table slot and
-/// header), and an outcome on top of its history and miss list.
+/// header), and an outcome on top of its `words`.
 const REGION_WORDS: usize = 24;
-const OUTCOME_WORDS: usize = 4;
+const OUTCOME_WORDS: usize = 5;
 
 /// Which regions a machine walked in what order, and what each walk found.
 /// DESIGN.md §18 has the exactness argument.
 #[derive(Default)]
 struct WalkMemo {
     /// `fetch_id` of every walk since the log was last started over,
-    /// consecutive repeats collapsed: `log[i]` is walk number `start + i`.
+    /// consecutive repeats under one owner tag collapsed: `log[i]` is walk
+    /// number `start + i`.
     log: Vec<u64>,
     start: u64,
     /// L1i and the ITLB have seen `log[..synced]`; every later entry was
     /// credited.
     synced: usize,
+    /// Number of the first walk under the owner tag now in force: every
+    /// walk from this one on displaced lines under that tag, or none.
+    tag_since: u64,
     regions: U64Map<RegionMemo>,
     /// Words `regions` accounts for, against [`MEMO_WORDS`].
     words: usize,
@@ -106,22 +125,72 @@ struct RegionMemo {
     lines: u64,
     pages: u64,
     instructions: u64,
-    /// Oldest first.
+    /// Oldest first; no two under one history.
     outcomes: Vec<Outcome>,
+}
+
+impl RegionMemo {
+    /// Words this region accounts for, against [`MEMO_WORDS`].
+    fn words(&self) -> usize {
+        let outcomes = self.outcomes.iter().map(Outcome::accounted_words);
+        REGION_WORDS + outcomes.sum::<usize>()
+    }
 }
 
 /// What a walk of one region found after one history: the log entries
 /// between the region's previous walk and that one.
 struct Outcome {
-    /// The history, then the addresses that missed L1i in walk order.
+    /// The history, then the addresses that missed L1i in walk order, then —
+    /// recorded with the heat ledger on ([`Fetched`]) — the line each of them
+    /// displaced and how many of them each of the region's segments took.
     words: Box<[u64]>,
-    history_len: usize,
-    itlb_misses: u64,
+    history_len: u32,
+    l1i_misses: u32,
+    itlb_misses: u32,
+    /// Credits the heat ledger has yet to see (the next sync shows it), and
+    /// the number of the walk that took the latest of them.
+    owed: u32,
+    credited_at: u64,
 }
 
 impl Outcome {
+    fn new(history: &[u64], fetched: &Fetched, itlb_misses: u64) -> Self {
+        let Fetched {
+            misses,
+            victims,
+            per_segment,
+        } = fetched;
+        Outcome {
+            words: [history, misses, victims, per_segment]
+                .concat()
+                .into_boxed_slice(),
+            history_len: history.len() as u32,
+            l1i_misses: misses.len() as u32,
+            itlb_misses: itlb_misses as u32,
+            owed: 0,
+            credited_at: 0,
+        }
+    }
+
     fn l1i_misses(&self) -> &[u64] {
-        &self.words[self.history_len..]
+        &self.words[self.history_len as usize..][..self.l1i_misses as usize]
+    }
+
+    /// What the heat ledger is owed for one credit: the misses each of the
+    /// region's `segments` took and the lines they displaced.
+    fn ledger<'a>(
+        &'a self,
+        segments: &'a [SegmentRef],
+    ) -> impl Iterator<Item = (&'a SegmentRef, &'a [u64], &'a [u64])> {
+        let misses = self.l1i_misses();
+        let rest = &self.words[(self.history_len + self.l1i_misses) as usize..];
+        let (victims, per_segment) = rest.split_at(misses.len());
+        let mut at = 0;
+        segments.iter().zip(per_segment).map(move |(seg, &n)| {
+            let took = at..at + n as usize;
+            at = took.end;
+            (seg, &misses[took.clone()], &victims[took])
+        })
     }
 
     /// Whether `history` is the one this outcome was recorded under.
@@ -129,7 +198,12 @@ impl Outcome {
     /// equality calls out to `bcmp`, which costs more than the rest of a
     /// credited walk.
     fn follows(&self, history: &[u64]) -> bool {
-        self.history_len == history.len() && self.words.iter().zip(history).all(|(a, b)| a == b)
+        self.history_len as usize == history.len()
+            && self.words.iter().zip(history).all(|(a, b)| a == b)
+    }
+
+    fn accounted_words(&self) -> usize {
+        self.words.len() + OUTCOME_WORDS
     }
 }
 
@@ -137,11 +211,10 @@ impl WalkMemo {
     /// Note that walk number `now` fetched `region`, and what it found if
     /// that is worth keeping. Nothing may be waiting for a sync.
     fn record(&mut self, now: u64, region: &CodeRegion, line_size: usize, found: Option<Outcome>) {
-        let found_words = found.as_ref().map_or(0, |o| o.words.len() + OUTCOME_WORDS);
+        let found_words = found.as_ref().map_or(0, Outcome::accounted_words);
         // Room for the outcome and, in case the region is new, for it too.
         if self.words + found_words + REGION_WORDS > MEMO_WORDS {
-            self.regions.clear();
-            self.words = 0;
+            self.forget_regions();
         }
         let known = self.regions.entry(region.fetch_id()).or_insert_with(|| {
             self.words += REGION_WORDS;
@@ -163,11 +236,41 @@ impl WalkMemo {
         known.last = now;
         if let Some(found) = found {
             if known.outcomes.len() == MAX_OUTCOMES {
-                self.words -= known.outcomes.remove(0).words.len() + OUTCOME_WORDS;
+                self.words -= known.outcomes.remove(0).accounted_words();
             }
             self.words += found_words;
             known.outcomes.push(found);
         }
+    }
+
+    /// Empty the region table. Nothing may be waiting for a sync.
+    fn forget_regions(&mut self) {
+        self.regions.clear();
+        self.words = 0;
+    }
+
+    /// What a sync replays: each distinct region credited since the last
+    /// real walk, once, in order of its latest occurrence — a way's standing
+    /// depends only on when its line was last touched.
+    fn each_credited_segment(&self, mut replay: impl FnMut(&SegmentRef)) {
+        for at in self.synced..self.log.len() {
+            let known = &self.regions[&self.log[at]];
+            if known.last == self.start + at as u64 {
+                known.segments.iter().for_each(&mut replay);
+            }
+        }
+    }
+
+    /// Start the log over. Nothing may be waiting for a sync. A region the
+    /// finished log never saw is forgotten: a long-lived pool machine meets
+    /// fresh `fetch_id`s with every query.
+    fn restart_log(&mut self) {
+        let finished = self.start;
+        self.regions.retain(|_, known| known.last >= finished);
+        self.words = self.regions.values().map(RegionMemo::words).sum();
+        self.start += LOG_ENTRIES as u64;
+        self.log.clear();
+        self.synced = 0;
     }
 }
 
@@ -182,6 +285,9 @@ pub struct WalkStats {
     pub credited: u64,
     /// Credited calls whose outcome had L1i misses.
     pub credited_missing: u64,
+    /// Calls walked although their outcome was on record: it had L1i misses
+    /// and the region's previous walk ran under an earlier owner tag.
+    pub epoch_refused: u64,
     /// Syncs that had credited walks to re-apply.
     pub syncs: u64,
 }
@@ -205,7 +311,7 @@ impl Machine {
             predictor: Predictor::new(&cfg.branch),
             instructions: 0,
             absorbed: PerfCounters::default(),
-            l1i_refills: Vec::new(),
+            fetched: Fetched::default(),
             memo: WalkMemo::default(),
             cfg,
         }
@@ -223,77 +329,79 @@ impl Machine {
     ///
     /// **Walk memo.** Under true LRU a line hits iff fewer than `assoc`
     /// distinct lines of its set were touched since its own last touch, so
-    /// which lines of a region miss is a pure function of the regions walked
-    /// since that region's previous walk — its *history*. The first time a
-    /// region meets a history it is walked and what the walk found is
-    /// recorded; every later time that outcome is *credited*: the counters
-    /// advance, the recorded misses go through the real L2 (which data
-    /// traffic shares) and no L1i or ITLB way is touched. The next real walk
-    /// first brings their recency up to date (a *sync*). An outcome with L1i
-    /// misses is not credited while owner or heat attribution is on, when it
-    /// matters what each miss displaces. Branch sites always run: the
-    /// predictor has a history of its own.
+    /// which lines of a region miss — and which line each miss displaces — is
+    /// a pure function of the regions walked since that region's previous
+    /// walk, its *history*. The first time a region meets a history it is
+    /// walked and what the walk found is recorded; every later time that
+    /// outcome is *credited*: the counters and the heat ledger advance, the
+    /// recorded misses go through the real L2 (which data traffic shares)
+    /// and no L1i or ITLB way is touched. The next real walk first brings
+    /// their recency up to date (a *sync*). Under owner tags an outcome with
+    /// L1i misses is credited only if the region's previous walk ran under
+    /// the tag in force: then so did whatever evicted its lines since, and
+    /// none of the misses is a cross-owner miss. Branch sites always run:
+    /// the predictor has a history of its own.
     pub fn exec_region(&mut self, region: &mut CodeRegion) {
         self.predictor.run_sites(region.site_state_mut());
         let id = region.fetch_id();
-        let repeat = self.memo.log.last() == Some(&id);
+        // A repeat shares the log entry of the walk before it, unless that
+        // one ran under an earlier owner tag: what it evicted of its own
+        // lines is a cross-owner miss now, and may be only this once.
+        let entries = self.memo.start + self.memo.log.len() as u64;
+        let repeat = self.memo.log.last() == Some(&id) && entries > self.memo.tag_since;
         if !repeat && self.memo.log.len() == LOG_ENTRIES {
             self.sync();
-            self.memo.start += LOG_ENTRIES as u64;
-            self.memo.log.clear();
-            self.memo.synced = 0;
+            self.memo.restart_log();
         }
-        // While misses are attributed, only a real walk can take one.
-        let attributed = self.l1i.attributed();
-        let creditable = |misses: &[u64]| !attributed || misses.is_empty();
         let memo = &mut self.memo;
         memo.stats.walks += 1;
-        // This walk's number; a repeat shares the log entry of the walk
-        // before it.
         let now = memo.start + memo.log.len() as u64 - u64::from(repeat);
         // Where in the log this region's history starts — right after its
-        // previous walk — if the log reaches back that far.
+        // previous walk — if the log reaches back that far, and whether an
+        // outcome is on record under it.
         let mut history_at = None;
+        let mut on_record = false;
         if let Some(known) = memo.regions.get_mut(&id) {
             let since = known.last.checked_sub(memo.start);
             history_at = since.map(|walk| walk as usize + 1);
             let history = history_at.map(|at| &memo.log[at..]);
-            let recorded = known
-                .outcomes
-                .iter()
-                .rev()
-                .find(|o| history.is_some_and(|h| o.follows(h)) && creditable(o.l1i_misses()));
+            let outcomes = &mut known.outcomes;
+            let recorded = history.and_then(|h| outcomes.iter_mut().rev().find(|o| o.follows(h)));
             if let Some(outcome) = recorded {
-                let misses = outcome.l1i_misses();
-                self.l1i.credit(known.lines, misses.len() as u64);
-                self.itlb.credit(known.pages, outcome.itlb_misses);
-                self.l2.refill_code(misses);
-                self.instructions += known.instructions;
-                memo.stats.credited += 1;
-                memo.stats.credited_missing += u64::from(!misses.is_empty());
-                known.last = now;
-                if !repeat {
-                    memo.log.push(id);
+                if outcome.l1i_misses == 0 || known.last >= memo.tag_since {
+                    if outcome.l1i_misses != 0 && self.l1i.heat_enabled() {
+                        outcome.owed += 1;
+                        outcome.credited_at = now;
+                    }
+                    let misses = outcome.l1i_misses();
+                    self.l1i.credit(known.lines, misses.len() as u64);
+                    self.itlb
+                        .credit(known.pages, u64::from(outcome.itlb_misses));
+                    self.l2.refill_code(misses);
+                    self.instructions += known.instructions;
+                    memo.stats.credited += 1;
+                    memo.stats.credited_missing += u64::from(!misses.is_empty());
+                    known.last = now;
+                    if !repeat {
+                        memo.log.push(id);
+                    }
+                    return;
                 }
-                return;
+                memo.stats.epoch_refused += 1;
+                on_record = true;
             }
         }
         self.sync();
         let itlb_misses = self.itlb.misses();
         self.walk(region);
         let itlb_misses = self.itlb.misses() - itlb_misses;
-        // Keep what the walk found only if it could be credited as things
-        // stand.
-        let misses = &self.l1i_refills;
+        // Every line was fetched before, so every miss found its set full.
+        debug_assert!(history_at.is_none() || !self.fetched.victims.contains(&EMPTY));
+        let misses = self.fetched.misses.len();
         let found = history_at
             .map(|at| &self.memo.log[at..])
-            .filter(|h| h.len() <= MAX_HISTORY)
-            .filter(|_| misses.len() <= MAX_MISSES && creditable(misses))
-            .map(|history| Outcome {
-                words: [history, misses].concat().into_boxed_slice(),
-                history_len: history.len(),
-                itlb_misses,
-            });
+            .filter(|h| !on_record && h.len() <= MAX_HISTORY && misses <= MAX_MISSES)
+            .map(|history| Outcome::new(history, &self.fetched, itlb_misses));
         let memo = &mut self.memo;
         memo.record(now, region, self.cfg.l1i.line_size, found);
         if !repeat {
@@ -303,54 +411,89 @@ impl Machine {
     }
 
     /// Fetch `region` for real: every function base through the ITLB, every
-    /// line through L1i, and the lines that missed — left in `l1i_refills`,
-    /// in walk order — through L2.
+    /// line through L1i, and the lines that missed — left in `fetched`, in
+    /// walk order — through L2.
     fn walk(&mut self, region: &CodeRegion) {
-        let refills = &mut self.l1i_refills;
-        refills.clear();
+        let Fetched {
+            misses,
+            victims,
+            per_segment,
+        } = &mut self.fetched;
+        misses.clear();
+        victims.clear();
+        per_segment.clear();
+        let ledger = self.l1i.heat_enabled();
         for seg in region.segments() {
             self.instructions += seg.instructions();
             for &(base, _) in &seg.functions {
                 self.itlb.access(base);
             }
-            if self.l1i.heat_enabled() {
+            if ledger {
                 // Announce the segment so L1i misses below land in its cell.
                 self.l1i.set_heat_segment(seg.heat_id());
             }
+            let before = misses.len();
             self.l1i
-                .access_each(seg.lines(self.cfg.l1i.line_size), |addr| refills.push(addr));
+                .access_each(seg.lines(self.cfg.l1i.line_size), |addr, old| {
+                    misses.push(addr);
+                    if ledger {
+                        victims.push(old);
+                    }
+                });
+            if ledger {
+                per_segment.push((misses.len() - before) as u64);
+            }
         }
         // The misses reach L2 after the L1i pass rather than interleaved
         // with it: the same L2 accesses in the same order, as two tight
         // loops.
-        self.l2.refill_code(refills);
+        self.l2.refill_code(misses);
     }
 
-    /// Bring L1i and ITLB recency up to date with the walks credited since
-    /// the last real one, before anything looks at or changes a way: each
-    /// distinct region among them is walked again once, uncounted, in order
-    /// of its latest occurrence — a way's standing depends only on when its
-    /// line was last touched.
+    /// Bring L1i, the ITLB and the heat ledger up to date with the walks
+    /// credited since the last real one, before anything looks at or changes
+    /// a way or a ledger entry.
     fn sync(&mut self) {
         let memo = &mut self.memo;
-        let credited = memo.synced..memo.log.len();
-        if credited.is_empty() {
-            return;
-        }
-        for at in credited {
-            let known = &memo.regions[&memo.log[at]];
-            if known.last != memo.start + at as u64 {
-                continue;
-            }
-            for seg in known.segments.iter() {
+        if memo.synced < memo.log.len() {
+            let line_size = self.cfg.l1i.line_size;
+            memo.each_credited_segment(|seg| {
                 for &(base, _) in &seg.functions {
                     self.itlb.replay(base);
                 }
-                self.l1i.replay_each(seg.lines(self.cfg.l1i.line_size));
+                self.l1i.replay_each(seg.lines(line_size), seg.heat_id());
+            });
+            self.l1i.end_replay();
+            memo.stats.syncs += 1;
+        }
+        if self.l1i.heat_enabled() {
+            // The ledger takes each outcome once, for all its credits, when
+            // the latest of them was made: an evictor record shows a line's
+            // latest eviction, and every credit of one outcome evicts the
+            // same lines on behalf of the same segments. The last real walk
+            // may have credited repeats, which share its log entry (and
+            // leave the ways as they were); the walk that made an entry
+            // comes before its repeats, which have no history.
+            for at in memo.synced.saturating_sub(1)..memo.log.len() {
+                let Some(known) = memo.regions.get_mut(&memo.log[at]) else {
+                    continue;
+                };
+                let now = memo.start + at as u64;
+                for repeats in [false, true] {
+                    let owed = known.outcomes.iter_mut().filter(|o| {
+                        o.owed != 0 && o.credited_at == now && (o.history_len == 0) == repeats
+                    });
+                    for outcome in owed {
+                        for (seg, misses, victims) in outcome.ledger(&known.segments) {
+                            self.l1i
+                                .credit_heat(seg.heat_id(), misses, victims, outcome.owed);
+                        }
+                        outcome.owed = 0;
+                    }
+                }
             }
         }
         memo.synced = memo.log.len();
-        memo.stats.syncs += 1;
     }
 
     /// How `exec_region` calls were served so far.
@@ -402,11 +545,18 @@ impl Machine {
     /// later re-misses on those lines the miss lands in
     /// [`PerfCounters::l1i_cross_misses`] — the modeled cost of sharing an
     /// instruction cache between concurrent queries. Solo executions never
-    /// call this and pay nothing.
+    /// call this and pay nothing. A call that repeats the tag in force (a
+    /// server makes one per morsel) returns at once; a change of tag costs
+    /// a sync, and one real walk of each region — or one per history, for a
+    /// region that misses — before the walk memo credits it again.
     pub fn set_query_tag(&mut self, tag: u32) {
+        if self.l1i.owner() == Some(tag) {
+            return;
+        }
         // Walks credited so far displaced lines under the old tag, or none.
         self.sync();
         self.l1i.set_owner(tag);
+        self.memo.tag_since = self.memo.start + self.memo.log.len() as u64;
     }
 
     /// Enable the per-segment L1i heat ledger on this core. Idempotent.
@@ -415,8 +565,11 @@ impl Machine {
     /// zero modeled cost either way.
     pub fn enable_heatmap(&mut self) {
         if !self.l1i.heat_enabled() {
-            // The ledger starts from the ways as the walks so far left them.
+            // The ledger starts from the ways as the walks so far left them,
+            // and the memo from nothing: no outcome on record says which
+            // lines its misses displaced.
             self.sync();
+            self.memo.forget_regions();
             self.l1i.enable_heat();
         }
     }
@@ -439,7 +592,28 @@ impl Machine {
         for ((seg, owner), cell) in self.l1i.heat_cells() {
             snap.cells.insert((heat::segment_name(seg), owner), cell);
         }
-        for (set, seg, n) in self.l1i.heat_residency() {
+        // What the next sync will show the ledger: every miss of a credited
+        // walk displaced a line, under the owner in force.
+        let owner = self.l1i.owner().unwrap_or(0);
+        for known in self.memo.regions.values() {
+            for outcome in known.outcomes.iter().filter(|o| o.owed != 0) {
+                for (seg, misses, _) in outcome.ledger(&known.segments) {
+                    if !misses.is_empty() {
+                        let name = heat::segment_name(seg.heat_id());
+                        let cell = snap.cells.entry((name, owner)).or_default();
+                        cell.misses += misses.len() as u64 * u64::from(outcome.owed);
+                        cell.evictions += misses.len() as u64 * u64::from(outcome.owed);
+                    }
+                }
+            }
+        }
+        // Residency is read off the ways, which credited walks have yet to
+        // reach: replay them onto a copy.
+        let mut ways = self.l1i.ways_only();
+        self.memo.each_credited_segment(|seg| {
+            ways.replay_each(seg.lines(self.cfg.l1i.line_size), seg.heat_id());
+        });
+        for (set, seg, n) in ways.heat_residency() {
             *snap
                 .residency
                 .entry((set, heat::segment_name(seg)))
@@ -684,6 +858,58 @@ mod tests {
             m.snapshot()
         };
         assert_eq!(run(false), run(true), "heat must not perturb counters");
+    }
+
+    #[test]
+    fn a_self_evicting_region_cross_misses_once_after_a_tag_change() {
+        // Twice the L1i: every line of every pass misses, evicted by the
+        // pass before, so from the third pass on the memo credits them.
+        let mut m = machine();
+        let mut l = CodeLayout::new();
+        let mut r = region(&mut l, "huge", 2 * m.config().l1i.capacity);
+        m.set_query_tag(1);
+        for _ in 0..5 {
+            m.exec_region(&mut r);
+        }
+        let tagged_1 = m.snapshot();
+        assert_eq!(tagged_1.l1i_cross_misses, 0);
+        assert_eq!(m.walk_stats().credited_missing, 3);
+        // Back to back under another tag: the pass is walked, because the
+        // half of it that tag 1 evicted cross-misses (the other half was
+        // resident until this very pass pushed it out) ...
+        m.set_query_tag(2);
+        m.exec_region(&mut r);
+        let first = m.snapshot() - tagged_1;
+        assert_eq!(first.l1i_misses, first.l1i_accesses);
+        assert_eq!(first.l1i_cross_misses, first.l1i_misses / 2);
+        assert_eq!(m.walk_stats().epoch_refused, 1);
+        // ... once: the next pass misses on its own evictions again.
+        m.exec_region(&mut r);
+        let second = m.snapshot() - tagged_1 - first;
+        assert_eq!(
+            (second.l1i_misses, second.l1i_cross_misses),
+            (first.l1i_misses, 0)
+        );
+        assert_eq!(m.walk_stats().credited_missing, 4);
+    }
+
+    #[test]
+    fn naming_the_tag_in_force_again_costs_no_sync() {
+        let mut m = machine();
+        let mut l = CodeLayout::new();
+        let mut a = region(&mut l, "parent", 13_000);
+        let mut b = region(&mut l, "child", 13_000);
+        m.set_query_tag(1);
+        for _ in 0..10 {
+            m.exec_region(&mut b);
+            m.exec_region(&mut a);
+        }
+        let stats = m.walk_stats();
+        assert!(stats.credited_missing > 0, "credited walks must be pending");
+        m.set_query_tag(1);
+        assert_eq!(m.walk_stats(), stats);
+        m.set_query_tag(2);
+        assert_eq!(m.walk_stats().syncs, stats.syncs + 1);
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //!   the public `Cache` / `Tlb` / predictor / prefetcher pieces. Counters
 //!   and heat ledger must agree after every single step, under a random
 //!   event mix and under the periodic region cycles the memo is built for,
-//!   with attribution never on, on from the start and switched on mid-run;
-//!   each run proves from `Machine::walk_stats` which path it exercised.
+//!   with attribution never on, on from the start, switched on mid-run and
+//!   with owner tags alternating in server-like quanta; each run proves from
+//!   `Machine::walk_stats` which path it exercised, and no walk that misses
+//!   is ever credited across an owner-tag change.
 //! * The property the memo rests on, on the naive walker alone: a region's
-//!   walk misses the same lines whenever the same regions were walked since
-//!   its previous walk.
+//!   walk misses the same lines and displaces the same lines whenever the
+//!   same regions were walked since its previous walk.
 
 use bufferdb_cachesim::heat::UNTRACKED_SEGMENT;
 use bufferdb_cachesim::{
@@ -439,6 +441,14 @@ struct Pair {
     real: Machine,
     naive: NaiveMachine,
     heat: bool,
+    /// Whether the ledger has seen every L1i miss.
+    heat_from_birth: bool,
+    /// `exec` calls so far, the count at which the owner tag in force was
+    /// set, and at which each region (by fetch identity) was last executed.
+    clock: u64,
+    tag: Option<u32>,
+    tagged_at: u64,
+    walked_at: Vec<Option<u64>>,
 }
 
 impl Pair {
@@ -446,20 +456,42 @@ impl Pair {
         let regions = region_pool(cfg);
         Pair {
             site_counts: fresh_site_counts(&regions),
+            walked_at: vec![None; regions.len()],
             regions,
             real: Machine::new(cfg.clone()),
             naive: NaiveMachine::new(cfg.clone()),
             heat: false,
+            heat_from_birth: false,
+            clock: 0,
+            tag: None,
+            tagged_at: 0,
         }
     }
 
-    /// Execute one region on both; what the naive walk fetched.
+    /// Execute one region on both; what the naive walk fetched. A walk that
+    /// misses in L1i must not be credited unless the region's previous walk
+    /// ran under the owner tag in force: what evicted its lines decides
+    /// which of the misses are cross-owner misses.
     fn exec(&mut self, region: usize) -> PerfCounters {
         let before = self.naive.snapshot();
+        let credited_missing = self.real.walk_stats().credited_missing;
         self.real.exec_region(&mut self.regions[region]);
         self.naive
             .exec_region(&self.regions[region], &mut self.site_counts[region]);
-        self.naive.snapshot() - before
+        let fetched = self.naive.snapshot() - before;
+        // A clone is its original as far as the memo can tell.
+        let id = if region == SCAN_CLONE { SCAN } else { region };
+        let in_epoch = self.walked_at[id].is_some_and(|at| at >= self.tagged_at);
+        if fetched.l1i_misses > 0 && !in_epoch {
+            assert_eq!(
+                self.real.walk_stats().credited_missing,
+                credited_missing,
+                "region {region} credited across an owner-tag change"
+            );
+        }
+        self.walked_at[id] = Some(self.clock);
+        self.clock += 1;
+        fetched
     }
 
     fn data(&mut self, addr: u64, len: usize) {
@@ -470,22 +502,33 @@ impl Pair {
     fn tag(&mut self, tag: u32) {
         self.real.set_query_tag(tag);
         self.naive.l1i.set_owner(tag);
+        if self.tag.replace(tag) != Some(tag) {
+            self.tagged_at = self.clock;
+        }
     }
 
     fn enable_heatmap(&mut self) {
         self.real.enable_heatmap();
         self.naive.enable_heatmap();
+        self.heat_from_birth |= !self.heat && self.clock == 0;
         self.heat = true;
     }
 
-    /// Counters and heat ledger agree.
+    /// Counters and heat ledger agree, and the ledger conserves.
     fn check(&self, context: &str) {
-        assert_eq!(self.real.snapshot(), self.naive.snapshot(), "{context}");
+        let counters = self.real.snapshot();
+        assert_eq!(counters, self.naive.snapshot(), "{context}");
         let snap = self.real.heat_snapshot();
         let (cells, residency) = self.naive.heat();
         assert_eq!(snap.cells, cells, "{context}");
         assert_eq!(snap.residency, residency, "{context}");
         assert_eq!(self.real.heatmap_enabled(), self.heat, "{context}");
+        if self.heat_from_birth {
+            assert_eq!(snap.total_misses(), counters.l1i_misses, "{context}");
+            let cross = counters.l1i_cross_misses;
+            assert_eq!(snap.total_cross_misses(), cross, "{context}");
+            assert_eq!(snap.total_cross_caused(), cross, "{context}");
+        }
     }
 }
 
@@ -582,15 +625,27 @@ fn check_machine(cfg: MachineConfig, seed: u64, steps: usize, attribution: bool)
     }
 }
 
-/// When owner tags and the heat ledger come on in [`check_cycles`]: one of
-/// the two at a first switch (tags on even seeds, the ledger on odd ones),
-/// the other at a second.
+/// When owner tags and the heat ledger come on in [`check_cycles`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Attribution {
     Never,
-    /// At the first step and a third of the way in.
+    /// One of the two at the first step (tags on even seeds, the ledger on
+    /// odd ones), the other a third of the way in; from then on a break may
+    /// set any of three tags.
     FromStart,
-    /// Two thirds and five sixths of the way in.
+    /// The same two thirds and five sixths of the way in.
+    MidRun,
+    /// A server core: tagged from the first step, the tag passing round two
+    /// (odd seeds: three) queries every 50 to 500 walks.
+    Quanta(Ledger),
+}
+
+/// When the heat ledger comes on under [`Attribution::Quanta`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Ledger {
+    Never,
+    FromStart,
+    /// Half way in.
     MidRun,
 }
 
@@ -602,7 +657,8 @@ fn check_cycles(cfg: MachineConfig, seed: u64, attribution: Attribution) {
     // Thrashing cycles first, among them regions that share a segment, one
     // that lists a segment twice and a clone standing in for its original;
     // then the regions that evict their own lines or pages; then cycles
-    // that stay resident, credited even when misses are attributed.
+    // that stay resident, credited whatever tag their previous walk ran
+    // under.
     let cycles: [&[usize]; 9] = [
         &[SCAN, SORT],
         &[SORT, TWICE],
@@ -618,6 +674,8 @@ fn check_cycles(cfg: MachineConfig, seed: u64, attribution: Attribution) {
     let mut pair = Pair::new(&cfg);
     let mut attributed = false;
     let mut at_switch = None;
+    let queries = 2 + (seed % 2) as u32;
+    let (mut tag, mut quantum_ends) = (0, 0);
     let (mut step, mut log_entries, mut previous) = (0, 0, usize::MAX);
     while step < STEPS {
         let cycle = cycles[rng.below(cycles.len() as u64) as usize];
@@ -626,14 +684,33 @@ fn check_cycles(cfg: MachineConfig, seed: u64, attribution: Attribution) {
         let batch = if rng.below(8) == 0 { 8 } else { 1 };
         for _ in 0..(2 + rng.below(16) as usize).div_ceil(batch) {
             for &region in cycle.iter().flat_map(|r| std::iter::repeat_n(r, batch)) {
-                let switch = match attribution {
-                    Attribution::Never => false,
-                    Attribution::FromStart => step == 0 || step == STEPS / 3,
-                    Attribution::MidRun => step == STEPS * 2 / 3 || step == STEPS * 5 / 6,
+                let (tags_on, ledger_on) = match attribution {
+                    Attribution::Never => (false, false),
+                    Attribution::FromStart => (step == 0, step == STEPS / 3),
+                    Attribution::MidRun => (step == STEPS * 2 / 3, step == STEPS * 5 / 6),
+                    Attribution::Quanta(ledger) => (
+                        step == quantum_ends,
+                        match ledger {
+                            Ledger::Never => false,
+                            Ledger::FromStart => step == 0,
+                            Ledger::MidRun => step == STEPS / 2,
+                        },
+                    ),
                 };
-                if switch {
+                if let Attribution::Quanta(_) = attribution {
+                    if tags_on {
+                        tag = tag % queries + 1;
+                        pair.tag(tag);
+                        quantum_ends = step + 50 + rng.below(451) as usize;
+                        // The log cannot tell this walk from a repeat.
+                        log_entries += usize::from(region == previous);
+                    }
+                    if ledger_on {
+                        pair.enable_heatmap();
+                    }
+                } else if tags_on || ledger_on {
                     at_switch.get_or_insert(pair.real.walk_stats());
-                    if attributed != seed.is_multiple_of(2) {
+                    if tags_on == seed.is_multiple_of(2) {
                         pair.tag(1);
                     } else {
                         pair.enable_heatmap();
@@ -672,28 +749,38 @@ fn check_cycles(cfg: MachineConfig, seed: u64, attribution: Attribution) {
                 pair.tag(1 + rng.below(3) as u32);
                 "tag"
             }
+            8 if tag != 0 => {
+                // A morsel of the query already running: nothing changes.
+                let syncs = pair.real.walk_stats().syncs;
+                pair.tag(tag);
+                assert_eq!(pair.real.walk_stats().syncs, syncs);
+                "same tag"
+            }
             _ => "nothing",
         };
         pair.check(&format!("seed {seed} step {step}: break by {what}"));
     }
     assert!(log_entries > 2 * 1024, "the log must wrap: {log_entries}");
     let stats = pair.real.walk_stats();
-    assert!(stats.syncs > 50, "{attribution:?} seed {seed}: {stats:?}");
-    // While nothing is attributed, most walks are credited misses and all.
+    let context = format!("{attribution:?} seed {seed}: {stats:?}");
+    assert!(stats.syncs > 50, "{context}");
+    // Most walks are credited misses and all: always while nothing is
+    // attributed, and inside an owner-tag epoch.
     let unattributed = at_switch.unwrap_or(stats);
     if attribution != Attribution::FromStart {
         assert!(
             unattributed.credited_missing * 2 > unattributed.walks,
-            "{attribution:?} seed {seed}: {unattributed:?}"
+            "{context} after {unattributed:?}"
         );
     }
-    // From then on only walks that miss nowhere in L1i are.
-    assert_eq!(stats.credited_missing, unattributed.credited_missing);
     if attribution != Attribution::Never {
+        let before = at_switch.unwrap_or_default();
         assert!(
-            stats.credited > unattributed.credited + 50,
-            "{attribution:?} seed {seed}: {stats:?} after {unattributed:?}"
+            (stats.credited_missing - before.credited_missing) * 2 > stats.walks - before.walks,
+            "{context} after {before:?}"
         );
+        // Each change of tag sends every region round once more.
+        assert!(stats.epoch_refused > 0, "{context}");
     }
 }
 
@@ -755,6 +842,18 @@ fn machine_matches_naive_walker_on_cycles_attributed_mid_run() {
     }
 }
 
+#[test]
+fn machine_matches_naive_walker_on_cycles_in_owner_quanta() {
+    for (m, cfg) in machines().into_iter().enumerate() {
+        // Two queries and three, under every ledger schedule.
+        let ledgers = [Ledger::Never, Ledger::FromStart, Ledger::MidRun];
+        for (l, ledger) in ledgers.into_iter().enumerate() {
+            let seed = 600 + 10 * m as u64 + l as u64;
+            check_cycles(cfg.clone(), seed, Attribution::Quanta(ledger));
+        }
+    }
+}
+
 /// The memo itself, deterministically: a cold walk, then repeats credited
 /// through everything that leaves L1i and the ITLB alone; and a region that
 /// evicts its own lines, whose repeats are credited too — misses and all.
@@ -783,32 +882,103 @@ fn repeats_are_credited_and_a_self_evicting_region_still_misses_every_pass() {
     );
     // The first pass follows SCAN, the second records what a repeat finds.
     assert_eq!(pair.real.walk_stats().credited_missing, 18);
-    // Owner tags make every miss's victim matter: walked again from here.
+    // Under an owner tag the first pass is walked again — the one before it
+    // ran untagged — and the rest are credited as before.
     pair.tag(1);
     for round in 0..5 {
         pair.exec(HUGE);
         pair.check(&format!("tagged huge round {round}"));
     }
-    assert_eq!(pair.real.walk_stats().credited_missing, 18);
+    let stats = pair.real.walk_stats();
+    assert_eq!((stats.credited_missing, stats.epoch_refused), (22, 1));
+}
+
+/// A change of owner tag fences the memo: a walk that misses is credited
+/// only once the region has been walked under the tag in force, because only
+/// then is none of its misses a cross-owner miss. Naming the tag already in
+/// force changes nothing.
+#[test]
+fn an_owner_tag_change_fences_the_memo() {
+    for cfg in machines() {
+        let mut pair = Pair::new(&cfg);
+        let refused = |pair: &Pair| pair.real.walk_stats().epoch_refused;
+        let credited = |pair: &Pair| pair.real.walk_stats().credited_missing;
+        // A region that evicts its own lines, back to back across a switch:
+        // the second walk misses on what the first evicted under tag 1.
+        pair.tag(1);
+        for round in 0..4 {
+            pair.exec(HUGE);
+            pair.check(&format!("huge round {round} under tag 1"));
+        }
+        assert_eq!((credited(&pair), refused(&pair)), (2, 0));
+        pair.tag(2);
+        let fetched = pair.exec(HUGE);
+        pair.check("huge, first walk under tag 2");
+        assert!(fetched.l1i_cross_misses > 0, "{fetched:?}");
+        assert_eq!((credited(&pair), refused(&pair)), (2, 1));
+        let fetched = pair.exec(HUGE);
+        pair.check("huge, second walk under tag 2");
+        assert!(fetched.l1i_misses > 0 && fetched.l1i_cross_misses == 0);
+        assert_eq!((credited(&pair), refused(&pair)), (3, 1));
+
+        // A thrashing pair whose history spans the switch: each of the two
+        // is walked once under the new tag before it is credited again.
+        for round in 0..4 {
+            pair.exec(SCAN);
+            pair.exec(SORT);
+            pair.check(&format!("pair round {round} under tag 2"));
+        }
+        let before = (credited(&pair), refused(&pair));
+        assert!(before.0 >= 3 + 4, "{:?}", pair.real.walk_stats());
+        pair.exec(SCAN);
+        pair.tag(1);
+        let mut cross = 0;
+        for round in 0..3 {
+            cross += pair.exec(SORT).l1i_cross_misses;
+            pair.check(&format!("sort, pair round {round} under tag 1"));
+            cross += pair.exec(SCAN).l1i_cross_misses;
+            pair.check(&format!("scan, pair round {round} under tag 1"));
+        }
+        assert!(cross > 0, "the pair evicted each other's lines under tag 2");
+        let after = (credited(&pair), refused(&pair));
+        assert_eq!(after, (before.0 + 1 + 4, before.1 + 2));
+
+        // Credited walks are waiting for a sync; a morsel of the same query
+        // leaves them waiting, a switch does not.
+        let syncs = pair.real.walk_stats().syncs;
+        pair.tag(1);
+        assert_eq!(pair.real.walk_stats().syncs, syncs);
+        pair.check("same tag again");
+        pair.tag(2);
+        assert_eq!(pair.real.walk_stats().syncs, syncs + 1);
+        pair.check("another tag");
+    }
 }
 
 // ---------------------------------------------------------------------------
 // (d) What the walk memo rests on, shown on the naive walker alone
 // ---------------------------------------------------------------------------
 
-/// Under true LRU the lines a walk of region R misses, and its ITLB miss
-/// count, are a function of R and of the regions walked since R's previous
-/// walk — consecutive repeats counted once — whatever came before.
+/// Under true LRU the lines a walk of region R misses, the line each miss
+/// displaces and the walk's ITLB miss count are a function of R and of the
+/// regions walked since R's previous walk — consecutive repeats counted
+/// once — whatever came before. And once R has been walked, each of its
+/// misses displaces a line: the set was full when the missing line left it,
+/// and nothing empties a set. (What the heat ledger credits rests on both.)
 #[test]
-fn a_walk_misses_the_same_lines_whenever_its_history_repeats() {
+fn a_walk_misses_and_displaces_the_same_lines_whenever_its_history_repeats() {
     for (m, cfg) in machines().into_iter().enumerate() {
         let mut rng = Rng(500 + m as u64);
         let regions = region_pool(&cfg);
         let mut site_counts = fresh_site_counts(&regions);
+        // The victims come from a brute-force L1i fed the same fetches.
+        let mut victims_of = RefCache::new(cfg.l1i);
+        let line_size = cfg.l1i.line_size;
         let mut naive = NaiveMachine::new(cfg);
         // Every walk so far, consecutive repeats collapsed.
         let mut log: Vec<usize> = Vec::new();
-        let mut found: HashMap<(usize, Vec<usize>), (Vec<u64>, u64)> = HashMap::new();
+        type Found = (Vec<u64>, Vec<Option<u64>>, u64);
+        let mut found: HashMap<(usize, Vec<usize>), Found> = HashMap::new();
         let (mut repeated, mut repeated_missing) = (0, 0);
         for _ in 0..12 {
             // A few regions at a time, so that histories recur.
@@ -820,8 +990,23 @@ fn a_walk_misses_the_same_lines_whenever_its_history_repeats() {
                 }
                 let itlb_before = naive.itlb.misses();
                 naive.exec_region(&regions[region], &mut site_counts[region]);
-                let outcome = (naive.l1i_missed.clone(), naive.itlb.misses() - itlb_before);
+                let mut victims = Vec::new();
+                for &(base, len) in regions[region].segments().iter().flat_map(|s| &s.functions) {
+                    for addr in (base..base + len as u64).step_by(line_size) {
+                        let (hit, evicted) = victims_of.access(addr, 0, 0);
+                        if !hit {
+                            victims.push(evicted);
+                        }
+                    }
+                }
+                assert_eq!(victims.len(), naive.l1i_missed.len());
+                let itlb_misses = naive.itlb.misses() - itlb_before;
+                let outcome = (naive.l1i_missed.clone(), victims, itlb_misses);
                 if let Some(at) = log.iter().rposition(|&r| r == region) {
+                    assert!(
+                        outcome.1.iter().all(Option::is_some),
+                        "region {region}: a miss found a vacant way"
+                    );
                     let history = log[at + 1..].to_vec();
                     match found.get(&(region, history.clone())) {
                         Some(earlier) => {
