@@ -201,12 +201,18 @@ fn main() {
         .collect();
     }
 
-    eprintln!("generating TPC-H catalog at scale factor {scale} (seed {seed})…");
-    let ctx = ExperimentCtx::new(scale, seed);
-    eprintln!(
-        "lineitem rows: {}\n",
-        ctx.catalog.table("lineitem").expect("lineitem").row_count()
-    );
+    // Generated by the first experiment that needs it: `analyze <file>`,
+    // the sweeps that build their own catalogs and a mistyped experiment
+    // name do not wait for one.
+    let ctx = std::cell::LazyCell::new(|| {
+        eprintln!("generating TPC-H catalog at scale factor {scale} (seed {seed})…");
+        let ctx = ExperimentCtx::new(scale, seed);
+        eprintln!(
+            "lineitem rows: {}\n",
+            ctx.catalog.table("lineitem").expect("lineitem").row_count()
+        );
+        ctx
+    });
 
     let mut i = 0;
     while i < experiments.len() {
@@ -414,20 +420,6 @@ fn write_server(scale: f64, seed: u64, streams: &[usize]) -> String {
     )
 }
 
-/// Every committed report schema, paired with the top-level array its
-/// payload lives in. `analyze` validates all of them through this one
-/// table, so adding a report means adding a row — not a new code path.
-const REPORT_SCHEMAS: [(&str, &str); 8] = [
-    ("bufferdb-heatmap/v1", "segments"),
-    ("bufferdb-metrics/v1", "entries"),
-    ("bufferdb-modes/v1", "entries"),
-    ("bufferdb-parallel/v1", "entries"),
-    ("bufferdb-plancache/v1", "queries"),
-    ("bufferdb-reuse/v1", "entries"),
-    ("bufferdb-server/v1", "entries"),
-    ("bufferdb-traffic/v1", "regimes"),
-];
-
 /// Run the subplan reuse-cache sweep and write `BENCH_reuse.json`
 /// (uploaded as a CI artifact and drift-gated against the committed copy).
 /// Runs serial and on the deterministic simulator, so the artifact is
@@ -477,58 +469,16 @@ fn write_server_trace(scale: f64, seed: u64) -> String {
     )
 }
 
-/// Parse a bench report, validate its `schema`/`schema_version` and the
-/// schema's payload array, and print a short summary. Unknown schemas or
-/// versions are a hard error (exit 2) rather than a misparse.
+/// Validate a bench report ([`bufferdb_bench::check_report`]) and print a
+/// short summary. Unknown schemas or versions are a hard error (exit 2)
+/// rather than a misparse.
 fn analyze_report(path: &str) -> String {
-    use bufferdb_bench::json::{Json, SCHEMA_VERSION};
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-    let doc = Json::parse(&text).unwrap_or_else(|e| die(&format!("{path} is not valid JSON: {e}")));
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .unwrap_or_else(|| die(&format!("{path}: missing \"schema\" field")));
-    let (_, payload_key) = REPORT_SCHEMAS
-        .iter()
-        .find(|(s, _)| *s == schema)
-        .unwrap_or_else(|| {
-            die(&format!(
-                "{path}: unknown schema {schema:?} (known: {})",
-                REPORT_SCHEMAS
-                    .iter()
-                    .map(|(s, _)| *s)
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            ))
-        });
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .unwrap_or_else(|| {
-            die(&format!(
-                "{path}: missing \"schema_version\" (report predates version stamping; \
-                 regenerate it with this build)"
-            ))
-        });
-    if version != SCHEMA_VERSION {
-        die(&format!(
-            "{path}: schema_version {version} is not supported (this build reads version \
-             {SCHEMA_VERSION}); refusing to misparse"
-        ));
+    match bufferdb_bench::check_report(&text) {
+        Ok(summary) => format!("== Report check ==\n{path}: {summary}\n"),
+        Err(e) => die(&format!("{path}: {e}")),
     }
-    let payload = doc
-        .get(payload_key)
-        .and_then(Json::as_arr)
-        .unwrap_or_else(|| {
-            die(&format!(
-                "{path}: schema {schema} requires a top-level {payload_key:?} array"
-            ))
-        });
-    format!(
-        "== Report check ==\n{path}: schema {schema}, version {version}, {} {payload_key}\n",
-        payload.len()
-    )
 }
 
 /// EXPLAIN ANALYZE of the paper's Query 1, before and after refinement:

@@ -117,6 +117,10 @@ impl HeatmapReport {
             })
     }
 
+    /// The report's `schema` string and the top-level array its payload
+    /// lives under.
+    pub const SCHEMA: (&'static str, &'static str) = ("bufferdb-heatmap/v1", "segments");
+
     /// Render the report as a pretty-printed JSON document. Panics if the
     /// ledger does not conserve against the machine totals — a
     /// non-conserving artifact must never be committed.
@@ -132,7 +136,7 @@ impl HeatmapReport {
             "heatmap cross misses must sum exactly to machine cross misses"
         );
         Json::Obj(vec![
-            ("schema".into(), Json::str("bufferdb-heatmap/v1")),
+            ("schema".into(), Json::str(Self::SCHEMA.0)),
             ("schema_version".into(), Json::U64(SCHEMA_VERSION)),
             ("scale_factor".into(), Json::F64(self.scale)),
             ("seed".into(), Json::U64(self.seed)),
@@ -153,7 +157,7 @@ impl HeatmapReport {
                 Json::U64(self.heat_cross_misses()),
             ),
             (
-                "segments".into(),
+                Self::SCHEMA.1.into(),
                 Json::Arr(self.segments.iter().map(|s| s.to_json()).collect()),
             ),
         ])

@@ -133,10 +133,14 @@ pub struct ReuseReport {
 }
 
 impl ReuseReport {
+    /// The report's `schema` string and the top-level array its payload
+    /// lives under.
+    pub const SCHEMA: (&'static str, &'static str) = ("bufferdb-reuse/v1", "entries");
+
     /// Render the report as a pretty-printed JSON document.
     pub fn to_json(&self) -> String {
         Json::Obj(vec![
-            ("schema".into(), Json::str("bufferdb-reuse/v1")),
+            ("schema".into(), Json::str(Self::SCHEMA.0)),
             ("schema_version".into(), Json::U64(SCHEMA_VERSION)),
             ("scale_factor".into(), Json::F64(self.scale)),
             ("seed".into(), Json::U64(self.seed)),
@@ -146,7 +150,7 @@ impl ReuseReport {
                 Json::U64(self.queries_per_stream),
             ),
             (
-                "entries".into(),
+                Self::SCHEMA.1.into(),
                 Json::Arr(self.entries.iter().map(|e| e.to_json()).collect()),
             ),
         ])

@@ -338,16 +338,20 @@ pub struct MetricsReport {
 }
 
 impl MetricsReport {
+    /// The report's `schema` string and the top-level array its payload
+    /// lives under.
+    pub const SCHEMA: (&'static str, &'static str) = ("bufferdb-metrics/v1", "queries");
+
     /// Render the report as a pretty-printed JSON document.
     pub fn to_json(&self) -> String {
         Json::Obj(vec![
-            ("schema".into(), Json::str("bufferdb-metrics/v1")),
+            ("schema".into(), Json::str(Self::SCHEMA.0)),
             ("schema_version".into(), Json::U64(SCHEMA_VERSION)),
             ("scale_factor".into(), Json::F64(self.scale)),
             ("seed".into(), Json::U64(self.seed)),
             ("threads".into(), Json::U64(self.threads)),
             (
-                "queries".into(),
+                Self::SCHEMA.1.into(),
                 Json::Arr(self.entries.iter().map(|e| e.to_json()).collect()),
             ),
         ])
@@ -475,15 +479,19 @@ pub struct ScalingReport {
 }
 
 impl ScalingReport {
+    /// The report's `schema` string and the top-level array its payload
+    /// lives under.
+    pub const SCHEMA: (&'static str, &'static str) = ("bufferdb-parallel/v1", "runs");
+
     /// Render the report as a pretty-printed JSON document.
     pub fn to_json(&self) -> String {
         Json::Obj(vec![
-            ("schema".into(), Json::str("bufferdb-parallel/v1")),
+            ("schema".into(), Json::str(Self::SCHEMA.0)),
             ("schema_version".into(), Json::U64(SCHEMA_VERSION)),
             ("scale_factor".into(), Json::F64(self.scale)),
             ("seed".into(), Json::U64(self.seed)),
             (
-                "runs".into(),
+                Self::SCHEMA.1.into(),
                 Json::Arr(self.entries.iter().map(|e| e.to_json()).collect()),
             ),
         ])
@@ -557,15 +565,19 @@ pub struct ModesReport {
 }
 
 impl ModesReport {
+    /// The report's `schema` string and the top-level array its payload
+    /// lives under.
+    pub const SCHEMA: (&'static str, &'static str) = ("bufferdb-modes/v1", "runs");
+
     /// Render the report as a pretty-printed JSON document.
     pub fn to_json(&self) -> String {
         Json::Obj(vec![
-            ("schema".into(), Json::str("bufferdb-modes/v1")),
+            ("schema".into(), Json::str(Self::SCHEMA.0)),
             ("schema_version".into(), Json::U64(SCHEMA_VERSION)),
             ("scale_factor".into(), Json::F64(self.scale)),
             ("seed".into(), Json::U64(self.seed)),
             (
-                "runs".into(),
+                Self::SCHEMA.1.into(),
                 Json::Arr(self.entries.iter().map(|e| e.to_json()).collect()),
             ),
         ])
@@ -678,10 +690,14 @@ pub struct PlanCacheReport {
 }
 
 impl PlanCacheReport {
+    /// The report's `schema` string and the top-level array its payload
+    /// lives under.
+    pub const SCHEMA: (&'static str, &'static str) = ("bufferdb-plancache/v1", "queries");
+
     /// Render the report as a pretty-printed JSON document.
     pub fn to_json(&self) -> String {
         Json::Obj(vec![
-            ("schema".into(), Json::str("bufferdb-plancache/v1")),
+            ("schema".into(), Json::str(Self::SCHEMA.0)),
             ("schema_version".into(), Json::U64(SCHEMA_VERSION)),
             ("scale_factor".into(), Json::F64(self.scale)),
             ("seed".into(), Json::U64(self.seed)),
@@ -690,7 +706,7 @@ impl PlanCacheReport {
             ("cache_misses".into(), Json::U64(self.misses)),
             ("cache_entries".into(), Json::U64(self.entries)),
             (
-                "queries".into(),
+                Self::SCHEMA.1.into(),
                 Json::Arr(self.queries.iter().map(|q| q.to_json()).collect()),
             ),
             (

@@ -146,10 +146,14 @@ pub struct ServerReport {
 }
 
 impl ServerReport {
+    /// The report's `schema` string and the top-level array its payload
+    /// lives under.
+    pub const SCHEMA: (&'static str, &'static str) = ("bufferdb-server/v1", "entries");
+
     /// Render the report as a pretty-printed JSON document.
     pub fn to_json(&self) -> String {
         Json::Obj(vec![
-            ("schema".into(), Json::str("bufferdb-server/v1")),
+            ("schema".into(), Json::str(Self::SCHEMA.0)),
             ("schema_version".into(), Json::U64(SCHEMA_VERSION)),
             ("scale_factor".into(), Json::F64(self.scale)),
             ("seed".into(), Json::U64(self.seed)),
@@ -157,7 +161,7 @@ impl ServerReport {
             ("lanes".into(), Json::U64(self.lanes)),
             ("jobs".into(), Json::U64(self.jobs)),
             (
-                "entries".into(),
+                Self::SCHEMA.1.into(),
                 Json::Arr(self.entries.iter().map(|e| e.to_json()).collect()),
             ),
         ])

@@ -11,9 +11,11 @@
 //! handle; shared segments are allocated once, so combined execution-group
 //! footprints automatically count common code once (§6.1).
 
+use crate::hash::U64Map;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Maximum synthetic function size in bytes ("most functions < 1 K").
 pub const FUNC_BYTES: usize = 832;
@@ -175,31 +177,17 @@ fn mix(mut x: u64) -> u64 {
 /// the 32 KB ablation cache (64 sets).
 pub const SET_FOLD: usize = 64;
 
-/// Allocates segments within a simulated text section.
-///
-/// `Clone` is shallow where it matters: the clone shares the original's
-/// [`SegmentRef`]s, so every clone of a pre-linked layout hands out the
-/// *same* addresses for the same segment names — the way every query in a
-/// server shares one binary's text section.
-#[derive(Debug, Default, Clone)]
-pub struct CodeLayout {
-    segments: HashMap<String, SegmentRef>,
+/// Everything the placement of the *next* segment depends on besides the
+/// segment itself: where a layout stands after the definitions so far.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct LinkState {
     next_page: u64,
     /// Cumulative i-cache-set load; used as a tie-break so different
     /// segments' spill lines spread over different sets.
-    set_load: Vec<u32>,
+    set_load: [u32; SET_FOLD],
 }
 
-impl CodeLayout {
-    /// An empty layout.
-    pub fn new() -> Self {
-        CodeLayout {
-            segments: HashMap::new(),
-            next_page: 0,
-            set_load: vec![0; SET_FOLD],
-        }
-    }
-
+impl LinkState {
     /// The in-page line slot for a function of `lines` cache lines that
     /// minimizes the peak per-set load **within the segment being defined**
     /// (`local_load`), breaking ties on the layout-wide load.
@@ -212,9 +200,8 @@ impl CodeLayout {
     /// Globally-balanced placement looks uniform over the whole text
     /// section but leaves individual subsets clustered on hot sets, which
     /// thrash every row even though the working set fits overall.
-    fn balanced_slot(&mut self, local_load: &mut [u32], lines: u64) -> u64 {
+    fn balanced_slot(&mut self, local_load: &mut [u32; SET_FOLD], lines: u64) -> u64 {
         let max_slot = (PAGE_BYTES - FUNC_BYTES as u64) / 64; // 51
-                                                              // (local peak, local total, global total, slot)
         let mut best = (u32::MAX, u64::MAX, u64::MAX, 0u64);
         for slot in 0..=max_slot {
             let mut peak = 0u32;
@@ -227,6 +214,7 @@ impl CodeLayout {
                 total += load as u64;
                 global += self.set_load[set] as u64;
             }
+            // Ranked by (local peak, local total, global total); first wins.
             if (peak, total, global) < (best.0, best.1, best.2) {
                 best = (peak, total, global, slot);
             }
@@ -240,21 +228,15 @@ impl CodeLayout {
         slot
     }
 
-    /// Define (or fetch the previously defined) segment for `spec`.
-    /// Re-defining a name with a different size is a bug and panics.
-    pub fn define(&mut self, spec: &SegmentSpec) -> SegmentRef {
-        if let Some(existing) = self.segments.get(&spec.name) {
-            assert_eq!(
-                existing.bytes, spec.bytes,
-                "segment {:?} redefined with a different size",
-                spec.name
-            );
-            return Arc::clone(existing);
-        }
+    /// Lay out segment `name` of `bytes` bytes after everything placed so
+    /// far, advancing the state past it. A pure function of
+    /// `(self, name, bytes)` — which is what lets [`LinkMemo`] share the
+    /// result.
+    fn link(&mut self, name: &str, bytes: usize) -> SegmentCode {
         let mut functions = Vec::new();
         let mut sites = Vec::new();
-        let mut remaining = spec.bytes;
-        let mut local_load = vec![0u32; SET_FOLD];
+        let mut remaining = bytes;
+        let mut local_load = [0u32; SET_FOLD];
         while remaining > 0 {
             let len = remaining.min(FUNC_BYTES) as u32;
             let page = CODE_BASE + self.next_page * PAGE_BYTES;
@@ -274,22 +256,179 @@ impl CodeLayout {
             functions.push((base, len));
             remaining -= len as usize;
         }
-        let seg = Arc::new(SegmentCode {
-            heat_id: crate::heat::segment_id(&spec.name),
+        SegmentCode {
+            heat_id: crate::heat::segment_id(name),
             instructions: functions.iter().map(|&(_, len)| len as u64 / 4).sum(),
             lines: std::array::from_fn(|_| OnceLock::new()),
-            name: spec.name.clone(),
-            bytes: spec.bytes,
+            name: name.to_string(),
+            bytes,
             functions,
             sites,
-        });
-        self.segments.insert(spec.name.clone(), Arc::clone(&seg));
+        }
+    }
+
+    /// Hash of the whole memo key `(self, name, bytes)`.
+    fn link_key(&self, name: &str, bytes: usize) -> u64 {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let fold = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+        let mut h = fold(self.next_page, bytes as u64);
+        for pair in self.set_load.chunks_exact(2) {
+            h = fold(h, u64::from(pair[0]) << 32 | u64::from(pair[1]));
+        }
+        for chunk in name.as_bytes().chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            h = fold(h, u64::from_le_bytes(word));
+        }
+        mix(h ^ name.len() as u64)
+    }
+}
+
+/// One memoized [`LinkState::link`]: the state it started from (with the
+/// segment's name and size, the whole key), the segment, the state after.
+struct Linked {
+    before: LinkState,
+    seg: SegmentRef,
+    after: LinkState,
+}
+
+/// Most entries a [`LinkMemo`] holds; past it, segments are linked without
+/// being remembered. A process links a few dozen distinct
+/// (state, segment) pairs per plan shape it ever builds.
+const LINK_MEMO_CAP: usize = 4096;
+
+/// Link once per process: the operator vocabulary is fixed, so the queries
+/// of a process re-define the same few segments from the same few states.
+/// The memo maps the *whole* input of [`LinkState::link`] to its result, so
+/// a layout that hits takes the shared [`SegmentRef`] — line tables
+/// included — and the successor state, and lands exactly where linking
+/// again would have put it. (Keying on the name alone would not do: a
+/// layout's addresses depend on its definition order.)
+struct LinkMemo {
+    /// Keyed by [`LinkState::link_key`]; an entry answers only for the
+    /// exact key it stores, so a hash collision is a miss.
+    entries: Mutex<U64Map<Linked>>,
+}
+
+/// The process-wide memo behind [`CodeLayout::define`].
+static LINK_MEMO: LinkMemo = LinkMemo::new();
+
+impl LinkMemo {
+    const fn new() -> Self {
+        LinkMemo {
+            entries: Mutex::new(HashMap::with_hasher(BuildHasherDefault::new())),
+        }
+    }
+
+    /// The entries. Nothing that can panic runs under the lock and every
+    /// update is one `HashMap` insertion, so a poisoned lock still guards a
+    /// valid map: recover it rather than wedge every later query.
+    fn lock(&self) -> MutexGuard<'_, U64Map<Linked>> {
+        self.entries.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Link `name` after `state` — from the memo when this exact link was
+    /// done before — and advance `state` past it.
+    fn link(&self, state: &mut LinkState, name: &str, bytes: usize) -> SegmentRef {
+        let key = state.link_key(name, bytes);
+        if let Some(hit) = self.lock().get(&key) {
+            if hit.before == *state && hit.seg.bytes == bytes && hit.seg.name == name {
+                *state = hit.after.clone();
+                return Arc::clone(&hit.seg);
+            }
+        }
+        let before = state.clone();
+        let seg = Arc::new(state.link(name, bytes));
+        let mut entries = self.lock();
+        if entries.len() < LINK_MEMO_CAP {
+            // A concurrent linker of the same key may have won the race
+            // (or a colliding key sits here): the resident entry stays.
+            entries.entry(key).or_insert_with(|| Linked {
+                before,
+                seg: Arc::clone(&seg),
+                after: state.clone(),
+            });
+        }
         seg
+    }
+}
+
+/// Allocates segments within a simulated text section.
+///
+/// `Clone` is shallow where it matters: the clone shares the original's
+/// [`SegmentRef`]s, so every clone of a pre-linked layout hands out the
+/// *same* addresses for the same segment names — the way every query in a
+/// server shares one binary's text section. Independent layouts that define
+/// the same segments in the same order share them too (see [`LinkMemo`]).
+#[derive(Debug, Clone)]
+pub struct CodeLayout {
+    /// Defined segments in definition order. A layout holds a few dozen at
+    /// most, so lookup by name is a scan.
+    segments: Vec<SegmentRef>,
+    state: LinkState,
+}
+
+impl Default for CodeLayout {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl CodeLayout {
+    /// An empty layout.
+    pub fn new() -> Self {
+        CodeLayout {
+            segments: Vec::new(),
+            state: LinkState {
+                next_page: 0,
+                set_load: [0; SET_FOLD],
+            },
+        }
+    }
+
+    /// Define (or fetch the previously defined) segment for `spec`.
+    /// Re-defining a name with a different size is a bug and panics.
+    pub fn define(&mut self, spec: &SegmentSpec) -> SegmentRef {
+        self.define_segment(&spec.name, spec.bytes)
+    }
+
+    /// [`CodeLayout::define`] from a borrowed name.
+    pub fn define_segment(&mut self, name: &str, bytes: usize) -> SegmentRef {
+        self.define_with(name, bytes, |state| LINK_MEMO.link(state, name, bytes))
+    }
+
+    /// The one body of `define`: fetch `name` if this layout has it, else
+    /// place it with `link` and remember it.
+    fn define_with(
+        &mut self,
+        name: &str,
+        bytes: usize,
+        link: impl FnOnce(&mut LinkState) -> SegmentRef,
+    ) -> SegmentRef {
+        if let Some(existing) = self.get_ref(name) {
+            assert_eq!(
+                existing.bytes, bytes,
+                "segment {name:?} redefined with a different size"
+            );
+            return Arc::clone(existing);
+        }
+        let seg = link(&mut self.state);
+        self.segments.push(Arc::clone(&seg));
+        seg
+    }
+
+    fn get_ref(&self, name: &str) -> Option<&SegmentRef> {
+        self.segments.iter().find(|s| s.name == name)
+    }
+
+    /// Every defined segment, in definition order.
+    pub fn defined(&self) -> &[SegmentRef] {
+        &self.segments
     }
 
     /// Look up a previously defined segment.
     pub fn get(&self, name: &str) -> Option<SegmentRef> {
-        self.segments.get(name).cloned()
+        self.get_ref(name).cloned()
     }
 
     /// Combined footprint in bytes of a set of segment names, counting each
@@ -300,7 +439,7 @@ impl CodeLayout {
         for n in names {
             if !seen.contains(n) {
                 seen.push(n);
-                total += self.segments.get(*n).map_or(0, |s| s.bytes);
+                total += self.get_ref(n).map_or(0, |s| s.bytes);
             }
         }
         total
@@ -488,6 +627,183 @@ mod tests {
         assert_eq!(taken(SiteKind::Biased), 630); // 1 in 64 not taken
         assert_eq!(taken(SiteKind::Loop), 560); // 7 in 8 taken
         assert_eq!(taken(SiteKind::Mixed), 427); // 2 of 3 taken (ceil for 640)
+    }
+
+    /// SplitMix64 stream over the layout's own finalizer.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        mix(*state)
+    }
+
+    /// Define `seq` twice from scratch — once through `memo`, once always
+    /// linking — and require the same segments and the same successor state
+    /// after every step. Returns how many definitions it made.
+    fn check_sequence(memo: &LinkMemo, seq: &[(&str, usize)]) -> usize {
+        let mut memoized = CodeLayout::new();
+        let mut reference = CodeLayout::new();
+        for &(name, bytes) in seq {
+            let a = memoized.define_with(name, bytes, |st| memo.link(st, name, bytes));
+            let b = reference.define_with(name, bytes, |st| Arc::new(st.link(name, bytes)));
+            assert_eq!((&a.name, a.bytes), (&b.name, b.bytes));
+            assert_eq!(a.functions, b.functions, "{name} in {seq:?}");
+            assert_eq!(a.sites, b.sites, "{name} in {seq:?}");
+            assert_eq!(a.instructions(), b.instructions());
+            assert_eq!(a.heat_id(), b.heat_id());
+            assert_eq!(a.lines(64), b.lines(64));
+            assert_eq!(memoized.state, reference.state, "after {name} in {seq:?}");
+        }
+        memoized.segments.len()
+    }
+
+    /// Random define sequences over a small vocabulary, so states repeat.
+    /// Two names come in two sizes (fixed within a sequence): the size is
+    /// part of the key.
+    fn random_sequences(seed: u64, count: usize) -> Vec<Vec<(&'static str, usize)>> {
+        const POOL: [(&str, [usize; 2]); 10] = [
+            ("common", [800, 800]),
+            ("expr", [1500, 1500]),
+            ("scan", [8200, 8200]),
+            ("pred", [2700, 900]),
+            ("sort", [13_200, 13_200]),
+            ("agg", [200, 200]),
+            ("sum", [200, 2300]),
+            ("probe", [6000, 6000]),
+            ("buffer", [700, 700]),
+            ("dispatch", [1000, 1000]),
+        ];
+        let mut rng = seed;
+        (0..count)
+            .map(|_| {
+                let variant = (next(&mut rng) % 2) as usize;
+                let len = 1 + next(&mut rng) % 12;
+                (0..len)
+                    .map(|_| {
+                        let (name, sizes) = POOL[(next(&mut rng) % POOL.len() as u64) as usize];
+                        (name, sizes[variant])
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The definition orders real builds produce (`FootprintModel::prelinked`
+    /// and the executor builds of the benchmark's nine-query mix), kept
+    /// current by `tests/plancache.rs` in the root package.
+    fn recorded_sequences() -> Vec<Vec<(&'static str, usize)>> {
+        include_str!("../tests/fixtures/define_orders.txt")
+            .lines()
+            .map(|line| {
+                let (_label, defs) = line.split_once(": ").expect("label: defs");
+                defs.split(' ')
+                    .map(|d| {
+                        let (name, bytes) = d.split_once('=').expect("name=bytes");
+                        (name, bytes.parse().expect("bytes"))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn memoized_define_equals_always_linking() {
+        let memo = LinkMemo::new();
+        let mut sequences = random_sequences(0x5EED, 1500);
+        let recorded = recorded_sequences();
+        assert!(recorded.len() >= 10, "prelinked + the nine-query mix");
+        sequences.extend(recorded);
+        let mut defined = 0;
+        // Twice: the second pass finds every link remembered.
+        for _ in 0..2 {
+            for seq in &sequences {
+                defined += check_sequence(&memo, seq);
+            }
+        }
+        let remembered = memo.lock().len();
+        assert!(
+            remembered < LINK_MEMO_CAP,
+            "{remembered}: the bound never engaged"
+        );
+        assert!(
+            remembered * 4 < defined,
+            "{remembered} links remembered for {defined} definitions: states did not repeat"
+        );
+    }
+
+    #[test]
+    fn memoized_define_equals_always_linking_from_four_threads() {
+        let memo = LinkMemo::new();
+        let sequences = random_sequences(0xC0FFEE, 400);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                // Every thread runs the same sequences, so they race to
+                // link and to remember the same keys.
+                scope.spawn(|| {
+                    start.wait();
+                    for seq in &sequences {
+                        check_sequence(&memo, seq);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn memo_stops_growing_at_its_cap() {
+        let memo = LinkMemo::new();
+        let mut rng = 0xCA9u64;
+        for i in 0..10_000 {
+            let name = format!("cap{:x}_{i}", next(&mut rng));
+            let bytes = 64 + (next(&mut rng) % 4000) as usize;
+            check_sequence(&memo, &[("common", 800), (&name, bytes)]);
+            assert!(memo.lock().len() <= LINK_MEMO_CAP);
+        }
+        assert_eq!(memo.lock().len(), LINK_MEMO_CAP);
+    }
+
+    #[test]
+    fn poisoned_memo_lock_is_recovered() {
+        let memo = LinkMemo::new();
+        check_sequence(&memo, &[("common", 800), ("scan", 8200)]);
+        let holder = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = memo.entries.lock().expect("first holder");
+                    panic!("die holding the memo lock");
+                })
+                .join()
+        });
+        assert!(holder.is_err() && memo.entries.is_poisoned());
+        // Hits and inserts both still work.
+        check_sequence(&memo, &[("common", 800), ("scan", 8200), ("agg", 200)]);
+        assert_eq!(memo.lock().len(), 3);
+    }
+
+    #[test]
+    fn redefinition_panic_does_not_hold_the_memo_lock() {
+        let caught = std::panic::catch_unwind(|| {
+            let mut l = CodeLayout::new();
+            l.define(&SegmentSpec::new("expr", 1500));
+            l.define(&SegmentSpec::new("expr", 2000));
+        });
+        assert!(caught.is_err());
+        assert!(!LINK_MEMO.entries.is_poisoned());
+        let mut l = CodeLayout::new();
+        assert_eq!(l.define(&SegmentSpec::new("expr", 2000)).bytes, 2000);
+    }
+
+    #[test]
+    fn independent_layouts_share_equal_links() {
+        let build = || {
+            let mut l = CodeLayout::new();
+            l.define(&SegmentSpec::new("shared_a", 3000));
+            l.define(&SegmentSpec::new("shared_b", 900))
+        };
+        assert!(Arc::ptr_eq(&build(), &build()));
+        // Same name, different history: a different link.
+        let mut other = CodeLayout::new();
+        let alone = other.define(&SegmentSpec::new("shared_b", 900));
+        assert_ne!(alone.functions, build().functions);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 use crate::obs::ObsId;
 use crate::plan::{AggFunc, AggSpec};
 use bufferdb_cachesim::layout::SegmentRef;
-use bufferdb_cachesim::{CodeLayout, CodeRegion, SegmentSpec};
+use bufferdb_cachesim::{CodeLayout, CodeRegion};
 
 /// The executor's dispatch loop (`ExecProcNode` and friends): code that runs
 /// between *every* pair of operators but belongs to no module, so the
@@ -87,6 +87,81 @@ const RESERVED_BLOCK_MGMT: usize = 1100;
 /// of the pull model — a fused group executes as ONE region, so its
 /// member segments plus this driver form a single combined footprint.
 const PUSH_DRIVER: usize = 1300;
+
+/// The segments operators are made of, **in name order**: an operator
+/// defines its segments in this order, and a layout's addresses depend on
+/// definition order, so the order is part of every committed baseline.
+/// (`exec_dispatch` follows every operator's own segments and the retired
+/// `block_mgmt` is only ever pre-linked; neither is listed.)
+const SEGMENTS: [(&str, usize); 26] = [
+    ("agg_avg", AGG_AVG),
+    ("agg_core", AGG_CORE),
+    ("agg_count", AGG_COUNT),
+    ("agg_max", AGG_MINMAX),
+    ("agg_min", AGG_MINMAX),
+    ("agg_sum", AGG_SUM),
+    ("buffer_core", BUFFER_CORE),
+    ("common_rt", COMMON_RT),
+    ("exchange_core", EXCHANGE_CORE),
+    ("expr_eval", EXPR_EVAL),
+    ("filter_core", FILTER_CORE),
+    ("hash_fn", HASH_FN),
+    ("hashbuild_core", HASHBUILD_CORE),
+    ("hashprobe_core", HASHPROBE_CORE),
+    ("ixscan_core", IXSCAN_CORE),
+    ("limit_core", LIMIT_CORE),
+    ("materialize_core", MATERIALIZE_CORE),
+    ("mergejoin_core", MERGEJOIN_CORE),
+    ("nestloop_core", NESTLOOP_CORE),
+    ("numeric_rt", NUMERIC_RT),
+    ("project_core", PROJECT_CORE),
+    ("push_driver", PUSH_DRIVER),
+    ("reused_core", REUSED_CORE),
+    ("scan_core", SCAN_CORE),
+    ("scan_pred", SCAN_PRED),
+    ("sort_core", SORT_CORE),
+];
+
+/// A set of [`SEGMENTS`]: bit `i` stands for `SEGMENTS[i]`, so a union
+/// counts shared segments once and ascending bits are definition order.
+type SegmentSet = u32;
+
+/// The one-segment set of `name` (compile-time lookup).
+const fn seg(name: &str) -> SegmentSet {
+    let name = name.as_bytes();
+    let mut i = 0;
+    while i < SEGMENTS.len() {
+        let entry = SEGMENTS[i].0.as_bytes();
+        let mut same = entry.len() == name.len();
+        let mut k = 0;
+        while same && k < name.len() {
+            same = entry[k] == name[k];
+            k += 1;
+        }
+        if same {
+            return 1 << i;
+        }
+        i += 1;
+    }
+    panic!("not a vocabulary segment")
+}
+
+const COMMON: SegmentSet = seg("common_rt");
+const EXPR: SegmentSet = seg("expr_eval");
+const NUMERIC: SegmentSet = seg("numeric_rt");
+const HASH: SegmentSet = seg("hash_fn");
+
+/// The segments of `set` as `(name, bytes)`, in definition order.
+fn set_segments(set: SegmentSet) -> impl Iterator<Item = (&'static str, usize)> {
+    (SEGMENTS.iter().enumerate())
+        .filter(move |(i, _)| set >> i & 1 == 1)
+        .map(|(_, &segment)| segment)
+}
+
+/// Total bytes of `set`.
+fn set_bytes(set: SegmentSet) -> usize {
+    set_segments(set).map(|(_, bytes)| bytes).sum()
+}
 
 /// Operator kinds for footprint purposes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,119 +224,53 @@ impl OpKind {
         }
     }
 
-    /// Segment names + sizes making up this operator's footprint.
-    pub fn segments(&self) -> Vec<SegmentSpec> {
-        let seg = SegmentSpec::new;
-        let mut out = Vec::new();
+    /// The vocabulary segments making up this operator's footprint.
+    fn segment_set(&self) -> SegmentSet {
         match self {
-            OpKind::Buffer => {
-                out.push(seg("buffer_core", BUFFER_CORE));
+            OpKind::Buffer => const { seg("buffer_core") },
+            OpKind::Exchange => const { seg("exchange_core") },
+            OpKind::SeqScan { with_pred: false } => const { COMMON | seg("scan_core") },
+            OpKind::SeqScan { with_pred: true } => {
+                const { COMMON | EXPR | seg("scan_core") | seg("scan_pred") }
             }
-            OpKind::Exchange => {
-                out.push(seg("exchange_core", EXCHANGE_CORE));
-            }
-            OpKind::SeqScan { with_pred } => {
-                out.push(seg("common_rt", COMMON_RT));
-                out.push(seg("scan_core", SCAN_CORE));
-                if *with_pred {
-                    out.push(seg("expr_eval", EXPR_EVAL));
-                    out.push(seg("scan_pred", SCAN_PRED));
-                }
-            }
-            OpKind::IndexScan => {
-                out.push(seg("common_rt", COMMON_RT));
-                out.push(seg("ixscan_core", IXSCAN_CORE));
-            }
-            OpKind::ReusedScan => {
-                out.push(seg("common_rt", COMMON_RT));
-                out.push(seg("reused_core", REUSED_CORE));
-            }
-            OpKind::SysScan => {}
-            OpKind::Sort => {
-                out.push(seg("common_rt", COMMON_RT));
-                out.push(seg("sort_core", SORT_CORE));
-            }
-            OpKind::NestLoop => {
-                out.push(seg("common_rt", COMMON_RT));
-                out.push(seg("expr_eval", EXPR_EVAL));
-                out.push(seg("numeric_rt", NUMERIC_RT));
-                out.push(seg("nestloop_core", NESTLOOP_CORE));
-            }
-            OpKind::MergeJoin => {
-                out.push(seg("common_rt", COMMON_RT));
-                out.push(seg("expr_eval", EXPR_EVAL));
-                out.push(seg("numeric_rt", NUMERIC_RT));
-                out.push(seg("mergejoin_core", MERGEJOIN_CORE));
-            }
-            OpKind::HashBuild => {
-                out.push(seg("common_rt", COMMON_RT));
-                out.push(seg("hash_fn", HASH_FN));
-                out.push(seg("numeric_rt", NUMERIC_RT));
-                out.push(seg("hashbuild_core", HASHBUILD_CORE));
-            }
-            OpKind::HashProbe => {
-                out.push(seg("common_rt", COMMON_RT));
-                out.push(seg("expr_eval", EXPR_EVAL));
-                out.push(seg("hash_fn", HASH_FN));
-                out.push(seg("numeric_rt", NUMERIC_RT));
-                out.push(seg("hashprobe_core", HASHPROBE_CORE));
-            }
+            OpKind::IndexScan => const { COMMON | seg("ixscan_core") },
+            OpKind::ReusedScan => const { COMMON | seg("reused_core") },
+            OpKind::SysScan => 0,
+            OpKind::Sort => const { COMMON | seg("sort_core") },
+            OpKind::NestLoop => const { COMMON | EXPR | NUMERIC | seg("nestloop_core") },
+            OpKind::MergeJoin => const { COMMON | EXPR | NUMERIC | seg("mergejoin_core") },
+            OpKind::HashBuild => const { COMMON | HASH | NUMERIC | seg("hashbuild_core") },
+            OpKind::HashProbe => const { COMMON | EXPR | HASH | NUMERIC | seg("hashprobe_core") },
             OpKind::Aggregate { funcs } => {
-                out.push(seg("common_rt", COMMON_RT));
-                out.push(seg("agg_core", AGG_CORE));
-                for f in funcs {
-                    match f {
-                        AggFunc::CountStar | AggFunc::Count => {
-                            out.push(seg("agg_count", AGG_COUNT))
-                        }
-                        AggFunc::Min => out.push(seg("agg_min", AGG_MINMAX)),
-                        AggFunc::Max => out.push(seg("agg_max", AGG_MINMAX)),
-                        AggFunc::Sum => {
-                            out.push(seg("numeric_rt", NUMERIC_RT));
-                            out.push(seg("agg_sum", AGG_SUM));
-                        }
-                        AggFunc::Avg => {
-                            out.push(seg("expr_eval", EXPR_EVAL));
-                            out.push(seg("numeric_rt", NUMERIC_RT));
-                            out.push(seg("agg_avg", AGG_AVG));
-                        }
-                    }
-                }
+                let each = funcs.iter().map(|f| match f {
+                    AggFunc::CountStar | AggFunc::Count => const { seg("agg_count") },
+                    AggFunc::Min => const { seg("agg_min") },
+                    AggFunc::Max => const { seg("agg_max") },
+                    AggFunc::Sum => const { NUMERIC | seg("agg_sum") },
+                    AggFunc::Avg => const { EXPR | NUMERIC | seg("agg_avg") },
+                });
+                each.fold(const { COMMON | seg("agg_core") }, |set, f| set | f)
             }
-            OpKind::Project => {
-                out.push(seg("common_rt", COMMON_RT));
-                out.push(seg("expr_eval", EXPR_EVAL));
-                out.push(seg("project_core", PROJECT_CORE));
-            }
-            OpKind::Materialize => {
-                out.push(seg("common_rt", COMMON_RT));
-                out.push(seg("materialize_core", MATERIALIZE_CORE));
-            }
-            OpKind::Filter => {
-                out.push(seg("common_rt", COMMON_RT));
-                out.push(seg("expr_eval", EXPR_EVAL));
-                out.push(seg("filter_core", FILTER_CORE));
-            }
-            OpKind::Limit => {
-                out.push(seg("common_rt", COMMON_RT));
-                out.push(seg("limit_core", LIMIT_CORE));
-            }
+            OpKind::Project => const { COMMON | EXPR | seg("project_core") },
+            OpKind::Materialize => const { COMMON | seg("materialize_core") },
+            OpKind::Filter => const { COMMON | EXPR | seg("filter_core") },
+            OpKind::Limit => const { COMMON | seg("limit_core") },
             OpKind::PushGroup(members) => {
-                for m in members {
-                    out.extend(m.segments());
-                }
-                out.push(seg("push_driver", PUSH_DRIVER));
+                let members = members.iter().map(OpKind::segment_set);
+                members.fold(const { seg("push_driver") }, |set, m| set | m)
             }
         }
-        // Within one operator, count each shared segment once.
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out.dedup();
-        out
+    }
+
+    /// Segment names + sizes making up this operator's footprint, each
+    /// shared segment once, in the order the operator defines them.
+    pub fn segments(&self) -> impl Iterator<Item = (&'static str, usize)> {
+        set_segments(self.segment_set())
     }
 
     /// Footprint in bytes, shared segments counted once (Table 2's totals).
     pub fn footprint_bytes(&self) -> usize {
-        self.segments().iter().map(|s| s.bytes).sum()
+        set_bytes(self.segment_set())
     }
 }
 
@@ -283,17 +292,14 @@ impl Default for FootprintModel {
 }
 
 impl FootprintModel {
-    /// A fresh model (one per database instance; code layout is shared by
-    /// every query, as a real binary's text section is).
+    /// A fresh model over an empty layout: one per executor build, so a
+    /// query's addresses depend on nothing but the order its own operators
+    /// define their segments in. The segments themselves are linked once
+    /// per process — models that define the same segments in the same order
+    /// share them (see [`CodeLayout::define`]), which is the sense in which
+    /// every query runs one binary's text section.
     pub fn new() -> Self {
-        let mut layout = CodeLayout::new();
-        let expr_seg = layout.define(&SegmentSpec::new("expr_eval", EXPR_EVAL));
-        FootprintModel {
-            layout,
-            expr_seg,
-            site_counter: 0,
-            obs_labels: None,
-        }
+        Self::with_layout(CodeLayout::new())
     }
 
     /// A model over an existing (typically pre-linked) layout.
@@ -304,7 +310,7 @@ impl FootprintModel {
     /// interference is real displacement, not accidental address aliasing
     /// between independently laid-out layouts.
     pub fn with_layout(mut layout: CodeLayout) -> Self {
-        let expr_seg = layout.define(&SegmentSpec::new("expr_eval", EXPR_EVAL));
+        let expr_seg = layout.define_segment("expr_eval", EXPR_EVAL);
         FootprintModel {
             layout,
             expr_seg,
@@ -321,7 +327,7 @@ impl FootprintModel {
     pub fn prelinked() -> CodeLayout {
         let mut layout = CodeLayout::new();
         let mut define = |name: &str, bytes: usize| {
-            layout.define(&SegmentSpec::new(name, bytes));
+            layout.define_segment(name, bytes);
         };
         define("expr_eval", EXPR_EVAL);
         define("common_rt", COMMON_RT);
@@ -390,15 +396,12 @@ impl FootprintModel {
     /// the executor dispatch segment on top of the operator's own Table 2
     /// footprint (see [`EXEC_DISPATCH`]).
     pub fn region_for(&mut self, kind: &OpKind) -> CodeRegion {
-        let mut segs: Vec<_> = kind
-            .segments()
-            .iter()
-            .map(|s| self.layout.define(s))
-            .collect();
-        segs.push(
-            self.layout
-                .define(&SegmentSpec::new("exec_dispatch", EXEC_DISPATCH)),
-        );
+        let set = kind.segment_set();
+        let mut segs = Vec::with_capacity(set.count_ones() as usize + 1);
+        for (name, bytes) in set_segments(set) {
+            segs.push(self.layout.define_segment(name, bytes));
+        }
+        segs.push(self.layout.define_segment("exec_dispatch", EXEC_DISPATCH));
         CodeRegion::new(segs)
     }
 
@@ -421,15 +424,7 @@ impl FootprintModel {
     /// Combined footprint of several operator kinds, counting shared
     /// segments once — the §6.1 rule used by plan refinement.
     pub fn combined_footprint(kinds: &[OpKind]) -> usize {
-        let mut names: Vec<SegmentSpec> = Vec::new();
-        for k in kinds {
-            for s in k.segments() {
-                if !names.iter().any(|n| n.name == s.name) {
-                    names.push(s);
-                }
-            }
-        }
-        names.iter().map(|s| s.bytes).sum()
+        set_bytes(kinds.iter().fold(0, |set, k| set | k.segment_set()))
     }
 }
 
@@ -445,8 +440,71 @@ mod tests {
 
     #[test]
     fn sys_scan_has_zero_footprint() {
-        assert!(OpKind::SysScan.segments().is_empty());
+        assert_eq!(OpKind::SysScan.segments().count(), 0);
         assert_eq!(OpKind::SysScan.footprint_bytes(), 0);
+    }
+
+    #[test]
+    fn vocabulary_is_in_name_order() {
+        assert!(SEGMENTS.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
+    fn operators_define_each_segment_once_in_name_order() {
+        let names = |k: &OpKind| k.segments().map(|(n, _)| n).collect::<Vec<_>>();
+        assert_eq!(
+            names(&OpKind::SeqScan { with_pred: true }),
+            ["common_rt", "expr_eval", "scan_core", "scan_pred"]
+        );
+        assert_eq!(
+            names(&OpKind::HashProbe),
+            [
+                "common_rt",
+                "expr_eval",
+                "hash_fn",
+                "hashprobe_core",
+                "numeric_rt"
+            ]
+        );
+        let agg = OpKind::Aggregate {
+            funcs: vec![
+                AggFunc::Sum,
+                AggFunc::Avg,
+                AggFunc::CountStar,
+                AggFunc::Count,
+            ],
+        };
+        assert_eq!(
+            names(&agg),
+            [
+                "agg_avg",
+                "agg_core",
+                "agg_count",
+                "agg_sum",
+                "common_rt",
+                "expr_eval",
+                "numeric_rt"
+            ]
+        );
+        let group = OpKind::PushGroup(vec![OpKind::SeqScan { with_pred: false }, agg]);
+        assert_eq!(
+            names(&group),
+            [
+                "agg_avg",
+                "agg_core",
+                "agg_count",
+                "agg_sum",
+                "common_rt",
+                "expr_eval",
+                "numeric_rt",
+                "push_driver",
+                "scan_core"
+            ]
+        );
+        // A region is the operator's segments, then the dispatch loop.
+        let region = FootprintModel::new().region_for(&OpKind::Limit);
+        let region: Vec<&str> = region.segments().iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(region, ["common_rt", "limit_core", "exec_dispatch"]);
     }
 
     #[test]

@@ -480,14 +480,13 @@ impl Database {
         self.reuse.sweep_epoch(epoch);
         let logical = plan.clone();
         let plan = if opts.reuse_policy().splices() {
-            reuse::splice_reused(plan, &self.reuse, self.session.machine(), epoch).0
+            reuse::splice_reused_rendered(plan, &self.reuse, self.session.machine_debug(), epoch).0
         } else {
             plan.clone()
         };
         let threads = self.session.threads();
-        let fp = fingerprint::fingerprint_plan_with_mode(
-            &plan,
-            self.session.machine(),
+        let fp = PlanFingerprint::seal(
+            fingerprint::plan_machine_hash(&plan, self.session.machine_debug()),
             threads,
             epoch,
             &self.refine_cfg,
@@ -539,12 +538,12 @@ impl Database {
         if !opts.reuse_policy().installs() || self.reuse.budget_bytes() == 0 {
             return 0;
         }
-        let machine = self.session.machine().clone();
+        let machine = self.session.machine();
         let epoch0 = self.catalog().stats_epoch();
         let run_opts = opts.clone().profile(false).trace(false);
         let mut installed = 0;
         for sub in reuse::eligible_subtrees(plan) {
-            let key = reuse::reuse_key(sub, &machine, epoch0);
+            let key = reuse::reuse_key_rendered(sub, self.session.machine_debug(), epoch0);
             if self.reuse.contains(key) || self.reuse.is_refused(key) {
                 continue;
             }
@@ -564,7 +563,7 @@ impl Database {
             }
             let recompute = out.stats().breakdown.total_cycles;
             let rows = out.rows().to_vec();
-            let replay = measure_replay_cycles(&schema, rows.clone(), &machine);
+            let replay = measure_replay_cycles(&schema, rows.clone(), machine);
             if self
                 .reuse
                 .install(key, epoch0, schema, rows, recompute, replay)

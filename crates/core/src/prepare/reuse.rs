@@ -27,6 +27,7 @@
 //!   old catalog;
 //! * a failed, cancelled, or faulted producing run never installs.
 
+use super::fingerprint::{fnv1a, fnv1a_debug, plan_machine_hash, subtree_hash};
 use crate::exec::schema_slot_bytes;
 use crate::plan::PlanNode;
 use bufferdb_cachesim::MachineConfig;
@@ -36,15 +37,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
-}
-
 /// Default reuse-cache byte budget: 4 MiB of materialized intermediates.
 pub const DEFAULT_REUSE_BUDGET_BYTES: u64 = 4 * 1024 * 1024;
 
@@ -53,9 +45,16 @@ pub const DEFAULT_REUSE_BUDGET_BYTES: u64 = 4 * 1024 * 1024;
 /// and the catalog stats epoch (rows computed against old statistics are
 /// unreachable by construction after a bump).
 pub fn reuse_key(plan: &PlanNode, machine: &MachineConfig, stats_epoch: u64) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, format!("{plan:?}").as_bytes());
-    h = fnv1a(h, format!("{machine:?}").as_bytes());
-    fnv1a(h, &stats_epoch.to_le_bytes())
+    let plan_machine = fnv1a_debug(subtree_hash(plan), machine);
+    fnv1a(plan_machine, &stats_epoch.to_le_bytes())
+}
+
+/// [`reuse_key`] for a machine whose `Debug` rendering is `machine_debug`.
+pub(crate) fn reuse_key_rendered(plan: &PlanNode, machine_debug: &str, stats_epoch: u64) -> u64 {
+    fnv1a(
+        plan_machine_hash(plan, machine_debug),
+        &stats_epoch.to_le_bytes(),
+    )
 }
 
 /// One cached materialized intermediate.
@@ -479,15 +478,26 @@ pub fn splice_reused(
     machine: &MachineConfig,
     stats_epoch: u64,
 ) -> (PlanNode, u64) {
+    splice_reused_rendered(plan, cache, &format!("{machine:?}"), stats_epoch)
+}
+
+/// [`splice_reused`] for a machine whose `Debug` rendering is
+/// `machine_debug` (every consulted subtree folds it into its key).
+pub(crate) fn splice_reused_rendered(
+    plan: &PlanNode,
+    cache: &ReuseCache,
+    machine_debug: &str,
+    stats_epoch: u64,
+) -> (PlanNode, u64) {
     let mut splices = 0;
-    let out = splice_rec(plan, cache, machine, stats_epoch, &mut splices);
+    let out = splice_rec(plan, cache, machine_debug, stats_epoch, &mut splices);
     (out, splices)
 }
 
 fn splice_rec(
     node: &PlanNode,
     cache: &ReuseCache,
-    machine: &MachineConfig,
+    machine: &str,
     epoch: u64,
     splices: &mut u64,
 ) -> PlanNode {
@@ -503,7 +513,7 @@ fn splice_rec(
             | PlanNode::SysScan { .. }
     );
     if consult {
-        if let Some(handle) = cache.lookup(reuse_key(node, machine, epoch)) {
+        if let Some(handle) = cache.lookup(reuse_key_rendered(node, machine, epoch)) {
             *splices += 1;
             return PlanNode::ReusedScan { handle };
         }
@@ -667,8 +677,8 @@ pub fn eligible_subtrees(plan: &PlanNode) -> Vec<&PlanNode> {
     // A node can appear once as a build side and once via recursion; a
     // duplicate install attempt is refused anyway, but deduping here keeps
     // the harvester's work linear.
-    let mut seen = std::collections::HashSet::new();
-    out.retain(|n| seen.insert(reuse_key(n, &MachineConfig::pentium4_like(), 0)));
+    let mut seen = HashSet::new();
+    out.retain(|n| seen.insert(subtree_hash(n)));
     out
 }
 

@@ -210,6 +210,9 @@ impl QueryOpts {
 pub struct Session {
     catalog: Catalog,
     cfg: MachineConfig,
+    /// `format!("{cfg:?}")`, rendered once: plan-cache and reuse-cache keys
+    /// fold it in per request and per consulted subtree.
+    cfg_debug: String,
     threads: usize,
     timeout: Option<Duration>,
     faults: Arc<FaultRegistry>,
@@ -223,6 +226,7 @@ impl Session {
     pub fn new(catalog: Catalog, cfg: MachineConfig) -> Self {
         Session {
             catalog,
+            cfg_debug: format!("{cfg:?}"),
             cfg,
             threads: 1,
             timeout: None,
@@ -239,6 +243,11 @@ impl Session {
     /// The simulated machine configuration queries run on.
     pub fn machine(&self) -> &MachineConfig {
         &self.cfg
+    }
+
+    /// The `Debug` rendering of [`Session::machine`].
+    pub(crate) fn machine_debug(&self) -> &str {
+        &self.cfg_debug
     }
 
     /// The session's default worker budget.

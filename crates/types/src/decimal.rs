@@ -38,7 +38,12 @@ const POW10: [i128; 19] = [
 ];
 
 /// A fixed-point decimal: `mantissa * 10^-scale`.
+///
+/// Packed to 8-byte alignment: at `i128`'s own 16 the struct is 32 bytes
+/// and every `Datum` 48; packed it is 24 and a `Datum` 32 — a third off
+/// every stored row. (Fields are only ever read by value.)
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(8))]
 pub struct Decimal {
     mantissa: i128,
     scale: u8,
@@ -275,7 +280,8 @@ impl std::hash::Hash for Decimal {
 impl fmt::Display for Decimal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.scale == 0 {
-            return write!(f, "{}", self.mantissa);
+            let mantissa = self.mantissa;
+            return write!(f, "{mantissa}");
         }
         let sign = if self.mantissa < 0 { "-" } else { "" };
         let abs = self.mantissa.unsigned_abs();

@@ -235,3 +235,66 @@ fn evicted_entry_handle_stays_usable() {
     let out = q.execute();
     assert!(out.is_ok(), "handle must outlive eviction");
 }
+
+/// A fixed 2 000-request trace — 24 shapes drawn with a skew, a sharded
+/// 12-entry cache (shard choice depends on the fingerprint's value), five
+/// stats-epoch bumps, the aggregate harvested into the reuse cache after
+/// each — must keep the cache statistics the keys produced when they were
+/// computed from `format!("{:?}")` renderings (recorded at the parent of the
+/// change that stopped rendering).
+#[test]
+fn fixed_request_trace_keeps_its_cache_statistics() {
+    use bufferdb::types::Rng;
+
+    let db = db().with_plan_cache(Arc::new(PlanCache::sharded(12, 4)));
+    let filtered = |hi: i64| PlanNode::Filter {
+        input: Box::new(agg_plan()),
+        predicate: Expr::col(2).le(Expr::lit(hi)),
+    };
+    let mut shapes = vec![agg_plan(), scan()];
+    shapes.extend((0..11).map(filtered));
+    shapes.extend((0..11).map(|k| PlanNode::SeqScan {
+        table: "lineitem".into(),
+        predicate: Some(Expr::col(0).le(Expr::lit(k))),
+        projection: None,
+    }));
+    let mut rng = Rng::seed_from_u64(2000);
+    for request in 0..2000 {
+        if request % 400 == 200 {
+            db.catalog().bump_stats_epoch();
+        }
+        if request % 400 == 210 {
+            assert_eq!(db.harvest_reuse(&agg_plan(), &QueryOpts::new()), 1);
+        }
+        let n = shapes.len();
+        let shape = rng.gen_range(0..n) * rng.gen_range(0..n) / n;
+        db.prepare(&shapes[shape]).unwrap();
+    }
+    let cache = db.plan_cache().stats();
+    assert_eq!(
+        (
+            cache.hits,
+            cache.misses,
+            cache.evictions,
+            cache.invalidations,
+            cache.entries
+        ),
+        (1371, 629, 557, 60, 12)
+    );
+    let reuse = db.reuse_cache().stats();
+    assert_eq!(
+        reuse,
+        ReuseStats {
+            lookups: 2738,
+            hits: 1380,
+            installs: 5,
+            install_failures: 0,
+            evictions: 0,
+            invalidations: 4,
+            entries: 1,
+            bytes: 48,
+            budget_bytes: reuse.budget_bytes,
+            cycles_saved: 0,
+        }
+    );
+}

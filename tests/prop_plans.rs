@@ -312,3 +312,146 @@ fn refinement_and_folding_preserve_any_plan() {
         );
     }
 }
+
+/// The keys' definition, kept as the oracle: FNV-1a over `format!("{:?}")`
+/// renderings. The engine hashes without rendering; the values must not
+/// move (they are committed in `BENCH_plancache.json` and `sys.plan_cache`).
+mod key_oracle {
+    use super::*;
+
+    pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        (bytes.iter()).fold(hash, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    pub fn subtree_hash(plan: &PlanNode) -> u64 {
+        fnv1a(0xcbf2_9ce4_8422_2325, format!("{plan:?}").as_bytes())
+    }
+
+    pub fn plan_machine(plan: &PlanNode, machine: &MachineConfig) -> u64 {
+        fnv1a(subtree_hash(plan), format!("{machine:?}").as_bytes())
+    }
+
+    pub fn reuse_key(plan: &PlanNode, machine: &MachineConfig, epoch: u64) -> u64 {
+        fnv1a(plan_machine(plan, machine), &epoch.to_le_bytes())
+    }
+
+    pub fn fingerprint(
+        plan: &PlanNode,
+        machine: &MachineConfig,
+        threads: usize,
+        epoch: u64,
+        refine: &RefineConfig,
+        mode: ExecModePolicy,
+    ) -> u64 {
+        let mut h = fnv1a(plan_machine(plan, machine), &(threads as u64).to_le_bytes());
+        h = fnv1a(h, &epoch.to_le_bytes());
+        h = fnv1a(h, &(refine.l1i_capacity as u64).to_le_bytes());
+        h = fnv1a(h, &refine.cardinality_threshold.to_bits().to_le_bytes());
+        h = fnv1a(h, &(refine.buffer_size as u64).to_le_bytes());
+        fnv1a(h, mode.label().as_bytes())
+    }
+}
+
+#[test]
+fn cache_keys_equal_fnv1a_of_the_debug_renderings() {
+    use bufferdb::core::prepare::{reuse_key, subtree_hash};
+    use bufferdb::tpch::{self, queries};
+
+    let tpch_catalog = tpch::generate_catalog(0.001, 42);
+    let mut plans: Vec<PlanNode> = [
+        queries::paper_query1(&tpch_catalog),
+        queries::paper_query2(&tpch_catalog),
+        queries::paper_query3(&tpch_catalog, queries::JoinMethod::NestLoop),
+        queries::paper_query3(&tpch_catalog, queries::JoinMethod::HashJoin),
+        queries::paper_query3(&tpch_catalog, queries::JoinMethod::MergeJoin),
+        queries::tpch_q1(&tpch_catalog),
+        queries::tpch_q6(&tpch_catalog),
+        queries::tpch_q12(&tpch_catalog),
+        queries::tpch_q14(&tpch_catalog),
+    ]
+    .into_iter()
+    .map(|p| p.expect("TPC-H plan"))
+    .collect();
+    for seed in 0..200u64 {
+        let mut rng = Rng::seed_from_u64(seed);
+        let n_layers = rng.gen_range(0usize..6);
+        let layers: Vec<Layer> = (0..n_layers).map(|_| random_layer(&mut rng)).collect();
+        plans.push(build_plan(&layers));
+    }
+    // Refined and fused forms add Buffer and PushPipeline nodes.
+    let physical: Vec<PlanNode> = (plans.iter().take(9))
+        .flat_map(|p| {
+            [ExecModePolicy::BufferedPull, ExecModePolicy::Push].map(|mode| {
+                prepare_plan_parts_with_mode(p, &tpch_catalog, &RefineConfig::default(), 2, mode)
+                    .expect("prepares")
+                    .physical
+            })
+        })
+        .collect();
+    plans.extend(physical);
+
+    let machines = [
+        MachineConfig::pentium4_like(),
+        MachineConfig::large_l1i(),
+        MachineConfig::ultrasparc_like(),
+        MachineConfig::athlon_like(),
+    ];
+    let tight = RefineConfig {
+        l1i_capacity: 8 * 1024,
+        ..RefineConfig::default()
+    };
+    let modes = [
+        ExecModePolicy::Pull,
+        ExecModePolicy::BufferedPull,
+        ExecModePolicy::Push,
+        ExecModePolicy::Auto,
+    ];
+    for (i, plan) in plans.iter().enumerate() {
+        assert_eq!(subtree_hash(plan), key_oracle::subtree_hash(plan));
+        for sub in plan.children() {
+            assert_eq!(subtree_hash(sub), key_oracle::subtree_hash(sub));
+        }
+        for machine in &machines {
+            let epoch = i as u64 * 31;
+            assert_eq!(
+                reuse_key(plan, machine, epoch),
+                key_oracle::reuse_key(plan, machine, epoch)
+            );
+            let (threads, refine) = (
+                1 + i % 4,
+                if i % 2 == 0 {
+                    &tight
+                } else {
+                    &RefineConfig::default()
+                },
+            );
+            let mode = modes[i % modes.len()];
+            assert_eq!(
+                fingerprint_plan_with_mode(plan, machine, threads, epoch, refine, mode).raw(),
+                key_oracle::fingerprint(plan, machine, threads, epoch, refine, mode)
+            );
+        }
+    }
+
+    // The facade keys from its session's cached machine rendering.
+    for machine in machines {
+        let db = Database::open(catalog(), machine.clone()).with_exec_mode(ExecModePolicy::Auto);
+        let epoch = db.catalog().stats_epoch();
+        for plan in plans.iter().skip(9).take(40) {
+            let prepared = db.prepare(plan).expect("prepares");
+            assert_eq!(
+                prepared.fingerprint().raw(),
+                key_oracle::fingerprint(
+                    plan,
+                    &machine,
+                    1,
+                    epoch,
+                    db.refine_config(),
+                    ExecModePolicy::Auto
+                )
+            );
+        }
+    }
+}

@@ -162,3 +162,73 @@ fn wall_clock_is_recorded() {
     assert!(s.wall.as_nanos() > 0);
     assert!(s.rows == 1);
 }
+
+/// The segment definition orders of real builds — the pre-linked server
+/// layout and the executor build of each of the benchmark's nine queries in
+/// every executor mode — as `crates/cachesim`'s link-memo differential test
+/// replays them (it cannot see plans). Regenerate with
+/// `BUFFERDB_UPDATE_GOLDEN=1`.
+#[test]
+fn cachesim_define_order_fixture_is_current() {
+    use bufferdb::core::exec::build_executor;
+    use bufferdb::core::footprint::FootprintModel;
+    use std::fmt::Write;
+
+    let catalog = tpch::generate_catalog(0.001, 42);
+    let plans = [
+        ("paper Q1", queries::paper_query1(&catalog)),
+        ("paper Q2", queries::paper_query2(&catalog)),
+        (
+            "paper Q3 nestloop",
+            queries::paper_query3(&catalog, queries::JoinMethod::NestLoop),
+        ),
+        (
+            "paper Q3 hashjoin",
+            queries::paper_query3(&catalog, queries::JoinMethod::HashJoin),
+        ),
+        (
+            "paper Q3 mergejoin",
+            queries::paper_query3(&catalog, queries::JoinMethod::MergeJoin),
+        ),
+        ("TPC-H Q1", queries::tpch_q1(&catalog)),
+        ("TPC-H Q6", queries::tpch_q6(&catalog)),
+        ("TPC-H Q12", queries::tpch_q12(&catalog)),
+        ("TPC-H Q14", queries::tpch_q14(&catalog)),
+    ];
+    let mut fixture = String::new();
+    let mut record = |label: &str, layout: &bufferdb::cachesim::CodeLayout| {
+        let defs: Vec<String> = (layout.defined().iter())
+            .map(|s| format!("{}={}", s.name, s.bytes))
+            .collect();
+        writeln!(fixture, "{label}: {}", defs.join(" ")).unwrap();
+    };
+    record("prelinked", &FootprintModel::prelinked());
+    for (name, plan) in plans {
+        let plan = plan.unwrap();
+        for mode in [
+            ExecModePolicy::Pull,
+            ExecModePolicy::BufferedPull,
+            ExecModePolicy::Push,
+        ] {
+            let physical =
+                prepare_plan_parts_with_mode(&plan, &catalog, &RefineConfig::default(), 1, mode)
+                    .unwrap()
+                    .physical;
+            let mut fm = FootprintModel::new();
+            build_executor(&physical, &catalog, &mut fm).unwrap();
+            record(&format!("{name}/{}", mode.label()), fm.layout());
+        }
+    }
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/cachesim/tests/fixtures/define_orders.txt"
+    );
+    if std::env::var_os("BUFFERDB_UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &fixture).unwrap();
+    }
+    let committed = std::fs::read_to_string(path).expect("fixture (set BUFFERDB_UPDATE_GOLDEN=1)");
+    assert_eq!(
+        committed, fixture,
+        "build orders changed; rerun with BUFFERDB_UPDATE_GOLDEN=1"
+    );
+}
