@@ -61,40 +61,59 @@ fn bench_exec_region_patterns() {
     };
     // `next(i)` picks the region call `i` executes; where it returns none,
     // `jump` is executed instead. Every `quantum` calls the owner tag passes
-    // to the other of two queries (0: the machine stays as it is).
-    let pattern_in_quanta =
-        |name: &str, mut machine: Machine, next: &dyn Fn(usize) -> Option<usize>, quantum| {
-            let mut cycle = regions();
-            let mut jump = FootprintModel::new().region_for(&OpKind::Filter);
-            let mut i = 0;
-            bench(name, || {
-                i += 1;
-                if quantum != 0 && i % quantum == 0 {
-                    machine.set_query_tag(1 + (i / quantum % 2) as u32);
-                }
-                machine.exec_region(next(i).map_or(&mut jump, |r| &mut cycle[r]))
-            });
-            let stats = machine.walk_stats();
-            let share = |n: u64| 100.0 * n as f64 / stats.walks as f64;
-            println!(
-                "{:<34} {:>11.1}% of {} calls credited ({:.1}% with misses), {} walked \
-                 across a tag change, {} syncs",
-                "",
-                share(stats.credited),
-                stats.walks,
-                share(stats.credited_missing),
-                stats.epoch_refused,
-                stats.syncs
-            );
-        };
+    // to the other of two queries (0: the machine stays as it is). With
+    // `scan`, each call comes with the next 256 bytes of a table.
+    let run = |name: &str,
+               mut machine: Machine,
+               next: &dyn Fn(usize) -> Option<usize>,
+               quantum: usize,
+               scan: bool| {
+        let mut cycle = regions();
+        let mut jump = FootprintModel::new().region_for(&OpKind::Filter);
+        let mut i = 0;
+        bench(name, || {
+            i += 1;
+            if quantum != 0 && i % quantum == 0 {
+                machine.set_query_tag(1 + (i / quantum % 2) as u32);
+            }
+            if scan {
+                machine.data_read(0x1000_0000 + 256 * i as u64, 256);
+            }
+            machine.exec_region(next(i).map_or(&mut jump, |r| &mut cycle[r]))
+        });
+        let stats = machine.walk_stats();
+        let share = |n: u64| 100.0 * n as f64 / stats.walks as f64;
+        println!(
+            "{:<34} {:>11.1}% of {} calls credited ({:.1}% with misses), {} walked \
+             across a tag change, {} syncs",
+            "",
+            share(stats.credited),
+            stats.walks,
+            share(stats.credited_missing),
+            stats.epoch_refused,
+            stats.syncs
+        );
+        println!(
+            "{:<34} {:>11.1}% of calls left L2 alone, {:.1}% probed it again, \
+             {:.5} L2 syncs per call",
+            "",
+            share(stats.l2_credited),
+            share(stats.l2_refused),
+            stats.l2_syncs as f64 / stats.walks as f64
+        );
+    };
     let pattern = |name: &str, machine: Machine, next: &dyn Fn(usize) -> Option<usize>| {
-        pattern_in_quanta(name, machine, next, 0)
+        run(name, machine, next, 0, false)
     };
     let p4 = || Machine::new(MachineConfig::pentium4_like());
 
     // PCPCPC: every call misses; the memo credits all but the first few.
     let alternate = |i: usize| Some(i % 2);
     pattern("machine/exec_region_alt", p4(), &alternate);
+    // What `pull_thrash` does and the case above does not: a table scan
+    // runs alongside, its fills coming upon L2 ways whose recency credited
+    // refills have left for later.
+    run("machine/exec_region_alt_scan", p4(), &alternate, 0, true);
     // The same with attribution on: the ledger is credited its cells and
     // evictor records, one owner tag is one epoch ...
     let mut heated = p4();
@@ -104,7 +123,8 @@ fn bench_exec_region_patterns() {
     tagged.set_query_tag(1);
     pattern("machine/exec_region_alt_tagged", tagged, &alternate);
     // ... and two queries taking turns walk each region once per turn.
-    pattern_in_quanta("machine/exec_region_alt_tag_quanta", p4(), &alternate, 256);
+    let quanta = "machine/exec_region_alt_tag_quanta";
+    run(quanta, p4(), &alternate, 256, false);
     // CCCC…PPPP…: batches of 100, the buffered pattern.
     pattern("machine/exec_region_rep", p4(), &|i| Some(i / 100 % 2));
     // A three-operator pipeline that something else interrupts every 64

@@ -6,7 +6,7 @@
 use crate::config::CacheConfig;
 use crate::hash::U64Map;
 use crate::heat::HeatCell;
-use crate::lru::{with_width, LruSets, EMPTY};
+use crate::lru::{with_width, LruSets, Noted, Touched, EMPTY};
 use std::collections::HashMap;
 
 /// Opt-in cross-owner eviction attribution (see [`Cache::set_owner`]).
@@ -214,7 +214,14 @@ impl Cache {
     /// fills the line, evicting the LRU way of its set.
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        with_width!(self.lines.assoc(), N => self.access_one::<N>(addr))
+        with_width!(self.lines.assoc(), N => self.access_one::<N, false>(addr))
+    }
+
+    /// [`Cache::access`] for a cache that runs are noted in
+    /// ([`Cache::note_each`]): the L2, on behalf of a data refill.
+    #[inline]
+    pub(crate) fn access_lazy(&mut self, addr: u64) -> bool {
+        with_width!(self.lines.assoc(), N => self.access_one::<N, true>(addr))
     }
 
     /// Access each address in order, handing every one that misses to
@@ -222,7 +229,64 @@ impl Cache {
     /// [`Cache::access`] with the set width resolved once for the whole walk
     /// instead of once per line.
     #[inline]
-    pub(crate) fn access_each(&mut self, addrs: &[u64], mut refill: impl FnMut(u64, u64)) {
+    pub(crate) fn access_each(&mut self, addrs: &[u64], refill: impl FnMut(u64, u64)) {
+        self.each::<false, false>(addrs, |_| {}, refill);
+    }
+
+    /// [`Cache::access_each`] for a cache that runs are noted in: the L2, on
+    /// behalf of a real walk. Starts from stamps brought up to date, so that
+    /// no credit waits for longer than until the next real walk.
+    #[inline]
+    pub(crate) fn access_each_lazy(&mut self, addrs: &[u64], refill: impl FnMut(u64, u64)) {
+        self.lines.sync();
+        self.each::<true, false>(addrs, |_| {}, refill);
+    }
+
+    /// [`Cache::access_each`] as a *noted run*: `slots` is left holding the
+    /// way each access landed in — one entry per access that is not skipped
+    /// as a repeat of the one before — and the run, made up of the same
+    /// addresses, can be counted by [`Cache::credit_noted`] instead of made
+    /// again while the generation returned is in force (see
+    /// [`crate::lru`]).
+    #[inline]
+    pub(crate) fn note_each(
+        &mut self,
+        addrs: &[u64],
+        slots: &mut Vec<u32>,
+        refill: impl FnMut(u64, u64),
+    ) -> u64 {
+        let generation = self.lines.begin_noted_run();
+        slots.clear();
+        slots.reserve(addrs.len());
+        self.each::<true, true>(addrs, |slot| slots.push(slot as u32), refill);
+        generation
+    }
+
+    /// Count one more run of the `accesses` accesses `noted` was made from,
+    /// every one a hit, leaving the ways for later. `false`, and nothing
+    /// counted, if a noted line has been displaced: the run is to be made
+    /// ([`Cache::note_each`]) and noted again.
+    #[inline]
+    pub(crate) fn credit_noted(&mut self, noted: &mut Noted, accesses: u64) -> bool {
+        let credited = self.lines.credit(noted);
+        if credited {
+            self.accesses += accesses;
+        }
+        credited
+    }
+
+    /// Times the recency of credited runs had to be brought up to date.
+    pub(crate) fn recency_syncs(&self) -> u64 {
+        self.lines.syncs()
+    }
+
+    #[inline(always)]
+    fn each<const LAZY: bool, const NOTE: bool>(
+        &mut self,
+        addrs: &[u64],
+        mut landed: impl FnMut(usize),
+        mut refill: impl FnMut(u64, u64),
+    ) {
         with_width!(self.lines.assoc(), N => {
             let mut previous = EMPTY;
             for &addr in addrs {
@@ -233,8 +297,13 @@ impl Cache {
                     continue;
                 }
                 previous = addr >> self.line_shift;
-                if let Some(old) = self.lookup::<N>(addr) {
-                    refill(addr, old);
+                let t = self.find::<N, LAZY>(addr);
+                if NOTE {
+                    self.lines.mark(t.slot);
+                    landed(t.slot);
+                }
+                if !t.hit {
+                    refill(addr, t.old);
                 }
             }
         });
@@ -244,26 +313,29 @@ impl Cache {
     /// One out-of-line body per width, so a lone access pays for the
     /// registers of its own width only.
     #[inline(never)]
-    fn access_one<const N: usize>(&mut self, addr: u64) -> bool {
+    fn access_one<const N: usize, const LAZY: bool>(&mut self, addr: u64) -> bool {
         self.accesses += 1;
-        self.lookup::<N>(addr).is_none()
+        self.find::<N, LAZY>(addr).hit
     }
 
     /// [`Cache::access`] minus the access count, on a cache whose sets are
-    /// `N` ways wide (0: any): `None` on a hit, on a miss the line displaced
-    /// ([`EMPTY`] from a vacant way).
+    /// `N` ways wide (0: any) and, if `LAZY`, may hold noted ways.
     #[inline(always)]
-    fn lookup<const N: usize>(&mut self, addr: u64) -> Option<u64> {
+    fn find<const N: usize, const LAZY: bool>(&mut self, addr: u64) -> Touched {
         let line = addr >> self.line_shift;
-        let t = self.lines.touch::<N>((line & self.set_mask) as usize, line);
-        if t.hit {
-            return None;
+        let set = (line & self.set_mask) as usize;
+        let t = if LAZY {
+            self.lines.touch_lazy::<N>(set, line)
+        } else {
+            self.lines.touch::<N>(set, line)
+        };
+        if !t.hit {
+            self.misses += 1;
+            if self.attributed() {
+                self.attribute_miss(line, t.old, t.slot);
+            }
         }
-        self.misses += 1;
-        if self.attributed() {
-            self.attribute_miss(line, t.old, t.slot);
-        }
-        Some(t.old)
+        t
     }
 
     /// Ledger work for a miss on `line` that displaced `old` from way
@@ -697,6 +769,77 @@ mod tests {
         let sum_caused: u64 = cells.iter().map(|(_, v)| v.cross_caused).sum();
         assert_eq!(sum_caused, 0, "flush must clear eviction attributions");
         assert_eq!(c.heat_residency().len(), 1, "only line a resident");
+    }
+
+    /// A cache whose code refills are noted and credited counts, hits and
+    /// holds what one that is shown every access does, under data traffic
+    /// that sometimes displaces the code: the L2 of [`crate::Machine`] beside
+    /// the L2 of a naive walker.
+    #[test]
+    fn noted_runs_count_and_evict_like_real_ones() {
+        let (mut credits, mut refusals) = (0, 0);
+        for seed in 0..32u64 {
+            let mut state = seed + 1;
+            let cfg = CacheConfig {
+                capacity: 4096,
+                line_size: 64,
+                associativity: [2, 4, 8][seed as usize % 3],
+            };
+            let (mut plain, mut lazy) = (Cache::new(cfg), Cache::new(cfg));
+            // Two refill lists: some addresses share a line with the one
+            // before, which takes an access but no touch.
+            let runs: Vec<Vec<u64>> = (0..2)
+                .map(|r| {
+                    let len = 4 + splitmix(&mut state) % 12;
+                    let mut addrs: Vec<u64> = (0..len)
+                        .map(|_| 0x10_0000 * (r + 1) + splitmix(&mut state) % 24 * 32)
+                        .collect();
+                    addrs.sort_unstable();
+                    addrs
+                })
+                .collect();
+            let mut noted: [Option<Noted>; 2] = [None, None];
+            let mut slots = Vec::new();
+            let mut stream = 0u64;
+            for step in 0..2000 {
+                let context = format!("seed {seed} step {step}");
+                if splitmix(&mut state).is_multiple_of(4) {
+                    let r = (splitmix(&mut state) % 2) as usize;
+                    let run = &runs[r];
+                    plain.access_each(run, |_, _| {});
+                    let known = noted[r].as_mut();
+                    if known.is_some_and(|n| lazy.credit_noted(n, run.len() as u64)) {
+                        credits += 1;
+                    } else {
+                        refusals += u32::from(noted[r].is_some());
+                        let generation = lazy.note_each(run, &mut slots, |_, _| {});
+                        assert!(slots.len() <= run.len());
+                        Noted::renote(&mut noted[r], &slots, generation);
+                    }
+                } else {
+                    // A scan in bursts, and re-reads of what it left behind.
+                    let addr = if splitmix(&mut state).is_multiple_of(3) {
+                        stream.saturating_sub(splitmix(&mut state) % 32) * 64
+                    } else {
+                        stream += 1;
+                        stream * 64
+                    };
+                    assert_eq!(lazy.access_lazy(addr), plain.access(addr), "{context}");
+                }
+                assert_eq!(
+                    (lazy.accesses(), lazy.misses()),
+                    (plain.accesses(), plain.misses()),
+                    "{context}"
+                );
+            }
+            for run in &runs {
+                for &addr in run {
+                    assert_eq!(lazy.contains(addr), plain.contains(addr), "seed {seed}");
+                }
+            }
+            assert!(lazy.recency_syncs() > 0, "seed {seed}");
+        }
+        assert!(credits > 1000 && refusals > 1000, "{credits} / {refusals}");
     }
 
     /// Hit/miss agrees with an exact reference LRU simulation across many

@@ -7,7 +7,7 @@ use crate::counters::PerfCounters;
 use crate::hash::U64Map;
 use crate::heat::{self, HeatSnapshot};
 use crate::layout::{CodeRegion, SegmentRef};
-use crate::lru::EMPTY;
+use crate::lru::{Noted, EMPTY};
 use crate::prefetch::StreamPrefetcher;
 use crate::report::BreakdownReport;
 use crate::tlb::Tlb;
@@ -42,13 +42,16 @@ struct L2 {
     accesses: u64,
     misses: u64,
     covered: u64,
+    /// Where [`L2::credit_code`] collects the ways a refill it has to make
+    /// lands in.
+    slots: Vec<u32>,
 }
 
 impl L2 {
     /// Refill one L1d miss, training and consulting the prefetcher.
     fn refill_data(&mut self, addr: u64) {
         self.accesses += 1;
-        if !self.cache.access(addr) {
+        if !self.cache.access_lazy(addr) {
             self.misses += 1;
             if self.prefetcher.observe_miss(addr >> self.line_shift) {
                 self.covered += 1;
@@ -62,7 +65,26 @@ impl L2 {
     fn refill_code(&mut self, addrs: &[u64]) {
         self.accesses += addrs.len() as u64;
         let misses = &mut self.misses;
-        self.cache.access_each(addrs, |_, _| *misses += 1);
+        self.cache.access_each_lazy(addrs, |_, _| *misses += 1);
+    }
+
+    /// [`L2::refill_code`] on behalf of a credited walk, whose miss list
+    /// `addrs` is refilled time and again: if every line is still where the
+    /// refill `noted` describes found or left it, all of them hit, and they
+    /// are counted without being probed for (`true`). Otherwise — the first
+    /// time, or once a fill has displaced any noted line — they are refilled
+    /// for real and `noted` says where to.
+    fn credit_code(&mut self, addrs: &[u64], noted: &mut Option<Noted>) -> bool {
+        self.accesses += addrs.len() as u64;
+        if let Some(noted) = noted {
+            if self.cache.credit_noted(noted, addrs.len() as u64) {
+                return true;
+            }
+        }
+        let (misses, slots) = (&mut self.misses, &mut self.slots);
+        let generation = self.cache.note_each(addrs, slots, |_, _| *misses += 1);
+        Noted::renote(noted, slots, generation);
+        false
     }
 }
 
@@ -87,14 +109,15 @@ const MAX_OUTCOMES: usize = 8;
 /// `u64` words the region table may account for (128 KiB); it is emptied
 /// rather than grown past this.
 const MEMO_WORDS: usize = 16 * 1024;
-/// Longest miss list recorded, so one region cannot use up the table (with
-/// the heat ledger on, where a miss takes two words, it takes all its
-/// eight outcomes to).
+/// Longest miss list recorded, so one region cannot use up the table (a
+/// miss takes a word and a half, address and L2 slot; with the heat ledger
+/// on, where its victim makes that two and a half, seven such outcomes of
+/// one region do empty it).
 const MAX_MISSES: usize = MEMO_WORDS / MAX_OUTCOMES / 2;
 /// Words a region accounts for before its first outcome (table slot and
-/// header), and an outcome on top of its `words`.
+/// header), and an outcome on top of its `words` and its L2 note.
 const REGION_WORDS: usize = 24;
-const OUTCOME_WORDS: usize = 5;
+const OUTCOME_WORDS: usize = 9;
 
 /// Which regions a machine walked in what order, and what each walk found.
 /// DESIGN.md §18 has the exactness argument.
@@ -151,6 +174,9 @@ struct Outcome {
     /// the number of the walk that took the latest of them.
     owed: u32,
     credited_at: u64,
+    /// Where in L2 the latest real refill of the miss list on behalf of a
+    /// credit found or put each line; `None` until the first.
+    l2: Option<Noted>,
 }
 
 impl Outcome {
@@ -169,11 +195,18 @@ impl Outcome {
             itlb_misses: itlb_misses as u32,
             owed: 0,
             credited_at: 0,
+            l2: None,
         }
     }
 
     fn l1i_misses(&self) -> &[u64] {
         &self.words[self.history_len as usize..][..self.l1i_misses as usize]
+    }
+
+    /// [`Outcome::l1i_misses`], and the note of their refill from L2.
+    fn l1i_misses_noted(&mut self) -> (&[u64], &mut Option<Noted>) {
+        let misses = &self.words[self.history_len as usize..][..self.l1i_misses as usize];
+        (misses, &mut self.l2)
     }
 
     /// What the heat ledger is owed for one credit: the misses each of the
@@ -203,7 +236,13 @@ impl Outcome {
     }
 
     fn accounted_words(&self) -> usize {
-        self.words.len() + OUTCOME_WORDS
+        // At most what the L2 note will hold once a credit has made it: two
+        // reference counts, and a 4-byte slot per miss.
+        let note = match self.l1i_misses as usize {
+            0 => 0,
+            misses => 2 + misses.div_ceil(2),
+        };
+        self.words.len() + OUTCOME_WORDS + note
     }
 }
 
@@ -290,6 +329,16 @@ pub struct WalkStats {
     pub epoch_refused: u64,
     /// Syncs that had credited walks to re-apply.
     pub syncs: u64,
+    /// Credited calls with L1i misses whose L2 refill was credited too: no
+    /// L2 way probed.
+    pub l2_credited: u64,
+    /// Credited calls whose L2 refill was made for real, and noted: the
+    /// outcome's first credit, or one after a noted line (of its refill or
+    /// of any other) had been displaced.
+    pub l2_refused: u64,
+    /// Times L2's recency was brought up to date with credited refills,
+    /// before a fill that might have displaced one of their lines.
+    pub l2_syncs: u64,
 }
 
 impl Machine {
@@ -306,6 +355,7 @@ impl Machine {
                 accesses: 0,
                 misses: 0,
                 covered: 0,
+                slots: Vec::new(),
             },
             itlb: Tlb::new(cfg.itlb_entries),
             predictor: Predictor::new(&cfg.branch),
@@ -333,14 +383,17 @@ impl Machine {
     /// a pure function of the regions walked since that region's previous
     /// walk, its *history*. The first time a region meets a history it is
     /// walked and what the walk found is recorded; every later time that
-    /// outcome is *credited*: the counters and the heat ledger advance, the
-    /// recorded misses go through the real L2 (which data traffic shares)
-    /// and no L1i or ITLB way is touched. The next real walk first brings
-    /// their recency up to date (a *sync*). Under owner tags an outcome with
-    /// L1i misses is credited only if the region's previous walk ran under
-    /// the tag in force: then so did whatever evicted its lines since, and
-    /// none of the misses is a cross-owner miss. Branch sites always run:
-    /// the predictor has a history of its own.
+    /// outcome is *credited*: the counters and the heat ledger advance and no
+    /// L1i or ITLB way is touched; the next real walk first brings their
+    /// recency up to date (a *sync*). L2, which data traffic shares, is
+    /// credited the refill of the recorded misses as well — all hits, its
+    /// recency likewise left for later — from an outcome's second credit on,
+    /// for as long as every line its latest real refill touched is where it
+    /// was; otherwise the misses go through L2 for real. Under owner tags an
+    /// outcome with L1i misses is credited only if the region's previous
+    /// walk ran under the tag in force: then so did whatever evicted its
+    /// lines since, and none of the misses is a cross-owner miss. Branch
+    /// sites always run: the predictor has a history of its own.
     pub fn exec_region(&mut self, region: &mut CodeRegion) {
         self.predictor.run_sites(region.site_state_mut());
         let id = region.fetch_id();
@@ -373,14 +426,20 @@ impl Machine {
                         outcome.owed += 1;
                         outcome.credited_at = now;
                     }
-                    let misses = outcome.l1i_misses();
+                    let itlb_misses = u64::from(outcome.itlb_misses);
+                    let (misses, noted) = outcome.l1i_misses_noted();
                     self.l1i.credit(known.lines, misses.len() as u64);
-                    self.itlb
-                        .credit(known.pages, u64::from(outcome.itlb_misses));
-                    self.l2.refill_code(misses);
+                    self.itlb.credit(known.pages, itlb_misses);
+                    if !misses.is_empty() {
+                        if self.l2.credit_code(misses, noted) {
+                            memo.stats.l2_credited += 1;
+                        } else {
+                            memo.stats.l2_refused += 1;
+                        }
+                        memo.stats.credited_missing += 1;
+                    }
                     self.instructions += known.instructions;
                     memo.stats.credited += 1;
-                    memo.stats.credited_missing += u64::from(!misses.is_empty());
                     known.last = now;
                     if !repeat {
                         memo.log.push(id);
@@ -499,7 +558,10 @@ impl Machine {
     /// How `exec_region` calls were served so far.
     #[doc(hidden)]
     pub fn walk_stats(&self) -> WalkStats {
-        self.memo.stats
+        WalkStats {
+            l2_syncs: self.l2.cache.recency_syncs(),
+            ..self.memo.stats
+        }
     }
 
     /// Resolve one data-dependent branch (e.g. a predicate outcome) at the

@@ -9,9 +9,12 @@
 //!   and heat ledger must agree after every single step, under a random
 //!   event mix and under the periodic region cycles the memo is built for,
 //!   with attribution never on, on from the start, switched on mid-run and
-//!   with owner tags alternating in server-like quanta; each run proves from
-//!   `Machine::walk_stats` which path it exercised, and no walk that misses
-//!   is ever credited across an owner-tag change.
+//!   with owner tags alternating in server-like quanta, under scan-shaped
+//!   data traffic, with L2s from one that keeps the code to one that loses
+//!   it to every scan and to itself; each run proves from
+//!   `Machine::walk_stats` which path it exercised — in L2 too, where a
+//!   credited walk's refills are credited, refused or synced — and no walk
+//!   that misses is ever credited across an owner-tag change.
 //! * The property the memo rests on, on the naive walker alone: a region's
 //!   walk misses the same lines and displaces the same lines whenever the
 //!   same regions were walked since its previous walk.
@@ -449,6 +452,8 @@ struct Pair {
     tag: Option<u32>,
     tagged_at: u64,
     walked_at: Vec<Option<u64>>,
+    /// Where the table scan of [`Pair::scan`] has got to.
+    scanned: u64,
 }
 
 impl Pair {
@@ -465,6 +470,7 @@ impl Pair {
             clock: 0,
             tag: None,
             tagged_at: 0,
+            scanned: 0x3000_0000,
         }
     }
 
@@ -499,6 +505,13 @@ impl Pair {
         self.naive.data_access(addr, len);
     }
 
+    /// Read the next `bytes` of a table no one has read before: every line
+    /// misses both data levels and fills a way of L2.
+    fn scan(&mut self, bytes: usize) {
+        self.data(self.scanned, bytes);
+        self.scanned += bytes as u64;
+    }
+
     fn tag(&mut self, tag: u32) {
         self.real.set_query_tag(tag);
         self.naive.l1i.set_owner(tag);
@@ -518,6 +531,13 @@ impl Pair {
     fn check(&self, context: &str) {
         let counters = self.real.snapshot();
         assert_eq!(counters, self.naive.snapshot(), "{context}");
+        // A credited walk that missed went to L2 one way or the other.
+        let stats = self.real.walk_stats();
+        assert_eq!(
+            stats.l2_credited + stats.l2_refused,
+            stats.credited_missing,
+            "{context}"
+        );
         let snap = self.real.heat_snapshot();
         let (cells, residency) = self.naive.heat();
         assert_eq!(snap.cells, cells, "{context}");
@@ -651,9 +671,13 @@ enum Ledger {
 
 /// The instruction stream the memo is built for: a cycle of two to four
 /// regions going round, broken at random points. The log wraps several
-/// times over a run.
+/// times over a run. On even seeds a table scan runs alongside, a tuple per
+/// walk — the pull pipeline's data traffic, which keeps taking ways of L2
+/// from under the code — and on every seed some breaks read a burst of it.
 fn check_cycles(cfg: MachineConfig, seed: u64, attribution: Attribution) {
     const STEPS: usize = 9000;
+    let scanning = seed.is_multiple_of(2);
+    let l2 = cfg.l2;
     // Thrashing cycles first, among them regions that share a segment, one
     // that lists a segment twice and a clone standing in for its original;
     // then the regions that evict their own lines or pages; then cycles
@@ -717,6 +741,9 @@ fn check_cycles(cfg: MachineConfig, seed: u64, attribution: Attribution) {
                     }
                     attributed = true;
                 }
+                if scanning {
+                    pair.scan(64);
+                }
                 pair.exec(region);
                 pair.check(&format!("seed {seed} step {step}: {cycle:?} x{batch}"));
                 // A clone is its original as far as the log can tell.
@@ -732,9 +759,13 @@ fn check_cycles(cfg: MachineConfig, seed: u64, attribution: Attribution) {
                 previous = usize::MAX;
                 "jump"
             }
-            3 | 4 => {
+            3 => {
                 pair.data(0x1000_0000 + rng.below(1 << 20), 64);
                 "data"
+            }
+            4 => {
+                pair.scan((1 + rng.below(40) as usize) * l2.line_size);
+                "scan burst"
             }
             5 => {
                 // More walks than any recorded history holds.
@@ -782,15 +813,43 @@ fn check_cycles(cfg: MachineConfig, seed: u64, attribution: Attribution) {
         // Each change of tag sends every region round once more.
         assert!(stats.epoch_refused > 0, "{context}");
     }
+    // L2, by how much of the code it keeps. 8 KB: every refill loses lines
+    // to the scan, the next region or itself, and has to probe. 32 KB: so do
+    // nearly all, and the few that are credited meet fills that need their
+    // recency. A preset's L2 holds all the code against any scan — credited
+    // refills wait for the next real walk's, or for a fill that comes upon
+    // one of their lines — but the Athlon's sixteen ways are too few for the
+    // 52 sets the page-aligned functions share, and about as many refills
+    // find a line displaced as do not.
+    if l2.capacity <= 8 * 1024 {
+        assert!(stats.l2_refused > 20 * stats.l2_credited, "{context}");
+    } else if l2.capacity <= 32 * 1024 {
+        assert!(stats.l2_refused > stats.l2_credited, "{context}");
+        assert!(stats.l2_credited > 0 && stats.l2_syncs > 0, "{context}");
+    } else {
+        assert!(stats.l2_credited > stats.credited_missing / 3, "{context}");
+        assert!(stats.l2_syncs > 50, "{context}");
+        if l2.associativity == 16 {
+            assert!(stats.l2_refused > 500, "{context}");
+        }
+    }
 }
 
-/// Every preset, and a 4 KB L1i under a 64-entry ITLB: regions that evict
+/// Every preset; a 4 KB L1i under a 64-entry ITLB: regions that evict
 /// their own lines while every page stays translated (no preset separates
-/// the two).
+/// the two); and two L2s too small for the code (every preset's holds it
+/// all): 32 KB, where data keeps displacing lines the walk memo's credited
+/// refills count on, and 8 KB, where a refill displaces its own.
 fn machines() -> Vec<MachineConfig> {
     let mut l1i_only = MachineConfig::pentium4_like();
     l1i_only.l1i.capacity = 4 * 1024;
     l1i_only.itlb_entries = 64;
+    let small_l2 = |capacity, associativity| {
+        let mut cfg = MachineConfig::pentium4_like();
+        cfg.l2.capacity = capacity;
+        cfg.l2.associativity = associativity;
+        cfg
+    };
     vec![
         MachineConfig::pentium4_like(),
         // 32 B lines, 4-way, gshare.
@@ -798,6 +857,8 @@ fn machines() -> Vec<MachineConfig> {
         // 2-way L1, 16-way L2, 24-entry ITLB, gshare.
         MachineConfig::athlon_like(),
         l1i_only,
+        small_l2(32 * 1024, 4),
+        small_l2(8 * 1024, 2),
     ]
 }
 

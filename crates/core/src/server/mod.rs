@@ -448,7 +448,7 @@ impl Server {
             return Err(DbError::WorkerFailed("server is shut down".into()));
         }
         let mut spec = DriveSpec::for_server(plan, catalog, &self.master, opts)?;
-        let tag = self.shared.next_tag.fetch_add(1, Ordering::Relaxed);
+        let tag = next_owner_tag(&self.shared.next_tag);
         spec.tag = tag;
         let cancel = spec.cancel.clone();
         let (tx, rx) = mpsc::channel();
@@ -470,6 +470,18 @@ impl Server {
             tag,
             cfg: self.shared.cfg.machine.clone(),
         })
+    }
+}
+
+/// The next owner tag off `counter`, never 0: that is the simulator's
+/// "untagged" sentinel, and a query run under it after the counter wraps
+/// would have its cross-query misses attributed to no one.
+fn next_owner_tag(counter: &AtomicU32) -> u32 {
+    loop {
+        let tag = counter.fetch_add(1, Ordering::Relaxed);
+        if tag != 0 {
+            return tag;
+        }
     }
 }
 
@@ -646,5 +658,17 @@ impl ExchangeDelegate for ServerDelegate {
 
     fn seal_drive(&mut self, now: PerfCounters) -> PerfCounters {
         self.acct.seal(now)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn owner_tags_wrap_past_the_untagged_sentinel() {
+        let counter = AtomicU32::new(u32::MAX - 1);
+        let tags: Vec<u32> = (0..4).map(|_| next_owner_tag(&counter)).collect();
+        assert_eq!(tags, [u32::MAX - 1, u32::MAX, 1, 2]);
     }
 }

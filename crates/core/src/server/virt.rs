@@ -354,7 +354,6 @@ pub struct VirtualServer {
     ring: VecDeque<usize>,
     yield_rx: mpsc::Receiver<YieldMsg>,
     yield_tx: mpsc::Sender<YieldMsg>,
-    quantum_cycles: u64,
     master: CodeLayout,
     faults: Arc<FaultRegistry>,
     next_id: u64,
@@ -405,19 +404,12 @@ impl VirtualServer {
             ring: VecDeque::new(),
             yield_rx,
             yield_tx,
-            quantum_cycles: DEFAULT_QUANTUM_CYCLES,
             master: FootprintModel::prelinked(),
             faults: Arc::new(FaultRegistry::new()),
             next_id: 0,
             next_tag: 1,
             submitted: 0,
         }
-    }
-
-    /// Override the session-core drive quantum (simulated cycles). Smaller
-    /// quanta mean more switches and more cross-query displacement.
-    pub fn set_quantum_cycles(&mut self, cycles: u64) {
-        self.quantum_cycles = cycles.max(1);
     }
 
     /// The fault registry shared by every query this server runs (arm sites
@@ -438,6 +430,13 @@ impl VirtualServer {
     pub fn submit(&mut self, spec: SubmitSpec<'_>) -> Result<u64> {
         let (plan, catalog, opts) = (spec.plan(), spec.catalog(), spec.query_opts());
         let arrival_ns = spec.arrival_ns();
+        // Refused before anything is counted or allocated for it.
+        let latest = lock(&self.core).waiting.back().map(|j| j.arrival);
+        if latest.is_some_and(|at| at > arrival_ns) {
+            return Err(DbError::ExecProtocol(
+                "virtual server submissions must arrive in order".into(),
+            ));
+        }
         // An explicit token beats a timeout when the spec resolves its
         // options, so pinning one here is what ignores the timeout.
         let mut opts = opts.clone();
@@ -452,13 +451,7 @@ impl VirtualServer {
         self.next_id += 1;
         spec.tag = self.alloc_tag();
         self.submitted += 1;
-        let mut c = lock(&self.core);
-        if c.waiting.back().is_some_and(|j| j.arrival > arrival_ns) {
-            return Err(DbError::ExecProtocol(
-                "virtual server submissions must arrive in order".into(),
-            ));
-        }
-        c.waiting.push_back(VJob {
+        lock(&self.core).waiting.push_back(VJob {
             id,
             arrival: arrival_ns,
             spec,
@@ -520,7 +513,7 @@ impl VirtualServer {
         });
         spec.slicer = Some(Box::new(TurnSlicer {
             gate: Arc::clone(&gate),
-            quantum_cycles: self.quantum_cycles,
+            quantum_cycles: DEFAULT_QUANTUM_CYCLES,
             base: None,
         }));
         let delegate = Box::new(SlicedDelegate {

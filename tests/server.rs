@@ -184,6 +184,37 @@ fn faulted_query_does_not_poison_the_pool() {
     assert!(server.stats().failed >= 3);
 }
 
+/// A submission that arrives before one already queued is refused whole: it
+/// takes no id, no owner tag and no place in the `submitted` count, so the
+/// submissions around it are numbered and tagged as if it had never come.
+#[test]
+fn virtual_server_refuses_an_out_of_order_arrival_before_counting_it() {
+    let catalog = catalog();
+    let plans = suite(&catalog, 2);
+    let plan = &plans[3].1;
+    let run = |stray: bool| {
+        let mut vs = VirtualServer::new(ServerConfig::default());
+        let first = vs
+            .submit(SubmitSpec::new(plan, &catalog).at(1_000))
+            .unwrap();
+        if stray {
+            let refused = vs.submit(SubmitSpec::new(plan, &catalog).at(999));
+            assert!(matches!(refused, Err(DbError::ExecProtocol(_))));
+            assert_eq!(vs.stats().submitted, 1);
+        }
+        let second = vs
+            .submit(SubmitSpec::new(plan, &catalog).at(1_000))
+            .unwrap();
+        assert_eq!((first, second), (0, 1));
+        assert_eq!(vs.stats().submitted, 2);
+        let done = vs.drain();
+        done.iter().map(|c| (c.id, c.tag)).collect::<Vec<_>>()
+    };
+    let tags = run(true);
+    assert_eq!(tags.len(), 2);
+    assert_eq!(tags, run(false));
+}
+
 /// `workers = 1` means one core of simulated compute, period. The session
 /// core absorbs the exchange phases inline, so a single-worker server must
 /// still complete parallel plans correctly — and must take strictly longer
