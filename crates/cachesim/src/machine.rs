@@ -362,7 +362,12 @@ impl Machine {
             instructions: 0,
             absorbed: PerfCounters::default(),
             fetched: Fetched::default(),
-            memo: WalkMemo::default(),
+            // The log's whole capacity up front: it never grows mid-run, so
+            // a query allocates the same whatever its length.
+            memo: WalkMemo {
+                log: Vec::with_capacity(LOG_ENTRIES),
+                ..WalkMemo::default()
+            },
             cfg,
         }
     }

@@ -7,9 +7,23 @@
 //! needs that many live output slots. The arena models exactly this: each
 //! operator owns a *region* of tuple slots, reused round-robin, whose
 //! capacity is raised by a parent buffer's batch hint before `open`.
+//!
+//! A slot holds one of three kinds of row (`Held`). A scan's output slot
+//! *names* a row of a table registered with the arena, and a join of two
+//! such rows names the pair — the host copies nothing, as the paper's
+//! buffer copies nothing — while an operator that builds rows (a
+//! projection, a join over a built row, an aggregate) owns them; it
+//! rewrites the tuple its slot last held (`TupleArena::recycle`) instead of
+//! allocating a new one. Either way the *simulated* memory traffic is the
+//! same: a store writes, and a read reads, the slot's simulated address for
+//! the row's simulated width. Host pointers never reach the model.
 
+use crate::expr::RowRef;
 use bufferdb_cachesim::Machine;
-use bufferdb_types::Tuple;
+use bufferdb_storage::{RowId, Table};
+use bufferdb_types::{Datum, Tuple};
+use std::cell::OnceCell;
+use std::sync::Arc;
 
 /// Base of per-query scratch space (operator slots, buffer arrays, hash
 /// tables, sort runs); table heaps live below this.
@@ -25,6 +39,26 @@ pub struct TupleSlot {
     pub slot: u32,
 }
 
+/// Row `id` of the table the arena registered as `table`
+/// (`TupleArena::register_table`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TableRow {
+    pub(crate) table: u32,
+    pub(crate) id: RowId,
+}
+
+/// A row a slot (or a materializing operator) holds.
+#[derive(Debug, Clone)]
+pub(crate) enum Held {
+    /// A tuple the holder owns.
+    Owned(Tuple),
+    /// A table row, by reference.
+    Row(TableRow),
+    /// A join's output over two table rows, by reference; `joined`, their
+    /// concatenation, is built only if someone asks for the whole tuple.
+    Pair(TableRow, TableRow, OnceCell<Tuple>),
+}
+
 #[derive(Debug)]
 struct Region {
     base: u64,
@@ -32,7 +66,19 @@ struct Region {
     /// 0 = unbounded (append-only: sorts/hash tables that materialize).
     capacity: u32,
     next: u32,
-    tuples: Vec<Option<Tuple>>,
+    slots: Vec<Option<Held>>,
+}
+
+impl Region {
+    fn addr(&self, slot: u32) -> u64 {
+        self.base + slot as u64 * self.slot_bytes as u64
+    }
+
+    /// Simulated bytes a store or read of a row `simulated_width` wide
+    /// touches in this region.
+    fn width(&self, simulated_width: usize) -> usize {
+        (simulated_width as u32).min(self.slot_bytes.max(16)) as usize
+    }
 }
 
 /// Per-query tuple storage.
@@ -40,6 +86,8 @@ struct Region {
 pub struct TupleArena {
     regions: Vec<Region>,
     next_addr: u64,
+    /// Tables whose rows slots may name, in registration order.
+    tables: Vec<Arc<Table>>,
 }
 
 impl TupleArena {
@@ -48,6 +96,7 @@ impl TupleArena {
         TupleArena {
             regions: Vec::new(),
             next_addr: EXEC_DATA_BASE,
+            tables: Vec::new(),
         }
     }
 
@@ -71,7 +120,7 @@ impl TupleArena {
             slot_bytes,
             capacity,
             next: 0,
-            tuples: vec![None; capacity as usize],
+            slots: vec![None; capacity as usize],
         });
         id
     }
@@ -86,27 +135,139 @@ impl TupleArena {
             slot_bytes,
             capacity: 0,
             next: 0,
-            tuples: Vec::new(),
+            slots: Vec::new(),
         });
         id
     }
 
-    /// Store a tuple into `region`, simulating the memory write of its
-    /// payload. Returns the slot handle.
+    /// Let slots name rows of `table`; returns its registration index
+    /// (the same index for the same table, however often it is asked).
+    pub(crate) fn register_table(&mut self, table: &Arc<Table>) -> u32 {
+        let known = self.tables.iter().position(|t| Arc::ptr_eq(t, table));
+        known.unwrap_or_else(|| {
+            self.tables.push(Arc::clone(table));
+            self.tables.len() - 1
+        }) as u32
+    }
+
+    fn table_row(&self, r: TableRow) -> &Tuple {
+        self.tables[r.table as usize].row(r.id)
+    }
+
+    /// The tuple `held` stands for (a pair's is built on first request).
+    pub(crate) fn resolve<'a>(&'a self, held: &'a Held) -> &'a Tuple {
+        match held {
+            Held::Owned(t) => t,
+            Held::Row(r) => self.table_row(*r),
+            Held::Pair(l, r, joined) => joined.get_or_init(|| {
+                let row = RowRef::pair(self.table_row(*l), self.table_row(*r));
+                let mut t = Tuple::new(vec![Datum::Null; row.arity()]);
+                row.copy_into(t.values_mut());
+                t
+            }),
+        }
+    }
+
+    /// The row `held` stands for, read in place (a pair stays two rows).
+    fn row_of<'a>(&'a self, held: &'a Held) -> RowRef<'a> {
+        match held {
+            Held::Pair(l, r, _) => RowRef::pair(self.table_row(*l), self.table_row(*r)),
+            other => RowRef::one(self.resolve(other)),
+        }
+    }
+
+    /// The simulated width of the row `held` stands for: a pair's is its
+    /// concatenation's (one tuple header, both sides' payloads).
+    fn simulated_width(&self, held: &Held) -> usize {
+        match held {
+            Held::Pair(l, r, _) => {
+                self.table_row(*l).simulated_width() + self.table_row(*r).simulated_width() - 16
+            }
+            other => self.resolve(other).simulated_width(),
+        }
+    }
+
+    /// Store an owned tuple into `region`, simulating the memory write of
+    /// its payload. Returns the slot handle.
     pub fn store(&mut self, region: u32, tuple: Tuple, machine: &mut Machine) -> TupleSlot {
+        self.store_held(region, Held::Owned(tuple), machine)
+    }
+
+    /// Store a reference to row `id` of registered table `table`: the
+    /// simulated write is that of a copy, the host copies nothing.
+    pub(crate) fn store_row(
+        &mut self,
+        region: u32,
+        table: u32,
+        id: RowId,
+        machine: &mut Machine,
+    ) -> TupleSlot {
+        self.store_held(region, Held::Row(TableRow { table, id }), machine)
+    }
+
+    /// Store `held` into `region`, simulating the write of the row it
+    /// stands for.
+    pub(crate) fn store_held(
+        &mut self,
+        region: u32,
+        held: Held,
+        machine: &mut Machine,
+    ) -> TupleSlot {
+        let written = self.regions[region as usize].width(self.simulated_width(&held));
         let r = &mut self.regions[region as usize];
         let slot = r.next;
-        let written = (tuple.simulated_width() as u32).min(r.slot_bytes.max(16));
         if r.capacity == 0 {
-            r.tuples.push(Some(tuple));
+            r.slots.push(Some(held));
             r.next += 1;
         } else {
-            r.tuples[slot as usize] = Some(tuple);
+            r.slots[slot as usize] = Some(held);
             r.next = (r.next + 1) % r.capacity;
         }
-        let addr = r.base + slot as u64 * r.slot_bytes as u64;
-        machine.data_write(addr, written as usize);
+        machine.data_write(r.addr(slot), written);
         TupleSlot { region, slot }
+    }
+
+    /// Store a join's output row — the row in `left` followed by `right` —
+    /// into `region`: as a pair of references when both are table rows,
+    /// otherwise built in the slot's recycled tuple.
+    pub(crate) fn store_join(
+        &mut self,
+        region: u32,
+        left: TupleSlot,
+        right: &Held,
+        machine: &mut Machine,
+    ) -> TupleSlot {
+        if let (Held::Row(l), Held::Row(r)) = (self.held(left), right) {
+            let pair = Held::Pair(*l, *r, OnceCell::new());
+            return self.store_held(region, pair, machine);
+        }
+        let arity = self.tuple(left).arity() + self.resolve(right).arity();
+        let mut out = self.recycle(region, arity);
+        RowRef::pair(self.tuple(left), self.resolve(right)).copy_into(out.values_mut());
+        self.store(region, out, machine)
+    }
+
+    /// A tuple of `arity` values to build the next row of `region` in:
+    /// the owned tuple the next store will overwrite, detached, when it has
+    /// that arity (no allocation once a bounded region has cycled), a fresh
+    /// one otherwise. Its values are stale; the caller rewrites all of them.
+    pub(crate) fn recycle(&mut self, region: u32, arity: usize) -> Tuple {
+        let r = &mut self.regions[region as usize];
+        if r.capacity != 0 {
+            let next = &mut r.slots[r.next as usize];
+            if matches!(next, Some(Held::Owned(t)) if t.arity() == arity) {
+                if let Some(Held::Owned(t)) = next.take() {
+                    return t;
+                }
+            }
+        }
+        Tuple::new(vec![Datum::Null; arity])
+    }
+
+    /// What `slot` holds, to keep past the slot's lifetime: table rows are
+    /// copied as references, an owned tuple cloned.
+    pub(crate) fn hold(&self, slot: TupleSlot) -> Held {
+        self.held(slot).clone()
     }
 
     /// Store a tuple into an *unbounded* `region` without simulating a
@@ -118,38 +279,40 @@ impl TupleArena {
         let r = &mut self.regions[region as usize];
         assert_eq!(r.capacity, 0, "preload targets unbounded regions");
         let slot = r.next;
-        r.tuples.push(Some(tuple));
+        r.slots.push(Some(Held::Owned(tuple)));
         r.next += 1;
         TupleSlot { region, slot }
+    }
+
+    fn held(&self, slot: TupleSlot) -> &Held {
+        self.regions[slot.region as usize].slots[slot.slot as usize]
+            .as_ref()
+            .expect("read of recycled or unwritten tuple slot")
     }
 
     /// The tuple in `slot`. Panics when the slot was never written or has
     /// been recycled — which indicates an executor protocol bug (a parent
     /// holding a pointer longer than the child's slot capacity allows).
     pub fn tuple(&self, slot: TupleSlot) -> &Tuple {
-        self.regions[slot.region as usize].tuples[slot.slot as usize]
-            .as_ref()
-            .expect("read of recycled or unwritten tuple slot")
+        self.resolve(self.held(slot))
     }
 
-    /// Like [`TupleArena::tuple`], but also simulates the memory read.
-    pub fn read(&self, slot: TupleSlot, machine: &mut Machine) -> &Tuple {
+    /// The row in `slot`, read in place: what operators evaluate against
+    /// (a join's output of two table rows is never concatenated for it).
+    pub(crate) fn row(&self, slot: TupleSlot) -> RowRef<'_> {
+        self.row_of(self.held(slot))
+    }
+
+    /// Simulate the memory read of `slot`'s row.
+    pub fn read(&self, slot: TupleSlot, machine: &mut Machine) {
         let r = &self.regions[slot.region as usize];
-        let t = r.tuples[slot.slot as usize]
-            .as_ref()
-            .expect("read of recycled or unwritten tuple slot");
-        let addr = r.base + slot.slot as u64 * r.slot_bytes as u64;
-        machine.data_read(
-            addr,
-            (t.simulated_width() as u32).min(r.slot_bytes.max(16)) as usize,
-        );
-        t
+        let width = r.width(self.simulated_width(self.held(slot)));
+        machine.data_read(r.addr(slot.slot), width);
     }
 
     /// Simulated address of a slot (for pointer-array modelling).
     pub fn slot_addr(&self, slot: TupleSlot) -> u64 {
-        let r = &self.regions[slot.region as usize];
-        r.base + slot.slot as u64 * r.slot_bytes as u64
+        self.regions[slot.region as usize].addr(slot.slot)
     }
 
     /// Number of regions allocated (diagnostics).
@@ -162,7 +325,8 @@ impl TupleArena {
 mod tests {
     use super::*;
     use bufferdb_cachesim::MachineConfig;
-    use bufferdb_types::Datum;
+    use bufferdb_storage::TableBuilder;
+    use bufferdb_types::{DataType, Field, Schema};
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::pentium4_like())
@@ -172,6 +336,23 @@ mod tests {
         Tuple::new(vec![Datum::Int(v)])
     }
 
+    fn table(n: i64) -> Arc<Table> {
+        let mut b = TableBuilder::new(
+            "t",
+            Schema::new(vec![
+                Field::new("k", DataType::Int),
+                Field::new("s", DataType::Str),
+            ]),
+        );
+        for i in 0..n {
+            b.push(Tuple::new(vec![
+                Datum::Int(i),
+                Datum::str(format!("row {i}")),
+            ]));
+        }
+        Arc::new(b.build(0x1000))
+    }
+
     #[test]
     fn store_and_read_round_trip() {
         let mut a = TupleArena::new();
@@ -179,7 +360,8 @@ mod tests {
         let r = a.alloc_region(4, 64);
         let s = a.store(r, tup(42), &mut m);
         assert_eq!(a.tuple(s).get(0).as_int(), Some(42));
-        assert_eq!(a.read(s, &mut m).get(0).as_int(), Some(42));
+        a.read(s, &mut m);
+        assert_eq!(a.row(s).get(0).and_then(Datum::as_int), Some(42));
     }
 
     #[test]
@@ -257,5 +439,101 @@ mod tests {
         let y = a.sim_alloc(1);
         assert!(y > x);
         assert_eq!(x % 64, 0);
+    }
+
+    #[test]
+    fn tables_register_once() {
+        let mut a = TupleArena::new();
+        let (t, u) = (table(1), table(1));
+        assert_eq!(a.register_table(&t), 0);
+        assert_eq!(a.register_table(&u), 1);
+        assert_eq!(a.register_table(&t), 0);
+    }
+
+    #[test]
+    fn table_rows_charge_what_an_owned_copy_charges() {
+        // The same rows stored by reference on one machine and as owned
+        // copies on another: same slots, same simulated addresses and
+        // widths, so identical counters after every store and read.
+        let t = table(40);
+        let (mut by_ref, mut by_copy) = (TupleArena::new(), TupleArena::new());
+        let (mut m1, mut m2) = (machine(), machine());
+        let id = by_ref.register_table(&t);
+        let (r1, r2) = (by_ref.alloc_region(3, 32), by_copy.alloc_region(3, 32));
+        for row in 0..40u32 {
+            let s1 = by_ref.store_row(r1, id, row, &mut m1);
+            let s2 = by_copy.store(r2, t.row(row).clone(), &mut m2);
+            assert_eq!(by_ref.slot_addr(s1), by_copy.slot_addr(s2));
+            by_ref.read(s1, &mut m1);
+            by_copy.read(s2, &mut m2);
+            assert_eq!(by_ref.tuple(s1), by_copy.tuple(s2));
+            assert_eq!(m1.snapshot(), m2.snapshot(), "row {row}");
+        }
+        assert!(m1.snapshot().l1d_accesses > 0);
+    }
+
+    #[test]
+    fn joined_table_rows_are_a_pair_that_charges_its_concatenation() {
+        // A join of two table rows stored as a pair of references, against
+        // the same join stored as an owned concatenation: same slots, same
+        // simulated traffic; read in place as two sides, and concatenated
+        // only when someone asks for the whole tuple.
+        let t = table(6);
+        let (mut by_ref, mut by_copy) = (TupleArena::new(), TupleArena::new());
+        let (mut m1, mut m2) = (machine(), machine());
+        let id = by_ref.register_table(&t);
+        let (l1, l2) = (by_ref.alloc_region(3, 64), by_copy.alloc_region(3, 64));
+        let (o1, o2) = (by_ref.alloc_region(3, 48), by_copy.alloc_region(3, 48));
+        for row in 0..6u32 {
+            let left = by_ref.store_row(l1, id, row, &mut m1);
+            let right = Held::Row(TableRow {
+                table: id,
+                id: 5 - row,
+            });
+            let s1 = by_ref.store_join(o1, left, &right, &mut m1);
+            let copy = by_copy.store(l2, t.row(row).clone(), &mut m2);
+            let whole = Held::Owned(t.row(5 - row).clone());
+            let s2 = by_copy.store_join(o2, copy, &whole, &mut m2);
+            assert!(matches!(by_ref.held(s1), Held::Pair(..)));
+            assert!(matches!(by_copy.held(s2), Held::Owned(_)));
+            by_ref.read(s1, &mut m1);
+            by_copy.read(s2, &mut m2);
+            assert_eq!(m1.snapshot(), m2.snapshot(), "row {row}");
+            assert_eq!(by_ref.row(s1).get(3), t.row(5 - row).get(1).into());
+            assert_eq!(by_ref.tuple(s1), by_copy.tuple(s2));
+        }
+    }
+
+    #[test]
+    fn slots_recycle_across_kinds() {
+        let t = table(8);
+        let mut a = TupleArena::new();
+        let mut m = machine();
+        let id = a.register_table(&t);
+        let r = a.alloc_region(2, 64);
+        // A table row, then owned rows, cycling through the same two slots.
+        let s0 = a.store_row(r, id, 5, &mut m);
+        assert_eq!(a.tuple(s0), t.row(5));
+        // The next slot is empty: nothing to reuse yet.
+        let fresh = a.recycle(r, 2);
+        let s1 = a.store(r, fresh, &mut m);
+        assert_eq!(a.tuple(s1).get(1), &Datum::Null);
+        // Slot 0 names a table row, which cannot be rewritten: fresh tuple.
+        let mut over_row = a.recycle(r, 2);
+        over_row.values_mut()[0] = Datum::Int(-1);
+        let s2 = a.store(r, over_row, &mut m);
+        assert_eq!(s2.slot, s0.slot);
+        assert_eq!(a.tuple(s2).get(0).as_int(), Some(-1));
+        // Slot 1 holds an owned 2-tuple: recycled in place.
+        let reused = a.recycle(r, 2);
+        let s3 = a.store(r, reused, &mut m);
+        assert_eq!(s3.slot, s1.slot);
+        // An owned slot of another arity is not reused, and a table row
+        // overwrites an owned tuple.
+        assert_eq!(a.recycle(r, 3).arity(), 3);
+        let s4 = a.store_row(r, id, 7, &mut m);
+        assert_eq!(a.tuple(s4), t.row(7));
+        assert!(matches!(a.hold(s4), Held::Row(TableRow { id: 7, .. })));
+        assert!(matches!(a.hold(s3), Held::Owned(_)));
     }
 }

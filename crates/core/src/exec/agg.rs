@@ -9,12 +9,14 @@
 use crate::arena::TupleSlot;
 use crate::context::ExecContext;
 use crate::exec::{schema_slot_bytes, Operator, DEFAULT_BATCH};
+use crate::expr::{Expr, Program, RowRef};
 use crate::footprint::{FootprintModel, OpKind};
 use crate::plan::{AggFunc, AggSpec};
 use bufferdb_cachesim::{CodeRegion, Machine};
 use bufferdb_types::{ops, Datum, DbError, Result, Schema, SchemaRef, Tuple};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
 
 /// Running state of one aggregate.
 #[derive(Debug, Clone)]
@@ -47,13 +49,21 @@ impl AggState {
                 }
             }
             AggState::Sum(acc) => {
-                if let Some(v) = value {
-                    if !v.is_null() {
-                        *acc = Some(match acc.take() {
-                            None => v.clone(),
-                            Some(a) => ops::add(&a, v)?,
-                        });
-                    }
+                if let Some(v) = value.filter(|v| !v.is_null()) {
+                    // Int and Decimal sums add in place; anything else (a
+                    // coercion, an overflow) is `ops::add`'s.
+                    let fast = match (&*acc, v) {
+                        (Some(Datum::Int(a)), Datum::Int(b)) => a.checked_add(*b).map(Datum::Int),
+                        (Some(Datum::Decimal(a)), Datum::Decimal(b)) => {
+                            a.checked_add(b).ok().map(Datum::Decimal)
+                        }
+                        _ => None,
+                    };
+                    *acc = Some(match (fast, acc.take()) {
+                        (Some(sum), _) => sum,
+                        (None, None) => v.clone(),
+                        (None, Some(a)) => ops::add(&a, v)?,
+                    });
                 }
             }
             AggState::Min(acc) => {
@@ -124,26 +134,30 @@ fn datum_to_f64(d: &Datum) -> Option<f64> {
     }
 }
 
-/// Hashable, equatable group key (floats are rejected at build time).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum KeyAtom {
+/// One group-key column as grouping sees it, borrowed from the row: equal
+/// keys group together (decimals are canonicalized so 1.50 and 1.5 do) and
+/// hash alike. The hash feeds the simulated bucket address, so it must not
+/// move: the variants, their order and their payload types are those of the
+/// owned key this replaced (`Str` hashes as `str` either way).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum KeyAtom<'a> {
     Null,
     Bool(bool),
     Int(i64),
     Date(i32),
-    Str(Arc<str>),
+    Str(&'a str),
     Dec(i128, u8),
 }
 
-fn key_atom(d: &Datum) -> Result<KeyAtom> {
-    Ok(match d {
+/// `d` as a key atom; `None` for a float, which cannot be grouped on.
+fn key_atom(d: &Datum) -> Option<KeyAtom<'_>> {
+    Some(match d {
         Datum::Null => KeyAtom::Null,
         Datum::Bool(b) => KeyAtom::Bool(*b),
         Datum::Int(v) => KeyAtom::Int(*v),
         Datum::Date(v) => KeyAtom::Date(v.days()),
-        Datum::Str(s) => KeyAtom::Str(Arc::clone(s)),
+        Datum::Str(s) => KeyAtom::Str(s),
         Datum::Decimal(v) => {
-            // Canonicalize so 1.50 and 1.5 group together.
             let (mut m, mut s) = (v.mantissa(), v.scale());
             while s > 0 && m % 10 == 0 {
                 m /= 10;
@@ -151,103 +165,140 @@ fn key_atom(d: &Datum) -> Result<KeyAtom> {
             }
             KeyAtom::Dec(m, s)
         }
-        Datum::Float(_) => {
-            return Err(DbError::InvalidPlan(
-                "cannot group by a float column".into(),
-            ))
-        }
+        Datum::Float(_) => return None,
     })
 }
 
-fn new_states(aggs: &[AggSpec]) -> Vec<AggState> {
-    aggs.iter().map(|a| AggState::new(a.func)).collect()
+/// One group: its key values as first seen, its states, and the next group
+/// whose key hashes the same.
+struct Group {
+    key: Vec<Datum>,
+    states: Vec<AggState>,
+    next: Option<u32>,
 }
-
-fn update_states(
-    machine: &mut Machine,
-    aggs: &[AggSpec],
-    states: &mut [AggState],
-    row: &Tuple,
-) -> Result<()> {
-    for (spec, state) in aggs.iter().zip(states.iter_mut()) {
-        match (&spec.input, spec.func) {
-            (_, AggFunc::CountStar) => state.update(None)?,
-            (Some(e), _) => {
-                machine.add_instructions(e.instruction_cost());
-                state.update(Some(&e.eval(row)?))?;
-            }
-            (None, func) => unreachable!("{func:?} without an argument passed Accumulator::new"),
-        }
-    }
-    Ok(())
-}
-
-type Group = (Vec<Datum>, Vec<AggState>);
 
 /// The aggregate's row kernel: plain or hash-grouped accumulation with
 /// first-seen group order. [`AggregateOp`] feeds it one child tuple per
 /// region execution; the fused push sink ([`crate::exec::push`]) a whole
-/// batch per region execution. Both fold through the same `AggState`s, so
-/// results are bit-identical.
+/// batch — or a probe's (probe row, build row) pairs — per region execution.
+/// Both fold through the same `AggState`s, so results are bit-identical.
 pub(crate) struct Accumulator {
     group_by: Vec<usize>,
-    aggs: Vec<AggSpec>,
+    funcs: Vec<AggFunc>,
+    /// Each aggregate's argument; `None` for `COUNT(*)`.
+    args: Vec<Option<Program>>,
     /// Running states of a plain (ungrouped) aggregate.
     states: Vec<AggState>,
-    groups: HashMap<Vec<KeyAtom>, Group>,
-    /// Group keys in first-seen order (the output order).
-    order: Vec<Vec<KeyAtom>>,
+    /// Groups in first-seen order (the output order).
+    groups: Vec<Group>,
+    /// Key hash → first group with that hash.
+    index: HashMap<u64, u32>,
     ht_base: u64,
 }
 
 impl Accumulator {
-    pub(crate) fn new(group_by: Vec<usize>, aggs: Vec<AggSpec>) -> Result<Self> {
-        for a in &aggs {
-            if a.input.is_none() && a.func != AggFunc::CountStar {
-                return Err(DbError::InvalidPlan(format!(
-                    "{:?} requires an argument",
-                    a.func
-                )));
-            }
+    /// An accumulator whose aggregate arguments `lower` compiles against
+    /// its input rows.
+    pub(crate) fn new(
+        group_by: Vec<usize>,
+        aggs: &[AggSpec],
+        lower: impl Fn(&Expr) -> Program,
+    ) -> Result<Self> {
+        let mut args = Vec::with_capacity(aggs.len());
+        for a in aggs {
+            args.push(match (a.func, &a.input) {
+                (AggFunc::CountStar, _) => None,
+                (_, Some(e)) => Some(lower(e)),
+                (func, None) => {
+                    return Err(DbError::InvalidPlan(format!(
+                        "{func:?} requires an argument"
+                    )))
+                }
+            });
         }
         Ok(Accumulator {
             group_by,
-            aggs,
+            funcs: aggs.iter().map(|a| a.func).collect(),
+            args,
             states: Vec::new(),
-            groups: HashMap::new(),
-            order: Vec::new(),
+            groups: Vec::new(),
+            index: HashMap::new(),
             ht_base: 0,
         })
+    }
+
+    fn new_states(&self) -> Vec<AggState> {
+        self.funcs.iter().map(|&f| AggState::new(f)).collect()
     }
 
     /// Start a fresh accumulation (allocating the simulated group table
     /// when grouping).
     pub(crate) fn reset(&mut self, ctx: &mut ExecContext) {
-        self.states = new_states(&self.aggs);
+        self.states = self.new_states();
         self.groups.clear();
-        self.order.clear();
+        self.index.clear();
         if !self.group_by.is_empty() {
             self.ht_base = ctx.arena.sim_alloc(1 << 20);
         }
     }
 
     /// Fold one input row in.
-    pub(crate) fn update(&mut self, machine: &mut Machine, row: &Tuple) -> Result<()> {
+    pub(crate) fn update(&mut self, machine: &mut Machine, row: RowRef<'_>) -> Result<()> {
         if self.group_by.is_empty() {
-            return update_states(machine, &self.aggs, &mut self.states, row);
+            return update_states(machine, &mut self.args, &mut self.states, row);
         }
-        let mut key = Vec::with_capacity(self.group_by.len());
+        let mut h = DefaultHasher::new();
+        // A slice's hash: its length, then each element.
+        h.write_usize(self.group_by.len());
         for &g in &self.group_by {
-            key.push(key_atom(row.get(g))?);
+            key_atom(group_column(row, g)?)
+                .ok_or_else(|| DbError::InvalidPlan("cannot group by a float column".into()))?
+                .hash(&mut h);
         }
+        let hash = h.finish();
         // One hash-bucket touch per input row.
-        machine.data_read(self.ht_base + (fx_hash(&key) & 0xFFFF) * 16, 16);
-        let (_, states) = self.groups.entry(key).or_insert_with_key(|key| {
-            self.order.push(key.clone());
-            let key_vals = self.group_by.iter().map(|&g| row.get(g).clone()).collect();
-            (key_vals, new_states(&self.aggs))
+        machine.data_read(self.ht_base + (hash & 0xFFFF) * 16, 16);
+        let group = match self.find(hash, row) {
+            Some(g) => g,
+            None => self.insert(hash, row)?,
+        };
+        let states = &mut self.groups[group as usize].states;
+        update_states(machine, &mut self.args, states, row)
+    }
+
+    /// The group whose key equals `row`'s, among those hashing to `hash`.
+    fn find(&self, hash: u64, row: RowRef<'_>) -> Option<u32> {
+        let mut at = self.index.get(&hash).copied();
+        while let Some(g) = at {
+            let group = &self.groups[g as usize];
+            let same = self
+                .group_by
+                .iter()
+                .zip(&group.key)
+                .all(|(&c, k)| row.get(c).and_then(key_atom) == key_atom(k));
+            if same {
+                return Some(g);
+            }
+            at = group.next;
+        }
+        None
+    }
+
+    /// Open a group keyed by `row`'s group columns.
+    fn insert(&mut self, hash: u64, row: RowRef<'_>) -> Result<u32> {
+        let key = self
+            .group_by
+            .iter()
+            .map(|&g| group_column(row, g).cloned())
+            .collect::<Result<_>>()?;
+        let id = self.groups.len() as u32;
+        let next = self.index.insert(hash, id);
+        self.groups.push(Group {
+            key,
+            states: self.new_states(),
+            next,
         });
-        update_states(machine, &self.aggs, states, row)
+        Ok(id)
     }
 
     /// The result rows: one for a plain aggregate (even over empty input),
@@ -258,18 +309,42 @@ impl Accumulator {
                 self.states.iter().map(AggState::finish).collect(),
             )];
         }
-        std::mem::take(&mut self.order)
+        self.index.clear();
+        std::mem::take(&mut self.groups)
             .into_iter()
-            // Every key in `order` was inserted into `groups`, so the filter
-            // never drops anything; it just keeps this path free of
-            // panicking lookups.
-            .filter_map(|k| self.groups.remove(&k))
-            .map(|(mut vals, states)| {
-                vals.extend(states.iter().map(AggState::finish));
-                Tuple::new(vals)
-            })
+            .map(
+                |Group {
+                     mut key, states, ..
+                 }| {
+                    key.extend(states.iter().map(AggState::finish));
+                    Tuple::new(key)
+                },
+            )
             .collect()
     }
+}
+
+fn group_column(row: RowRef<'_>, g: usize) -> Result<&Datum> {
+    row.get(g)
+        .ok_or_else(|| DbError::UnknownColumn(format!("group column #{g}")))
+}
+
+fn update_states(
+    machine: &mut Machine,
+    args: &mut [Option<Program>],
+    states: &mut [AggState],
+    row: RowRef<'_>,
+) -> Result<()> {
+    for (arg, state) in args.iter_mut().zip(states) {
+        match arg {
+            None => state.update(None)?,
+            Some(p) => {
+                machine.add_instructions(p.cost());
+                state.update(Some(p.eval(row)?))?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Aggregation operator.
@@ -304,8 +379,8 @@ impl AggregateOp {
             fields.push(input.field(g).clone());
         }
         let code = fm.region_for(&OpKind::aggregate(&aggs));
-        let acc = Accumulator::new(group_by, aggs)?;
-        for a in &acc.aggs {
+        let acc = Accumulator::new(group_by, &aggs, |e| Program::new(e, &input))?;
+        for a in &aggs {
             let ty = match (a.func, &a.input) {
                 (AggFunc::CountStar | AggFunc::Count, _) => bufferdb_types::DataType::Int,
                 (AggFunc::Avg, _) => bufferdb_types::DataType::Float,
@@ -335,20 +410,13 @@ impl AggregateOp {
             ctx.check_cancel()?;
             ctx.tuple_yield();
             ctx.machine.exec_region(&mut self.code);
-            self.acc.update(&mut ctx.machine, ctx.arena.tuple(slot))?;
+            self.acc.update(&mut ctx.machine, ctx.arena.row(slot))?;
         }
         self.results = self.acc.finish();
         self.pos = 0;
         self.drained = true;
         Ok(())
     }
-}
-
-fn fx_hash(key: &[KeyAtom]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
 }
 
 impl Operator for AggregateOp {
@@ -376,10 +444,11 @@ impl Operator for AggregateOp {
             self.drain(ctx)?;
         }
         ctx.machine.exec_region(&mut self.code);
-        if self.pos >= self.results.len() {
+        let Some(t) = self.results.get_mut(self.pos) else {
             return Ok(None);
-        }
-        let t = self.results[self.pos].clone();
+        };
+        // Each result row is handed out once (an aggregate does not rescan).
+        let t = std::mem::take(t);
         self.pos += 1;
         Ok(Some(ctx.arena.store(self.out_region, t, &mut ctx.machine)))
     }
@@ -394,10 +463,10 @@ impl Operator for AggregateOp {
 mod tests {
     use super::*;
     use crate::exec::seqscan::SeqScanOp;
-    use crate::expr::Expr;
     use bufferdb_cachesim::MachineConfig;
     use bufferdb_storage::{Catalog, TableBuilder};
-    use bufferdb_types::{DataType, Decimal, Field};
+    use bufferdb_types::{DataType, Date, Decimal, Field};
+    use std::sync::Arc;
 
     fn setup() -> (Catalog, FootprintModel, ExecContext) {
         let c = Catalog::new();
@@ -491,6 +560,24 @@ mod tests {
     }
 
     #[test]
+    fn sums_fall_back_to_ops_on_coercion_and_overflow() {
+        let mut int_then_dec = AggState::Sum(None);
+        int_then_dec.update(Some(&Datum::Int(1))).unwrap();
+        int_then_dec
+            .update(Some(&Datum::Decimal(Decimal::from_cents(50))))
+            .unwrap();
+        assert_eq!(
+            int_then_dec.finish(),
+            ops::add(&Datum::Int(1), &Datum::Decimal(Decimal::from_cents(50))).unwrap()
+        );
+        let mut big = AggState::Sum(Some(Datum::Int(i64::MAX)));
+        assert_eq!(
+            big.update(Some(&Datum::Int(1))).unwrap_err(),
+            ops::add(&Datum::Int(i64::MAX), &Datum::Int(1)).unwrap_err()
+        );
+    }
+
+    #[test]
     fn group_by_produces_one_row_per_group() {
         let (c, mut fm, mut ctx) = setup();
         let child = Box::new(SeqScanOp::new(&c, &mut fm, "t", None, None).unwrap());
@@ -511,6 +598,87 @@ mod tests {
         assert_eq!(rows[0].get(1).as_int(), Some(2));
         assert_eq!(rows[0].get(2).as_int(), Some(10)); // NULL skipped in SUM
         assert_eq!(rows[1].get(2).as_int(), Some(12));
+    }
+
+    /// The owned group key the borrowed one replaced, kept as the oracle
+    /// for the key hash (the simulated bucket address depends on it).
+    #[derive(Hash)]
+    enum OwnedAtom {
+        Null,
+        Bool(bool),
+        Int(i64),
+        Date(i32),
+        Str(Arc<str>),
+        Dec(i128, u8),
+    }
+
+    #[test]
+    fn key_hash_and_grouping_match_the_owned_key() {
+        let keys = [
+            vec![Datum::Null],
+            vec![Datum::Bool(true), Datum::Int(-7)],
+            vec![
+                Datum::str("MAIL"),
+                Datum::Date(Date::parse("1995-01-01").unwrap()),
+            ],
+            vec![
+                Datum::Decimal(Decimal::parse("1.50").unwrap()),
+                Datum::str(""),
+            ],
+        ];
+        for key in &keys {
+            let owned: Vec<OwnedAtom> = key
+                .iter()
+                .map(|d| match key_atom(d).unwrap() {
+                    KeyAtom::Null => OwnedAtom::Null,
+                    KeyAtom::Bool(b) => OwnedAtom::Bool(b),
+                    KeyAtom::Int(v) => OwnedAtom::Int(v),
+                    KeyAtom::Date(v) => OwnedAtom::Date(v),
+                    KeyAtom::Str(s) => OwnedAtom::Str(s.into()),
+                    KeyAtom::Dec(m, s) => OwnedAtom::Dec(m, s),
+                })
+                .collect();
+            let mut want = DefaultHasher::new();
+            owned.hash(&mut want);
+            let mut got = DefaultHasher::new();
+            got.write_usize(key.len());
+            for d in key {
+                key_atom(d).unwrap().hash(&mut got);
+            }
+            assert_eq!(got.finish(), want.finish(), "{key:?}");
+        }
+        // 1.50 and 1.5 are one group.
+        let a = Datum::Decimal(Decimal::parse("1.50").unwrap());
+        let b = Datum::Decimal(Decimal::parse("1.5").unwrap());
+        assert_eq!(key_atom(&a), key_atom(&b));
+    }
+
+    #[test]
+    fn colliding_groups_keep_first_seen_order() {
+        // Every key hashed alike: groups still split by key, in arrival
+        // order, and every row lands in its own group.
+        let schema = Schema::new(vec![Field::new("k", DataType::Int)]);
+        let mut acc = Accumulator::new(vec![0], &[AggSpec::count_star("n")], |e| {
+            Program::new(e, &schema)
+        })
+        .unwrap();
+        let mut ctx = ExecContext::new(MachineConfig::pentium4_like());
+        acc.reset(&mut ctx);
+        for k in [3, 1, 3, 2, 1, 3] {
+            let t = Tuple::new(vec![Datum::Int(k)]);
+            let row = RowRef::one(&t);
+            let g = match acc.find(0, row) {
+                Some(g) => g,
+                None => acc.insert(0, row).unwrap(),
+            };
+            acc.groups[g as usize].states[0].update(None).unwrap();
+        }
+        let out: Vec<(i64, i64)> = acc
+            .finish()
+            .iter()
+            .map(|t| (t.get(0).as_int().unwrap(), t.get(1).as_int().unwrap()))
+            .collect();
+        assert_eq!(out, vec![(3, 3), (1, 2), (2, 1)]);
     }
 
     #[test]

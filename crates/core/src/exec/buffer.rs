@@ -184,7 +184,8 @@ impl Operator for BufferOp {
                         }
                         // The copy: read the child's tuple, write our own.
                         Store::Copies { region } => {
-                            let t = ctx.arena.read(slot, &mut ctx.machine).clone();
+                            ctx.arena.read(slot, &mut ctx.machine);
+                            let t = ctx.arena.tuple(slot).clone();
                             ctx.machine.add_instructions(
                                 t.simulated_width() as u64 * COPY_INSTR_PER_BYTE + COPY_INSTR_FIXED,
                             );

@@ -8,7 +8,7 @@
 use crate::arena::TupleSlot;
 use crate::context::ExecContext;
 use crate::exec::Operator;
-use crate::expr::Expr;
+use crate::expr::{Expr, Program};
 use crate::footprint::{FootprintModel, OpKind};
 use bufferdb_cachesim::CodeRegion;
 use bufferdb_types::{Datum, Result, SchemaRef};
@@ -16,7 +16,7 @@ use bufferdb_types::{Datum, Result, SchemaRef};
 /// Filter operator: passes through tuples satisfying the predicate.
 pub struct FilterOp {
     child: Box<dyn Operator>,
-    predicate: Expr,
+    predicate: Program,
     pred_site: u64,
     schema: SchemaRef,
     code: CodeRegion,
@@ -29,7 +29,7 @@ impl FilterOp {
         predicate.data_type(&schema)?;
         Ok(FilterOp {
             child,
-            predicate,
+            predicate: Program::new(&predicate, &schema),
             pred_site: fm.predicate_site(),
             schema,
             code: fm.region_for(&OpKind::Filter),
@@ -57,12 +57,8 @@ impl Operator for FilterOp {
             match self.child.next(ctx)? {
                 None => return Ok(None),
                 Some(slot) => {
-                    let keep = {
-                        let row = ctx.arena.tuple(slot);
-                        self.predicate.eval_predicate(row)?
-                    };
-                    ctx.machine
-                        .add_instructions(self.predicate.instruction_cost());
+                    let keep = self.predicate.eval_predicate(ctx.arena.row(slot))?;
+                    ctx.machine.add_instructions(self.predicate.cost());
                     ctx.machine.branch(self.pred_site, keep);
                     if keep {
                         return Ok(Some(slot));

@@ -7,14 +7,14 @@
 //! candidate for a buffer operator. The build phase is blocking and never
 //! joins an execution group.
 
-use crate::arena::TupleSlot;
+use crate::arena::{Held, TupleSlot};
 use crate::context::ExecContext;
 use crate::exec::{schema_slot_bytes, Operator, DEFAULT_BATCH};
 use crate::fault;
 use crate::footprint::{FootprintModel, OpKind};
 use crate::obs::trace::{TraceEvent, Tracer};
 use bufferdb_cachesim::{CodeRegion, Machine, PerfCounters};
-use bufferdb_types::{DbError, Result, SchemaRef, Tuple};
+use bufferdb_types::{Datum, DbError, Result, SchemaRef};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,9 +38,11 @@ pub(crate) struct JoinTable {
     match_site: u64,
     /// key -> indices into `rows`, in build order.
     index: HashMap<i64, Vec<u32>>,
-    /// Materialized build tuples (the hash table owns copies, as
-    /// PostgreSQL's hash node does).
-    rows: Vec<Tuple>,
+    /// Materialized build rows (the hash table keeps its own, as
+    /// PostgreSQL's hash node does — table rows by reference).
+    rows: Vec<Held>,
+    /// Each build row's join key (`None` for NULL), in build order.
+    keys: Vec<Option<i64>>,
     /// Simulated base address of the bucket array.
     ht_base: u64,
     bucket_mask: u64,
@@ -53,6 +55,7 @@ impl JoinTable {
             match_site: fm.predicate_site(),
             index: HashMap::new(),
             rows: Vec::new(),
+            keys: Vec::new(),
             ht_base: 0,
             bucket_mask: 0,
         }
@@ -61,6 +64,19 @@ impl JoinTable {
     pub(crate) fn clear(&mut self) {
         self.index.clear();
         self.rows.clear();
+        self.keys.clear();
+    }
+
+    /// Keep the build row in `slot` (no simulated access).
+    fn push(&mut self, ctx: &ExecContext, slot: TupleSlot) -> Option<i64> {
+        let key = ctx
+            .arena
+            .row(slot)
+            .get(self.build_key)
+            .and_then(Datum::as_int);
+        self.keys.push(key);
+        self.rows.push(ctx.arena.hold(slot));
+        key
     }
 
     fn bucket_addr(&self, key: i64) -> u64 {
@@ -90,24 +106,18 @@ impl JoinTable {
             ctx.tuple_yield();
             ctx.fault(fault::HASHJOIN_BUILD)?;
             ctx.machine.exec_region(code);
-            let row = ctx.arena.tuple(slot).clone();
+            let idx = self.rows.len() as u32;
             // NULL build keys never match; they are stored but unreachable.
-            if let Some(k) = row.get(self.build_key).as_int() {
-                self.index
-                    .entry(k)
-                    .or_default()
-                    .push(self.rows.len() as u32);
+            if let Some(k) = self.push(ctx, slot) {
+                self.index.entry(k).or_default().push(idx);
             }
-            self.rows.push(row);
         }
         self.alloc_buckets(ctx);
         // Writes are modeled in build-row order — the order the inserts
         // actually happened — not by iterating `index`, whose randomized
         // hash order would make the simulated miss counts nondeterministic.
-        for row in &self.rows {
-            if let Some(k) = row.get(self.build_key).as_int() {
-                ctx.machine.data_write(self.bucket_addr(k), 16);
-            }
+        for k in self.keys.iter().flatten() {
+            ctx.machine.data_write(self.bucket_addr(*k), 16);
         }
         Ok(())
     }
@@ -133,7 +143,8 @@ impl JoinTable {
         self.index.get(&key).map_or(&[], Vec::as_slice)
     }
 
-    pub(crate) fn row(&self, idx: u32) -> &Tuple {
+    /// Build row `idx` (resolve through the arena).
+    pub(crate) fn row(&self, idx: u32) -> &Held {
         &self.rows[idx as usize]
     }
 }
@@ -182,8 +193,12 @@ impl HashJoinOp {
 
     /// Emit the join of `probe_slot` with build row `idx`.
     fn emit(&self, ctx: &mut ExecContext, probe_slot: TupleSlot, idx: u32) -> TupleSlot {
-        let joined = ctx.arena.tuple(probe_slot).join(self.table.row(idx));
-        ctx.arena.store(self.out_region, joined, &mut ctx.machine)
+        ctx.arena.store_join(
+            self.out_region,
+            probe_slot,
+            self.table.row(idx),
+            &mut ctx.machine,
+        )
     }
 
     /// Partitioned hash-table insertion over already-drained build rows.
@@ -205,12 +220,12 @@ impl HashJoinOp {
     fn parallel_insert(&mut self, ctx: &mut ExecContext) -> Result<()> {
         let workers = ctx.build_threads;
         let table = &mut self.table;
-        if table.rows.len() < PARALLEL_BUILD_MIN_ROWS {
-            for (idx, row) in table.rows.iter().enumerate() {
+        if table.keys.len() < PARALLEL_BUILD_MIN_ROWS {
+            for (idx, key) in table.keys.iter().enumerate() {
                 ctx.check_cancel()?;
                 ctx.fault(fault::HASHJOIN_BUILD)?;
                 ctx.machine.exec_region(&mut self.build_code);
-                if let Some(k) = row.get(table.build_key).as_int() {
+                if let Some(k) = *key {
                     ctx.machine.data_write(table.bucket_addr(k), 16);
                     table.index.entry(k).or_default().push(idx as u32);
                 }
@@ -218,8 +233,7 @@ impl HashJoinOp {
             return Ok(());
         }
         let cfg = ctx.machine.config().clone();
-        let rows = &table.rows;
-        let build_key = table.build_key;
+        let keys = &table.keys;
         let ht_base = table.ht_base;
         let mask = table.bucket_mask;
         let code = &self.build_code;
@@ -257,10 +271,9 @@ impl HashJoinOp {
                         let caught =
                             catch_unwind(AssertUnwindSafe(|| -> Result<HashMap<i64, Vec<u32>>> {
                                 let mut part: HashMap<i64, Vec<u32>> = HashMap::new();
-                                for (idx, row) in rows.iter().enumerate() {
+                                for (idx, &key) in keys.iter().enumerate() {
                                     // NULL keys go to worker 0: they run build
                                     // code but insert nothing (never matched).
-                                    let key = row.get(build_key).as_int();
                                     let owner = match key {
                                         Some(k) => (mix(k as u64) % workers as u64) as usize,
                                         None => 0,
@@ -386,8 +399,7 @@ impl Operator for HashJoinOp {
             while let Some(slot) = self.build.next(ctx)? {
                 ctx.check_cancel()?;
                 ctx.tuple_yield();
-                let row = ctx.arena.tuple(slot).clone();
-                self.table.rows.push(row);
+                self.table.push(ctx, slot);
             }
             self.table.alloc_buckets(ctx);
             self.parallel_insert(ctx)?;
@@ -407,7 +419,11 @@ impl Operator for HashJoinOp {
             return Ok(Some(self.emit(ctx, probe_slot, matches[pos])));
         }
         while let Some(slot) = self.probe.next(ctx)? {
-            let key = ctx.arena.tuple(slot).get(self.probe_key).as_int();
+            let key = ctx
+                .arena
+                .row(slot)
+                .get(self.probe_key)
+                .and_then(Datum::as_int);
             let matches = self.table.probe(&mut ctx.machine, key);
             if let (Some(k), Some(&first)) = (key, matches.first()) {
                 if matches.len() > 1 {
@@ -433,7 +449,7 @@ mod tests {
     use crate::expr::Expr;
     use bufferdb_cachesim::MachineConfig;
     use bufferdb_storage::{Catalog, TableBuilder};
-    use bufferdb_types::{DataType, Datum, Field, Schema};
+    use bufferdb_types::{DataType, Datum, Field, Schema, Tuple};
 
     fn setup() -> (Catalog, FootprintModel, ExecContext) {
         let c = Catalog::new();

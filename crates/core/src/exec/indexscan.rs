@@ -24,6 +24,8 @@ pub struct IndexScanOp {
     key_site: u64,
     matches: Vec<u32>,
     pos: usize,
+    /// The heap table's registration in the arena (set at `open`).
+    table_id: u32,
     out_region: u32,
     batch_hint: usize,
     index_base: u64,
@@ -53,6 +55,7 @@ impl IndexScanOp {
             key_site,
             matches: Vec::new(),
             pos: 0,
+            table_id: 0,
             out_region: u32::MAX,
             batch_hint: DEFAULT_BATCH,
             index_base,
@@ -111,6 +114,7 @@ impl Operator for IndexScanOp {
         self.out_region = ctx
             .arena
             .alloc_region(self.batch_hint as u32 + 1, schema_slot_bytes(&self.schema));
+        self.table_id = ctx.arena.register_table(&self.table);
         match self.mode {
             IndexMode::Range { lo, hi } => {
                 self.simulate_descent(ctx, lo.unwrap_or(0));
@@ -143,10 +147,10 @@ impl Operator for IndexScanOp {
         self.pos += 1;
         ctx.machine
             .data_read(self.table.row_addr(row_id), self.table.row_width(row_id));
-        let out = self.table.row(row_id).clone();
-        Ok(Some(ctx.arena.store(
+        Ok(Some(ctx.arena.store_row(
             self.out_region,
-            out,
+            self.table_id,
+            row_id,
             &mut ctx.machine,
         )))
     }

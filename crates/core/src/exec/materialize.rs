@@ -1,7 +1,9 @@
 //! Blocking materialization.
 //!
 //! Fully consumes its input on first demand and replays it from its own
-//! storage. PostgreSQL inserts these under subplans; Table 5's prose notes
+//! storage (table rows held by reference, built rows by copy; either way
+//! the simulated write is the copy's). PostgreSQL inserts these under
+//! subplans; Table 5's prose notes
 //! that such materialization "diminishes the benefit of explicit buffering"
 //! because it already batches execution below it.
 
@@ -61,8 +63,10 @@ impl Operator for MaterializeOp {
                 ctx.check_cancel()?;
                 ctx.tuple_yield();
                 ctx.machine.exec_region(&mut self.code);
-                let t = ctx.arena.tuple(slot).clone();
-                let own = ctx.arena.store(self.own_region, t, &mut ctx.machine);
+                let held = ctx.arena.hold(slot);
+                let own = ctx
+                    .arena
+                    .store_held(self.own_region, held, &mut ctx.machine);
                 self.stored.push(own);
             }
             self.drained = true;

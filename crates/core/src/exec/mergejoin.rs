@@ -5,12 +5,12 @@
 //! arbitrary many-to-many joins work. Inputs are checked at runtime to be
 //! non-decreasing in key; a violation reports an invalid plan.
 
-use crate::arena::TupleSlot;
+use crate::arena::{Held, TupleSlot};
 use crate::context::ExecContext;
 use crate::exec::{schema_slot_bytes, Operator, DEFAULT_BATCH};
 use crate::footprint::{FootprintModel, OpKind};
 use bufferdb_cachesim::CodeRegion;
-use bufferdb_types::{DbError, Result, SchemaRef, Tuple};
+use bufferdb_types::{Datum, DbError, Result, SchemaRef};
 
 /// Merge join operator.
 pub struct MergeJoinOp {
@@ -22,12 +22,13 @@ pub struct MergeJoinOp {
     code: CodeRegion,
     cmp_site: u64,
     current_left: Option<(TupleSlot, i64)>,
-    /// Materialized right-side tuples for the current key group.
-    group: Vec<Tuple>,
+    /// Materialized right-side rows for the current key group (table rows
+    /// by reference).
+    group: Vec<Held>,
     group_key: Option<i64>,
     group_pos: usize,
     /// One-tuple lookahead on the right input.
-    pending_right: Option<(Tuple, i64)>,
+    pending_right: Option<(Held, i64)>,
     right_exhausted: bool,
     last_left_key: Option<i64>,
     last_right_key: Option<i64>,
@@ -79,8 +80,12 @@ impl MergeJoinOp {
                     return Ok(());
                 }
                 Some(slot) => {
-                    let t = ctx.arena.tuple(slot).clone();
-                    match t.get(self.right_key).as_int() {
+                    match ctx
+                        .arena
+                        .row(slot)
+                        .get(self.right_key)
+                        .and_then(Datum::as_int)
+                    {
                         None => continue, // NULL join keys match nothing
                         Some(k) => {
                             if let Some(prev) = self.last_right_key {
@@ -91,7 +96,7 @@ impl MergeJoinOp {
                                 }
                             }
                             self.last_right_key = Some(k);
-                            self.pending_right = Some((t, k));
+                            self.pending_right = Some((ctx.arena.hold(slot), k));
                             return Ok(());
                         }
                     }
@@ -109,7 +114,11 @@ impl MergeJoinOp {
                     return Ok(false);
                 }
                 Some(slot) => {
-                    let k = ctx.arena.tuple(slot).get(self.left_key).as_int();
+                    let k = ctx
+                        .arena
+                        .row(slot)
+                        .get(self.left_key)
+                        .and_then(Datum::as_int);
                     match k {
                         None => continue,
                         Some(k) => {
@@ -196,10 +205,11 @@ impl Operator for MergeJoinOp {
 
             // Emit from the loaded group when it matches the current left key.
             if self.group_key == Some(lk) {
-                if self.group_pos < self.group.len() {
-                    let joined = ctx.arena.tuple(left_slot).join(&self.group[self.group_pos]);
+                if let Some(right) = self.group.get(self.group_pos) {
                     self.group_pos += 1;
-                    let slot = ctx.arena.store(self.out_region, joined, &mut ctx.machine);
+                    let slot =
+                        ctx.arena
+                            .store_join(self.out_region, left_slot, right, &mut ctx.machine);
                     return Ok(Some(slot));
                 }
                 // Group exhausted for this left tuple; move to the next left
@@ -246,7 +256,7 @@ mod tests {
     use crate::exec::seqscan::SeqScanOp;
     use bufferdb_cachesim::MachineConfig;
     use bufferdb_storage::{Catalog, TableBuilder};
-    use bufferdb_types::{DataType, Datum, Field, Schema};
+    use bufferdb_types::{DataType, Datum, Field, Schema, Tuple};
 
     fn table(c: &Catalog, name: &str, keys: &[Option<i64>]) {
         let mut b = TableBuilder::new(

@@ -8,17 +8,18 @@
 use crate::arena::TupleSlot;
 use crate::context::ExecContext;
 use crate::exec::{schema_slot_bytes, Operator, DEFAULT_BATCH};
-use crate::expr::Expr;
+use crate::expr::{Expr, Program, RowRef};
 use crate::footprint::{FootprintModel, OpKind};
 use bufferdb_cachesim::CodeRegion;
-use bufferdb_types::{Result, SchemaRef};
+use bufferdb_types::{Datum, Result, SchemaRef};
 
 /// Nested-loop join operator.
 pub struct NestLoopOp {
     outer: Box<dyn Operator>,
     inner: Box<dyn Operator>,
     param_outer_col: Option<usize>,
-    qual: Option<Expr>,
+    /// The qual over the (outer, inner) pair, read in place.
+    qual: Option<Program>,
     qual_site: u64,
     schema: SchemaRef,
     code: CodeRegion,
@@ -36,14 +37,15 @@ impl NestLoopOp {
         param_outer_col: Option<usize>,
         qual: Option<Expr>,
     ) -> Self {
-        let schema = outer.schema().join(&inner.schema()).into_ref();
+        let (o, i) = (outer.schema(), inner.schema());
+        let schema = o.join(&i).into_ref();
         let code = fm.region_for(&OpKind::NestLoop);
         let qual_site = fm.predicate_site();
         NestLoopOp {
             outer,
             inner,
             param_outer_col,
-            qual,
+            qual: qual.map(|q| Program::pair(&q, &o, &i)),
             qual_site,
             schema,
             code,
@@ -87,7 +89,7 @@ impl Operator for NestLoopOp {
                         self.current_outer = Some(slot);
                         let param = self
                             .param_outer_col
-                            .map(|c| ctx.arena.tuple(slot).get(c).clone());
+                            .map(|c| ctx.arena.row(slot).get(c).cloned().unwrap_or(Datum::Null));
                         self.inner.rescan(ctx, param.as_ref())?;
                         slot
                     }
@@ -99,19 +101,20 @@ impl Operator for NestLoopOp {
                     continue;
                 }
                 Some(inner_slot) => {
-                    let joined = ctx
-                        .arena
-                        .tuple(outer_slot)
-                        .join(ctx.arena.tuple(inner_slot));
-                    if let Some(q) = &self.qual {
-                        let keep = q.eval_predicate(&joined)?;
-                        ctx.machine.add_instructions(q.instruction_cost());
+                    if let Some(q) = &mut self.qual {
+                        let pair =
+                            RowRef::pair(ctx.arena.tuple(outer_slot), ctx.arena.tuple(inner_slot));
+                        let keep = q.eval_predicate(pair)?;
+                        ctx.machine.add_instructions(q.cost());
                         ctx.machine.branch(self.qual_site, keep);
                         if !keep {
                             continue;
                         }
                     }
-                    let slot = ctx.arena.store(self.out_region, joined, &mut ctx.machine);
+                    let inner = ctx.arena.hold(inner_slot);
+                    let slot =
+                        ctx.arena
+                            .store_join(self.out_region, outer_slot, &inner, &mut ctx.machine);
                     return Ok(Some(slot));
                 }
             }

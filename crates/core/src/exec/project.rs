@@ -3,15 +3,16 @@
 use crate::arena::TupleSlot;
 use crate::context::ExecContext;
 use crate::exec::{schema_slot_bytes, Operator, DEFAULT_BATCH};
-use crate::expr::Expr;
+use crate::expr::{Expr, Program};
 use crate::footprint::{FootprintModel, OpKind};
 use bufferdb_cachesim::CodeRegion;
-use bufferdb_types::{Datum, Result, Schema, SchemaRef, Tuple};
+use bufferdb_types::{Datum, Result, Schema, SchemaRef};
 
-/// Projection operator: evaluates expressions per input row.
+/// Projection operator: evaluates expressions per input row, reading the
+/// input in place and writing into its slot's recycled tuple.
 pub struct ProjectOp {
     child: Box<dyn Operator>,
-    exprs: Vec<Expr>,
+    exprs: Vec<Program>,
     schema: SchemaRef,
     code: CodeRegion,
     out_region: u32,
@@ -35,7 +36,7 @@ impl ProjectOp {
         }
         Ok(ProjectOp {
             child,
-            exprs: exprs.into_iter().map(|(e, _)| e).collect(),
+            exprs: exprs.iter().map(|(e, _)| Program::new(e, &input)).collect(),
             schema: Schema::new(fields).into_ref(),
             code: fm.region_for(&OpKind::Project),
             out_region: u32::MAX,
@@ -66,15 +67,15 @@ impl Operator for ProjectOp {
         match self.child.next(ctx)? {
             None => Ok(None),
             Some(slot) => {
-                let row = ctx.arena.tuple(slot).clone();
-                let mut vals = Vec::with_capacity(self.exprs.len());
-                for e in &self.exprs {
-                    ctx.machine.add_instructions(e.instruction_cost());
-                    vals.push(e.eval(&row)?);
+                let mut out = ctx.arena.recycle(self.out_region, self.exprs.len());
+                let row = ctx.arena.row(slot);
+                for (e, v) in self.exprs.iter_mut().zip(out.values_mut()) {
+                    ctx.machine.add_instructions(e.cost());
+                    v.clone_from(e.eval(row)?);
                 }
                 Ok(Some(ctx.arena.store(
                     self.out_region,
-                    Tuple::new(vals),
+                    out,
                     &mut ctx.machine,
                 )))
             }
@@ -96,7 +97,7 @@ mod tests {
     use crate::exec::seqscan::SeqScanOp;
     use bufferdb_cachesim::MachineConfig;
     use bufferdb_storage::{Catalog, TableBuilder};
-    use bufferdb_types::{DataType, Field};
+    use bufferdb_types::{DataType, Field, Tuple};
 
     #[test]
     fn project_computes_and_renames() {

@@ -23,19 +23,27 @@
 //! operators only in *who owns the loop* and *how often the code region
 //! executes* (once per batch instead of once per tuple), which is why its
 //! output is **bit-identical** to pull.
+//!
+//! A batch holds rows by reference (`Item`): a source-table row by id, a
+//! projected row in a per-stage pool that is rebuilt in place batch after
+//! batch, and — past the probe — the matching build row beside it. Stages
+//! above the probe and the aggregate sink read that (probe row, build row)
+//! pair in place through programs whose columns were resolved to a side at
+//! compile time; only a row the pipeline hands upward is copied into the
+//! arena.
 
-use crate::arena::TupleSlot;
+use crate::arena::{TupleArena, TupleSlot};
 use crate::context::ExecContext;
 use crate::exec::agg::Accumulator;
 use crate::exec::hashjoin::JoinTable;
 use crate::exec::seqscan::ScanCursor;
 use crate::exec::{schema_slot_bytes, Operator, DEFAULT_BATCH};
-use crate::expr::Expr;
+use crate::expr::{Expr, Program, RowRef};
 use crate::footprint::{FootprintModel, OpKind};
-use crate::plan::{push_member_kinds, PlanNode};
+use crate::plan::{projected_schema, push_member_kinds, PlanNode};
 use bufferdb_cachesim::CodeRegion;
-use bufferdb_storage::Catalog;
-use bufferdb_types::{DbError, Result, SchemaRef, Tuple};
+use bufferdb_storage::{Catalog, Table};
+use bufferdb_types::{Datum, DbError, Result, SchemaRef, Tuple};
 use std::collections::VecDeque;
 
 /// Source rows pumped per fused-region execution. One batch is one pass of
@@ -46,23 +54,84 @@ const PUSH_BATCH_ROWS: u32 = 256;
 /// push driver's dequeue is branch-free pointer work, not a region re-entry).
 const EMIT_LOOP_INSTR: u64 = 24;
 
+/// A row in flight, by reference.
+#[derive(Debug, Clone, Copy)]
+struct Item {
+    row: Base,
+    /// Past the probe: the build row it matched.
+    build: Option<u32>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Base {
+    /// A row of the source table.
+    Table(u32),
+    /// A row built into `pools[pool]`.
+    Pool { pool: u16, idx: u32 },
+}
+
+/// Rows one projection builds per batch, rewritten in place batch after
+/// batch.
+#[derive(Default)]
+struct Pool {
+    rows: Vec<Tuple>,
+    used: usize,
+}
+
+impl Pool {
+    /// The next row to build, of `arity` values (stale until rewritten).
+    fn next_row(&mut self, arity: usize) -> (u32, &mut Tuple) {
+        if self.used == self.rows.len() {
+            self.rows.push(Tuple::new(vec![Datum::Null; arity]));
+        }
+        self.used += 1;
+        (self.used as u32 - 1, &mut self.rows[self.used - 1])
+    }
+}
+
+/// What batch items resolve against.
+struct View<'a> {
+    table: &'a Table,
+    pools: &'a [Pool],
+    probe: Option<&'a JoinTable>,
+    arena: &'a TupleArena,
+}
+
+impl<'a> View<'a> {
+    fn row(&self, item: Item) -> RowRef<'a> {
+        let left = match item.row {
+            Base::Table(id) => self.table.row(id),
+            Base::Pool { pool, idx } => &self.pools[pool as usize].rows[idx as usize],
+        };
+        match (item.build, self.probe) {
+            (Some(b), Some(t)) => RowRef::pair(left, self.arena.resolve(t.row(b))),
+            _ => RowRef::one(left),
+        }
+    }
+}
+
 /// One fused non-terminal stage.
 enum Stage {
     Filter {
-        predicate: Expr,
+        predicate: Program,
         pred_site: u64,
     },
+    /// Builds its rows into `pools[pool]`.
     Project {
-        exprs: Vec<Expr>,
+        exprs: Vec<Program>,
+        pool: u16,
     },
-    /// Hash-join probe. The build side stays a pull subtree drained at
-    /// `open` (blocking, like the pull join); only probing is fused.
-    Probe {
-        build: Box<dyn Operator>,
-        build_code: CodeRegion,
-        probe_key: usize,
-        table: JoinTable,
-    },
+    /// The hash-join probe (see [`ProbeSide`]).
+    Probe,
+}
+
+/// The fused hash join. The build side stays a pull subtree drained at
+/// `open` (blocking, like the pull join); only probing is fused.
+struct ProbeSide {
+    build: Box<dyn Operator>,
+    build_code: CodeRegion,
+    probe_key: usize,
+    table: JoinTable,
 }
 
 /// A fused push pipeline behind the pull [`Operator`] interface: the parent
@@ -76,13 +145,42 @@ pub struct PushPipelineOp {
     source: ScanCursor,
     /// Stages in application order (closest to the scan first).
     stages: Vec<Stage>,
+    probe: Option<ProbeSide>,
     agg: Option<Accumulator>,
     /// Whether the aggregate's result rows have been queued.
     agg_emitted: bool,
-    emit: VecDeque<Tuple>,
+    /// Pool 0 holds the source's projected rows, pool `k` those of the
+    /// `k`-th projection, the last one the aggregate's results.
+    pools: Vec<Pool>,
+    batch: Vec<Item>,
+    /// The probe's output, swapped with `batch`.
+    spare: Vec<Item>,
+    emit: VecDeque<Item>,
     source_done: bool,
     out_region: u32,
     batch_hint: usize,
+}
+
+/// The pipeline compiled below a node: its stages in application order and
+/// the rows they deliver — of schema `left`, joined with a `right` build row
+/// past the probe.
+struct Walked {
+    source: ScanCursor,
+    stages: Vec<Stage>,
+    probe: Option<ProbeSide>,
+    agg: Option<Accumulator>,
+    left: SchemaRef,
+    right: Option<SchemaRef>,
+}
+
+impl Walked {
+    /// Lower `e` over the rows delivered so far.
+    fn program(&self, e: &Expr) -> Program {
+        match &self.right {
+            Some(right) => Program::pair(e, &self.left, right),
+            None => Program::new(e, &self.left),
+        }
+    }
 }
 
 impl PushPipelineOp {
@@ -102,15 +200,23 @@ impl PushPipelineOp {
     ) -> Result<Self> {
         let schema = input.output_schema(catalog)?;
         let code = fm.region_for(&OpKind::PushGroup(push_member_kinds(input)));
-        let mut agg = None;
-        let (source, stages) = walk(input, catalog, fm, worker_fm, true, &mut agg)?;
+        let w = walk(input, catalog, fm, worker_fm, true)?;
+        let projections = w
+            .stages
+            .iter()
+            .filter(|s| matches!(s, Stage::Project { .. }))
+            .count();
         Ok(PushPipelineOp {
             schema,
             code,
-            source,
-            stages,
-            agg,
+            source: w.source,
+            stages: w.stages,
+            probe: w.probe,
+            agg: w.agg,
             agg_emitted: false,
+            pools: (0..projections + 2).map(|_| Pool::default()).collect(),
+            batch: Vec::new(),
+            spare: Vec::new(),
             emit: VecDeque::new(),
             source_done: false,
             out_region: u32::MAX,
@@ -123,86 +229,172 @@ impl PushPipelineOp {
     fn pump_batch(&mut self, ctx: &mut ExecContext) -> Result<()> {
         ctx.check_cancel()?;
         ctx.machine.exec_region(&mut self.code);
-        let mut batch = Vec::new();
+        let PushPipelineOp {
+            source,
+            stages,
+            probe,
+            agg,
+            pools,
+            batch,
+            spare,
+            emit,
+            source_done,
+            ..
+        } = self;
+        batch.clear();
+        for pool in pools.iter_mut() {
+            pool.used = 0;
+        }
         for scanned in 0..PUSH_BATCH_ROWS {
-            let Some(id) = self.source.claim(ctx)? else {
-                self.source_done = true;
+            let Some(id) = source.claim(ctx)? else {
+                *source_done = true;
                 break;
             };
             ctx.tuple_yield();
-            if let Some(row) = self.source.eval(ctx, id, scanned == 0)? {
-                batch.push(row);
+            if !source.test(ctx, id, scanned == 0)? {
+                continue;
             }
+            let row = match source.projection_arity() {
+                None => Base::Table(id),
+                Some(arity) => {
+                    let (idx, out) = pools[0].next_row(arity);
+                    source.project(&mut ctx.machine, id, out.values_mut())?;
+                    Base::Pool { pool: 0, idx }
+                }
+            };
+            batch.push(Item { row, build: None });
         }
-        for stage in &mut self.stages {
+        let probe = probe.as_ref();
+        for stage in stages.iter_mut() {
             if batch.is_empty() {
                 break;
             }
-            batch = match stage {
+            let (read, write) = match stage {
+                Stage::Project { pool, .. } => pools.split_at_mut(*pool as usize),
+                _ => (&mut pools[..], &mut [][..]),
+            };
+            let view = View {
+                table: source.table(),
+                pools: read,
+                probe: probe.map(|p| &p.table),
+                arena: &ctx.arena,
+            };
+            match stage {
                 Stage::Filter {
                     predicate,
                     pred_site,
                 } => {
-                    let mut out = Vec::with_capacity(batch.len());
-                    for row in batch {
-                        let keep = predicate.eval_predicate(&row)?;
-                        ctx.machine.add_instructions(predicate.instruction_cost());
+                    let mut kept = 0;
+                    for i in 0..batch.len() {
+                        let item = batch[i];
+                        let keep = predicate.eval_predicate(view.row(item))?;
+                        ctx.machine.add_instructions(predicate.cost());
                         ctx.machine.branch(*pred_site, keep);
                         if keep {
-                            out.push(row);
+                            batch[kept] = item;
+                            kept += 1;
                         }
                     }
-                    out
+                    batch.truncate(kept);
                 }
-                Stage::Project { exprs } => {
-                    let mut out = Vec::with_capacity(batch.len());
-                    for row in batch {
-                        let mut vals = Vec::with_capacity(exprs.len());
-                        for e in exprs.iter() {
-                            ctx.machine.add_instructions(e.instruction_cost());
-                            vals.push(e.eval(&row)?);
+                Stage::Project { exprs, pool } => {
+                    let out = &mut write[0];
+                    for item in batch.iter_mut() {
+                        let row = view.row(*item);
+                        let (idx, t) = out.next_row(exprs.len());
+                        for (e, v) in exprs.iter_mut().zip(t.values_mut()) {
+                            ctx.machine.add_instructions(e.cost());
+                            v.clone_from(e.eval(row)?);
                         }
-                        out.push(Tuple::new(vals));
+                        *item = Item {
+                            row: Base::Pool { pool: *pool, idx },
+                            build: None,
+                        };
                     }
-                    out
                 }
-                Stage::Probe {
-                    probe_key, table, ..
-                } => {
-                    let mut out = Vec::new();
-                    for row in batch {
-                        let key = row.get(*probe_key).as_int();
-                        for &m in table.probe(&mut ctx.machine, key) {
-                            out.push(row.join(table.row(m)));
+                Stage::Probe => {
+                    let Some(p) = probe else { continue };
+                    spare.clear();
+                    for &item in batch.iter() {
+                        let key = view.row(item).get(p.probe_key).and_then(Datum::as_int);
+                        for &m in p.table.probe(&mut ctx.machine, key) {
+                            spare.push(Item {
+                                build: Some(m),
+                                ..item
+                            });
                         }
                     }
-                    out
-                }
-            };
-        }
-        match &mut self.agg {
-            Some(acc) => {
-                for row in &batch {
-                    acc.update(&mut ctx.machine, row)?;
+                    std::mem::swap(batch, spare);
                 }
             }
-            None => self.emit.extend(batch),
+        }
+        match agg {
+            Some(acc) => {
+                let view = View {
+                    table: source.table(),
+                    pools,
+                    probe: probe.map(|p| &p.table),
+                    arena: &ctx.arena,
+                };
+                for &item in batch.iter() {
+                    acc.update(&mut ctx.machine, view.row(item))?;
+                }
+            }
+            None => emit.extend(batch.iter().copied()),
         }
         Ok(())
+    }
+
+    fn view<'a>(&'a self, arena: &'a TupleArena) -> View<'a> {
+        View {
+            table: self.source.table(),
+            pools: &self.pools,
+            probe: self.probe.as_ref().map(|p| &p.table),
+            arena,
+        }
+    }
+
+    /// Copy `item` into the output region: a table row by reference, a
+    /// pooled row by swapping it with the slot's recycled tuple, a pair by
+    /// concatenating it into that tuple.
+    fn store(&mut self, ctx: &mut ExecContext, item: Item) -> TupleSlot {
+        let region = self.out_region;
+        match item {
+            Item {
+                row: Base::Table(id),
+                build: None,
+            } => ctx
+                .arena
+                .store_row(region, self.source.table_id(), id, &mut ctx.machine),
+            Item {
+                row: Base::Pool { pool, idx },
+                build: None,
+            } => {
+                let row = &mut self.pools[pool as usize].rows[idx as usize];
+                let spare = ctx.arena.recycle(region, row.arity());
+                let t = std::mem::replace(row, spare);
+                ctx.arena.store(region, t, &mut ctx.machine)
+            }
+            pair => {
+                let arity = self.view(&ctx.arena).row(pair).arity();
+                let mut out = ctx.arena.recycle(region, arity);
+                self.view(&ctx.arena).row(pair).copy_into(out.values_mut());
+                ctx.arena.store(region, out, &mut ctx.machine)
+            }
+        }
     }
 }
 
 /// Recursive pipeline compiler: registers the node's profiler label, then
-/// returns the source plus the stages *below* this node in application
-/// order. Build sides of hash joins are delegated to the pull builder.
+/// returns the pipeline *below and including* this node. Build sides of hash
+/// joins are delegated to the pull builder.
 fn walk(
     node: &PlanNode,
     catalog: &Catalog,
     fm: &mut FootprintModel,
     worker_fm: &dyn Fn() -> FootprintModel,
     at_root: bool,
-    agg: &mut Option<Accumulator>,
-) -> Result<(ScanCursor, Vec<Stage>)> {
+) -> Result<Walked> {
     if fm.obs_enabled() {
         fm.obs_register(super::obs_label(node));
     }
@@ -217,24 +409,39 @@ fn walk(
                     "push group: aggregate must sit at the pipeline root".into(),
                 ));
             }
-            *agg = Some(Accumulator::new(group_by.clone(), aggs.clone())?);
-            walk(input, catalog, fm, worker_fm, false, agg)
+            let mut w = walk(input, catalog, fm, worker_fm, false)?;
+            w.agg = Some(Accumulator::new(group_by.clone(), aggs, |e| w.program(e))?);
+            Ok(w)
         }
         PlanNode::Filter { input, predicate } => {
             let pred_site = fm.predicate_site();
-            let (src, mut stages) = walk(input, catalog, fm, worker_fm, false, agg)?;
-            stages.push(Stage::Filter {
-                predicate: predicate.clone(),
+            let mut w = walk(input, catalog, fm, worker_fm, false)?;
+            let predicate = w.program(predicate);
+            w.stages.push(Stage::Filter {
+                predicate,
                 pred_site,
             });
-            Ok((src, stages))
+            Ok(w)
         }
         PlanNode::Project { input, exprs } => {
-            let (src, mut stages) = walk(input, catalog, fm, worker_fm, false, agg)?;
-            stages.push(Stage::Project {
-                exprs: exprs.iter().map(|(e, _)| e.clone()).collect(),
+            let mut w = walk(input, catalog, fm, worker_fm, false)?;
+            let programs = exprs.iter().map(|(e, _)| w.program(e)).collect();
+            let pool = 1 + w
+                .stages
+                .iter()
+                .filter(|s| matches!(s, Stage::Project { .. }))
+                .count() as u16;
+            w.stages.push(Stage::Project {
+                exprs: programs,
+                pool,
             });
-            Ok((src, stages))
+            let input = match &w.right {
+                Some(right) => w.left.join(right).into_ref(),
+                None => w.left.clone(),
+            };
+            w.left = projected_schema(&input, exprs)?;
+            w.right = None;
+            Ok(w)
         }
         PlanNode::HashJoin {
             probe,
@@ -246,28 +453,46 @@ fn walk(
             let table = JoinTable::new(fm, *build_key);
             // Probe side first so label registration follows plan pre-order
             // (children are [probe, build]).
-            let (src, mut stages) = walk(probe, catalog, fm, worker_fm, false, agg)?;
-            stages.push(Stage::Probe {
-                build: super::build_rec(build, catalog, fm, worker_fm)?,
+            let mut w = walk(probe, catalog, fm, worker_fm, false)?;
+            if w.probe.is_some() {
+                return Err(DbError::InvalidPlan(
+                    "push group: at most one fused hash join".into(),
+                ));
+            }
+            let build = super::build_rec(build, catalog, fm, worker_fm)?;
+            w.right = Some(build.schema());
+            w.stages.push(Stage::Probe);
+            w.probe = Some(ProbeSide {
+                build,
                 build_code,
                 probe_key: *probe_key,
                 table,
             });
-            Ok((src, stages))
+            Ok(w)
         }
         PlanNode::SeqScan {
             table,
             predicate,
             projection,
         } => {
-            let projection = projection
-                .as_ref()
-                .map(|v| v.iter().map(|(e, _)| e.clone()).collect());
-            let table = catalog.table(table)?;
-            Ok((
-                ScanCursor::new(table, fm, predicate.clone(), projection),
-                Vec::new(),
-            ))
+            let source = ScanCursor::new(
+                catalog.table(table)?,
+                fm,
+                predicate.as_ref(),
+                projection.as_deref(),
+            );
+            let left = match projection {
+                Some(exprs) => projected_schema(source.table().schema(), exprs)?,
+                None => source.table().schema().clone(),
+            };
+            Ok(Walked {
+                source,
+                stages: Vec::new(),
+                probe: None,
+                agg: None,
+                left,
+                right: None,
+            })
         }
         other => Err(DbError::InvalidPlan(format!(
             "plan node {:?} cannot join a push group",
@@ -296,27 +521,19 @@ impl Operator for PushPipelineOp {
             acc.reset(ctx);
             self.agg_emitted = false;
         }
-        for stage in &mut self.stages {
-            if let Stage::Probe {
-                build,
-                build_code,
-                table,
-                ..
-            } = stage
-            {
-                build.open(ctx)?;
-                table.build_serial(ctx, build.as_mut(), build_code)?;
-            }
+        if let Some(p) = &mut self.probe {
+            p.build.open(ctx)?;
+            p.table
+                .build_serial(ctx, p.build.as_mut(), &mut p.build_code)?;
         }
         Ok(())
     }
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<TupleSlot>> {
         loop {
-            if let Some(t) = self.emit.pop_front() {
+            if let Some(item) = self.emit.pop_front() {
                 ctx.machine.add_instructions(EMIT_LOOP_INSTR);
-                let slot = ctx.arena.store(self.out_region, t, &mut ctx.machine);
-                return Ok(Some(slot));
+                return Ok(Some(self.store(ctx, item)));
             }
             if self.source_done {
                 match &mut self.agg {
@@ -325,7 +542,19 @@ impl Operator for PushPipelineOp {
                         // Finalization pass over the group table: one last
                         // run of the fused region.
                         ctx.machine.exec_region(&mut self.code);
-                        self.emit.extend(acc.finish());
+                        let results = acc.finish();
+                        let pool = self.pools.len() - 1;
+                        self.emit.extend((0..results.len()).map(|idx| Item {
+                            row: Base::Pool {
+                                pool: pool as u16,
+                                idx: idx as u32,
+                            },
+                            build: None,
+                        }));
+                        self.pools[pool] = Pool {
+                            used: results.len(),
+                            rows: results,
+                        };
                         continue;
                     }
                     _ => return Ok(None),
@@ -337,11 +566,9 @@ impl Operator for PushPipelineOp {
 
     fn close(&mut self, ctx: &mut ExecContext) -> Result<()> {
         self.emit.clear();
-        for stage in &mut self.stages {
-            if let Stage::Probe { build, table, .. } = stage {
-                table.clear();
-                build.close(ctx)?;
-            }
+        if let Some(p) = &mut self.probe {
+            p.table.clear();
+            p.build.close(ctx)?;
         }
         Ok(())
     }

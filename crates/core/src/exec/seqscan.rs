@@ -7,12 +7,12 @@
 use crate::arena::TupleSlot;
 use crate::context::ExecContext;
 use crate::exec::{schema_slot_bytes, Operator, DEFAULT_BATCH};
-use crate::expr::Expr;
+use crate::expr::{Expr, Program, RowRef};
 use crate::fault;
 use crate::footprint::{FootprintModel, OpKind};
-use bufferdb_cachesim::CodeRegion;
+use bufferdb_cachesim::{CodeRegion, Machine};
 use bufferdb_storage::{Catalog, Table};
-use bufferdb_types::{Datum, DbError, Result, Schema, SchemaRef, Tuple};
+use bufferdb_types::{Datum, DbError, Result, Schema, SchemaRef};
 use std::sync::Arc;
 
 /// Instructions charged per additional candidate row examined within one
@@ -24,12 +24,15 @@ const INNER_LOOP_INSTR: u64 = 90;
 /// predicate + branch, projection. [`SeqScanOp`] runs it under one region
 /// execution per returned tuple; the fused push source
 /// ([`crate::exec::push`]) under one per batch. The caller owns the loop:
-/// [`ScanCursor::claim`] a candidate, then [`ScanCursor::eval`] it.
+/// [`ScanCursor::claim`] a candidate, [`ScanCursor::test`] it, and keep the
+/// row it names — by reference — or its [`ScanCursor::project`]ion.
 pub(crate) struct ScanCursor {
     table: Arc<Table>,
-    predicate: Option<Expr>,
+    /// The table's registration in the arena (set at `open`).
+    table_id: u32,
+    predicate: Option<Program>,
     pred_site: u64,
-    projection: Option<Vec<Expr>>,
+    projection: Option<Vec<Program>>,
     pos: u32,
     /// First row id of the scanned range (0 unless a morsel was claimed).
     start: u32,
@@ -41,14 +44,17 @@ impl ScanCursor {
     pub(crate) fn new(
         table: Arc<Table>,
         fm: &mut FootprintModel,
-        predicate: Option<Expr>,
-        projection: Option<Vec<Expr>>,
+        predicate: Option<&Expr>,
+        projection: Option<&[(Expr, String)]>,
     ) -> Self {
+        let schema = table.schema().clone();
         ScanCursor {
-            table,
-            predicate,
+            predicate: predicate.map(|p| Program::new(p, &schema)),
             pred_site: fm.predicate_site(),
-            projection,
+            projection: projection
+                .map(|v| v.iter().map(|(e, _)| Program::new(e, &schema)).collect()),
+            table,
+            table_id: 0,
             pos: 0,
             start: 0,
             limit: 0,
@@ -58,12 +64,27 @@ impl ScanCursor {
     /// Position at the start of the scanned range: the whole table, or the
     /// morsel an exchange worker left in the context.
     pub(crate) fn open(&mut self, ctx: &mut ExecContext) {
+        self.table_id = ctx.arena.register_table(&self.table);
         let count = self.table.row_count() as u32;
         (self.start, self.limit) = match ctx.morsel.take() {
             Some((lo, hi)) => (lo.min(count), hi.min(count)),
             None => (0, count),
         };
         self.pos = self.start;
+    }
+
+    pub(crate) fn table(&self) -> &Table {
+        &self.table
+    }
+
+    /// The table's registration in the arena.
+    pub(crate) fn table_id(&self) -> u32 {
+        self.table_id
+    }
+
+    /// Arity of the projected rows, when the scan projects.
+    pub(crate) fn projection_arity(&self) -> Option<usize> {
+        self.projection.as_ref().map(Vec::len)
     }
 
     /// Restart at the beginning of the range claimed at `open`.
@@ -83,40 +104,56 @@ impl ScanCursor {
         Ok(Some(id))
     }
 
-    /// Read candidate `id`, apply predicate and projection; `None` when the
-    /// predicate rejects it. Every candidate but the `first` since the
-    /// caller last executed its code region pays the inner-loop charge.
-    pub(crate) fn eval(
-        &self,
-        ctx: &mut ExecContext,
-        id: u32,
-        first: bool,
-    ) -> Result<Option<Tuple>> {
+    /// Read candidate `id` and apply the predicate: whether the row passes.
+    /// Every candidate but the `first` since the caller last executed its
+    /// code region pays the inner-loop charge.
+    pub(crate) fn test(&mut self, ctx: &mut ExecContext, id: u32, first: bool) -> Result<bool> {
         if !first {
             ctx.machine.add_instructions(INNER_LOOP_INSTR);
         }
         ctx.machine
             .data_read(self.table.row_addr(id), self.table.row_width(id));
-        let row = self.table.row(id);
-        if let Some(pred) = &self.predicate {
-            let keep = pred.eval_predicate(row)?;
-            ctx.machine.add_instructions(pred.instruction_cost());
-            ctx.machine.branch(self.pred_site, keep);
-            if !keep {
-                return Ok(None);
-            }
+        let Some(pred) = &mut self.predicate else {
+            return Ok(true);
+        };
+        let keep = pred.eval_predicate(RowRef::one(self.table.row(id)))?;
+        ctx.machine.add_instructions(pred.cost());
+        ctx.machine.branch(self.pred_site, keep);
+        Ok(keep)
+    }
+
+    /// Write the projection of passing row `id` into `out` (one value per
+    /// projected column).
+    pub(crate) fn project(
+        &mut self,
+        machine: &mut Machine,
+        id: u32,
+        out: &mut [Datum],
+    ) -> Result<()> {
+        let row = RowRef::one(self.table.row(id));
+        for (p, v) in self.projection.iter_mut().flatten().zip(out) {
+            machine.add_instructions(p.cost());
+            v.clone_from(p.eval(row)?);
         }
-        Ok(Some(match &self.projection {
-            None => row.clone(),
-            Some(exprs) => {
-                let mut vals = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    ctx.machine.add_instructions(e.instruction_cost());
-                    vals.push(e.eval(row)?);
-                }
-                Tuple::new(vals)
-            }
-        }))
+        Ok(())
+    }
+
+    /// Store passing row `id` into `region`: a reference to the table row,
+    /// or its projection built in the slot's recycled tuple.
+    pub(crate) fn emit(
+        &mut self,
+        ctx: &mut ExecContext,
+        region: u32,
+        id: u32,
+    ) -> Result<TupleSlot> {
+        let Some(arity) = self.projection_arity() else {
+            return Ok(ctx
+                .arena
+                .store_row(region, self.table_id, id, &mut ctx.machine));
+        };
+        let mut out = ctx.arena.recycle(region, arity);
+        self.project(&mut ctx.machine, id, out.values_mut())?;
+        Ok(ctx.arena.store(region, out, &mut ctx.machine))
     }
 }
 
@@ -156,9 +193,8 @@ impl SeqScanOp {
         let code = fm.region_for(&OpKind::SeqScan {
             with_pred: predicate.is_some(),
         });
-        let projection = projection.map(|v| v.into_iter().map(|(e, _)| e).collect());
         Ok(SeqScanOp {
-            cursor: ScanCursor::new(table, fm, predicate, projection),
+            cursor: ScanCursor::new(table, fm, predicate.as_ref(), projection.as_deref()),
             schema,
             code,
             out_region: u32::MAX,
@@ -191,9 +227,8 @@ impl Operator for SeqScanOp {
         ctx.machine.exec_region(&mut self.code);
         let mut first = true;
         while let Some(id) = self.cursor.claim(ctx)? {
-            if let Some(out) = self.cursor.eval(ctx, id, first)? {
-                let slot = ctx.arena.store(self.out_region, out, &mut ctx.machine);
-                return Ok(Some(slot));
+            if self.cursor.test(ctx, id, first)? {
+                return self.cursor.emit(ctx, self.out_region, id).map(Some);
             }
             first = false;
         }
@@ -221,7 +256,7 @@ mod tests {
     use super::*;
     use bufferdb_cachesim::MachineConfig;
     use bufferdb_storage::TableBuilder;
-    use bufferdb_types::{DataType, Field};
+    use bufferdb_types::{DataType, Field, Tuple};
 
     fn setup(n: i64) -> (Catalog, FootprintModel, ExecContext) {
         let c = Catalog::new();

@@ -9,6 +9,7 @@
 use crate::arena::TupleSlot;
 use crate::context::ExecContext;
 use crate::exec::{schema_slot_bytes, Operator};
+use crate::expr::RowRef;
 use crate::footprint::{FootprintModel, OpKind};
 use bufferdb_cachesim::CodeRegion;
 use bufferdb_types::{ops, Datum, Result, SchemaRef};
@@ -20,7 +21,8 @@ pub struct SortOp {
     keys: Vec<(usize, bool)>,
     schema: SchemaRef,
     code: CodeRegion,
-    /// Sorted output order as slots into our own materialized region.
+    /// Sorted output order as slots into our own materialized region
+    /// (table rows held by reference, built rows by copy).
     sorted: Vec<TupleSlot>,
     pos: usize,
     own_region: u32,
@@ -48,9 +50,10 @@ impl SortOp {
         }
     }
 
-    fn compare(&self, a: &[Datum], b: &[Datum]) -> Ordering {
-        for &(col, asc) in &self.keys {
-            let o = ops::sort_compare(&a[col], &b[col]);
+    fn compare(keys: &[(usize, bool)], a: RowRef<'_>, b: RowRef<'_>) -> Ordering {
+        for &(col, asc) in keys {
+            let (x, y) = (a.get(col), b.get(col));
+            let o = ops::sort_compare(x.unwrap_or(&Datum::Null), y.unwrap_or(&Datum::Null));
             let o = if asc { o } else { o.reverse() };
             if o != Ordering::Equal {
                 return o;
@@ -63,24 +66,27 @@ impl SortOp {
         self.own_region = ctx
             .arena
             .alloc_unbounded_region(schema_slot_bytes(&self.schema));
-        let mut rows: Vec<(Vec<Datum>, TupleSlot)> = Vec::new();
+        self.sorted.clear();
         while let Some(slot) = self.child.next(ctx)? {
             ctx.check_cancel()?;
             ctx.tuple_yield();
             ctx.machine.exec_region(&mut self.code);
-            // Materialize into our own storage (tuplesort copies tuples).
-            let t = ctx.arena.tuple(slot).clone();
-            let keys: Vec<Datum> = self.keys.iter().map(|&(c, _)| t.get(c).clone()).collect();
-            let own = ctx.arena.store(self.own_region, t, &mut ctx.machine);
-            rows.push((keys, own));
+            // Materialize into our own storage (tuplesort copies tuples;
+            // the simulated write is the copy's).
+            let held = ctx.arena.hold(slot);
+            let own = ctx
+                .arena
+                .store_held(self.own_region, held, &mut ctx.machine);
+            self.sorted.push(own);
         }
         // The in-memory sort: n log n comparisons at ~32 instructions each.
-        let n = rows.len() as u64;
+        let n = self.sorted.len() as u64;
         if n > 1 {
             ctx.machine.add_instructions(n * n.ilog2() as u64 * 32);
         }
-        rows.sort_by(|a, b| self.compare(&a.0, &b.0));
-        self.sorted = rows.into_iter().map(|(_, s)| s).collect();
+        let (arena, keys) = (&ctx.arena, &self.keys);
+        self.sorted
+            .sort_by(|a, b| Self::compare(keys, arena.row(*a), arena.row(*b)));
         self.pos = 0;
         self.done_build = true;
         Ok(())

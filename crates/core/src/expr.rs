@@ -5,8 +5,16 @@
 //! datatypes, comparison, overflow" checks of §4. Data-dependent predicate
 //! outcomes are reported to the simulated branch predictor by the operators
 //! that own them.
+//!
+//! Plans carry [`Expr`] trees. The executor never walks them per row: at
+//! `build_executor` every expression is lowered once into a [`Program`], a
+//! flat postfix sequence whose leaf operands are *locations* — a column of
+//! the row (or of either side of a join pair), a literal-pool entry — read
+//! by reference, never cloned. [`Expr::eval`] remains as the constant
+//! folder's evaluator and as the oracle the programs are tested against.
 
-use bufferdb_types::{ops, DataType, Datum, DbError, Result, SchemaRef, Tuple};
+use bufferdb_types::{ops, DataType, Datum, DbError, Field, Result, Schema, SchemaRef, Tuple};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Comparison operators.
@@ -293,15 +301,6 @@ impl Expr {
         }
     }
 
-    /// Evaluate as a predicate: NULL counts as not-satisfied (SQL WHERE).
-    pub fn eval_predicate(&self, row: &Tuple) -> Result<bool> {
-        match self.eval(row)? {
-            Datum::Bool(b) => Ok(b),
-            Datum::Null => Ok(false),
-            other => Err(DbError::TypeMismatch(format!("predicate produced {other}"))),
-        }
-    }
-
     /// Number of nodes — a proxy for per-evaluation instruction cost.
     pub fn node_count(&self) -> usize {
         1 + match self {
@@ -318,12 +317,6 @@ impl Expr {
             } => cond.node_count() + then.node_count() + otherwise.node_count(),
             Expr::StartsWith { input, .. } => input.node_count(),
         }
-    }
-
-    /// Simulated instructions per evaluation (≈ 24 per node: the paper's
-    /// per-record checks are short but numerous).
-    pub fn instruction_cost(&self) -> u64 {
-        self.node_count() as u64 * 24
     }
 
     /// Infer the output type against `schema`, validating column indices.
@@ -392,6 +385,663 @@ fn bool3_to_datum(v: Option<bool>) -> Datum {
     v.map(Datum::Bool).unwrap_or(Datum::Null)
 }
 
+/// Simulated instructions per expression node per evaluation (the paper's
+/// per-record checks are short but numerous).
+const INSTR_PER_NODE: u64 = 24;
+
+/// One row as a [`Program`] reads it: a tuple's values, or a join's probe
+/// and build values side by side — column `i` past the probe's arity is
+/// column `i − arity` of the build row — so a join's qual, and the fused
+/// stages above a push probe, read the pair without concatenating it.
+#[derive(Debug, Clone, Copy)]
+pub struct RowRef<'a> {
+    left: &'a [Datum],
+    right: &'a [Datum],
+}
+
+impl<'a> RowRef<'a> {
+    /// One tuple.
+    pub fn one(t: &'a Tuple) -> Self {
+        RowRef {
+            left: t.values(),
+            right: &[],
+        }
+    }
+
+    /// A join's probe row and the build row it matched.
+    pub fn pair(left: &'a Tuple, right: &'a Tuple) -> Self {
+        RowRef {
+            left: left.values(),
+            right: right.values(),
+        }
+    }
+
+    /// Columns across both sides.
+    pub(crate) fn arity(&self) -> usize {
+        self.left.len() + self.right.len()
+    }
+
+    /// Column `i` of the concatenated row.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> Option<&'a Datum> {
+        match self.left.get(i) {
+            Some(d) => Some(d),
+            None => self.right.get(i - self.left.len()),
+        }
+    }
+
+    /// Overwrite `out` (a recycled tuple's values, of this row's arity)
+    /// with a copy of the concatenated row: a join's output row.
+    pub(crate) fn copy_into(&self, out: &mut [Datum]) {
+        for (v, d) in out.iter_mut().zip(self.left.iter().chain(self.right)) {
+            v.clone_from(d);
+        }
+    }
+}
+
+/// Where a program operand lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Src {
+    /// Column `i` of the row. A program lowered for one row may be handed a
+    /// join's output read in place, so `i` counts across both sides.
+    Left(u32),
+    /// Column `j` of a pair's build row (a program lowered for the pair).
+    Right(u32),
+    /// A literal-pool entry.
+    Lit(u32),
+    /// A register: a computed subexpression.
+    Reg(u32),
+}
+
+/// One program instruction; each computed value lands in register `dst`.
+/// Leaves are not instructions: they are the [`Src`] operands of their
+/// parent, read in place.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Copy an operand into `dst` (a `CASE` branch's value).
+    Copy {
+        src: Src,
+        dst: u32,
+    },
+    /// Fail as `Expr::eval` does on a column past the row's arity.
+    BadColumn(usize),
+    Cmp {
+        op: CmpOp,
+        a: Src,
+        b: Src,
+        dst: u32,
+    },
+    Arith {
+        op: ArithOp,
+        a: Src,
+        b: Src,
+        dst: u32,
+    },
+    And {
+        a: Src,
+        b: Src,
+        dst: u32,
+    },
+    Or {
+        a: Src,
+        b: Src,
+        dst: u32,
+    },
+    Not {
+        a: Src,
+        dst: u32,
+    },
+    IsNull {
+        a: Src,
+        dst: u32,
+    },
+    /// `LIKE 'prefix%'`; the prefix is a string in the literal pool.
+    StartsWith {
+        a: Src,
+        prefix: u32,
+        dst: u32,
+    },
+    /// Short-circuit an `AND` (`decides` false) or `OR` (`decides` true)
+    /// whose result is `dst`: when `cond` already equals `decides` and the
+    /// skipped side's column leaves (`guards`) hold their declared types,
+    /// the skipped side cannot fail, so set `dst` to `decides` and jump to
+    /// `to`, past the operator.
+    Decide {
+        decides: bool,
+        cond: Src,
+        guards: (u32, u32),
+        dst: u32,
+        to: u32,
+    },
+    /// `CASE`: jump to `to` unless the condition is true.
+    Branch {
+        cond: Src,
+        to: u32,
+    },
+    Jump(u32),
+}
+
+/// An [`Expr`] lowered once, at executor build, for per-row evaluation.
+///
+/// The program is a flat instruction sequence in tree post-order. Column
+/// and literal leaves are operands read by reference from the row or the
+/// literal pool, so no node clones a [`Datum`]; each computed node writes
+/// one register. Int/Date/Decimal comparisons and Int/Decimal arithmetic
+/// run typed kernels; every other operand pair, and every failing case,
+/// goes through `ops::*` exactly as [`Expr::eval`] does, so results and
+/// errors (variant and message) are the same. `AND`/`OR` skip their right
+/// side only where that side cannot fail. The modeled cost is fixed at
+/// lowering: [`Program::cost`] is `node_count × 24` whether or not the host
+/// skipped work, because the modeled machine evaluates every node.
+#[derive(Debug)]
+pub struct Program {
+    code: Vec<Op>,
+    lits: Vec<Datum>,
+    /// Column leaves of skippable sides and their declared types.
+    guards: Vec<(Src, DataType)>,
+    /// Where the value ends up.
+    result: Src,
+    cost: u64,
+    regs: Vec<Datum>,
+}
+
+impl Program {
+    /// Lower `expr` over rows of `schema`.
+    pub fn new(expr: &Expr, schema: &Schema) -> Program {
+        Program::lower(expr, schema.fields(), &[])
+    }
+
+    /// Lower `expr` over a join's (probe, build) row pair whose
+    /// concatenation has schema `left ⋈ right`; each column is resolved to
+    /// its side here, once.
+    pub fn pair(expr: &Expr, left: &Schema, right: &Schema) -> Program {
+        Program::lower(expr, left.fields(), right.fields())
+    }
+
+    fn lower(expr: &Expr, left: &[Field], right: &[Field]) -> Program {
+        let nodes = expr.node_count();
+        let mut l = Lowering {
+            left,
+            right,
+            // One instruction per computed node, plus the jumps of AND, OR
+            // and CASE: twice the node count is rarely outgrown.
+            code: Vec::with_capacity(2 * nodes),
+            lits: Vec::new(),
+            guards: Vec::new(),
+            regs: 0,
+        };
+        let result = l.lower(expr);
+        Program {
+            code: l.code,
+            lits: l.lits,
+            guards: l.guards,
+            result,
+            cost: nodes as u64 * INSTR_PER_NODE,
+            regs: vec![Datum::Null; l.regs as usize],
+        }
+    }
+
+    /// Simulated instructions per evaluation.
+    pub fn cost(&self) -> u64 {
+        self.cost
+    }
+
+    /// Evaluate against `row`. The value is borrowed from the row, the
+    /// literal pool or the program's registers.
+    pub fn eval<'a>(&'a mut self, row: RowRef<'a>) -> Result<&'a Datum> {
+        self.run(row)?;
+        let Program {
+            lits, regs, result, ..
+        } = self;
+        at(*result, row, lits, regs).ok_or_else(|| missing(*result, row))
+    }
+
+    /// Evaluate as a predicate: NULL counts as not-satisfied (SQL WHERE).
+    pub fn eval_predicate(&mut self, row: RowRef<'_>) -> Result<bool> {
+        match self.eval(row)? {
+            Datum::Bool(b) => Ok(*b),
+            Datum::Null => Ok(false),
+            other => Err(DbError::TypeMismatch(format!("predicate produced {other}"))),
+        }
+    }
+
+    fn run(&mut self, row: RowRef<'_>) -> Result<()> {
+        let Program {
+            code,
+            lits,
+            guards,
+            regs,
+            ..
+        } = self;
+        let lits: &[Datum] = lits;
+        // An operand by reference; a missing column fails as `Expr::eval`.
+        macro_rules! at {
+            ($src:expr) => {
+                match at($src, row, lits, regs) {
+                    Some(d) => d,
+                    None => return Err(missing($src, row)),
+                }
+            };
+        }
+        let mut pc = 0;
+        while let Some(&op) = code.get(pc) {
+            pc += 1;
+            let (value, dst) = match op {
+                Op::Copy { src, dst } => (at!(src).clone(), dst),
+                Op::BadColumn(i) => return Err(unknown_column(i, row)),
+                Op::Cmp { op, a, b, dst } => (compare(op, at!(a), at!(b))?, dst),
+                Op::Arith { op, a, b, dst } => (arith(op, at!(a), at!(b))?, dst),
+                Op::And { a, b, dst } => {
+                    let (x, y) = (datum_to_bool3(at!(a))?, datum_to_bool3(at!(b))?);
+                    (bool3_to_datum(ops::and3(x, y)), dst)
+                }
+                Op::Or { a, b, dst } => {
+                    let (x, y) = (datum_to_bool3(at!(a))?, datum_to_bool3(at!(b))?);
+                    (bool3_to_datum(ops::or3(x, y)), dst)
+                }
+                Op::Not { a, dst } => (bool3_to_datum(ops::not3(datum_to_bool3(at!(a))?)), dst),
+                Op::IsNull { a, dst } => (Datum::Bool(at!(a).is_null()), dst),
+                Op::StartsWith { a, prefix, dst } => {
+                    let v = match at!(a) {
+                        Datum::Null => Datum::Null,
+                        Datum::Str(s) => {
+                            Datum::Bool(s.starts_with(lits[prefix as usize].as_str().unwrap_or("")))
+                        }
+                        other => {
+                            return Err(DbError::TypeMismatch(format!(
+                                "LIKE applied to non-string {other}"
+                            )))
+                        }
+                    };
+                    (v, dst)
+                }
+                Op::Decide {
+                    decides,
+                    cond,
+                    guards: (lo, hi),
+                    dst,
+                    to,
+                } => {
+                    let skip = matches!(at!(cond), Datum::Bool(v) if *v == decides)
+                        && guards[lo as usize..hi as usize]
+                            .iter()
+                            .all(|&(src, ty)| declared(src, ty, row));
+                    if !skip {
+                        continue;
+                    }
+                    pc = to as usize;
+                    (Datum::Bool(decides), dst)
+                }
+                Op::Branch { cond, to } => {
+                    if datum_to_bool3(at!(cond))? != Some(true) {
+                        pc = to as usize;
+                    }
+                    continue;
+                }
+                Op::Jump(to) => {
+                    pc = to as usize;
+                    continue;
+                }
+            };
+            regs[dst as usize] = value;
+        }
+        Ok(())
+    }
+}
+
+/// Operand `src`, by reference; `None` for a column past the row's arity.
+#[inline(always)]
+fn at<'a>(src: Src, row: RowRef<'a>, lits: &'a [Datum], regs: &'a [Datum]) -> Option<&'a Datum> {
+    match src {
+        Src::Left(i) => row.get(i as usize),
+        Src::Right(i) => row.right.get(i as usize),
+        Src::Lit(i) => lits.get(i as usize),
+        Src::Reg(i) => regs.get(i as usize),
+    }
+}
+
+/// The error for an operand [`at`] could not read.
+#[cold]
+fn missing(src: Src, row: RowRef<'_>) -> DbError {
+    match src {
+        Src::Right(i) => unknown_column(row.left.len() + i as usize, row),
+        Src::Left(i) | Src::Lit(i) | Src::Reg(i) => unknown_column(i as usize, row),
+    }
+}
+
+fn unknown_column(i: usize, row: RowRef<'_>) -> DbError {
+    DbError::UnknownColumn(format!("column #{i} of {}-ary row", row.arity()))
+}
+
+/// Whether guard column `src` holds its declared type `ty` (or NULL).
+fn declared(src: Src, ty: DataType, row: RowRef<'_>) -> bool {
+    let d = match src {
+        Src::Left(i) => row.get(i as usize),
+        Src::Right(i) => row.right.get(i as usize),
+        Src::Lit(_) | Src::Reg(_) => None,
+    };
+    d.is_some_and(|d| d.is_null() || d.data_type() == Some(ty))
+}
+
+impl CmpOp {
+    fn holds(self, o: Ordering) -> bool {
+        match self {
+            CmpOp::Eq => o == Ordering::Equal,
+            CmpOp::Ne => o != Ordering::Equal,
+            CmpOp::Lt => o == Ordering::Less,
+            CmpOp::Le => o != Ordering::Greater,
+            CmpOp::Gt => o == Ordering::Greater,
+            CmpOp::Ge => o != Ordering::Less,
+        }
+    }
+}
+
+/// Comparison kernel: typed for Int/Date/Decimal pairs, `ops::compare` for
+/// everything else (NULLs, coercions, errors).
+fn compare(op: CmpOp, a: &Datum, b: &Datum) -> Result<Datum> {
+    let ord = match (a, b) {
+        (Datum::Int(x), Datum::Int(y)) => x.cmp(y),
+        (Datum::Date(x), Datum::Date(y)) => x.cmp(y),
+        (Datum::Decimal(x), Datum::Decimal(y)) => x.cmp(y),
+        _ => match ops::compare(a, b)? {
+            Some(o) => o,
+            None => return Ok(Datum::Null),
+        },
+    };
+    Ok(Datum::Bool(op.holds(ord)))
+}
+
+/// Arithmetic kernel: typed for Int and Decimal pairs that do not fail;
+/// every other pair, and every overflow or division by zero, is `ops::*`'s.
+fn arith(op: ArithOp, a: &Datum, b: &Datum) -> Result<Datum> {
+    let fast = match (a, b) {
+        (Datum::Int(x), Datum::Int(y)) => match op {
+            ArithOp::Add => x.checked_add(*y),
+            ArithOp::Sub => x.checked_sub(*y),
+            ArithOp::Mul => x.checked_mul(*y),
+            ArithOp::Div => x.checked_div(*y),
+        }
+        .map(Datum::Int),
+        (Datum::Decimal(x), Datum::Decimal(y)) => match op {
+            ArithOp::Add => x.checked_add(y),
+            ArithOp::Sub => x.checked_sub(y),
+            ArithOp::Mul => x.checked_mul(y),
+            ArithOp::Div => x.checked_div(y),
+        }
+        .ok()
+        .map(Datum::Decimal),
+        _ => None,
+    };
+    match fast {
+        Some(v) => Ok(v),
+        None => match op {
+            ArithOp::Add => ops::add(a, b),
+            ArithOp::Sub => ops::sub(a, b),
+            ArithOp::Mul => ops::mul(a, b),
+            ArithOp::Div => ops::div(a, b),
+        },
+    }
+}
+
+/// What a subexpression is known to produce without failing, provided its
+/// column leaves hold their declared types or NULL.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sure {
+    /// Always NULL.
+    Null,
+    /// A value of this type, or NULL.
+    Of(DataType),
+}
+
+impl Sure {
+    fn is_boolish(self) -> bool {
+        matches!(self, Sure::Null | Sure::Of(DataType::Bool))
+    }
+}
+
+/// Pairs `ops::compare` orders without error.
+fn comparable(a: Sure, b: Sure) -> bool {
+    use DataType::*;
+    match (a, b) {
+        (Sure::Null, _) | (_, Sure::Null) => true,
+        (Sure::Of(x), Sure::Of(y)) => matches!(
+            (x, y),
+            (Bool, Bool)
+                | (Int, Int)
+                | (Decimal, Decimal)
+                | (Date, Date)
+                | (Str, Str)
+                | (Int, Decimal)
+                | (Decimal, Int)
+        ),
+    }
+}
+
+/// Lowering state for one [`Program`].
+struct Lowering<'s> {
+    left: &'s [Field],
+    right: &'s [Field],
+    code: Vec<Op>,
+    lits: Vec<Datum>,
+    guards: Vec<(Src, DataType)>,
+    /// Registers allocated so far.
+    regs: u32,
+}
+
+impl Lowering<'_> {
+    /// Column `i` resolved to its side, with its declared type.
+    fn column(&self, i: usize) -> Option<(Src, DataType)> {
+        match self.left.get(i) {
+            Some(f) => Some((Src::Left(i as u32), f.ty)),
+            None => {
+                let j = i - self.left.len();
+                self.right.get(j).map(|f| (Src::Right(j as u32), f.ty))
+            }
+        }
+    }
+
+    fn lit(&mut self, d: Datum) -> u32 {
+        self.lits.push(d);
+        self.lits.len() as u32 - 1
+    }
+
+    fn reg(&mut self) -> u32 {
+        self.regs += 1;
+        self.regs - 1
+    }
+
+    /// Emit the instruction `op(dst)` computes into a fresh register.
+    fn op(&mut self, op: impl FnOnce(u32) -> Op) -> Src {
+        let dst = self.reg();
+        self.code.push(op(dst));
+        Src::Reg(dst)
+    }
+
+    /// Point the jump at `at` to the next instruction.
+    fn patch(&mut self, at: usize) {
+        let next = self.code.len() as u32;
+        match &mut self.code[at] {
+            Op::Decide { to, .. } | Op::Branch { to, .. } | Op::Jump(to) => *to = next,
+            other => unreachable!("patching non-jump {other:?}"),
+        }
+    }
+
+    /// Emit `e`'s code; returns the operand holding its value.
+    fn lower(&mut self, e: &Expr) -> Src {
+        match e {
+            Expr::Column(i) => match self.column(*i) {
+                Some((src, _)) => src,
+                None => {
+                    self.code.push(Op::BadColumn(*i));
+                    Src::Reg(self.reg())
+                }
+            },
+            Expr::Literal(d) => Src::Lit(self.lit(d.clone())),
+            Expr::Cmp { op, left, right } => {
+                let (a, b) = (self.lower(left), self.lower(right));
+                self.op(|dst| Op::Cmp { op: *op, a, b, dst })
+            }
+            Expr::Arith { op, left, right } => {
+                let (a, b) = (self.lower(left), self.lower(right));
+                self.op(|dst| Op::Arith { op: *op, a, b, dst })
+            }
+            Expr::And(a, b) => self.logic(false, a, b),
+            Expr::Or(a, b) => self.logic(true, a, b),
+            Expr::Not(a) => {
+                let a = self.lower(a);
+                self.op(|dst| Op::Not { a, dst })
+            }
+            Expr::IsNull(a) => {
+                let a = self.lower(a);
+                self.op(|dst| Op::IsNull { a, dst })
+            }
+            Expr::StartsWith { input, prefix } => {
+                let a = self.lower(input);
+                let prefix = self.lit(Datum::str(prefix.as_str()));
+                self.op(|dst| Op::StartsWith { a, prefix, dst })
+            }
+            Expr::Case {
+                cond,
+                then,
+                otherwise,
+            } => {
+                let cond = self.lower(cond);
+                let dst = self.reg();
+                let branch = self.code.len();
+                self.code.push(Op::Branch { cond, to: 0 });
+                let src = self.lower(then);
+                self.code.push(Op::Copy { src, dst });
+                let jump = self.code.len();
+                self.code.push(Op::Jump(0));
+                self.patch(branch);
+                let src = self.lower(otherwise);
+                self.code.push(Op::Copy { src, dst });
+                self.patch(jump);
+                Src::Reg(dst)
+            }
+        }
+    }
+
+    /// `a AND b` (`decides` false) or `a OR b` (`decides` true), with a
+    /// short-circuit when `b` cannot fail.
+    fn logic(&mut self, decides: bool, a: &Expr, b: &Expr) -> Src {
+        let a = self.lower(a);
+        let dst = self.reg();
+        let decide = self.sure(b).is_some_and(Sure::is_boolish).then(|| {
+            let lo = self.guards.len() as u32;
+            self.guard_columns(b);
+            let at = self.code.len();
+            self.code.push(Op::Decide {
+                decides,
+                cond: a,
+                guards: (lo, self.guards.len() as u32),
+                dst,
+                to: 0,
+            });
+            at
+        });
+        let b = self.lower(b);
+        self.code.push(if decides {
+            Op::Or { a, b, dst }
+        } else {
+            Op::And { a, b, dst }
+        });
+        if let Some(at) = decide {
+            self.patch(at);
+        }
+        Src::Reg(dst)
+    }
+
+    /// Record every column leaf of `e` as a guard.
+    fn guard_columns(&mut self, e: &Expr) {
+        match e {
+            Expr::Column(i) => {
+                if let Some(guard) = self.column(*i) {
+                    self.guards.push(guard);
+                }
+            }
+            Expr::Literal(_) => {}
+            Expr::Cmp { left, right, .. } | Expr::Arith { left, right, .. } => {
+                self.guard_columns(left);
+                self.guard_columns(right);
+            }
+            Expr::And(a, b) | Expr::Or(a, b) => {
+                self.guard_columns(a);
+                self.guard_columns(b);
+            }
+            Expr::Not(a) | Expr::IsNull(a) => self.guard_columns(a),
+            Expr::StartsWith { input, .. } => self.guard_columns(input),
+            Expr::Case {
+                cond,
+                then,
+                otherwise,
+            } => {
+                self.guard_columns(cond);
+                self.guard_columns(then);
+                self.guard_columns(otherwise);
+            }
+        }
+    }
+
+    /// What `e` yields without failing when its columns hold their declared
+    /// types; `None` when it might fail.
+    fn sure(&self, e: &Expr) -> Option<Sure> {
+        let boolish = |e: &Expr| self.sure(e).is_some_and(Sure::is_boolish);
+        Some(match e {
+            Expr::Column(i) => Sure::Of(self.column(*i)?.1),
+            Expr::Literal(d) => d.data_type().map_or(Sure::Null, Sure::Of),
+            Expr::Cmp { left, right, .. } => {
+                if !comparable(self.sure(left)?, self.sure(right)?) {
+                    return None;
+                }
+                Sure::Of(DataType::Bool)
+            }
+            // Overflow and division by zero: only a NULL operand is safe.
+            Expr::Arith { left, right, .. } => {
+                let (a, b) = (self.sure(left)?, self.sure(right)?);
+                if a != Sure::Null && b != Sure::Null {
+                    return None;
+                }
+                Sure::Null
+            }
+            Expr::And(a, b) | Expr::Or(a, b) => {
+                if !(boolish(a) && boolish(b)) {
+                    return None;
+                }
+                Sure::Of(DataType::Bool)
+            }
+            Expr::Not(a) => {
+                if !boolish(a) {
+                    return None;
+                }
+                Sure::Of(DataType::Bool)
+            }
+            Expr::IsNull(a) => {
+                self.sure(a)?;
+                Sure::Of(DataType::Bool)
+            }
+            Expr::StartsWith { input, .. } => match self.sure(input)? {
+                Sure::Null | Sure::Of(DataType::Str) => Sure::Of(DataType::Bool),
+                Sure::Of(_) => return None,
+            },
+            Expr::Case {
+                cond,
+                then,
+                otherwise,
+            } => {
+                if !boolish(cond) {
+                    return None;
+                }
+                match (self.sure(then)?, self.sure(otherwise)?) {
+                    (a, b) if a == b => a,
+                    (Sure::Null, x) | (x, Sure::Null) => x,
+                    _ => return None,
+                }
+            }
+        })
+    }
+}
+
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -454,13 +1104,26 @@ mod tests {
         assert!(Expr::col(9).eval(&row()).is_err());
     }
 
+    fn schema() -> Schema {
+        Schema::new(vec![
+            Field::new("i", DataType::Int),
+            Field::new("d", DataType::Decimal),
+            Field::nullable("n", DataType::Int),
+            Field::new("t", DataType::Date),
+        ])
+    }
+
+    fn predicate(e: &Expr, t: &Tuple) -> Result<bool> {
+        Program::new(e, &schema()).eval_predicate(RowRef::one(t))
+    }
+
     #[test]
     fn comparisons_three_valued() {
         let e = Expr::col(0).le(Expr::lit(10));
         assert_eq!(e.eval(&row()).unwrap(), Datum::Bool(true));
         let with_null = Expr::col(2).le(Expr::lit(10));
         assert!(with_null.eval(&row()).unwrap().is_null());
-        assert!(!with_null.eval_predicate(&row()).unwrap()); // NULL => filtered
+        assert!(!predicate(&with_null, &row()).unwrap()); // NULL => filtered
     }
 
     #[test]
@@ -494,15 +1157,15 @@ mod tests {
     #[test]
     fn date_predicate_like_query1() {
         let e = Expr::col(3).le(Expr::lit(Datum::Date(Date::parse("1998-12-01").unwrap())));
-        assert!(e.eval_predicate(&row()).unwrap());
+        assert!(predicate(&e, &row()).unwrap());
         let e2 = Expr::col(3).le(Expr::lit(Datum::Date(Date::parse("1998-01-01").unwrap())));
-        assert!(!e2.eval_predicate(&row()).unwrap());
+        assert!(!predicate(&e2, &row()).unwrap());
     }
 
     #[test]
     fn predicate_type_error_is_reported() {
         let e = Expr::col(0).add(Expr::lit(1)); // Int, not Bool
-        assert!(e.eval_predicate(&row()).is_err());
+        assert!(predicate(&e, &row()).is_err());
     }
 
     #[test]
@@ -511,7 +1174,68 @@ mod tests {
             .le(Expr::lit(10))
             .and(Expr::col(1).gt(Expr::lit(0)));
         assert_eq!(e.node_count(), 7);
-        assert_eq!(e.instruction_cost(), 7 * 24);
+        assert_eq!(Program::new(&e, &schema()).cost(), 7 * 24);
+    }
+
+    #[test]
+    fn leaves_are_read_in_place() {
+        let t = row();
+        let mut col = Program::new(&Expr::col(1), &schema());
+        assert!(std::ptr::eq(col.eval(RowRef::one(&t)).unwrap(), t.get(1)));
+        let mut sum = Program::new(&Expr::col(0).add(Expr::lit(1)), &schema());
+        assert_eq!(sum.eval(RowRef::one(&t)).unwrap(), &Datum::Int(11));
+    }
+
+    #[test]
+    fn pair_columns_resolve_to_their_side() {
+        let probe = Tuple::new(vec![Datum::Int(1), Datum::Int(2)]);
+        let build = Tuple::new(vec![Datum::Int(3)]);
+        let two = Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("b", DataType::Int),
+        ]);
+        let one = Schema::new(vec![Field::new("c", DataType::Int)]);
+        let e = Expr::col(0).add(Expr::col(2));
+        let mut p = Program::pair(&e, &two, &one);
+        let pair = RowRef::pair(&probe, &build);
+        assert_eq!(p.eval(pair).unwrap(), &Datum::Int(4));
+        // Lowered for the joined row, read from the pair in place.
+        let mut joined = Program::new(&e, &two.join(&one));
+        assert_eq!(joined.eval(pair).unwrap(), &Datum::Int(4));
+        let mut bad = Program::pair(&Expr::col(3), &two, &one);
+        assert_eq!(
+            bad.eval(pair).unwrap_err(),
+            DbError::UnknownColumn("column #3 of 3-ary row".into())
+        );
+    }
+
+    #[test]
+    fn and_or_skip_only_infallible_sides() {
+        // `false AND (i + 1 > 0)`: the right side can overflow, so it runs.
+        let t = Tuple::new(vec![
+            Datum::Int(i64::MAX),
+            Datum::Decimal(Decimal::from_int(1)),
+            Datum::Null,
+            Datum::Date(Date::parse("1998-09-02").unwrap()),
+        ]);
+        let f = Expr::lit(false);
+        let overflow = f
+            .clone()
+            .and(Expr::col(0).add(Expr::lit(1)).gt(Expr::lit(0)));
+        assert_eq!(
+            predicate(&overflow, &t).unwrap_err(),
+            overflow.eval(&t).unwrap_err()
+        );
+        // `false AND (i = 3)` cannot fail: skipped, still false.
+        let skip = f.and(Expr::col(0).eq(Expr::lit(3)));
+        let mut p = Program::new(&skip, &schema());
+        assert_eq!(p.eval(RowRef::one(&t)).unwrap(), &Datum::Bool(false));
+        // A column that does not hold its declared type disables the skip.
+        let lying = Tuple::new(vec![Datum::str("x"), Datum::Null, Datum::Null, Datum::Null]);
+        assert_eq!(
+            p.eval(RowRef::one(&lying)).unwrap_err(),
+            skip.eval(&lying).unwrap_err()
+        );
     }
 
     #[test]

@@ -460,7 +460,7 @@ fn check_col(schema: &SchemaRef, col: usize) -> Result<()> {
     Ok(())
 }
 
-fn projected_schema(input: &SchemaRef, exprs: &[(Expr, String)]) -> Result<SchemaRef> {
+pub(crate) fn projected_schema(input: &SchemaRef, exprs: &[(Expr, String)]) -> Result<SchemaRef> {
     let mut fields = Vec::with_capacity(exprs.len());
     for (e, name) in exprs {
         let ty = e.data_type(input)?;

@@ -50,8 +50,8 @@ use bufferdb_cachesim::{CodeLayout, Machine, MachineConfig, PerfCounters};
 use bufferdb_storage::Catalog;
 use bufferdb_types::{DbError, Result};
 use phase::PhaseState;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::collections::{HashSet, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -309,6 +309,43 @@ struct SchedState {
     active: usize,
     /// Open phases, claimable by any pool worker.
     phases: Vec<Arc<PhaseState>>,
+    tags: OwnerTags,
+}
+
+/// Owner tags of the queries submitted and not yet finished.
+///
+/// Issuing wraps past 0 — the simulator's "untagged" sentinel, under which
+/// a query's cross-query misses would be attributed to no one — and skips
+/// every tag a live query still holds, so after 2³² submissions a
+/// long-running query never shares its tag (the virtual server's
+/// `alloc_tag` rule). The skip terminates: at most `slots + waiting` tags
+/// are live at once.
+struct OwnerTags {
+    next: u32,
+    live: HashSet<u32>,
+}
+
+impl OwnerTags {
+    fn new() -> Self {
+        OwnerTags {
+            next: 1,
+            live: HashSet::new(),
+        }
+    }
+
+    fn issue(&mut self) -> u32 {
+        loop {
+            let tag = self.next;
+            self.next = self.next.wrapping_add(1);
+            if tag != 0 && self.live.insert(tag) {
+                return tag;
+            }
+        }
+    }
+
+    fn retire(&mut self, tag: u32) {
+        self.live.remove(&tag);
+    }
 }
 
 struct Shared {
@@ -316,7 +353,6 @@ struct Shared {
     state: Mutex<SchedState>,
     cv: Condvar,
     shutdown: AtomicBool,
-    next_tag: AtomicU32,
     stats: StatCells,
     /// Server-scoped flight recorder; `None` until enabled.
     recorder: Mutex<Option<ServerRecorder>>,
@@ -384,10 +420,10 @@ impl Server {
                 waiting: VecDeque::new(),
                 active: 0,
                 phases: Vec::new(),
+                tags: OwnerTags::new(),
             }),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            next_tag: AtomicU32::new(1),
             stats: StatCells::default(),
             recorder: Mutex::new(None),
         });
@@ -448,7 +484,7 @@ impl Server {
             return Err(DbError::WorkerFailed("server is shut down".into()));
         }
         let mut spec = DriveSpec::for_server(plan, catalog, &self.master, opts)?;
-        let tag = next_owner_tag(&self.shared.next_tag);
+        let tag = lock(&self.shared.state).tags.issue();
         spec.tag = tag;
         let cancel = spec.cancel.clone();
         let (tx, rx) = mpsc::channel();
@@ -470,18 +506,6 @@ impl Server {
             tag,
             cfg: self.shared.cfg.machine.clone(),
         })
-    }
-}
-
-/// The next owner tag off `counter`, never 0: that is the simulator's
-/// "untagged" sentinel, and a query run under it after the counter wraps
-/// would have its cross-query misses attributed to no one.
-fn next_owner_tag(counter: &AtomicU32) -> u32 {
-    loop {
-        let tag = counter.fetch_add(1, Ordering::Relaxed);
-        if tag != 0 {
-            return tag;
-        }
     }
 }
 
@@ -536,6 +560,7 @@ fn worker_loop(w: usize, shared: &Arc<Shared>) {
             job
         };
         if let Some(job) = admitted {
+            let tag = job.spec.tag;
             let delegate = Box::new(ServerDelegate {
                 shared: Arc::clone(shared),
                 acct: DriveAccounting::default(),
@@ -583,7 +608,11 @@ fn worker_loop(w: usize, shared: &Arc<Shared>) {
             }
             // A dropped ticket just discards the outcome.
             let _ = job.reply.send(out);
-            lock(&shared.state).active -= 1;
+            {
+                let mut st = lock(&shared.state);
+                st.active -= 1;
+                st.tags.retire(tag);
+            }
             shared.cv.notify_all();
             continue;
         }
@@ -667,8 +696,34 @@ mod tests {
 
     #[test]
     fn owner_tags_wrap_past_the_untagged_sentinel() {
-        let counter = AtomicU32::new(u32::MAX - 1);
-        let tags: Vec<u32> = (0..4).map(|_| next_owner_tag(&counter)).collect();
-        assert_eq!(tags, [u32::MAX - 1, u32::MAX, 1, 2]);
+        let mut tags = OwnerTags::new();
+        tags.next = u32::MAX - 1;
+        let issued: Vec<u32> = (0..4)
+            .map(|_| {
+                let t = tags.issue();
+                tags.retire(t);
+                t
+            })
+            .collect();
+        assert_eq!(issued, [u32::MAX - 1, u32::MAX, 1, 2]);
+    }
+
+    #[test]
+    fn owner_tags_skip_live_tags_across_wraparound() {
+        let mut tags = OwnerTags::new();
+        // A long-lived query holds tag 5; the counter is about to wrap.
+        tags.live.insert(5);
+        tags.next = u32::MAX - 1;
+        let issued: Vec<u32> = (0..8).map(|_| tags.issue()).collect();
+        assert_eq!(
+            issued,
+            vec![u32::MAX - 1, u32::MAX, 1, 2, 3, 4, 6, 7],
+            "issuing must wrap past the sentinel 0 and skip the live tag 5"
+        );
+        // Retired tags come back on the next lap; live ones still do not.
+        tags.retire(2);
+        tags.next = 1;
+        assert_eq!(tags.issue(), 2);
+        assert_eq!(tags.issue(), 8);
     }
 }

@@ -3,9 +3,11 @@
 use crate::value::Datum;
 use std::fmt;
 
-/// A row of values. Tuples are created by scans and operators; the buffer
-/// operator of the paper stores *pointers* to tuples (here: slot indices into
-/// a tuple arena), never copies of them.
+/// A row of values: the rows a table stores, and the rows operators build
+/// (projections, join outputs, aggregate results). Operators pass rows by
+/// reference — arena slots that name a table row or an owned tuple — and
+/// rewrite a recycled tuple's values in place rather than allocate a new
+/// one per row.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tuple {
     values: Box<[Datum]>,
@@ -24,6 +26,11 @@ impl Tuple {
         &self.values
     }
 
+    /// The values, for rewriting a recycled tuple in place.
+    pub fn values_mut(&mut self) -> &mut [Datum] {
+        &mut self.values
+    }
+
     /// Value at column `idx`. Panics when out of range; column indices come
     /// from validated plans.
     pub fn get(&self, idx: usize) -> &Datum {
@@ -33,14 +40,6 @@ impl Tuple {
     /// Number of columns.
     pub fn arity(&self) -> usize {
         self.values.len()
-    }
-
-    /// Concatenate two tuples (join output).
-    pub fn join(&self, other: &Tuple) -> Tuple {
-        let mut v = Vec::with_capacity(self.values.len() + other.values.len());
-        v.extend(self.values.iter().cloned());
-        v.extend(other.values.iter().cloned());
-        Tuple::new(v)
     }
 
     /// Approximate in-memory size in bytes (header + payloads); drives the
@@ -80,12 +79,11 @@ mod tests {
     }
 
     #[test]
-    fn join_concatenates_values() {
-        let a = Tuple::new(vec![Datum::Int(1)]);
-        let b = Tuple::new(vec![Datum::Int(2), Datum::Int(3)]);
-        let j = a.join(&b);
-        assert_eq!(j.arity(), 3);
-        assert_eq!(j.get(2).as_int(), Some(3));
+    fn values_rewrite_in_place() {
+        let mut t = Tuple::new(vec![Datum::Int(1), Datum::Null]);
+        t.values_mut()[1] = Datum::Int(2);
+        assert_eq!(t.get(1).as_int(), Some(2));
+        assert_eq!(t.arity(), 2);
     }
 
     #[test]
