@@ -1,63 +1,21 @@
 //! Engine-level benchmarks: per-tuple iterator costs, the buffer operator's
 //! own overhead (the paper's "light-weight" claim, Table 4), plan
 //! refinement latency (§7: "the overhead of this algorithm is very small"),
-//! B+-tree probes, and heap allocations per scanned row.
+//! and B+-tree probes.
 
 use bufferdb_bench::microbench::bench;
 use bufferdb_cachesim::MachineConfig;
 use bufferdb_core::context::ExecContext;
 use bufferdb_core::exec::buffer::BufferOp;
 use bufferdb_core::exec::seqscan::SeqScanOp;
-use bufferdb_core::exec::{execute_query, Operator};
+use bufferdb_core::exec::Operator;
 use bufferdb_core::footprint::FootprintModel;
-use bufferdb_core::optimizer::ExecModePolicy;
-use bufferdb_core::plan::PlanNode;
-use bufferdb_core::prepare::prepare_plan_parts_with_mode;
 use bufferdb_core::refine::{refine_plan, RefineConfig};
-use bufferdb_core::session::QueryOpts;
 use bufferdb_index::BTreeIndex;
 use bufferdb_storage::{Catalog, TableBuilder};
 use bufferdb_tpch::queries;
-use bufferdb_types::{DataType, Datum, Field, Result, Schema, Tuple};
-use std::alloc::{GlobalAlloc, Layout, System};
+use bufferdb_types::{DataType, Datum, Field, Schema, Tuple};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counts heap allocations (and bytes requested) for the allocation bench.
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-fn note(bytes: usize) {
-    ALLOCS.fetch_add(1, Ordering::Relaxed);
-    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-}
-
-// SAFETY: forwards every call to the system allocator unchanged.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
 
 fn int_catalog(rows: i64) -> Catalog {
     let c = Catalog::new();
@@ -116,67 +74,9 @@ fn bench_btree_probe() {
     });
 }
 
-/// Builds a query's logical plan over a catalog.
-type QueryBuilder = fn(&Catalog) -> Result<PlanNode>;
-
-/// Heap allocations (count, bytes) of one warm `execute_query` of `plan`.
-fn allocations(plan: &PlanNode, catalog: &Catalog) -> (u64, u64) {
-    let cfg = MachineConfig::pentium4_like();
-    let opts = QueryOpts::new();
-    black_box(execute_query(plan, catalog, &cfg, &opts));
-    let before = (
-        ALLOCS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
-    );
-    black_box(execute_query(plan, catalog, &cfg, &opts));
-    let after = (
-        ALLOCS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
-    );
-    (after.0 - before.0, after.1 - before.1)
-}
-
-/// Allocations per query, and per scanned row: the growth from sf 0.002 to
-/// sf 0.004 over the growth in lineitem rows (both scales get the same
-/// plans, so what grows is per-row work).
-fn bench_allocations() {
-    let catalogs = [0.002, 0.004].map(|sf| bufferdb_tpch::generate_catalog(sf, 42));
-    let [small, large] = catalogs
-        .each_ref()
-        .map(|c| c.table("lineitem").map_or(0, |t| t.row_count()) as f64);
-    let builders: [(&str, QueryBuilder); 2] = [
-        ("paper_q1", queries::paper_query1),
-        ("tpch_q6", queries::tpch_q6),
-    ];
-    for (name, build) in builders {
-        for mode in [
-            ExecModePolicy::Pull,
-            ExecModePolicy::BufferedPull,
-            ExecModePolicy::Push,
-        ] {
-            let [(n0, b0), (n1, b1)] = catalogs.each_ref().map(|c| {
-                let logical = build(c).unwrap();
-                let plan =
-                    prepare_plan_parts_with_mode(&logical, c, &RefineConfig::default(), 1, mode)
-                        .unwrap()
-                        .physical;
-                allocations(&plan, c)
-            });
-            let rows = large - small;
-            println!(
-                "{:<34} {n0:>6} allocs/query   {:>7.3} allocs and {:>8.1} bytes per scanned row",
-                format!("alloc/{name}/{}", mode.label()),
-                (n1 as f64 - n0 as f64) / rows,
-                (b1 as f64 - b0 as f64) / rows,
-            );
-        }
-    }
-}
-
 fn main() {
     bench_scan_next();
     bench_buffered_scan_next();
     bench_refine();
     bench_btree_probe();
-    bench_allocations();
 }

@@ -6,6 +6,7 @@
 
 #![warn(missing_docs)]
 
+pub mod counting_alloc;
 pub mod experiments;
 pub mod heatmap_bench;
 pub mod json;

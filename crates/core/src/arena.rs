@@ -177,12 +177,12 @@ impl TupleArena {
     }
 
     /// The simulated width of the row `held` stands for: a pair's is its
-    /// concatenation's (one tuple header, both sides' payloads).
+    /// concatenation's.
     fn simulated_width(&self, held: &Held) -> usize {
         match held {
-            Held::Pair(l, r, _) => {
-                self.table_row(*l).simulated_width() + self.table_row(*r).simulated_width() - 16
-            }
+            Held::Pair(l, r, _) => Tuple::simulated_width_of(
+                (self.table_row(*l).values().iter()).chain(self.table_row(*r).values()),
+            ),
             other => self.resolve(other).simulated_width(),
         }
     }

@@ -37,15 +37,14 @@ impl NestLoopOp {
         param_outer_col: Option<usize>,
         qual: Option<Expr>,
     ) -> Self {
-        let (o, i) = (outer.schema(), inner.schema());
-        let schema = o.join(&i).into_ref();
+        let schema = outer.schema().join(&inner.schema()).into_ref();
         let code = fm.region_for(&OpKind::NestLoop);
         let qual_site = fm.predicate_site();
         NestLoopOp {
             outer,
             inner,
             param_outer_col,
-            qual: qual.map(|q| Program::pair(&q, &o, &i)),
+            qual: qual.map(|q| Program::new(&q, &schema)),
             qual_site,
             schema,
             code,

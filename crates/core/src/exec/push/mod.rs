@@ -162,24 +162,20 @@ pub struct PushPipelineOp {
 }
 
 /// The pipeline compiled below a node: its stages in application order and
-/// the rows they deliver — of schema `left`, joined with a `right` build row
-/// past the probe.
+/// the schema of the rows they deliver (past the probe, a (probe, build)
+/// pair read as the joined row).
 struct Walked {
     source: ScanCursor,
     stages: Vec<Stage>,
     probe: Option<ProbeSide>,
     agg: Option<Accumulator>,
-    left: SchemaRef,
-    right: Option<SchemaRef>,
+    schema: SchemaRef,
 }
 
 impl Walked {
     /// Lower `e` over the rows delivered so far.
     fn program(&self, e: &Expr) -> Program {
-        match &self.right {
-            Some(right) => Program::pair(e, &self.left, right),
-            None => Program::new(e, &self.left),
-        }
+        Program::new(e, &self.schema)
     }
 }
 
@@ -435,12 +431,7 @@ fn walk(
                 exprs: programs,
                 pool,
             });
-            let input = match &w.right {
-                Some(right) => w.left.join(right).into_ref(),
-                None => w.left.clone(),
-            };
-            w.left = projected_schema(&input, exprs)?;
-            w.right = None;
+            w.schema = projected_schema(&w.schema, exprs)?;
             Ok(w)
         }
         PlanNode::HashJoin {
@@ -460,7 +451,7 @@ fn walk(
                 ));
             }
             let build = super::build_rec(build, catalog, fm, worker_fm)?;
-            w.right = Some(build.schema());
+            w.schema = w.schema.join(&build.schema()).into_ref();
             w.stages.push(Stage::Probe);
             w.probe = Some(ProbeSide {
                 build,
@@ -481,7 +472,7 @@ fn walk(
                 predicate.as_ref(),
                 projection.as_deref(),
             );
-            let left = match projection {
+            let schema = match projection {
                 Some(exprs) => projected_schema(source.table().schema(), exprs)?,
                 None => source.table().schema().clone(),
             };
@@ -490,8 +481,7 @@ fn walk(
                 stages: Vec::new(),
                 probe: None,
                 agg: None,
-                left,
-                right: None,
+                schema,
             })
         }
         other => Err(DbError::InvalidPlan(format!(

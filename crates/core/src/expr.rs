@@ -13,7 +13,7 @@
 //! by reference, never cloned. [`Expr::eval`] remains as the constant
 //! folder's evaluator and as the oracle the programs are tested against.
 
-use bufferdb_types::{ops, DataType, Datum, DbError, Field, Result, Schema, SchemaRef, Tuple};
+use bufferdb_types::{ops, DataType, Datum, DbError, Result, Schema, SchemaRef, Tuple};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -442,11 +442,8 @@ impl<'a> RowRef<'a> {
 /// Where a program operand lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Src {
-    /// Column `i` of the row. A program lowered for one row may be handed a
-    /// join's output read in place, so `i` counts across both sides.
-    Left(u32),
-    /// Column `j` of a pair's build row (a program lowered for the pair).
-    Right(u32),
+    /// Column `i` of the row; on a join pair `i` counts across both sides.
+    Col(u32),
     /// A literal-pool entry.
     Lit(u32),
     /// A register: a computed subexpression.
@@ -501,18 +498,6 @@ enum Op {
         prefix: u32,
         dst: u32,
     },
-    /// Short-circuit an `AND` (`decides` false) or `OR` (`decides` true)
-    /// whose result is `dst`: when `cond` already equals `decides` and the
-    /// skipped side's column leaves (`guards`) hold their declared types,
-    /// the skipped side cannot fail, so set `dst` to `decides` and jump to
-    /// `to`, past the operator.
-    Decide {
-        decides: bool,
-        cond: Src,
-        guards: (u32, u32),
-        dst: u32,
-        to: u32,
-    },
     /// `CASE`: jump to `to` unless the condition is true.
     Branch {
         cond: Src,
@@ -529,16 +514,16 @@ enum Op {
 /// one register. Int/Date/Decimal comparisons and Int/Decimal arithmetic
 /// run typed kernels; every other operand pair, and every failing case,
 /// goes through `ops::*` exactly as [`Expr::eval`] does, so results and
-/// errors (variant and message) are the same. `AND`/`OR` skip their right
-/// side only where that side cannot fail. The modeled cost is fixed at
-/// lowering: [`Program::cost`] is `node_count × 24` whether or not the host
-/// skipped work, because the modeled machine evaluates every node.
+/// errors (variant and message) are the same. Like [`Expr::eval`], `AND`
+/// and `OR` evaluate both sides. The modeled cost is fixed at lowering:
+/// [`Program::cost`] is `node_count × 24`.
+///
+/// A program lowered over a join's output schema reads a (probe, build)
+/// [`RowRef::pair`] in place, as it would the concatenated row.
 #[derive(Debug)]
 pub struct Program {
     code: Vec<Op>,
     lits: Vec<Datum>,
-    /// Column leaves of skippable sides and their declared types.
-    guards: Vec<(Src, DataType)>,
     /// Where the value ends up.
     result: Src,
     cost: u64,
@@ -548,33 +533,19 @@ pub struct Program {
 impl Program {
     /// Lower `expr` over rows of `schema`.
     pub fn new(expr: &Expr, schema: &Schema) -> Program {
-        Program::lower(expr, schema.fields(), &[])
-    }
-
-    /// Lower `expr` over a join's (probe, build) row pair whose
-    /// concatenation has schema `left ⋈ right`; each column is resolved to
-    /// its side here, once.
-    pub fn pair(expr: &Expr, left: &Schema, right: &Schema) -> Program {
-        Program::lower(expr, left.fields(), right.fields())
-    }
-
-    fn lower(expr: &Expr, left: &[Field], right: &[Field]) -> Program {
         let nodes = expr.node_count();
         let mut l = Lowering {
-            left,
-            right,
-            // One instruction per computed node, plus the jumps of AND, OR
-            // and CASE: twice the node count is rarely outgrown.
+            arity: schema.len(),
+            // One instruction per computed node, plus CASE's jumps: twice
+            // the node count is rarely outgrown.
             code: Vec::with_capacity(2 * nodes),
             lits: Vec::new(),
-            guards: Vec::new(),
             regs: 0,
         };
         let result = l.lower(expr);
         Program {
             code: l.code,
             lits: l.lits,
-            guards: l.guards,
             result,
             cost: nodes as u64 * INSTR_PER_NODE,
             regs: vec![Datum::Null; l.regs as usize],
@@ -607,11 +578,7 @@ impl Program {
 
     fn run(&mut self, row: RowRef<'_>) -> Result<()> {
         let Program {
-            code,
-            lits,
-            guards,
-            regs,
-            ..
+            code, lits, regs, ..
         } = self;
         let lits: &[Datum] = lits;
         // An operand by reference; a missing column fails as `Expr::eval`.
@@ -655,23 +622,6 @@ impl Program {
                     };
                     (v, dst)
                 }
-                Op::Decide {
-                    decides,
-                    cond,
-                    guards: (lo, hi),
-                    dst,
-                    to,
-                } => {
-                    let skip = matches!(at!(cond), Datum::Bool(v) if *v == decides)
-                        && guards[lo as usize..hi as usize]
-                            .iter()
-                            .all(|&(src, ty)| declared(src, ty, row));
-                    if !skip {
-                        continue;
-                    }
-                    pc = to as usize;
-                    (Datum::Bool(decides), dst)
-                }
                 Op::Branch { cond, to } => {
                     if datum_to_bool3(at!(cond))? != Some(true) {
                         pc = to as usize;
@@ -693,8 +643,7 @@ impl Program {
 #[inline(always)]
 fn at<'a>(src: Src, row: RowRef<'a>, lits: &'a [Datum], regs: &'a [Datum]) -> Option<&'a Datum> {
     match src {
-        Src::Left(i) => row.get(i as usize),
-        Src::Right(i) => row.right.get(i as usize),
+        Src::Col(i) => row.get(i as usize),
         Src::Lit(i) => lits.get(i as usize),
         Src::Reg(i) => regs.get(i as usize),
     }
@@ -704,23 +653,12 @@ fn at<'a>(src: Src, row: RowRef<'a>, lits: &'a [Datum], regs: &'a [Datum]) -> Op
 #[cold]
 fn missing(src: Src, row: RowRef<'_>) -> DbError {
     match src {
-        Src::Right(i) => unknown_column(row.left.len() + i as usize, row),
-        Src::Left(i) | Src::Lit(i) | Src::Reg(i) => unknown_column(i as usize, row),
+        Src::Col(i) | Src::Lit(i) | Src::Reg(i) => unknown_column(i as usize, row),
     }
 }
 
 fn unknown_column(i: usize, row: RowRef<'_>) -> DbError {
     DbError::UnknownColumn(format!("column #{i} of {}-ary row", row.arity()))
-}
-
-/// Whether guard column `src` holds its declared type `ty` (or NULL).
-fn declared(src: Src, ty: DataType, row: RowRef<'_>) -> bool {
-    let d = match src {
-        Src::Left(i) => row.get(i as usize),
-        Src::Right(i) => row.right.get(i as usize),
-        Src::Lit(_) | Src::Reg(_) => None,
-    };
-    d.is_some_and(|d| d.is_null() || d.data_type() == Some(ty))
 }
 
 impl CmpOp {
@@ -783,63 +721,17 @@ fn arith(op: ArithOp, a: &Datum, b: &Datum) -> Result<Datum> {
     }
 }
 
-/// What a subexpression is known to produce without failing, provided its
-/// column leaves hold their declared types or NULL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Sure {
-    /// Always NULL.
-    Null,
-    /// A value of this type, or NULL.
-    Of(DataType),
-}
-
-impl Sure {
-    fn is_boolish(self) -> bool {
-        matches!(self, Sure::Null | Sure::Of(DataType::Bool))
-    }
-}
-
-/// Pairs `ops::compare` orders without error.
-fn comparable(a: Sure, b: Sure) -> bool {
-    use DataType::*;
-    match (a, b) {
-        (Sure::Null, _) | (_, Sure::Null) => true,
-        (Sure::Of(x), Sure::Of(y)) => matches!(
-            (x, y),
-            (Bool, Bool)
-                | (Int, Int)
-                | (Decimal, Decimal)
-                | (Date, Date)
-                | (Str, Str)
-                | (Int, Decimal)
-                | (Decimal, Int)
-        ),
-    }
-}
-
 /// Lowering state for one [`Program`].
-struct Lowering<'s> {
-    left: &'s [Field],
-    right: &'s [Field],
+struct Lowering {
+    /// Columns of the rows the program reads.
+    arity: usize,
     code: Vec<Op>,
     lits: Vec<Datum>,
-    guards: Vec<(Src, DataType)>,
     /// Registers allocated so far.
     regs: u32,
 }
 
-impl Lowering<'_> {
-    /// Column `i` resolved to its side, with its declared type.
-    fn column(&self, i: usize) -> Option<(Src, DataType)> {
-        match self.left.get(i) {
-            Some(f) => Some((Src::Left(i as u32), f.ty)),
-            None => {
-                let j = i - self.left.len();
-                self.right.get(j).map(|f| (Src::Right(j as u32), f.ty))
-            }
-        }
-    }
-
+impl Lowering {
     fn lit(&mut self, d: Datum) -> u32 {
         self.lits.push(d);
         self.lits.len() as u32 - 1
@@ -861,7 +753,7 @@ impl Lowering<'_> {
     fn patch(&mut self, at: usize) {
         let next = self.code.len() as u32;
         match &mut self.code[at] {
-            Op::Decide { to, .. } | Op::Branch { to, .. } | Op::Jump(to) => *to = next,
+            Op::Branch { to, .. } | Op::Jump(to) => *to = next,
             other => unreachable!("patching non-jump {other:?}"),
         }
     }
@@ -869,13 +761,11 @@ impl Lowering<'_> {
     /// Emit `e`'s code; returns the operand holding its value.
     fn lower(&mut self, e: &Expr) -> Src {
         match e {
-            Expr::Column(i) => match self.column(*i) {
-                Some((src, _)) => src,
-                None => {
-                    self.code.push(Op::BadColumn(*i));
-                    Src::Reg(self.reg())
-                }
-            },
+            Expr::Column(i) if *i < self.arity => Src::Col(*i as u32),
+            Expr::Column(i) => {
+                self.code.push(Op::BadColumn(*i));
+                Src::Reg(self.reg())
+            }
             Expr::Literal(d) => Src::Lit(self.lit(d.clone())),
             Expr::Cmp { op, left, right } => {
                 let (a, b) = (self.lower(left), self.lower(right));
@@ -885,8 +775,14 @@ impl Lowering<'_> {
                 let (a, b) = (self.lower(left), self.lower(right));
                 self.op(|dst| Op::Arith { op: *op, a, b, dst })
             }
-            Expr::And(a, b) => self.logic(false, a, b),
-            Expr::Or(a, b) => self.logic(true, a, b),
+            Expr::And(a, b) => {
+                let (a, b) = (self.lower(a), self.lower(b));
+                self.op(|dst| Op::And { a, b, dst })
+            }
+            Expr::Or(a, b) => {
+                let (a, b) = (self.lower(a), self.lower(b));
+                self.op(|dst| Op::Or { a, b, dst })
+            }
             Expr::Not(a) => {
                 let a = self.lower(a);
                 self.op(|dst| Op::Not { a, dst })
@@ -920,125 +816,6 @@ impl Lowering<'_> {
                 Src::Reg(dst)
             }
         }
-    }
-
-    /// `a AND b` (`decides` false) or `a OR b` (`decides` true), with a
-    /// short-circuit when `b` cannot fail.
-    fn logic(&mut self, decides: bool, a: &Expr, b: &Expr) -> Src {
-        let a = self.lower(a);
-        let dst = self.reg();
-        let decide = self.sure(b).is_some_and(Sure::is_boolish).then(|| {
-            let lo = self.guards.len() as u32;
-            self.guard_columns(b);
-            let at = self.code.len();
-            self.code.push(Op::Decide {
-                decides,
-                cond: a,
-                guards: (lo, self.guards.len() as u32),
-                dst,
-                to: 0,
-            });
-            at
-        });
-        let b = self.lower(b);
-        self.code.push(if decides {
-            Op::Or { a, b, dst }
-        } else {
-            Op::And { a, b, dst }
-        });
-        if let Some(at) = decide {
-            self.patch(at);
-        }
-        Src::Reg(dst)
-    }
-
-    /// Record every column leaf of `e` as a guard.
-    fn guard_columns(&mut self, e: &Expr) {
-        match e {
-            Expr::Column(i) => {
-                if let Some(guard) = self.column(*i) {
-                    self.guards.push(guard);
-                }
-            }
-            Expr::Literal(_) => {}
-            Expr::Cmp { left, right, .. } | Expr::Arith { left, right, .. } => {
-                self.guard_columns(left);
-                self.guard_columns(right);
-            }
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                self.guard_columns(a);
-                self.guard_columns(b);
-            }
-            Expr::Not(a) | Expr::IsNull(a) => self.guard_columns(a),
-            Expr::StartsWith { input, .. } => self.guard_columns(input),
-            Expr::Case {
-                cond,
-                then,
-                otherwise,
-            } => {
-                self.guard_columns(cond);
-                self.guard_columns(then);
-                self.guard_columns(otherwise);
-            }
-        }
-    }
-
-    /// What `e` yields without failing when its columns hold their declared
-    /// types; `None` when it might fail.
-    fn sure(&self, e: &Expr) -> Option<Sure> {
-        let boolish = |e: &Expr| self.sure(e).is_some_and(Sure::is_boolish);
-        Some(match e {
-            Expr::Column(i) => Sure::Of(self.column(*i)?.1),
-            Expr::Literal(d) => d.data_type().map_or(Sure::Null, Sure::Of),
-            Expr::Cmp { left, right, .. } => {
-                if !comparable(self.sure(left)?, self.sure(right)?) {
-                    return None;
-                }
-                Sure::Of(DataType::Bool)
-            }
-            // Overflow and division by zero: only a NULL operand is safe.
-            Expr::Arith { left, right, .. } => {
-                let (a, b) = (self.sure(left)?, self.sure(right)?);
-                if a != Sure::Null && b != Sure::Null {
-                    return None;
-                }
-                Sure::Null
-            }
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                if !(boolish(a) && boolish(b)) {
-                    return None;
-                }
-                Sure::Of(DataType::Bool)
-            }
-            Expr::Not(a) => {
-                if !boolish(a) {
-                    return None;
-                }
-                Sure::Of(DataType::Bool)
-            }
-            Expr::IsNull(a) => {
-                self.sure(a)?;
-                Sure::Of(DataType::Bool)
-            }
-            Expr::StartsWith { input, .. } => match self.sure(input)? {
-                Sure::Null | Sure::Of(DataType::Str) => Sure::Of(DataType::Bool),
-                Sure::Of(_) => return None,
-            },
-            Expr::Case {
-                cond,
-                then,
-                otherwise,
-            } => {
-                if !boolish(cond) {
-                    return None;
-                }
-                match (self.sure(then)?, self.sure(otherwise)?) {
-                    (a, b) if a == b => a,
-                    (Sure::Null, x) | (x, Sure::Null) => x,
-                    _ => return None,
-                }
-            }
-        })
     }
 }
 
@@ -1195,14 +972,12 @@ mod tests {
             Field::new("b", DataType::Int),
         ]);
         let one = Schema::new(vec![Field::new("c", DataType::Int)]);
-        let e = Expr::col(0).add(Expr::col(2));
-        let mut p = Program::pair(&e, &two, &one);
+        let joined = two.join(&one);
+        // Lowered for the joined row, read from the pair in place.
+        let mut p = Program::new(&Expr::col(0).add(Expr::col(2)), &joined);
         let pair = RowRef::pair(&probe, &build);
         assert_eq!(p.eval(pair).unwrap(), &Datum::Int(4));
-        // Lowered for the joined row, read from the pair in place.
-        let mut joined = Program::new(&e, &two.join(&one));
-        assert_eq!(joined.eval(pair).unwrap(), &Datum::Int(4));
-        let mut bad = Program::pair(&Expr::col(3), &two, &one);
+        let mut bad = Program::new(&Expr::col(3), &joined);
         assert_eq!(
             bad.eval(pair).unwrap_err(),
             DbError::UnknownColumn("column #3 of 3-ary row".into())
@@ -1210,32 +985,21 @@ mod tests {
     }
 
     #[test]
-    fn and_or_skip_only_infallible_sides() {
-        // `false AND (i + 1 > 0)`: the right side can overflow, so it runs.
+    fn and_or_evaluate_both_sides() {
+        // `false AND (i + 1 > 0)` fails on overflow, as the tree does.
         let t = Tuple::new(vec![
             Datum::Int(i64::MAX),
             Datum::Decimal(Decimal::from_int(1)),
             Datum::Null,
             Datum::Date(Date::parse("1998-09-02").unwrap()),
         ]);
-        let f = Expr::lit(false);
-        let overflow = f
-            .clone()
-            .and(Expr::col(0).add(Expr::lit(1)).gt(Expr::lit(0)));
+        let overflow = Expr::lit(false).and(Expr::col(0).add(Expr::lit(1)).gt(Expr::lit(0)));
         assert_eq!(
             predicate(&overflow, &t).unwrap_err(),
             overflow.eval(&t).unwrap_err()
         );
-        // `false AND (i = 3)` cannot fail: skipped, still false.
-        let skip = f.and(Expr::col(0).eq(Expr::lit(3)));
-        let mut p = Program::new(&skip, &schema());
-        assert_eq!(p.eval(RowRef::one(&t)).unwrap(), &Datum::Bool(false));
-        // A column that does not hold its declared type disables the skip.
-        let lying = Tuple::new(vec![Datum::str("x"), Datum::Null, Datum::Null, Datum::Null]);
-        assert_eq!(
-            p.eval(RowRef::one(&lying)).unwrap_err(),
-            skip.eval(&lying).unwrap_err()
-        );
+        let or = Expr::lit(true).or(Expr::col(0).add(Expr::lit(1)).gt(Expr::lit(0)));
+        assert_eq!(predicate(&or, &t).unwrap_err(), or.eval(&t).unwrap_err());
     }
 
     #[test]

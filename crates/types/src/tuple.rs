@@ -45,11 +45,13 @@ impl Tuple {
     /// Approximate in-memory size in bytes (header + payloads); drives the
     /// simulated-address layout of tuple slots in the data-cache model.
     pub fn simulated_width(&self) -> usize {
-        16 + self
-            .values
-            .iter()
-            .map(Datum::simulated_width)
-            .sum::<usize>()
+        Tuple::simulated_width_of(self.values.iter())
+    }
+
+    /// The simulated width of a tuple holding `values` (say, the two sides
+    /// of a join row that was never concatenated).
+    pub fn simulated_width_of<'a>(values: impl Iterator<Item = &'a Datum>) -> usize {
+        16 + values.map(Datum::simulated_width).sum::<usize>()
     }
 }
 

@@ -4,51 +4,16 @@
 //! per-query (executor, machine, arena regions), none of it per scanned row
 //! or per batch.
 //!
-//! The binary installs its own counting allocator; counts are per thread,
-//! so the test harness's other threads do not disturb them.
+//! The binary installs its own counting allocator (the one the allocation
+//! bench uses); counts are per thread, so the test harness's other threads
+//! do not disturb them.
+
+#[path = "../crates/bench/src/counting_alloc.rs"]
+mod counting_alloc;
 
 use bufferdb::prelude::*;
 use bufferdb::tpch::{self, queries};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct Counting;
-
-thread_local! {
-    /// Allocations and bytes requested on this thread.
-    static ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-}
-
-fn note(bytes: usize) {
-    // `try_with`: the allocator also runs while thread-locals are torn down.
-    let _ = ALLOCATED.try_with(|a| {
-        let (n, b) = a.get();
-        a.set((n + 1, b + bytes as u64));
-    });
-}
-
-// SAFETY: forwards every call to the system allocator unchanged; counting
-// touches only a const-initialized thread-local, which never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use counting_alloc::{allocated, Counting};
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -63,9 +28,9 @@ fn allocations(plan: &PlanNode, catalog: &Catalog) -> (u64, u64) {
     let cfg = MachineConfig::pentium4_like();
     let opts = QueryOpts::new();
     assert!(execute_query(plan, catalog, &cfg, &opts).is_ok());
-    let before = ALLOCATED.with(Cell::get);
+    let before = allocated();
     let out = execute_query(plan, catalog, &cfg, &opts);
-    let after = ALLOCATED.with(Cell::get);
+    let after = allocated();
     assert!(out.is_ok(), "{:?}", out.error());
     (after.0 - before.0, after.1 - before.1)
 }
