@@ -359,7 +359,7 @@ impl LinkMemo {
 /// [`SegmentRef`]s, so every clone of a pre-linked layout hands out the
 /// *same* addresses for the same segment names — the way every query in a
 /// server shares one binary's text section. Independent layouts that define
-/// the same segments in the same order share them too (see [`LinkMemo`]).
+/// the same segments in the same order share them too (see `LinkMemo`).
 #[derive(Debug, Clone)]
 pub struct CodeLayout {
     /// Defined segments in definition order. A layout holds a few dozen at

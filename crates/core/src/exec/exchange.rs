@@ -1,15 +1,14 @@
 //! Morsel-driven parallel exchange: fan-out + ordered gather.
 //!
 //! The exchange partitions its subtree's driving scan into *morsels*
-//! (contiguous row-id ranges), executes a private copy of the subtree on
-//! each of a fixed pool of workers (`std::thread::scope`), and gathers the
-//! produced tuples through a bounded MPSC channel. Each worker owns its own
-//! [`ExecContext`] with its own simulated [`bufferdb_cachesim::Machine`] —
-//! per-core L1i/ITLB/branch state, as the paper assumes — and, when the
-//! query is profiled, its own [`QueryProfiler`] over the same subtree
-//! labels. At the end of the parallel phase every worker's counters and
-//! profile are merged into the coordinating context with exact conservation
-//! (see [`ExecContext::absorb_worker`]).
+//! (contiguous row-id ranges) and runs them as one phase (`PhaseState`,
+//! `exec/phase.rs`): a private copy of the subtree per lane, each lane with
+//! its own [`ExecContext`] (arena, and when the query is profiled its own
+//! [`crate::obs::QueryProfiler`] over the same subtree labels). A solo query runs the phase on one scoped thread per lane, each
+//! on a fresh simulated [`Machine`] — per-core L1i/ITLB/branch state, as the
+//! paper assumes; a server query hands it to the server's scheduler. Either
+//! way every lane's counters and profile are merged into the coordinating
+//! context with exact conservation (see [`ExecContext::absorb_worker`]).
 //!
 //! Gathered tuples are resequenced by morsel index, so when the driving
 //! leaf is a sequential scan the output order is exactly the serial order —
@@ -18,42 +17,29 @@
 
 use crate::arena::TupleSlot;
 use crate::context::ExecContext;
+use crate::exec::phase::{PhaseOutcome, PhaseState, WorkerOutcome};
 use crate::exec::{schema_slot_bytes, Operator, DEFAULT_BATCH};
-use crate::fault;
 use crate::footprint::{FootprintModel, OpKind};
-use crate::obs::hist;
-use crate::obs::trace::{TraceEvent, Tracer};
-use crate::obs::{ExchangeLane, ObsId, QueryProfile, QueryProfiler};
+use crate::obs::{ExchangeLane, ObsId};
 use crate::plan::PlanNode;
-use bufferdb_cachesim::{CodeRegion, MachineConfig, PerfCounters};
+use bufferdb_cachesim::{CodeRegion, Machine, PerfCounters};
 use bufferdb_storage::Catalog;
 use bufferdb_types::{DbError, Result, SchemaRef, Tuple};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Mutex};
 
 /// Upper bound on rows per morsel. Large enough that per-morsel overhead
 /// (one subtree open/close, one coordinator dispatch) is noise; small
-/// enough that a scan splits into many more morsels than workers, so the
-/// shared queue balances skew from uneven predicates.
+/// enough that a scan splits into many more morsels than workers, so
+/// stealing balances skew from uneven predicates.
 pub const MORSEL_ROWS: u32 = 4096;
 
-/// Morsels per worker targeted when the domain is small: work-stealing off
-/// the shared queue needs several morsels per worker to balance.
+/// Morsels per worker targeted when the domain is small: work-stealing
+/// between lanes needs several morsels per lane to balance.
 const MORSELS_PER_WORKER: usize = 4;
-
-/// Modeled instructions a worker spends pushing one tuple into the gather
-/// queue (outside any operator bracket: this is the lane residual charged
-/// to the exchange operator).
-const QUEUE_PUSH_INSTR: u64 = 12;
 
 /// Modeled instructions the coordinator spends handing one gathered tuple
 /// to its parent.
 const GATHER_INSTR: u64 = 10;
-
-/// Gather channel bound: workers stall once this many tuples are in flight.
-const CHANNEL_BOUND: usize = 256;
 
 /// Rows of the subtree's driving leaf scan — the morsel domain. The driving
 /// leaf is the first-opened scan of the subtree (probe side of a hash join,
@@ -77,60 +63,14 @@ pub(crate) fn driving_leaf_rows(plan: &PlanNode, catalog: &Catalog) -> Result<u3
     }
 }
 
-/// What one worker (scoped thread or server lane) brings home from the
-/// parallel phase.
-pub(crate) struct WorkerOutcome {
-    pub(crate) worker: u64,
-    /// The worker's subtree, handed back for reuse — `None` when the worker
-    /// panicked (the tree's internal state is indeterminate after unwind).
-    pub(crate) tree: Option<Box<dyn Operator>>,
-    pub(crate) counters: PerfCounters,
-    pub(crate) profile: Option<QueryProfile>,
-    /// The worker's flight-recorder track; unlike the profile it survives
-    /// panics (the ring holds exactly the events leading up to the failure).
-    pub(crate) trace: Option<Tracer>,
-    pub(crate) morsels: u64,
-    pub(crate) rows: u64,
-    pub(crate) error: Option<DbError>,
-}
-
-impl WorkerOutcome {
-    /// Outcome for a worker whose panic escaped even the in-thread
-    /// containment (should be unreachable; kept so `join` never unwinds
-    /// into the coordinator).
-    fn from_escaped_panic(worker: usize, payload: &(dyn std::any::Any + Send)) -> Self {
-        WorkerOutcome {
-            worker: worker as u64,
-            tree: None,
-            counters: PerfCounters::default(),
-            profile: None,
-            trace: None,
-            morsels: 0,
-            rows: 0,
-            error: Some(DbError::WorkerFailed(format!(
-                "exchange worker {worker} panicked: {}",
-                fault::panic_message(payload)
-            ))),
-        }
-    }
-}
-
-/// A parallel phase an exchange hands to a server scheduler: the morsel
-/// ranges (bucket `i` collects morsel `i`'s output rows, in index order)
-/// plus the pre-built per-lane subtree copies and their profiler labels.
+/// A parallel phase as an exchange hands it to a runner: the morsel ranges
+/// (bucket `i` collects morsel `i`'s output rows, in index order) plus the
+/// pre-built per-lane subtree copies and their profiler labels.
 pub(crate) struct PhaseRequest {
     pub(crate) morsels: Vec<(u32, u32)>,
     pub(crate) trees: Vec<Box<dyn Operator>>,
     /// Subtree labels for per-lane profilers; empty when unprofiled.
     pub(crate) labels: Vec<String>,
-}
-
-/// What a delegated phase brings back: per-morsel output buckets plus one
-/// outcome per lane, shaped exactly like a joined thread worker's so the
-/// merge path is shared.
-pub(crate) struct PhaseOutcome {
-    pub(crate) buckets: Vec<Vec<Tuple>>,
-    pub(crate) outcomes: Vec<WorkerOutcome>,
 }
 
 /// A scheduler that runs exchange phases on shared server workers instead of
@@ -161,120 +101,6 @@ pub(crate) trait ExchangeDelegate: Send {
     /// query's total counters: coordinator deltas outside phases plus every
     /// lane's accumulated counters.
     fn seal_drive(&mut self, now: PerfCounters) -> PerfCounters;
-}
-
-/// Pop the next morsel, recovering the queue from poison: the claim
-/// critical section cannot itself panic, but one failed worker must never
-/// cascade a poisoned-lock panic through the rest of the pool.
-fn claim_morsel(queue: &Mutex<VecDeque<(usize, (u32, u32))>>) -> Option<(usize, (u32, u32))> {
-    queue
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .pop_front()
-}
-
-/// One worker's whole parallel phase: claim morsels until the queue is
-/// empty, a stop is signalled, the query is cancelled, or the subtree
-/// fails. Panics anywhere inside the subtree are contained here and
-/// converted to [`DbError::WorkerFailed`]; the first failure of any kind
-/// raises `stop` so sibling workers quit at their next claim.
-#[allow(clippy::too_many_arguments)]
-fn worker_phase(
-    worker: usize,
-    mut tree: Box<dyn Operator>,
-    cfg: MachineConfig,
-    labels: &[String],
-    queue: &Mutex<VecDeque<(usize, (u32, u32))>>,
-    tx: mpsc::SyncSender<(usize, u64, Tuple)>,
-    stop: &AtomicBool,
-    cancel: &crate::cancel::CancelToken,
-    faults: &std::sync::Arc<crate::fault::FaultRegistry>,
-    tracer: Option<Tracer>,
-) -> WorkerOutcome {
-    let mut wctx = ExecContext::for_worker(cfg, cancel, faults);
-    if !labels.is_empty() {
-        wctx.profiler = Some(QueryProfiler::new(labels));
-    }
-    wctx.tracer = tracer;
-    let mut morsels_done = 0u64;
-    let mut rows = 0u64;
-    // The morsel in flight, tracked outside the unwind boundary so an
-    // error or contained panic still gets a terminal `MorselAbort` event.
-    let mut in_flight: Option<u32> = None;
-    let caught = catch_unwind(AssertUnwindSafe(|| -> Result<()> {
-        loop {
-            if stop.load(Ordering::Relaxed) {
-                break;
-            }
-            wctx.check_cancel()?;
-            let Some((idx, range)) = claim_morsel(queue) else {
-                break;
-            };
-            morsels_done += 1;
-            let t0 = wctx.trace_now();
-            wctx.trace(TraceEvent::MorselClaim {
-                morsel: idx as u32,
-                lo: range.0,
-                hi: range.1,
-            });
-            in_flight = Some(idx as u32);
-            wctx.fault(fault::EXCHANGE_MORSEL)?;
-            wctx.morsel = Some(range);
-            let before = rows;
-            run_morsel(&mut *tree, &mut wctx, idx, &tx, &mut rows)?;
-            wctx.trace(TraceEvent::MorselComplete {
-                morsel: idx as u32,
-                rows: rows - before,
-                start_ns: t0,
-            });
-            if wctx.trace_enabled() {
-                wctx.trace_metric(hist::MORSEL_SERVICE_NS, wctx.trace_now().saturating_sub(t0));
-            }
-            in_flight = None;
-        }
-        Ok(())
-    }));
-    drop(tx);
-    let (error, panicked) = match caught {
-        Ok(Ok(())) => (None, false),
-        Ok(Err(e)) => (Some(e), false),
-        Err(payload) => (
-            Some(DbError::WorkerFailed(format!(
-                "exchange worker {worker} panicked: {}",
-                fault::panic_message(&*payload)
-            ))),
-            true,
-        ),
-    };
-    if error.is_some() {
-        stop.store(true, Ordering::Relaxed);
-    }
-    if let Some(morsel) = in_flight {
-        wctx.trace(TraceEvent::MorselAbort { morsel });
-    }
-    if panicked {
-        wctx.trace(TraceEvent::WorkerPanic);
-    }
-    let counters = wctx.machine.snapshot();
-    // A panicked worker's profiler brackets are unbalanced mid-call; its
-    // per-operator split is meaningless, so only the lane counters survive
-    // (charged to the exchange operator — conservation holds).
-    let profile = if panicked {
-        wctx.profiler = None;
-        None
-    } else {
-        wctx.profiler.take().map(|p| p.finish(counters))
-    };
-    WorkerOutcome {
-        worker: worker as u64,
-        tree: (!panicked).then_some(tree),
-        counters,
-        profile,
-        trace: wctx.tracer.take(),
-        morsels: morsels_done,
-        rows,
-        error,
-    }
 }
 
 /// The exchange operator (plan node [`PlanNode::Exchange`]).
@@ -338,13 +164,13 @@ impl ExchangeOp {
         out
     }
 
-    /// Merge joined worker (or server-lane) outcomes into the coordinating
-    /// context: restore trees, fold profiles and lane records, model the
-    /// per-morsel dispatch cost, surface the first failure.
+    /// Merge lane outcomes into the coordinating context: restore trees,
+    /// fold profiles and lane records, model the per-morsel dispatch cost,
+    /// surface the first failure.
     ///
     /// In `server_mode` the lane counters are *not* folded into the
-    /// coordinator's machine — each lane ran on a long-lived pool-worker
-    /// machine whose counters stay put; the delegate assembles the query
+    /// coordinator's machine — the lanes ran on long-lived pool-worker
+    /// machines whose counters stay put; the delegate assembles the query
     /// total instead. After absorbing lane profiles the profiler is
     /// resynchronized to the machine so deltas that accrued on the borrowed
     /// core during the phase (they belong to lanes, already absorbed above)
@@ -399,95 +225,29 @@ impl ExchangeOp {
         }
         first_err
     }
-
-    /// Server-mode `open`: hand the phase to the installed scheduler instead
-    /// of spawning scoped threads, then merge exactly as the threaded path
-    /// does.
-    fn open_delegated(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        let Some(mut delegate) = ctx.delegate.take() else {
-            return Err(DbError::ExecProtocol(
-                "exchange delegate vanished before the phase".into(),
-            ));
-        };
-        let req = PhaseRequest {
-            morsels: self.morsels(),
-            trees: std::mem::take(&mut self.worker_trees),
-            labels: self.worker_labels.clone(),
-        };
-        let out = delegate.run_phase(ctx, req);
-        ctx.delegate = Some(delegate);
-        // Resequence by morsel index: serial row order for seq-scan leaves.
-        self.gathered = out.buckets.into_iter().flatten().collect();
-        match self.merge_outcomes(ctx, out.outcomes, true) {
-            Some(e) => {
-                // Partial gathers are meaningless once any lane failed.
-                self.gathered.clear();
-                Err(e)
-            }
-            None => Ok(()),
-        }
-    }
 }
 
-/// Run one morsel through a worker's subtree, streaming output to the
-/// gather channel tagged with the morsel index and the enqueue timestamp
-/// (0 when untraced; the coordinator turns it into a gather-wait sample).
-fn run_morsel(
-    tree: &mut dyn Operator,
-    wctx: &mut ExecContext,
-    idx: usize,
-    tx: &mpsc::SyncSender<(usize, u64, Tuple)>,
-    rows: &mut u64,
-) -> Result<()> {
-    tree.open(wctx)?;
-    let mut sent = 0u64;
-    while let Some(slot) = tree.next(wctx)? {
-        let t = wctx.arena.tuple(slot).clone();
-        wctx.machine.add_instructions(QUEUE_PUSH_INSTR);
-        // A send error means the coordinator stopped draining (it is
-        // unwinding an error of its own): stop producing.
-        if tx.send((idx, wctx.trace_now(), t)).is_err() {
-            break;
+/// Run a phase without a server: one scoped thread per lane, each on a fresh
+/// machine (a private core), pulling units until every morsel is claimed.
+/// With as many threads as lanes, a thread that holds no lane always finds
+/// one in the pool, so `begin_unit` returning `None` means the morsels ran
+/// out.
+fn run_solo(ctx: &ExecContext, req: PhaseRequest) -> PhaseOutcome {
+    let threads = req.trees.len();
+    let phase = PhaseState::new(req, 0, ctx);
+    let cfg = ctx.machine.config();
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let phase = &phase;
+            s.spawn(move || {
+                let mut machine = Machine::new(cfg.clone());
+                while let Some((lane, idx)) = phase.begin_unit(t) {
+                    phase.run_unit(lane, idx, &mut machine);
+                }
+            });
         }
-        *rows += 1;
-        sent += 1;
-    }
-    if sent > 0 {
-        wctx.trace(TraceEvent::GatherEnqueue {
-            morsel: idx as u32,
-            rows: sent,
-        });
-    }
-    tree.close(wctx)
-}
-
-/// Channel-free variant of [`run_morsel`] for server lanes: output rows are
-/// collected straight into the morsel's bucket (the claiming worker already
-/// holds it), with the same modeled enqueue cost per tuple so server and
-/// scoped-thread execution charge identically.
-pub(crate) fn run_morsel_into(
-    tree: &mut dyn Operator,
-    wctx: &mut ExecContext,
-    idx: usize,
-    out: &mut Vec<Tuple>,
-    rows: &mut u64,
-) -> Result<()> {
-    tree.open(wctx)?;
-    let mut sent = 0u64;
-    while let Some(slot) = tree.next(wctx)? {
-        let t = wctx.arena.tuple(slot).clone();
-        wctx.machine.add_instructions(QUEUE_PUSH_INSTR);
-        out.push(t);
-        *rows += 1;
-        sent += 1;
-    }
-    if sent > 0 {
-        wctx.trace(TraceEvent::GatherEnqueue {
-            morsel: idx as u32,
-            rows: sent,
-        });
-    }
-    tree.close(wctx)
+    });
+    phase.collect()
 }
 
 impl Operator for ExchangeOp {
@@ -503,82 +263,24 @@ impl Operator for ExchangeOp {
         self.out_region = ctx
             .arena
             .alloc_region(self.batch_hint as u32 + 1, schema_slot_bytes(&self.schema));
-        if ctx.delegate.is_some() {
-            return self.open_delegated(ctx);
-        }
-        let cfg = ctx.machine.config().clone();
-        let morsels = self.morsels();
-        let n_morsels = morsels.len();
-        let queue: Mutex<VecDeque<(usize, (u32, u32))>> =
-            Mutex::new(morsels.into_iter().enumerate().collect());
-        let trees = std::mem::take(&mut self.worker_trees);
-        let labels = &self.worker_labels;
-        let (tx, rx) = mpsc::sync_channel::<(usize, u64, Tuple)>(CHANNEL_BOUND);
-        let mut buckets: Vec<Vec<Tuple>> = (0..n_morsels).map(|_| Vec::new()).collect();
-        // First failure (error, panic, or cancellation) raises `stop`;
-        // sibling workers observe it at their next morsel claim.
-        let stop = AtomicBool::new(false);
-        let cancel = ctx.cancel.clone();
-        let faults = std::sync::Arc::clone(&ctx.faults);
-        // Per-worker flight-recorder rings on the coordinator's clock; each
-        // comes back in the worker's outcome and merges as its own track.
-        let tracers: Vec<Option<Tracer>> = (0..trees.len())
-            .map(|w| {
-                ctx.tracer
-                    .as_ref()
-                    .map(|t| t.for_worker(format!("worker-{w}")))
-            })
-            .collect();
-        let outcomes: Vec<WorkerOutcome> = std::thread::scope(|s| {
-            let handles: Vec<_> = trees
-                .into_iter()
-                .zip(tracers)
-                .enumerate()
-                .map(|(w, (tree, tracer))| {
-                    let tx = tx.clone();
-                    let queue = &queue;
-                    let cfg = cfg.clone();
-                    let stop = &stop;
-                    let cancel = &cancel;
-                    let faults = &faults;
-                    s.spawn(move || {
-                        worker_phase(
-                            w, tree, cfg, labels, queue, tx, stop, cancel, faults, tracer,
-                        )
-                    })
-                })
-                .collect();
-            // The coordinator drains the gather channel while workers run;
-            // dropping its own sender first lets the loop end when the last
-            // worker hangs up.
-            drop(tx);
-            for (idx, enq_ns, t) in rx {
-                if let Some(tr) = ctx.tracer.as_mut() {
-                    tr.metric(hist::GATHER_WAIT_NS, tr.now_ns().saturating_sub(enq_ns));
-                    if buckets[idx].is_empty() {
-                        tr.record(TraceEvent::GatherDequeue { morsel: idx as u32 });
-                    }
-                }
-                buckets[idx].push(t);
+        let req = PhaseRequest {
+            morsels: self.morsels(),
+            trees: std::mem::take(&mut self.worker_trees),
+            labels: self.worker_labels.clone(),
+        };
+        let (out, server_mode) = match ctx.delegate.take() {
+            Some(mut delegate) => {
+                let out = delegate.run_phase(ctx, req);
+                ctx.delegate = Some(delegate);
+                (out, true)
             }
-            // Join-and-collect: a worker result is always a WorkerOutcome —
-            // panics were contained inside the thread, and even an escaped
-            // panic payload is converted here rather than unwinding into
-            // the coordinator.
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(w, h)| {
-                    h.join()
-                        .unwrap_or_else(|p| WorkerOutcome::from_escaped_panic(w, &*p))
-                })
-                .collect()
-        });
+            None => (run_solo(ctx, req), false),
+        };
         // Resequence by morsel index: serial row order for seq-scan leaves.
-        self.gathered = buckets.into_iter().flatten().collect();
-        match self.merge_outcomes(ctx, outcomes, false) {
+        self.gathered = out.buckets.into_iter().flatten().collect();
+        match self.merge_outcomes(ctx, out.outcomes, server_mode) {
             Some(e) => {
-                // Partial gathers are meaningless once any worker failed.
+                // Partial gathers are meaningless once any lane failed.
                 self.gathered.clear();
                 Err(e)
             }

@@ -16,6 +16,7 @@ pub mod limit;
 pub mod materialize;
 pub mod mergejoin;
 pub mod nestloop;
+pub(crate) mod phase;
 pub mod project;
 pub mod push;
 pub mod reused;

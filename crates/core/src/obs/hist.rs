@@ -12,10 +12,6 @@
 /// completion, including the subtree drive and gather sends).
 pub const MORSEL_SERVICE_NS: &str = "morsel_service_ns";
 
-/// Metric name: nanoseconds a tuple sat in the exchange gather queue
-/// between the worker's send and the coordinator's receive.
-pub const GATHER_WAIT_NS: &str = "gather_wait_ns";
-
 /// Metric name: tuples resident in a buffer's pointer array when the parent
 /// finished draining it.
 pub const BUFFER_OCCUPANCY: &str = "buffer_occupancy_rows";
@@ -287,19 +283,19 @@ mod tests {
     fn registry_routes_by_name_and_merges() {
         let mut r = MetricsRegistry::new();
         r.record(MORSEL_SERVICE_NS, 100);
-        r.record(GATHER_WAIT_NS, 5);
+        r.record(FILL_GRANULE_ROWS, 5);
         r.record(MORSEL_SERVICE_NS, 200);
         let mut other = MetricsRegistry::new();
         other.record(MORSEL_SERVICE_NS, 300);
         other.record(BUFFER_OCCUPANCY, 42);
         r.merge(&other);
         assert_eq!(r.get(MORSEL_SERVICE_NS).map(Histogram::count), Some(3));
-        assert_eq!(r.get(GATHER_WAIT_NS).map(Histogram::count), Some(1));
+        assert_eq!(r.get(FILL_GRANULE_ROWS).map(Histogram::count), Some(1));
         assert_eq!(r.get(BUFFER_OCCUPANCY).map(Histogram::count), Some(1));
         let names: Vec<_> = r.summaries().into_iter().map(|(n, _)| n).collect();
         assert_eq!(
             names,
-            vec![MORSEL_SERVICE_NS, GATHER_WAIT_NS, BUFFER_OCCUPANCY]
+            vec![MORSEL_SERVICE_NS, FILL_GRANULE_ROWS, BUFFER_OCCUPANCY]
         );
         assert!(!r.is_empty());
         assert!(MetricsRegistry::new().is_empty());

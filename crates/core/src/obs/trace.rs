@@ -99,17 +99,12 @@ pub enum TraceEvent {
         /// Tuples that were resident when the drain completed.
         occupancy: u64,
     },
-    /// A worker pushed a morsel's output into the gather queue.
+    /// A lane handed a morsel's output to the gather.
     GatherEnqueue {
         /// Morsel index in scan order.
         morsel: u32,
         /// Tuples sent for this morsel.
         rows: u64,
-    },
-    /// The coordinator received the first tuple of a morsel from the queue.
-    GatherDequeue {
-        /// Morsel index in scan order.
-        morsel: u32,
     },
     /// A parallel hash-join build partition finished (span since
     /// `start_ns`).
@@ -197,7 +192,6 @@ impl TraceEvent {
             TraceEvent::FillEnd { .. } => "buffer.fill",
             TraceEvent::DrainEnd { .. } => "buffer.drain",
             TraceEvent::GatherEnqueue { .. } => "gather.enqueue",
-            TraceEvent::GatherDequeue { .. } => "gather.dequeue",
             TraceEvent::BuildPartition { .. } => "build.partition",
             TraceEvent::AdaptInstall { .. } => "adapt.install",
             TraceEvent::AdaptValidate { .. } => "adapt.validate",
@@ -264,7 +258,6 @@ impl TraceEvent {
             TraceEvent::GatherEnqueue { morsel, rows } => {
                 vec![("morsel", Arg::U(*morsel as u64)), ("rows", Arg::U(*rows))]
             }
-            TraceEvent::GatherDequeue { morsel } => vec![("morsel", Arg::U(*morsel as u64))],
             TraceEvent::BuildPartition { worker, rows, .. } => {
                 vec![("worker", Arg::U(*worker as u64)), ("rows", Arg::U(*rows))]
             }

@@ -19,10 +19,10 @@
 //! A key is computed per request (and per consulted subtree, for the reuse
 //! cache's keys, which start the same way), so it must cost far less than
 //! the work a hit saves: renderings are never materialized. `Debug` output
-//! is formatted straight into the hash ([`fnv1a_debug`]), and the machine's
+//! is formatted straight into the hash (`fnv1a_debug`), and the machine's
 //! rendering — the same bytes every time for one
 //! [`crate::session::Session`] — is rendered once there and folded in from
-//! those bytes ([`plan_machine_hash`]). The values are exactly
+//! those bytes (`plan_machine_hash`). The values are exactly
 //! `fnv1a(format!("{:?}"))`'s.
 
 use crate::optimizer::ExecModePolicy;

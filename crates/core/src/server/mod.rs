@@ -12,11 +12,11 @@
 //!
 //! A submitted query is decomposed the same way the standalone executor
 //! decomposes it — the exchange operator splits its driving scan into
-//! morsels — but instead of spawning per-query scoped threads, the exchange
-//! hands the phase to the server scheduler
-//! (`ExchangeDelegate`). Morsels land in per-lane
-//! shards and any pool worker may claim or steal them, interleaving units
-//! of *different queries* on one core. Misses a query takes on cache lines
+//! morsels and builds the same phase (`exec/phase.rs`) — but instead of
+//! running it on per-query scoped threads, the exchange hands the phase to
+//! the server (`ExchangeDelegate`). Morsels land in per-lane shards and any
+//! pool worker may claim or steal them, interleaving units of *different
+//! queries* on one core. Misses a query takes on cache lines
 //! evicted by another query's code are attributed to the victim query's
 //! [`bufferdb_cachesim::PerfCounters::l1i_cross_misses`].
 //!
@@ -26,19 +26,22 @@
 //! same invariant the scoped-thread path keeps, asserted in
 //! `tests/server.rs`.
 //!
-//! Two frontends share this machinery:
-//! - [`Server`]: real OS threads, for concurrent-session workloads;
-//! - [`virt::VirtualServer`]: a single-threaded deterministic twin driven
-//!   by simulated time, for reproducible interference experiments
-//!   (`repro server`) and the traffic driver's queueing model.
+//! Two drivers share one scheduler (`sched.rs`: admission, open phases,
+//! owner tags, completion accounting, query spans):
+//! - [`Server`]: real OS threads over the scheduler behind a mutex, timed
+//!   in wall nanoseconds, for concurrent-session workloads;
+//! - [`virt::VirtualServer`]: a deterministic twin driven by simulated
+//!   time, for reproducible interference experiments (`repro server`) and
+//!   the traffic driver's queueing model.
 
 pub mod virt;
 
-mod phase;
+mod sched;
 
 use crate::cancel::CancelToken;
 use crate::context::ExecContext;
-use crate::exec::exchange::{ExchangeDelegate, PhaseOutcome, PhaseRequest};
+use crate::exec::exchange::{ExchangeDelegate, PhaseRequest};
+use crate::exec::phase::{PhaseOutcome, PhaseState};
 use crate::exec::{run_drive, DriveSpec, QueryOutcome};
 use crate::footprint::FootprintModel;
 use crate::obs::trace::{
@@ -49,9 +52,8 @@ use crate::session::QueryOpts;
 use bufferdb_cachesim::{CodeLayout, Machine, MachineConfig, PerfCounters};
 use bufferdb_storage::Catalog;
 use bufferdb_types::{DbError, Result};
-use phase::PhaseState;
-use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use sched::Sched;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -113,18 +115,17 @@ pub struct ServerStats {
 /// displacing another's cache state) land on one shared timeline.
 ///
 /// The owning server stamps every event itself: virtual nanoseconds on
-/// [`virt::VirtualServer`], wall nanoseconds (via the internal clock) on
+/// [`virt::VirtualServer`], wall nanoseconds since the server started on
 /// the threaded [`Server`]. Recording is a ring store — no simulated code
 /// executes, so an observed server retires exactly the same modeled
 /// instructions as an unobserved one.
 pub struct ServerRecorder {
-    clock: TraceClock,
     queries: TraceRing,
     core: TraceRing,
 }
 
 impl ServerRecorder {
-    /// A recorder with default-capacity rings, clock origin now.
+    /// A recorder with default-capacity rings.
     pub fn new() -> Self {
         ServerRecorder::with_capacity(DEFAULT_RING_CAPACITY)
     }
@@ -132,16 +133,9 @@ impl ServerRecorder {
     /// A recorder with explicit per-ring capacity.
     pub fn with_capacity(cap: usize) -> Self {
         ServerRecorder {
-            clock: TraceClock::new(),
             queries: TraceRing::with_capacity(cap),
             core: TraceRing::with_capacity(cap),
         }
-    }
-
-    /// Wall nanoseconds since the recorder was created (the threaded
-    /// server's time base; the virtual server uses its own clock).
-    pub fn now_ns(&self) -> u64 {
-        self.clock.now_ns()
     }
 
     /// Record a query-lifecycle event at an explicit timestamp.
@@ -169,15 +163,6 @@ impl Default for ServerRecorder {
     fn default() -> Self {
         ServerRecorder::new()
     }
-}
-
-#[derive(Default)]
-struct StatCells {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    units: AtomicU64,
-    steals: AtomicU64,
 }
 
 /// One query submission, builder style — the single entry point for both
@@ -271,100 +256,37 @@ impl DriveAccounting {
         d
     }
 
-    /// Reopen coordinator accounting at `now` (end of a phase: whatever the
-    /// machine did in between belongs to lanes, not the coordinator).
+    /// Reopen coordinator accounting at `now` (after a pause for a quantum
+    /// or a phase: whatever the machine did in between belongs to other
+    /// residents or to lanes, not the coordinator).
     pub(crate) fn resume(&mut self, now: PerfCounters) {
         self.unit_base = now;
     }
 
-    pub(crate) fn add_lanes(&mut self, sum: PerfCounters) {
-        self.lanes_total = self.lanes_total + sum;
+    /// A collected phase: credit its lanes and resume at `now`.
+    pub(crate) fn end_phase(&mut self, out: &PhaseOutcome, now: PerfCounters) {
+        for o in &out.outcomes {
+            self.lanes_total = self.lanes_total + o.counters;
+        }
+        self.resume(now);
     }
 
-    /// Final segment + assembled query total.
+    /// Final segment + assembled query total (coordinator segments + lane
+    /// deltas).
     pub(crate) fn seal(&mut self, now: PerfCounters) -> PerfCounters {
         self.pause(now);
-        self.total()
-    }
-
-    /// Assembled total so far (coordinator segments + lane deltas).
-    pub(crate) fn total(&self) -> PerfCounters {
         self.drive_total + self.lanes_total
-    }
-}
-
-/// An admitted-or-waiting query on the threaded server.
-struct Job {
-    /// Submission id (monotonic per server), echoed in recorder spans.
-    id: u64,
-    /// Wall timestamp at submit on the recorder's clock (0 when the
-    /// recorder is off).
-    arrival_ns: u64,
-    spec: DriveSpec,
-    reply: mpsc::Sender<QueryOutcome>,
-}
-
-struct SchedState {
-    waiting: VecDeque<Job>,
-    active: usize,
-    /// Open phases, claimable by any pool worker.
-    phases: Vec<Arc<PhaseState>>,
-    tags: OwnerTags,
-}
-
-/// Owner tags of the queries submitted and not yet finished.
-///
-/// Issuing wraps past 0 — the simulator's "untagged" sentinel, under which
-/// a query's cross-query misses would be attributed to no one — and skips
-/// every tag a live query still holds, so after 2³² submissions a
-/// long-running query never shares its tag (the virtual server's
-/// `alloc_tag` rule). The skip terminates: at most `slots + waiting` tags
-/// are live at once.
-struct OwnerTags {
-    next: u32,
-    live: HashSet<u32>,
-}
-
-impl OwnerTags {
-    fn new() -> Self {
-        OwnerTags {
-            next: 1,
-            live: HashSet::new(),
-        }
-    }
-
-    fn issue(&mut self) -> u32 {
-        loop {
-            let tag = self.next;
-            self.next = self.next.wrapping_add(1);
-            if tag != 0 && self.live.insert(tag) {
-                return tag;
-            }
-        }
-    }
-
-    fn retire(&mut self, tag: u32) {
-        self.live.remove(&tag);
     }
 }
 
 struct Shared {
     cfg: ServerConfig,
-    state: Mutex<SchedState>,
+    /// The scheduler; each job's reply channel rides in its queue entry.
+    state: Mutex<Sched<mpsc::Sender<QueryOutcome>>>,
     cv: Condvar,
     shutdown: AtomicBool,
-    stats: StatCells,
-    /// Server-scoped flight recorder; `None` until enabled.
-    recorder: Mutex<Option<ServerRecorder>>,
-}
-
-impl Shared {
-    /// Wake everyone; taken after any state change a parked worker might be
-    /// waiting on. The lock round-trip prevents missed wakeups.
-    fn notify(&self) {
-        drop(lock(&self.state));
-        self.cv.notify_all();
-    }
+    /// Wall clock every span and arrival is stamped on.
+    clock: TraceClock,
 }
 
 /// Handle to one submitted query: await its outcome, or cancel it.
@@ -416,16 +338,10 @@ impl Server {
     pub fn new(cfg: ServerConfig) -> Self {
         let shared = Arc::new(Shared {
             cfg: cfg.clone(),
-            state: Mutex::new(SchedState {
-                waiting: VecDeque::new(),
-                active: 0,
-                phases: Vec::new(),
-                tags: OwnerTags::new(),
-            }),
+            state: Mutex::new(Sched::new(cfg.admission_slots)),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            stats: StatCells::default(),
-            recorder: Mutex::new(None),
+            clock: TraceClock::new(),
         });
         let handles = (0..cfg.workers)
             .map(|w| {
@@ -444,30 +360,23 @@ impl Server {
     /// in flight are not back-filled — enable before submitting for a
     /// complete timeline. Idempotent (re-enabling keeps the current rings).
     pub fn enable_flight_recorder(&self) {
-        let mut rec = lock(&self.shared.recorder);
-        if rec.is_none() {
-            *rec = Some(ServerRecorder::new());
-        }
+        lock(&self.shared.state)
+            .recorder
+            .get_or_insert_with(ServerRecorder::new);
     }
 
     /// Seal and take the server flight recorder's report, switching
     /// recording off. `None` when it was never enabled.
     pub fn finish_recorder(&self) -> Option<TraceReport> {
-        lock(&self.shared.recorder)
+        lock(&self.shared.state)
+            .recorder
             .take()
             .map(ServerRecorder::finish)
     }
 
     /// Scheduler counters so far.
     pub fn stats(&self) -> ServerStats {
-        let s = &self.shared.stats;
-        ServerStats {
-            submitted: s.submitted.load(Ordering::Relaxed),
-            completed: s.completed.load(Ordering::Relaxed),
-            failed: s.failed.load(Ordering::Relaxed),
-            units: s.units.load(Ordering::Relaxed),
-            steals: s.steals.load(Ordering::Relaxed),
-        }
+        lock(&self.shared.state).stats
     }
 
     /// Submit a query for execution. The operator tree is built on the
@@ -483,22 +392,11 @@ impl Server {
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(DbError::WorkerFailed("server is shut down".into()));
         }
-        let mut spec = DriveSpec::for_server(plan, catalog, &self.master, opts)?;
-        let tag = lock(&self.shared.state).tags.issue();
-        spec.tag = tag;
+        let spec = DriveSpec::for_server(plan, catalog, &self.master, opts)?;
         let cancel = spec.cancel.clone();
         let (tx, rx) = mpsc::channel();
-        let id = self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        let arrival_ns = lock(&self.shared.recorder)
-            .as_ref()
-            .map_or(0, ServerRecorder::now_ns);
-        let job = Job {
-            id,
-            arrival_ns,
-            spec,
-            reply: tx,
-        };
-        lock(&self.shared.state).waiting.push_back(job);
+        let arrival_ns = self.shared.clock.now_ns();
+        let (_, tag) = lock(&self.shared.state).enqueue(spec, arrival_ns, tx);
         self.shared.cv.notify_all();
         Ok(QueryTicket {
             rx,
@@ -512,126 +410,65 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.notify();
+        // The lock round-trip orders the store before any parked worker's
+        // re-check, so the wakeup cannot be missed.
+        drop(lock(&self.shared.state));
+        self.shared.cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-/// Claim one unit from any open phase (own shard first within each phase).
-fn find_unit(shared: &Shared, w: usize) -> Option<(Arc<PhaseState>, phase::Lane, usize)> {
-    let phases: Vec<Arc<PhaseState>> = lock(&shared.state).phases.clone();
-    let n = phases.len();
-    if n == 0 {
-        return None;
-    }
-    for off in 0..n {
-        let p = &phases[(w + off) % n];
-        if let Some((lane, idx)) = p.begin_unit(w) {
-            return Some((Arc::clone(p), lane, idx));
-        }
-    }
-    None
-}
-
 fn worker_loop(w: usize, shared: &Arc<Shared>) {
     let mut machine = Machine::new(shared.cfg.machine.clone());
     loop {
+        let mut st = lock(&shared.state);
         // 1. Morsels of running queries take priority over admission:
         //    finish what is in flight before widening the working set.
-        if let Some((phase, lane, idx)) = find_unit(shared, w) {
+        if let Some((phase, lane, idx)) = st.claim(w) {
+            drop(st);
             phase.run_unit(lane, idx, &mut machine);
-            shared.stats.units.fetch_add(1, Ordering::Relaxed);
-            shared.notify();
+            lock(&shared.state).unit_done();
+            shared.cv.notify_all();
             continue;
         }
         // 2. Admit the next waiting query if a slot is open.
-        let admitted = {
-            let mut st = lock(&shared.state);
-            let job = if st.active < shared.cfg.admission_slots {
-                st.waiting.pop_front()
-            } else {
-                None
-            };
-            if job.is_some() {
-                st.active += 1;
-            }
-            job
-        };
-        if let Some(job) = admitted {
+        if let Some(job) = st.admit(u64::MAX) {
+            let start_ns = shared.clock.now_ns();
+            st.started(job.id, job.arrival_ns, start_ns);
+            drop(st);
             let tag = job.spec.tag;
             let delegate = Box::new(ServerDelegate {
                 shared: Arc::clone(shared),
                 acct: DriveAccounting::default(),
-                tag: job.spec.tag,
+                tag,
                 hint: w,
             });
-            // Wait span: arrival (at submit) → first run (now).
-            let run_start_ns = {
-                let mut rec = lock(&shared.recorder);
-                rec.as_mut().map(|r| {
-                    let now = r.now_ns();
-                    r.record_query(
-                        now,
-                        TraceEvent::QueryWait {
-                            query: job.id,
-                            start_ns: job.arrival_ns.min(now),
-                        },
-                    );
-                    now
-                })
-            };
             let out = run_drive(
                 job.spec,
                 Some((&mut machine, delegate)),
                 &shared.cfg.machine,
             );
-            if let Some(start_ns) = run_start_ns {
-                let mut rec = lock(&shared.recorder);
-                if let Some(r) = rec.as_mut() {
-                    let now = r.now_ns();
-                    r.record_query(
-                        now,
-                        TraceEvent::QueryRun {
-                            query: job.id,
-                            rows: out.rows().len() as u64,
-                            ok: out.is_ok(),
-                            start_ns,
-                        },
-                    );
-                }
-            }
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-            if !out.is_ok() {
-                shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-            }
+            let now = shared.clock.now_ns();
+            lock(&shared.state).finished(job.id, tag, start_ns, now, &out);
             // A dropped ticket just discards the outcome.
             let _ = job.reply.send(out);
-            {
-                let mut st = lock(&shared.state);
-                st.active -= 1;
-                st.tags.retire(tag);
-            }
             shared.cv.notify_all();
             continue;
         }
-        // 3. Park until something changes.
-        let st = lock(&shared.state);
+        // 3. Nothing to claim or admit: park until a unit, phase,
+        //    submission or completion notifies. Checked and parked under
+        //    the one lock, so no notification is missed; timed as a belt.
         if shared.shutdown.load(Ordering::Acquire) && st.waiting.is_empty() && st.phases.is_empty()
         {
             break;
         }
-        let has_work = !st.phases.is_empty()
-            || (!st.waiting.is_empty() && st.active < shared.cfg.admission_slots);
-        if !has_work {
-            // Timed, as a belt against lost notifications.
-            let _ = shared.cv.wait_timeout(st, Duration::from_millis(5));
-        }
+        let _ = shared.cv.wait_timeout(st, Duration::from_millis(5));
     }
 }
 
-/// The threaded server's phase scheduler: registers the phase for the pool,
+/// The threaded server's phase delegate: registers the phase for the pool,
 /// then helps run **its own** phase's units (deadlock-free: it can always
 /// drain its own phase; a unit never blocks) while parking between claims.
 struct ServerDelegate {
@@ -650,15 +487,13 @@ impl ExchangeDelegate for ServerDelegate {
     fn run_phase(&mut self, ctx: &mut ExecContext, req: PhaseRequest) -> PhaseOutcome {
         self.acct.pause(ctx.machine.snapshot());
         let phase = Arc::new(PhaseState::new(req, self.tag, ctx));
-        {
-            lock(&self.shared.state).phases.push(Arc::clone(&phase));
-        }
+        lock(&self.shared.state).open_phase(Arc::clone(&phase));
         self.shared.cv.notify_all();
         while !phase.done() {
             if let Some((lane, idx)) = phase.begin_unit(self.hint) {
                 phase.run_unit(lane, idx, &mut ctx.machine);
-                self.shared.stats.units.fetch_add(1, Ordering::Relaxed);
-                self.shared.notify();
+                lock(&self.shared.state).unit_done();
+                self.shared.cv.notify_all();
             } else {
                 // Units in flight on other workers: wait for completions.
                 let st = lock(&self.shared.state);
@@ -667,63 +502,13 @@ impl ExchangeDelegate for ServerDelegate {
                 }
             }
         }
-        {
-            let mut st = lock(&self.shared.state);
-            st.phases.retain(|p| !Arc::ptr_eq(p, &phase));
-        }
-        self.shared
-            .stats
-            .steals
-            .fetch_add(phase.steals(), Ordering::Relaxed);
+        lock(&self.shared.state).close_phase(&phase);
         let out = phase.collect();
-        let lane_sum = out
-            .outcomes
-            .iter()
-            .fold(PerfCounters::default(), |acc, o| acc + o.counters);
-        self.acct.add_lanes(lane_sum);
-        self.acct.resume(ctx.machine.snapshot());
+        self.acct.end_phase(&out, ctx.machine.snapshot());
         out
     }
 
     fn seal_drive(&mut self, now: PerfCounters) -> PerfCounters {
         self.acct.seal(now)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn owner_tags_wrap_past_the_untagged_sentinel() {
-        let mut tags = OwnerTags::new();
-        tags.next = u32::MAX - 1;
-        let issued: Vec<u32> = (0..4)
-            .map(|_| {
-                let t = tags.issue();
-                tags.retire(t);
-                t
-            })
-            .collect();
-        assert_eq!(issued, [u32::MAX - 1, u32::MAX, 1, 2]);
-    }
-
-    #[test]
-    fn owner_tags_skip_live_tags_across_wraparound() {
-        let mut tags = OwnerTags::new();
-        // A long-lived query holds tag 5; the counter is about to wrap.
-        tags.live.insert(5);
-        tags.next = u32::MAX - 1;
-        let issued: Vec<u32> = (0..8).map(|_| tags.issue()).collect();
-        assert_eq!(
-            issued,
-            vec![u32::MAX - 1, u32::MAX, 1, 2, 3, 4, 6, 7],
-            "issuing must wrap past the sentinel 0 and skip the live tag 5"
-        );
-        // Retired tags come back on the next lap; live ones still do not.
-        tags.retire(2);
-        tags.next = 1;
-        assert_eq!(tags.issue(), 2);
-        assert_eq!(tags.issue(), 8);
     }
 }

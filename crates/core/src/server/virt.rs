@@ -21,10 +21,11 @@
 //!   pipeline footprint.
 //! - **A pool of `workers - 1` morsel cores** runs the parallel phases the
 //!   exchanges hand over (`ExchangeDelegate`).
-//!   Pool cores interleave units of *different queries'* phases, the same
-//!   work-stealing shards as the threaded server. With `workers = 1` the
-//!   pool is empty and phase units run inline on the session core between
-//!   drive turns — one configured core means one core of simulated compute.
+//!   Pool cores interleave units of *different queries'* phases, claimed
+//!   by the same scheduler code as the threaded server's (`sched.rs`).
+//!   With `workers = 1` the pool is empty and phase units run inline on
+//!   the session core between drive turns — one configured core means one
+//!   core of simulated compute.
 //!
 //! Drives need a real call stack to park mid-operator, so each admitted
 //! query runs on an OS thread — but in strict lockstep: the scheduler
@@ -44,11 +45,12 @@
 //! is ignored here. Cancellation and fault injection work exactly as on
 //! the threaded server (cancel before submission or arm a fault site).
 
-use super::phase::PhaseState;
+use super::sched::{Job, Sched};
 use super::{lock, DriveAccounting, ServerConfig, ServerRecorder, ServerStats, SubmitSpec};
 use crate::cancel::CancelToken;
 use crate::context::{CoreSlicer, ExecContext};
-use crate::exec::exchange::{ExchangeDelegate, PhaseOutcome, PhaseRequest};
+use crate::exec::exchange::{ExchangeDelegate, PhaseRequest};
+use crate::exec::phase::{PhaseOutcome, PhaseState};
 use crate::exec::{run_drive, DriveSpec, QueryOutcome};
 use crate::fault::FaultRegistry;
 use crate::footprint::FootprintModel;
@@ -216,40 +218,23 @@ impl ExchangeDelegate for SlicedDelegate {
     fn run_phase(&mut self, ctx: &mut ExecContext, req: PhaseRequest) -> PhaseOutcome {
         lock(&self.gate.acct).pause(ctx.machine.snapshot());
         let phase = Arc::new(PhaseState::new(req, self.gate.tag, ctx));
-        lock(&self.core).phases.push(Arc::clone(&phase));
+        lock(&self.core).sched.open_phase(Arc::clone(&phase));
         // Park. A live re-grant means the phase is done; a dead scheduler
         // means the query is cancelled and whatever ran is collected as-is
         // (every claimed unit completes within its claiming step, so the
         // lanes are home either way).
         self.gate
             .yield_turn(&mut ctx.machine, DriveYield::PhaseWait(Arc::clone(&phase)));
+        // Other residents ran on this machine while we were parked; the
+        // exchange re-bases the profiler when it merges the lanes.
         let out = phase.collect();
-        let lane_sum = out
-            .outcomes
-            .iter()
-            .fold(PerfCounters::default(), |acc, o| acc + o.counters);
-        let snap = ctx.machine.snapshot();
-        if let Some(p) = ctx.profiler.as_mut() {
-            // Other residents ran on this machine while we were parked.
-            p.resync(snap);
-        }
-        let mut acct = lock(&self.gate.acct);
-        acct.add_lanes(lane_sum);
-        acct.resume(snap);
+        lock(&self.gate.acct).end_phase(&out, ctx.machine.snapshot());
         out
     }
 
     fn seal_drive(&mut self, now: PerfCounters) -> PerfCounters {
-        let mut acct = lock(&self.gate.acct);
-        acct.pause(now);
-        acct.total()
+        lock(&self.gate.acct).seal(now)
     }
-}
-
-struct VJob {
-    id: u64,
-    arrival: u64,
-    spec: DriveSpec,
 }
 
 /// One pool (morsel) core.
@@ -291,20 +276,15 @@ struct RunningInfo {
 struct VCore {
     cfg: MachineConfig,
     clock_hz: u64,
-    slots: usize,
+    /// Admission, open phases, tags, stats and query spans, stamped in
+    /// virtual nanoseconds.
+    sched: Sched<()>,
     /// Session core clock; the machine itself lives in the scheduler and
     /// is `None` only while granted to a drive.
     core_v: u64,
     core_machine: Option<Machine>,
     pool: Vec<VWorker>,
-    waiting: VecDeque<VJob>,
-    active: usize,
-    phases: Vec<Arc<PhaseState>>,
     finished: Vec<CompletedQuery>,
-    units: u64,
-    steals: u64,
-    completed: u64,
-    failed: u64,
     /// Session-core quantum grants processed (turn switches).
     turns: u64,
     /// Phase units run inline on the session core (`workers == 1`).
@@ -312,8 +292,6 @@ struct VCore {
     /// Whether the heat ledger is enabled (replacement machines installed
     /// by `fail_resident` must inherit it).
     heatmap: bool,
-    /// The always-on server flight recorder; `None` until enabled.
-    recorder: Option<ServerRecorder>,
     /// Admitted queries, mirrored for `sys.queries`.
     running: Vec<RunningInfo>,
     /// Bounded log of completed queries for `sys.queries`.
@@ -356,9 +334,6 @@ pub struct VirtualServer {
     yield_tx: mpsc::Sender<YieldMsg>,
     master: CodeLayout,
     faults: Arc<FaultRegistry>,
-    next_id: u64,
-    next_tag: u32,
-    submitted: u64,
 }
 
 impl VirtualServer {
@@ -374,7 +349,7 @@ impl VirtualServer {
             core: Arc::new(Mutex::new(VCore {
                 cfg: cfg.machine.clone(),
                 clock_hz,
-                slots: cfg.admission_slots,
+                sched: Sched::new(cfg.admission_slots),
                 core_v: 0,
                 core_machine: Some(Machine::new(cfg.machine.clone())),
                 pool: (0..pool_n)
@@ -384,18 +359,10 @@ impl VirtualServer {
                         units: 0,
                     })
                     .collect(),
-                waiting: VecDeque::new(),
-                active: 0,
-                phases: Vec::new(),
                 finished: Vec::new(),
-                units: 0,
-                steals: 0,
-                completed: 0,
-                failed: 0,
                 turns: 0,
                 core_units: 0,
                 heatmap: false,
-                recorder: None,
                 running: Vec::new(),
                 log: VecDeque::new(),
             })),
@@ -406,9 +373,6 @@ impl VirtualServer {
             yield_tx,
             master: FootprintModel::prelinked(),
             faults: Arc::new(FaultRegistry::new()),
-            next_id: 0,
-            next_tag: 1,
-            submitted: 0,
         }
     }
 
@@ -431,7 +395,7 @@ impl VirtualServer {
         let (plan, catalog, opts) = (spec.plan(), spec.catalog(), spec.query_opts());
         let arrival_ns = spec.arrival_ns();
         // Refused before anything is counted or allocated for it.
-        let latest = lock(&self.core).waiting.back().map(|j| j.arrival);
+        let latest = lock(&self.core).sched.waiting.back().map(|j| j.arrival_ns);
         if latest.is_some_and(|at| at > arrival_ns) {
             return Err(DbError::ExecProtocol(
                 "virtual server submissions must arrive in order".into(),
@@ -446,49 +410,17 @@ impl VirtualServer {
         if opts.fault_registry().is_none() {
             opts = opts.faults(Arc::clone(&self.faults));
         }
-        let mut spec = DriveSpec::for_server(plan, catalog, &self.master, &opts)?;
-        let id = self.next_id;
-        self.next_id += 1;
-        spec.tag = self.alloc_tag();
-        self.submitted += 1;
-        lock(&self.core).waiting.push_back(VJob {
-            id,
-            arrival: arrival_ns,
-            spec,
-        });
-        Ok(id)
-    }
-
-    /// Allocate the next cross-query attribution tag. Tag 0 is the
-    /// cachesim's "untagged" sentinel and is never handed out; neither is
-    /// any tag still held by a live resident or a queued submission —
-    /// after u32 wraparound on a long traffic run, a naive increment could
-    /// alias a running query's tag and count its self-evictions as
-    /// `l1i_cross_misses`. The skip loop terminates because at most
-    /// `slots + waiting` tags are live at once.
-    fn alloc_tag(&mut self) -> u32 {
-        let live: std::collections::HashSet<u32> = self
-            .residents
-            .iter()
-            .flatten()
-            .map(|r| r.tag)
-            .chain(lock(&self.core).waiting.iter().map(|j| j.spec.tag))
-            .collect();
-        loop {
-            let tag = self.next_tag;
-            self.next_tag = self.next_tag.wrapping_add(1).max(1);
-            if tag != 0 && !live.contains(&tag) {
-                return tag;
-            }
-        }
+        let spec = DriveSpec::for_server(plan, catalog, &self.master, &opts)?;
+        Ok(lock(&self.core).sched.enqueue(spec, arrival_ns, ()).0)
     }
 
     /// Spawn the drive thread for an admitted job and enter it in the ring.
-    fn admit(&mut self, job: VJob) {
-        let VJob {
+    fn spawn_resident(&mut self, job: Job<()>) {
+        let Job {
             id,
-            arrival,
+            arrival_ns: arrival,
             mut spec,
+            ..
         } = job;
         let tag = spec.tag;
         let cancel = spec.cancel.clone();
@@ -543,9 +475,7 @@ impl VirtualServer {
             handle: Some(handle),
         });
         self.ring.push_back(slot);
-        let mut c = lock(&self.core);
-        c.active += 1;
-        c.running.push(RunningInfo {
+        lock(&self.core).running.push(RunningInfo {
             id,
             tag,
             arrival_ns: arrival,
@@ -557,8 +487,7 @@ impl VirtualServer {
     /// every resident parked on it at the phase's last unit end. Takes the
     /// fields split apart so callers can hold the core lock.
     fn resolve_phase(residents: &mut [Option<Resident>], c: &mut VCore, phase: &Arc<PhaseState>) {
-        c.phases.retain(|p| !Arc::ptr_eq(p, phase));
-        c.steals += phase.steals();
+        c.sched.close_phase(phase);
         let end = phase.max_end_v.load(Ordering::Relaxed);
         for r in residents.iter_mut().flatten() {
             if r.waiting_on.as_ref().is_some_and(|p| Arc::ptr_eq(p, phase)) {
@@ -585,15 +514,7 @@ impl VirtualServer {
                 // First grant ends the wait: admission queueing + any core
                 // contention between arrival and this turn.
                 let (id, arrival) = (r.id, r.arrival);
-                if let Some(rec) = c.recorder.as_mut() {
-                    rec.record_query(
-                        turn_v,
-                        TraceEvent::QueryWait {
-                            query: id,
-                            start_ns: arrival.min(turn_v),
-                        },
-                    );
-                }
+                c.sched.started(id, arrival, turn_v);
                 if let Some(ri) = c.running.iter_mut().find(|ri| ri.id == id) {
                     ri.start_ns = Some(turn_v);
                 }
@@ -636,7 +557,7 @@ impl VirtualServer {
         c.core_machine = Some(msg.machine);
         let now_v = c.core_v;
         c.turns += 1;
-        if let Some(rec) = c.recorder.as_mut() {
+        if let Some(rec) = c.sched.recorder.as_mut() {
             rec.record_core(
                 now_v,
                 TraceEvent::CoreTurn {
@@ -667,89 +588,24 @@ impl VirtualServer {
                 self.ring.push_back(slot);
             }
             DriveYield::Done(outcome) => {
-                let Some(r) = self.residents[slot].take() else {
-                    return;
-                };
-                c.active -= 1;
-                c.completed += 1;
-                if !outcome.is_ok() {
-                    c.failed += 1;
-                }
-                let start_ns = r.start_v.unwrap_or(now_v);
-                let counters = outcome.stats().counters;
-                if let Some(rec) = c.recorder.as_mut() {
-                    rec.record_query(
-                        now_v,
-                        TraceEvent::QueryRun {
-                            query: r.id,
-                            rows: outcome.rows().len() as u64,
-                            ok: outcome.is_ok(),
-                            start_ns,
-                        },
-                    );
-                }
-                c.running.retain(|ri| ri.id != r.id);
-                c.push_log(QueryLogEntry {
-                    id: r.id,
-                    tag: r.tag,
-                    arrival_ns: r.arrival,
-                    start_ns,
-                    done_ns: now_v,
-                    rows: outcome.rows().len() as u64,
-                    ok: outcome.is_ok(),
-                    l1i_misses: counters.l1i_misses,
-                    l1i_cross_misses: counters.l1i_cross_misses,
-                });
-                c.finished.push(CompletedQuery {
-                    id: r.id,
-                    tag: r.tag,
-                    arrival_ns: r.arrival,
-                    start_ns,
-                    done_ns: now_v,
-                    outcome: *outcome,
-                });
                 drop(c);
-                if let Some(h) = r.handle {
-                    let _ = h.join();
-                }
-                self.free.push(slot);
+                self.retire(slot, *outcome);
             }
         }
     }
 
-    /// Retire a resident whose thread is gone (scheduler-restart path):
-    /// synthesize a failed completion so accounting stays conserved.
-    fn fail_resident(&mut self, slot: usize, machine: Option<Machine>) {
+    /// Retire the resident in `slot` at the session core's clock: the
+    /// scheduler counts it done, `sys.queries` logs it and `run_until`
+    /// hands its outcome back.
+    fn retire(&mut self, slot: usize, outcome: QueryOutcome) {
         let Some(r) = self.residents[slot].take() else {
             return;
         };
         let mut c = lock(&self.core);
-        // Restore the granted machine, or install a cold replacement when it
-        // was lost with a dead drive thread, so the core is never machineless.
-        let machine = machine.unwrap_or_else(|| {
-            let mut m = Machine::new(c.cfg.clone());
-            if c.heatmap {
-                m.enable_heatmap();
-            }
-            m
-        });
-        c.core_machine = Some(machine);
-        c.active -= 1;
-        c.completed += 1;
-        c.failed += 1;
         let now_v = c.core_v;
         let start_ns = r.start_v.unwrap_or(now_v);
-        if let Some(rec) = c.recorder.as_mut() {
-            rec.record_query(
-                now_v,
-                TraceEvent::QueryRun {
-                    query: r.id,
-                    rows: 0,
-                    ok: false,
-                    start_ns,
-                },
-            );
-        }
+        c.sched.finished(r.id, r.tag, start_ns, now_v, &outcome);
+        let counters = outcome.stats().counters;
         c.running.retain(|ri| ri.id != r.id);
         c.push_log(QueryLogEntry {
             id: r.id,
@@ -757,15 +613,11 @@ impl VirtualServer {
             arrival_ns: r.arrival,
             start_ns,
             done_ns: now_v,
-            rows: 0,
-            ok: false,
-            l1i_misses: 0,
-            l1i_cross_misses: 0,
+            rows: outcome.rows().len() as u64,
+            ok: outcome.is_ok(),
+            l1i_misses: counters.l1i_misses,
+            l1i_cross_misses: counters.l1i_cross_misses,
         });
-        let outcome = QueryOutcome::failed(
-            &c.cfg,
-            DbError::WorkerFailed("virtual drive thread lost".into()),
-        );
         c.finished.push(CompletedQuery {
             id: r.id,
             tag: r.tag,
@@ -779,6 +631,33 @@ impl VirtualServer {
             let _ = h.join();
         }
         self.free.push(slot);
+    }
+
+    /// Retire a resident whose thread is gone (scheduler-restart path):
+    /// synthesize a failed completion so accounting stays conserved.
+    fn fail_resident(&mut self, slot: usize, machine: Option<Machine>) {
+        if self.residents[slot].is_none() {
+            return;
+        }
+        let outcome = {
+            let mut c = lock(&self.core);
+            // Restore the granted machine, or install a cold replacement
+            // when it was lost with a dead drive thread, so the core is
+            // never machineless.
+            let machine = machine.unwrap_or_else(|| {
+                let mut m = Machine::new(c.cfg.clone());
+                if c.heatmap {
+                    m.enable_heatmap();
+                }
+                m
+            });
+            c.core_machine = Some(machine);
+            QueryOutcome::failed(
+                &c.cfg,
+                DbError::WorkerFailed("virtual drive thread lost".into()),
+            )
+        };
+        self.retire(slot, outcome);
     }
 
     /// Run one pool unit on the earliest-clocked pool core — or, when the
@@ -801,16 +680,7 @@ impl VirtualServer {
             }) else {
                 return false;
             };
-            let n = c.phases.len();
-            let mut found = None;
-            for off in 0..n {
-                let p = Arc::clone(&c.phases[(w + off) % n]);
-                if let Some((lane, idx)) = p.begin_unit(w) {
-                    found = Some((p, lane, idx));
-                    break;
-                }
-            }
-            let Some((p, lane, idx)) = found else {
+            let Some((p, lane, idx)) = c.sched.claim(w) else {
                 // All remaining phases are done but unresolved (shouldn't
                 // happen — completion resolves eagerly); sweep them so the
                 // outer loop can't spin.
@@ -819,8 +689,13 @@ impl VirtualServer {
                 } else {
                     c.pool[w].machine = Some(machine);
                 }
-                let done: Vec<Arc<PhaseState>> =
-                    c.phases.iter().filter(|p| p.done()).cloned().collect();
+                let done: Vec<Arc<PhaseState>> = c
+                    .sched
+                    .phases
+                    .iter()
+                    .filter(|p| p.done())
+                    .cloned()
+                    .collect();
                 for p in &done {
                     Self::resolve_phase(&mut self.residents, &mut c, p);
                 }
@@ -837,7 +712,7 @@ impl VirtualServer {
         };
         let cycles = phase.run_unit(lane, idx, &mut machine);
         let mut c = lock(&self.core);
-        c.units += 1;
+        c.sched.unit_done();
         let ns = to_ns(cycles, c.clock_hz);
         let end = if on_core {
             c.core_v += ns;
@@ -868,14 +743,10 @@ impl VirtualServer {
                 let job = {
                     let mut c = lock(&self.core);
                     let reach = c.core_v.max(horizon_ns);
-                    if c.active < c.slots && c.waiting.front().is_some_and(|j| j.arrival <= reach) {
-                        c.waiting.pop_front()
-                    } else {
-                        None
-                    }
+                    c.sched.admit(reach)
                 };
                 match job {
-                    Some(j) => self.admit(j),
+                    Some(j) => self.spawn_resident(j),
                     None => break,
                 }
             }
@@ -897,10 +768,11 @@ impl VirtualServer {
                         core_cand = Some((t, pos));
                     }
                 }
-                let pool_cand: Option<u64> = if c.phases.is_empty() {
+                let pool_cand: Option<u64> = if c.sched.phases.is_empty() {
                     None
                 } else {
                     let start = c
+                        .sched
                         .phases
                         .iter()
                         .map(|p| p.start_v.load(Ordering::Relaxed))
@@ -944,14 +816,7 @@ impl VirtualServer {
 
     /// Scheduler counters so far.
     pub fn stats(&self) -> ServerStats {
-        let c = lock(&self.core);
-        ServerStats {
-            submitted: self.submitted,
-            completed: c.completed,
-            failed: c.failed,
-            units: c.units,
-            steals: c.steals,
-        }
+        lock(&self.core).sched.stats
     }
 
     /// Session-core quantum grants processed so far.
@@ -1015,17 +880,21 @@ impl VirtualServer {
     /// per-query runs, session-core quantum turns with their cross-miss
     /// charge), stamped in virtual nanoseconds. Idempotent.
     pub fn enable_flight_recorder(&mut self) {
-        let mut c = lock(&self.core);
-        if c.recorder.is_none() {
-            c.recorder = Some(ServerRecorder::new());
-        }
+        lock(&self.core)
+            .sched
+            .recorder
+            .get_or_insert_with(ServerRecorder::new);
     }
 
     /// Seal and take the server flight recorder's report (one timeline for
     /// the whole server run), switching recording off. `None` when it was
     /// never enabled.
     pub fn finish_recorder(&mut self) -> Option<TraceReport> {
-        lock(&self.core).recorder.take().map(ServerRecorder::finish)
+        lock(&self.core)
+            .sched
+            .recorder
+            .take()
+            .map(ServerRecorder::finish)
     }
 
     /// Register this server's `sys.*` introspection tables in `catalog`:
@@ -1068,12 +937,12 @@ impl VirtualServer {
                     let c = lock(&core);
                     let int = |v: u64| Datum::Int(v as i64);
                     let mut rows = Vec::new();
-                    for j in &c.waiting {
+                    for j in &c.sched.waiting {
                         rows.push(Tuple::new(vec![
                             int(j.id),
                             Datum::str("waiting"),
                             int(j.spec.tag as u64),
-                            int(j.arrival),
+                            int(j.arrival_ns),
                             Datum::Null,
                             Datum::Null,
                             Datum::Null,
@@ -1250,7 +1119,7 @@ impl VirtualServer {
         );
         let (turns, core_v, waiting, running) = {
             let c = lock(&self.core);
-            (c.turns, c.core_v, c.waiting.len(), c.running.len())
+            (c.turns, c.core_v, c.sched.waiting.len(), c.running.len())
         };
         p.counter(
             &n("turns_total"),
@@ -1326,41 +1195,6 @@ impl Drop for VirtualServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A resident that never runs: just a live tag in a slot.
-    fn parked_resident(tag: u32) -> Resident {
-        let (turn_tx, turn_rx) = mpsc::channel();
-        // The drive never starts, so the grant receiver can drop.
-        drop(turn_rx);
-        Resident {
-            id: 0,
-            tag,
-            arrival: 0,
-            start_v: None,
-            ready_at: 0,
-            waiting_on: None,
-            turn_tx,
-            cancel: CancelToken::new(),
-            handle: None,
-        }
-    }
-
-    #[test]
-    fn tag_allocation_skips_live_tags_across_wraparound() {
-        let mut vs = VirtualServer::new(ServerConfig::default());
-        // A long-lived resident holds tag 5; the counter is about to wrap.
-        vs.residents.push(Some(parked_resident(5)));
-        vs.next_tag = u32::MAX - 1;
-        let tags: Vec<u32> = (0..8).map(|_| vs.alloc_tag()).collect();
-        assert_eq!(
-            tags,
-            vec![u32::MAX - 1, u32::MAX, 1, 2, 3, 4, 6, 7],
-            "allocation must wrap past the sentinel 0 and skip the live tag 5"
-        );
-        // No duplicates against the live set or within the batch.
-        assert!(!tags.contains(&0), "tag 0 is the untagged sentinel");
-        assert!(!tags.contains(&5), "live resident tags must not be reused");
-    }
 
     #[test]
     fn workers_one_has_no_hidden_pool_core() {

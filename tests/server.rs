@@ -1,7 +1,8 @@
 //! Multi-query server correctness: concurrent queries on the shared
-//! work-stealing pool must produce exactly the standalone executor's
-//! results, conserve per-query counters (including the cross-query L1i
-//! interference bucket), and contain faults without poisoning the pool.
+//! work-stealing pool — threaded or virtual — must produce exactly the
+//! standalone executor's results, conserve per-query counters (including
+//! the cross-query L1i interference bucket), and contain faults without
+//! poisoning the pool.
 
 use bufferdb::prelude::*;
 use bufferdb::tpch::queries::JoinMethod;
@@ -62,10 +63,81 @@ fn assert_conserved(name: &str, out: &QueryOutcome) {
     );
 }
 
-/// N concurrent queries on pools of {1, 2, 7} workers: every query's rows
-/// are bit-identical to a standalone run of the same plan, and every
-/// query's counters conserve exactly — including the `l1i_cross_misses`
-/// interference bucket staying a subset of total L1i misses.
+/// The two server drivers, tabled like `tests/frontends.rs` tables the
+/// five doors: every assertion below runs against both.
+#[derive(Clone, Copy, Debug)]
+enum Driver {
+    Threaded,
+    Virtual,
+}
+
+/// Run `plans` in submission order on a fresh `driver` server of `workers`
+/// cores and `slots` admission slots with the flight recorder on. Returns
+/// the outcomes in submission order, the scheduler counters and the
+/// recorder's report.
+fn run_on(
+    driver: Driver,
+    workers: usize,
+    slots: usize,
+    catalog: &Catalog,
+    plans: &[&PlanNode],
+    opts: &QueryOpts,
+) -> (Vec<QueryOutcome>, ServerStats, TraceReport) {
+    let cfg = ServerConfig::new(workers, slots, MachineConfig::pentium4_like());
+    match driver {
+        Driver::Threaded => {
+            let server = Server::new(cfg);
+            server.enable_flight_recorder();
+            let tickets: Vec<_> = plans
+                .iter()
+                .map(|plan| {
+                    let spec = SubmitSpec::new(plan, catalog).opts(opts.clone());
+                    server.submit(spec).expect("submit")
+                })
+                .collect();
+            let outs = tickets.into_iter().map(QueryTicket::wait).collect();
+            let report = server.finish_recorder().expect("recorder enabled");
+            (outs, server.stats(), report)
+        }
+        Driver::Virtual => {
+            let mut vs = VirtualServer::new(cfg);
+            vs.enable_flight_recorder();
+            for plan in plans {
+                vs.submit(SubmitSpec::new(plan, catalog).opts(opts.clone()))
+                    .expect("submit");
+            }
+            let mut done = vs.drain();
+            done.sort_by_key(|c| c.id);
+            let report = vs.finish_recorder().expect("recorder enabled");
+            let outs = done.into_iter().map(|c| c.outcome).collect();
+            (outs, vs.stats(), report)
+        }
+    }
+}
+
+/// Exactly one `query.wait` and one `query.run` span per submitted query.
+fn assert_one_wait_and_run_per_query(what: &str, report: &TraceReport, queries: u64) {
+    let mut waits = vec![0u32; queries as usize];
+    let mut runs = vec![0u32; queries as usize];
+    for ev in report.tracks.iter().flat_map(|t| &t.events) {
+        match ev.event {
+            TraceEvent::QueryWait { query, .. } => waits[query as usize] += 1,
+            TraceEvent::QueryRun { query, .. } => runs[query as usize] += 1,
+            _ => {}
+        }
+    }
+    assert!(
+        waits.iter().chain(&runs).all(|&n| n == 1),
+        "{what}: spans per query: waits {waits:?}, runs {runs:?}"
+    );
+}
+
+/// N concurrent queries on both servers with pools of {1, 2, 7} workers:
+/// every query's rows are bit-identical to a standalone run of the same
+/// plan, every query's counters conserve exactly — including the
+/// `l1i_cross_misses` interference bucket staying a subset of total L1i
+/// misses — the scheduler counts every submission, and the flight recorder
+/// holds one wait and one run span per query.
 #[test]
 fn concurrent_queries_match_solo_and_conserve_counters() {
     let catalog = catalog();
@@ -75,42 +147,87 @@ fn concurrent_queries_match_solo_and_conserve_counters() {
         .iter()
         .map(|(_, plan)| solo_rows(plan, &catalog, lanes))
         .collect();
-    for workers in [1usize, 2, 7] {
-        let server = Server::new(ServerConfig::new(
-            workers,
-            workers.max(2),
-            MachineConfig::pentium4_like(),
-        ));
-        let opts = QueryOpts::new().profile(true);
-        // Two waves, so every machine has another query's residue.
-        for wave in 0..2 {
-            let tickets: Vec<_> = plans
-                .iter()
-                .map(|(name, plan)| {
-                    let spec = SubmitSpec::new(plan, &catalog).opts(opts.clone());
-                    (*name, server.submit(spec).expect("submit"))
-                })
-                .collect();
-            for (i, (name, ticket)) in tickets.into_iter().enumerate() {
-                let out = ticket.wait();
-                assert!(
-                    out.error().is_none(),
-                    "{name} (wave {wave}, {workers} workers): {:?}",
-                    out.error()
-                );
+    // Two rounds of the suite, so every machine carries another query's
+    // residue.
+    let jobs: Vec<&PlanNode> = plans.iter().chain(&plans).map(|(_, p)| p).collect();
+    let opts = QueryOpts::new().profile(true);
+    for driver in [Driver::Threaded, Driver::Virtual] {
+        for workers in [1usize, 2, 7] {
+            let what = format!("{driver:?} server, {workers} workers");
+            let (outs, stats, report) =
+                run_on(driver, workers, workers.max(2), &catalog, &jobs, &opts);
+            for (i, out) in outs.iter().enumerate() {
+                let name = plans[i % plans.len()].0;
+                assert!(out.error().is_none(), "{name} ({what}): {:?}", out.error());
                 assert_eq!(
                     normalized(out.rows()),
-                    expected[i],
-                    "{name} (wave {wave}, {workers} workers): rows differ from solo run"
+                    expected[i % plans.len()],
+                    "{name} ({what}): rows differ from solo run"
                 );
-                assert_conserved(name, &out);
+                assert_conserved(name, out);
             }
+            let n = jobs.len() as u64;
+            assert_eq!(
+                (stats.submitted, stats.completed, stats.failed),
+                (n, n, 0),
+                "{what}"
+            );
+            assert!(
+                stats.units > 0,
+                "{what}: exchange phases must run through the pool"
+            );
+            assert_one_wait_and_run_per_query(&what, &report, n);
         }
-        let stats = server.stats();
-        assert_eq!(stats.submitted, 2 * plans.len() as u64);
-        assert_eq!(stats.completed, 2 * plans.len() as u64);
-        assert_eq!(stats.failed, 0);
-        assert!(stats.units > 0, "exchange phases must run through the pool");
+    }
+}
+
+/// The phase engine is one path whoever runs it: a 2-lane exchange gives
+/// the same rows, in the same order, solo and on both servers, and its
+/// per-lane morsel counts sum to the phase's morsel count everywhere.
+#[test]
+fn exchange_phase_runs_alike_solo_and_on_both_servers() {
+    let catalog = Catalog::new();
+    let mut t = TableBuilder::new("t", Schema::new(vec![Field::new("k", DataType::Int)]));
+    for i in 0..20_000 {
+        t.push(Tuple::new(vec![Datum::Int(i)]));
+    }
+    catalog.add_table(t);
+    let plan = PlanNode::Exchange {
+        input: Box::new(PlanNode::SeqScan {
+            table: "t".into(),
+            predicate: Some(Expr::col(0).le(Expr::lit(15_000))),
+            projection: None,
+        }),
+        workers: 2,
+    };
+    // 20 000 rows over 2 lanes at 4 morsels per lane: 8 morsels of 2 500.
+    let morsels = 8;
+    let lane_morsels = |what: &str, out: &QueryOutcome| -> u64 {
+        let profile = out.profile().expect("profiling was requested");
+        let lanes: Vec<&ExchangeLane> = profile
+            .ops
+            .iter()
+            .filter_map(|op| op.workers.as_ref())
+            .flatten()
+            .collect();
+        assert_eq!(lanes.len(), 2, "{what}: one lane record per lane");
+        lanes.iter().map(|l| l.morsels).sum()
+    };
+    let opts = QueryOpts::new().profile(true);
+    let solo = execute_query(&plan, &catalog, &MachineConfig::pentium4_like(), &opts);
+    assert!(solo.is_ok(), "solo: {:?}", solo.error());
+    assert_eq!(solo.rows().len(), 15_001);
+    assert_eq!(lane_morsels("solo", &solo), morsels);
+    for driver in [Driver::Threaded, Driver::Virtual] {
+        let what = format!("{driver:?} server");
+        let (outs, _, _) = run_on(driver, 3, 2, &catalog, &[&plan], &opts);
+        assert!(outs[0].is_ok(), "{what}: {:?}", outs[0].error());
+        assert_eq!(
+            outs[0].rows(),
+            solo.rows(),
+            "{what}: rows or their order differ"
+        );
+        assert_eq!(lane_morsels(&what, &outs[0]), morsels);
     }
 }
 
@@ -299,18 +416,6 @@ fn virtual_server_is_deterministic_and_attributes_interference() {
         );
         assert_eq!((qa.start_ns, qa.done_ns), (qb.start_ns, qb.done_ns));
         assert!(qa.start_ns >= qa.arrival_ns && qa.done_ns > qa.start_ns);
-        let (name, plan) = &plans[qa.id as usize % plans.len()];
-        assert!(
-            qa.outcome.error().is_none(),
-            "{name}: {:?}",
-            qa.outcome.error()
-        );
-        assert_eq!(
-            normalized(qa.outcome.rows()),
-            solo_rows(plan, &catalog, lanes),
-            "{name}: virtual-server rows differ from solo run"
-        );
-        assert_conserved(name, &qa.outcome);
         cross_total += qa.outcome.stats().counters.l1i_cross_misses;
     }
     assert!(
