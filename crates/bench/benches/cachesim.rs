@@ -125,6 +125,13 @@ fn bench_exec_region_patterns() {
     // ... and two queries taking turns walk each region once per turn.
     let quanta = "machine/exec_region_alt_tag_quanta";
     run(quanta, p4(), &alternate, 256, false);
+    // PCPCPC on a 64-entry bimodal table: most branch sites share a
+    // counter with another site of their region, and mixed patterns keep
+    // counters below 2, so the sparse update has most to do.
+    let mut small_table = MachineConfig::pentium4_like();
+    small_table.branch.table_entries = 64;
+    let bimodal64 = "machine/exec_region_alt_bimodal64";
+    pattern(bimodal64, Machine::new(small_table), &alternate);
     // CCCC…PPPP…: batches of 100, the buffered pattern.
     pattern("machine/exec_region_rep", p4(), &|i| Some(i / 100 % 2));
     // A three-operator pipeline that something else interrupts every 64

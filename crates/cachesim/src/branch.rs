@@ -7,7 +7,11 @@
 //! a *global* history register is polluted when parent and child interleave
 //! per tuple. A bimodal (per-address) predictor is provided for ablation.
 
-use crate::layout::SiteState;
+use crate::hash::U64Map;
+use crate::layout::{CodeRegion, SegmentRef, SiteKind};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasherDefault;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Which predictor to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,10 +43,19 @@ fn counter_update(c: u8, taken: bool) -> u8 {
     std::hint::select_unpredictable(taken, (c + 1).min(3), c.saturating_sub(1))
 }
 
+/// The counter of `site` in a table of `mask + 1` entries. Branch sites are
+/// 4-byte aligned at best; drop low bits then fold.
+fn site_slot(site: u64, mask: u64) -> usize {
+    (((site >> 2) ^ (site >> 14)) & mask) as usize
+}
+
 /// Two-bit saturating counters indexed by branch address.
 #[derive(Debug, Clone)]
 pub struct BimodalPredictor {
     table: Vec<u8>,
+    /// Bit `i` set iff `table[i] != 3`: the counters a taken outcome
+    /// changes. Kept by every touch.
+    off3: Vec<u64>,
     mask: u64,
     branches: u64,
     mispredictions: u64,
@@ -55,27 +68,77 @@ impl BimodalPredictor {
         assert!(entries.is_power_of_two());
         BimodalPredictor {
             table: vec![2; entries],
+            off3: vec![u64::MAX; entries.div_ceil(64)],
             mask: (entries - 1) as u64,
             branches: 0,
             mispredictions: 0,
         }
     }
 
-    fn index(&self, site: u64) -> usize {
-        // Branch sites are 4-byte aligned at best; drop low bits then fold.
-        (((site >> 2) ^ (site >> 14)) & self.mask) as usize
+    /// Predict and update the counter at `slot`; whether it mispredicted.
+    #[inline(always)]
+    fn touch(&mut self, slot: usize, taken: bool) -> bool {
+        let c = self.table[slot];
+        let new = counter_update(c, taken);
+        self.table[slot] = new;
+        let (word, bit) = (slot >> 6, slot & 63);
+        self.off3[word] = self.off3[word] & !(1 << bit) | u64::from(new != 3) << bit;
+        counter_predict(c) != taken
+    }
+
+    /// Fire every site of a region's call number `calls` (see
+    /// [`SitePlan`]): only the sites that can change a counter are touched.
+    fn run_plan(&mut self, plan: &SitePlan, calls: u64) {
+        debug_assert_eq!(plan.mask, self.mask);
+        let fires = SiteKind::ALL.map(|kind| !kind.outcome(calls));
+        self.branches += plan.sites;
+        let mut missed = 0;
+        // Slots no other site of the region touches, a word at a time.
+        for &(word, kinds) in &*plan.words {
+            let (mut taken, mut not_taken) = (0, 0);
+            for (mask, fire) in kinds.into_iter().zip(fires) {
+                taken |= std::hint::select_unpredictable(fire, 0, mask);
+                not_taken |= std::hint::select_unpredictable(fire, mask, 0);
+            }
+            let word = word as usize;
+            let mut off3 = self.off3[word];
+            // Taken: a counter at 3 predicts it and stays, so only the
+            // counters off 3 are visited.
+            let mut bits = off3 & taken;
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                let slot = word << 6 | bit as usize;
+                let c = self.table[slot];
+                missed += u64::from(c < 2);
+                self.table[slot] = c + 1;
+                off3 &= !(u64::from(c == 2) << bit);
+            }
+            // Not taken: the kinds whose period ends at this call.
+            let mut bits = not_taken;
+            while bits != 0 {
+                let slot = word << 6 | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let c = self.table[slot];
+                missed += u64::from(c >= 2);
+                self.table[slot] = c.saturating_sub(1);
+            }
+            self.off3[word] = off3 | not_taken;
+        }
+        // Slots the region touches more than once, in firing order.
+        for &(slot, kind) in &*plan.multi {
+            missed += u64::from(self.touch(slot as usize, !fires[kind as usize]));
+        }
+        self.mispredictions += missed;
     }
 }
 
 impl BranchPredictor for BimodalPredictor {
     fn predict_and_update(&mut self, site: u64, taken: bool) -> bool {
         self.branches += 1;
-        let idx = self.index(site);
-        let predicted = counter_predict(self.table[idx]);
-        self.table[idx] = counter_update(self.table[idx], taken);
-        let correct = predicted == taken;
-        self.mispredictions += u64::from(!correct);
-        correct
+        let wrong = self.touch(site_slot(site, self.mask), taken);
+        self.mispredictions += u64::from(wrong);
+        !wrong
     }
 
     fn branches(&self) -> u64 {
@@ -112,16 +175,12 @@ impl GsharePredictor {
             mispredictions: 0,
         }
     }
-
-    fn index(&self, site: u64) -> usize {
-        ((((site >> 2) ^ (site >> 14)) ^ self.history) & self.mask) as usize
-    }
 }
 
 impl BranchPredictor for GsharePredictor {
     fn predict_and_update(&mut self, site: u64, taken: bool) -> bool {
         self.branches += 1;
-        let idx = self.index(site);
+        let idx = site_slot(site, self.mask) ^ (self.history & self.mask) as usize;
         let predicted = counter_predict(self.table[idx]);
         self.table[idx] = counter_update(self.table[idx], taken);
         self.history = ((self.history << 1) | taken as u64) & self.history_mask;
@@ -137,6 +196,113 @@ impl BranchPredictor for GsharePredictor {
     fn mispredictions(&self) -> u64 {
         self.mispredictions
     }
+}
+
+/// How one call of a region fires its static branch sites on a bimodal
+/// table of `mask + 1` counters. A pure function of the region's segment
+/// list and the mask; DESIGN.md §18 "Branch sites" has the argument.
+///
+/// Every site of a region advances once per call, so on call `c` a site of
+/// period `p` is not taken iff `c % p == p - 1`. A slot that exactly one
+/// site of the region touches is independent of every other such slot, so
+/// those are kept as bit masks, by kind; slots the region touches more than
+/// once keep their sites in firing order.
+#[derive(Debug)]
+pub(crate) struct SitePlan {
+    mask: u64,
+    /// Sites one call fires.
+    sites: u64,
+    /// The slots only one site of the region touches: per 64-slot word of
+    /// the table that holds any, the word's index and, per [`SiteKind`], the
+    /// slots in it whose site is of that kind.
+    words: Box<[(u32, [u64; 3])]>,
+    /// `(slot, kind)` of every site on a slot the region touches more than
+    /// once, in firing order.
+    multi: Box<[(u32, u8)]>,
+}
+
+impl SitePlan {
+    /// The mask of the table this plan is for.
+    pub(crate) fn mask(&self) -> u64 {
+        self.mask
+    }
+
+    fn new(segments: &[SegmentRef], mask: u64) -> Self {
+        let fired: Vec<(u32, u8)> = segments
+            .iter()
+            .flat_map(|seg| &seg.sites)
+            .map(|&(addr, kind)| {
+                let slot = u32::try_from(site_slot(addr, mask));
+                (slot.expect("at most 2^32 counters"), kind as u8)
+            })
+            .collect();
+        let mut touches: HashMap<u32, u32> = HashMap::new();
+        for &(slot, _) in &fired {
+            *touches.entry(slot).or_default() += 1;
+        }
+        let (multi, single): (Vec<_>, Vec<_>) =
+            fired.iter().partition(|(slot, _)| touches[slot] > 1);
+        let mut words: BTreeMap<u32, [u64; 3]> = BTreeMap::new();
+        for &(slot, kind) in &single {
+            words.entry(slot >> 6).or_default()[kind as usize] |= 1 << (slot & 63);
+        }
+        SitePlan {
+            mask,
+            sites: fired.len() as u64,
+            words: words.into_iter().collect(),
+            multi: multi.into_boxed_slice(),
+        }
+    }
+}
+
+/// One memoized [`SitePlan`] and the segment list it was planned for. The
+/// list is the key: holding its `Arc`s keeps every segment's address from
+/// being reused under it.
+struct Planned {
+    segments: Arc<[SegmentRef]>,
+    plan: Arc<SitePlan>,
+}
+
+/// Most entries [`PLAN_MEMO`] holds; past it, plans are built without being
+/// remembered. A process builds a few dozen distinct segment lists per plan
+/// shape it ever runs.
+const PLAN_MEMO_CAP: usize = 4096;
+
+/// Plan once per process: regions are built afresh for every query (every
+/// prepared request), over the same few segment lists. Keyed by a hash of
+/// the segment addresses and the mask; an entry answers only for the exact
+/// list and mask it stores, so a collision is a miss.
+static PLAN_MEMO: Mutex<U64Map<Planned>> =
+    Mutex::new(HashMap::with_hasher(BuildHasherDefault::new()));
+
+/// The entries. Nothing that can panic runs under the lock and every update
+/// is one insertion, so a poisoned lock still guards a valid map.
+fn plan_memo() -> MutexGuard<'static, U64Map<Planned>> {
+    PLAN_MEMO.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// The [`SitePlan`] of `segments` on a table of `mask + 1` counters.
+pub(crate) fn site_plan(segments: &Arc<[SegmentRef]>, mask: u64) -> Arc<SitePlan> {
+    let same = |planned: &Planned| {
+        planned.plan.mask == mask
+            && planned.segments.len() == segments.len()
+            && (planned.segments.iter().zip(segments.iter())).all(|(a, b)| Arc::ptr_eq(a, b))
+    };
+    let key = segments.iter().fold(mask, |h, seg| {
+        (h.rotate_left(5) ^ Arc::as_ptr(seg) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    });
+    if let Some(hit) = plan_memo().get(&key).filter(|p| same(p)) {
+        return Arc::clone(&hit.plan);
+    }
+    let plan = Arc::new(SitePlan::new(segments, mask));
+    let mut entries = plan_memo();
+    if entries.len() < PLAN_MEMO_CAP {
+        entries.entry(key).or_insert_with(|| Planned {
+            segments: Arc::clone(segments),
+            plan: Arc::clone(&plan),
+        });
+    }
+    plan
 }
 
 /// The machine's predictor. An enum rather than a boxed trait object so a
@@ -162,17 +328,21 @@ impl Predictor {
     }
 
     /// Fire every static site of a region once, in order, each with the
-    /// next outcome of its deterministic pattern.
-    pub(crate) fn run_sites(&mut self, sites: &mut [SiteState]) {
-        fn run(p: &mut impl BranchPredictor, sites: &mut [SiteState]) {
-            for site in sites {
-                let taken = site.step();
-                p.predict_and_update(site.addr, taken);
-            }
-        }
+    /// next outcome of its deterministic pattern. A bimodal table takes
+    /// the region's [`SitePlan`]; gshare, whose index depends on every
+    /// outcome before, fires the sites one by one.
+    pub(crate) fn run_region(&mut self, region: &mut CodeRegion) {
+        let calls = region.next_call();
         match self {
-            Predictor::Bimodal(p) => run(p, sites),
-            Predictor::Gshare(p) => run(p, sites),
+            Predictor::Bimodal(p) => p.run_plan(region.site_plan(p.mask), calls),
+            Predictor::Gshare(p) => {
+                let taken = SiteKind::ALL.map(|kind| kind.outcome(calls));
+                for seg in region.segments() {
+                    for &(addr, kind) in &seg.sites {
+                        p.predict_and_update(addr, taken[kind as usize]);
+                    }
+                }
+            }
         }
     }
 }
@@ -293,5 +463,26 @@ mod tests {
         assert!(matches!(p, Predictor::Bimodal(_)));
         p.predict_and_update(0, true);
         assert_eq!(p.branches(), 1);
+    }
+
+    #[test]
+    fn site_plans_are_shared_per_segment_list_and_mask() {
+        let mut layout = crate::CodeLayout::new();
+        let a = layout.define(&crate::SegmentSpec::new("plan_a", 3000));
+        let b = layout.define(&crate::SegmentSpec::new("plan_b", 2000));
+        let list = |segs: &[&SegmentRef]| -> Arc<[SegmentRef]> {
+            segs.iter().map(|&s| Arc::clone(s)).collect()
+        };
+        // Separately built lists of the same segments share one plan.
+        let ab = site_plan(&list(&[&a, &b]), 511);
+        assert!(Arc::ptr_eq(&ab, &site_plan(&list(&[&a, &b]), 511)));
+        assert_eq!(ab.sites as usize, a.sites.len() + b.sites.len());
+        // Order and table size are part of the key.
+        assert!(!Arc::ptr_eq(&ab, &site_plan(&list(&[&b, &a]), 511)));
+        assert_eq!(site_plan(&list(&[&a, &b]), 63).mask(), 63);
+        // A segment listed twice touches each of its slots at least twice.
+        let twice = site_plan(&list(&[&a, &a]), 511);
+        assert!(twice.words.is_empty());
+        assert_eq!(twice.multi.len(), 2 * a.sites.len());
     }
 }

@@ -11,6 +11,7 @@
 //! handle; shared segments are allocated once, so combined execution-group
 //! footprints automatically count common code once (§6.1).
 
+use crate::branch::{site_plan, SitePlan};
 use crate::hash::U64Map;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -63,6 +64,9 @@ pub enum SiteKind {
 }
 
 impl SiteKind {
+    /// Every kind, in declaration order (`kind as usize` indexes it).
+    pub const ALL: [SiteKind; 3] = [SiteKind::Biased, SiteKind::Mixed, SiteKind::Loop];
+
     /// Length of the site's repeating pattern: taken every time but the
     /// last of each period.
     pub fn period(self) -> u32 {
@@ -77,27 +81,6 @@ impl SiteKind {
     pub fn outcome(self, count: u64) -> bool {
         let period = u64::from(self.period());
         count % period != period - 1
-    }
-}
-
-/// One static branch site of a [`CodeRegion`] and where its pattern stands.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SiteState {
-    pub(crate) addr: u64,
-    period: u32,
-    /// Executions so far, modulo `period`.
-    phase: u32,
-}
-
-impl SiteState {
-    /// The site's next outcome ([`SiteKind::outcome`] of its execution
-    /// count), advancing the pattern. Selects only: a region's sites mix
-    /// three periods, which the host cannot predict.
-    #[inline(always)]
-    pub(crate) fn step(&mut self) -> bool {
-        let last = self.phase + 1 == self.period;
-        self.phase = std::hint::select_unpredictable(last, 0, self.phase + 1);
-        !last
     }
 }
 
@@ -447,17 +430,21 @@ impl CodeLayout {
 }
 
 /// Per-operator-instance executable region: shared immutable segments plus
-/// private per-site execution counters (branch history position). Cloning a
-/// region models the same binary text mapped by another core: the addresses
-/// are shared, the execution counters are private to the clone.
+/// a private execution count (where every branch site's pattern stands).
+/// Cloning a region models the same binary text mapped by another core: the
+/// addresses are shared, the execution count is private to the clone.
 #[derive(Debug, Clone)]
 pub struct CodeRegion {
     /// Names the (immutable) segment list: equal ids fetch the same lines
     /// and pages in the same order. Clones keep it.
     fetch_id: u64,
     segments: Arc<[SegmentRef]>,
-    /// Every site of every segment, in segment order.
-    site_state: Vec<SiteState>,
+    /// Executions so far. Every site of the region advances once per
+    /// execution, so this is each site's count too.
+    calls: u64,
+    /// The segment list's [`SitePlan`] on the bimodal table it last ran on,
+    /// fetched on the first execution there.
+    plan: Option<Arc<SitePlan>>,
 }
 
 /// Next [`CodeRegion::fetch_id`]; 0 is the empty region's.
@@ -466,20 +453,12 @@ static NEXT_FETCH_ID: AtomicU64 = AtomicU64::new(1);
 impl CodeRegion {
     /// Build a region over the given segments.
     pub fn new(segments: Vec<SegmentRef>) -> Self {
-        let site_state = segments
-            .iter()
-            .flat_map(|s| s.sites.iter())
-            .map(|&(addr, kind)| SiteState {
-                addr,
-                period: kind.period(),
-                phase: 0,
-            })
-            .collect();
         CodeRegion {
             // Relaxed: the id is only ever compared for equality.
             fetch_id: NEXT_FETCH_ID.fetch_add(1, Ordering::Relaxed),
             segments: segments.into(),
-            site_state,
+            calls: 0,
+            plan: None,
         }
     }
 
@@ -488,7 +467,8 @@ impl CodeRegion {
         CodeRegion {
             fetch_id: 0,
             segments: Arc::new([]),
-            site_state: Vec::new(),
+            calls: 0,
+            plan: None,
         }
     }
 
@@ -508,9 +488,18 @@ impl CodeRegion {
         &self.segments
     }
 
-    /// Mutable view of site execution state (used by [`crate::Machine`]).
-    pub(crate) fn site_state_mut(&mut self) -> &mut [SiteState] {
-        &mut self.site_state
+    /// Count one more execution; the number of executions before it.
+    pub(crate) fn next_call(&mut self) -> u64 {
+        self.calls += 1;
+        self.calls - 1
+    }
+
+    /// This region's [`SitePlan`] on a bimodal table of `mask + 1` counters.
+    pub(crate) fn site_plan(&mut self, mask: u64) -> &SitePlan {
+        if self.plan.as_ref().is_none_or(|plan| plan.mask() != mask) {
+            self.plan = Some(site_plan(&self.segments, mask));
+        }
+        self.plan.as_deref().expect("just planned")
     }
 
     /// Total footprint bytes, counting shared segments once.

@@ -398,9 +398,10 @@ impl Machine {
     /// outcome with L1i misses is credited only if the region's previous
     /// walk ran under the tag in force: then so did whatever evicted its
     /// lines since, and none of the misses is a cross-owner miss. Branch
-    /// sites always run: the predictor has a history of its own.
+    /// sites always run — the predictor has a history of its own — on a
+    /// bimodal table as one sparse update per call (`branch::SitePlan`).
     pub fn exec_region(&mut self, region: &mut CodeRegion) {
-        self.predictor.run_sites(region.site_state_mut());
+        self.predictor.run_region(region);
         let id = region.fetch_id();
         // A repeat shares the log entry of the walk before it, unless that
         // one ran under an earlier owner tag: what it evicted of its own

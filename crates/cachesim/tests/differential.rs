@@ -11,7 +11,9 @@
 //!   with attribution never on, on from the start, switched on mid-run and
 //!   with owner tags alternating in server-like quanta, under scan-shaped
 //!   data traffic, with L2s from one that keeps the code to one that loses
-//!   it to every scan and to itself; each run proves from
+//!   it to every scan and to itself, and with bimodal tables from the
+//!   preset's 512 counters down to 16, where a region's own sites share
+//!   counters and data-dependent branches land on them; each run proves from
 //!   `Machine::walk_stats` which path it exercised — in L2 too, where a
 //!   credited walk's refills are credited, refused or synced — and no walk
 //!   that misses is ever credited across an owner-tag change.
@@ -21,9 +23,8 @@
 
 use bufferdb_cachesim::heat::UNTRACKED_SEGMENT;
 use bufferdb_cachesim::{
-    BimodalPredictor, BranchPredictor, Cache, CacheConfig, CodeLayout, CodeRegion, GsharePredictor,
-    HeatCell, Machine, MachineConfig, PerfCounters, PredictorKind, SegmentSpec, StreamPrefetcher,
-    Tlb,
+    BranchPredictor, Cache, CacheConfig, CodeLayout, CodeRegion, GsharePredictor, HeatCell,
+    Machine, MachineConfig, PerfCounters, PredictorKind, SegmentSpec, StreamPrefetcher, Tlb,
 };
 use std::collections::HashMap;
 
@@ -228,6 +229,39 @@ fn tlb_matches_brute_force_mru_list() {
 // (b), (c) Machine vs. a naive line-by-line walker
 // ---------------------------------------------------------------------------
 
+/// Two-bit saturating counters indexed by branch address, one branch at a
+/// time: the reference for the crate's bimodal predictor, which fires a
+/// region's sites as one sparse update per call.
+struct NaiveBimodal {
+    table: Vec<u8>,
+    branches: u64,
+    mispredictions: u64,
+}
+
+impl BranchPredictor for NaiveBimodal {
+    fn predict_and_update(&mut self, site: u64, taken: bool) -> bool {
+        let slot = (((site >> 2) ^ (site >> 14)) as usize) & (self.table.len() - 1);
+        let counter = &mut self.table[slot];
+        let correct = (*counter >= 2) == taken;
+        *counter = if taken {
+            (*counter + 1).min(3)
+        } else {
+            counter.saturating_sub(1)
+        };
+        self.branches += 1;
+        self.mispredictions += u64::from(!correct);
+        correct
+    }
+
+    fn branches(&self) -> u64 {
+        self.branches
+    }
+
+    fn mispredictions(&self) -> u64 {
+        self.mispredictions
+    }
+}
+
 /// Everything `Machine` models, fetched the slow obvious way.
 struct NaiveMachine {
     cfg: MachineConfig,
@@ -254,7 +288,11 @@ type HeatResidency = HashMap<(usize, String), u32>;
 impl NaiveMachine {
     fn new(cfg: MachineConfig) -> Self {
         let predictor: Box<dyn BranchPredictor> = match cfg.branch.kind {
-            PredictorKind::Bimodal => Box::new(BimodalPredictor::new(cfg.branch.table_entries)),
+            PredictorKind::Bimodal => Box::new(NaiveBimodal {
+                table: vec![2; cfg.branch.table_entries],
+                branches: 0,
+                mispredictions: 0,
+            }),
             PredictorKind::Gshare => Box::new(GsharePredictor::new(
                 cfg.branch.table_entries,
                 cfg.branch.history_bits,
@@ -500,6 +538,25 @@ impl Pair {
         fetched
     }
 
+    /// Resolve a data-dependent branch on both.
+    fn branch(&mut self, site: u64, taken: bool) {
+        self.real.branch(site, taken);
+        self.naive.predictor.predict_and_update(site, taken);
+    }
+
+    /// A static branch site of `region` drawn at random — where a
+    /// data-dependent branch shares a counter with the region's own sites —
+    /// or, for a region without any, a site of none.
+    fn site_of(&self, region: usize, rng: &mut Rng) -> u64 {
+        let sites: Vec<u64> = (self.regions[region].segments().iter())
+            .flat_map(|s| s.sites.iter().map(|&(addr, _)| addr))
+            .collect();
+        match sites.len() {
+            0 => 0x40_0000 + rng.below(64) * 16,
+            n => sites[rng.below(n as u64) as usize],
+        }
+    }
+
     fn data(&mut self, addr: u64, len: usize) {
         self.real.data_read(addr, len);
         self.naive.data_access(addr, len);
@@ -594,9 +651,9 @@ fn check_machine(cfg: MachineConfig, seed: u64, steps: usize, attribution: bool)
                 "data_write"
             }
             17 => {
-                let (site, taken) = (0x40_0000 + rng.below(64) * 16, rng.below(3) != 0);
-                pair.real.branch(site, taken);
-                pair.naive.predictor.predict_and_update(site, taken);
+                let region = rng.below(pair.regions.len() as u64) as usize;
+                let site = pair.site_of(region, &mut rng);
+                pair.branch(site, rng.below(3) != 0);
                 "branch"
             }
             18 if attribution => {
@@ -744,6 +801,12 @@ fn check_cycles(cfg: MachineConfig, seed: u64, attribution: Attribution) {
                 if scanning {
                     pair.scan(64);
                 }
+                if rng.below(4) == 0 {
+                    // A predicate on the tuple, at one of the region's own
+                    // sites.
+                    let site = pair.site_of(region, &mut rng);
+                    pair.branch(site, rng.below(3) != 0);
+                }
                 pair.exec(region);
                 pair.check(&format!("seed {seed} step {step}: {cycle:?} x{batch}"));
                 // A clone is its original as far as the log can tell.
@@ -837,9 +900,12 @@ fn check_cycles(cfg: MachineConfig, seed: u64, attribution: Attribution) {
 
 /// Every preset; a 4 KB L1i under a 64-entry ITLB: regions that evict
 /// their own lines while every page stays translated (no preset separates
-/// the two); and two L2s too small for the code (every preset's holds it
+/// the two); two L2s too small for the code (every preset's holds it
 /// all): 32 KB, where data keeps displacing lines the walk memo's credited
-/// refills count on, and 8 KB, where a refill displaces its own.
+/// refills count on, and 8 KB, where a refill displaces its own; and two
+/// bimodal tables far smaller than the preset's 512 counters, 64 and 16,
+/// where most of a region's sites share a counter with another of its
+/// sites and mixed patterns keep counters below 2.
 fn machines() -> Vec<MachineConfig> {
     let mut l1i_only = MachineConfig::pentium4_like();
     l1i_only.l1i.capacity = 4 * 1024;
@@ -848,6 +914,11 @@ fn machines() -> Vec<MachineConfig> {
         let mut cfg = MachineConfig::pentium4_like();
         cfg.l2.capacity = capacity;
         cfg.l2.associativity = associativity;
+        cfg
+    };
+    let small_bimodal = |entries| {
+        let mut cfg = MachineConfig::pentium4_like();
+        cfg.branch.table_entries = entries;
         cfg
     };
     vec![
@@ -859,6 +930,8 @@ fn machines() -> Vec<MachineConfig> {
         l1i_only,
         small_l2(32 * 1024, 4),
         small_l2(8 * 1024, 2),
+        small_bimodal(64),
+        small_bimodal(16),
     ]
 }
 

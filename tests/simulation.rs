@@ -232,3 +232,38 @@ fn cachesim_define_order_fixture_is_current() {
         "build orders changed; rerun with BUFFERDB_UPDATE_GOLDEN=1"
     );
 }
+
+/// The modeled branch counters, pinned exactly. No committed baseline
+/// records them (`modeled_cycles` folds mispredictions in at 20 cycles
+/// each, and `BENCH_modes.json` carries neither), so a change to how
+/// `cachesim` fires a region's branch sites must reproduce these values.
+/// Paper Query 1 unbuffered and refined and Query 3 by hash join on the
+/// Pentium 4 preset's bimodal table, and Query 1 once under gshare.
+#[test]
+fn branch_counters_are_pinned() {
+    let catalog = tpch::generate_catalog(0.002, 42);
+    let p4 = MachineConfig::pentium4_like();
+    let q1 = queries::paper_query1(&catalog).unwrap();
+    let q1_buffered = refine_plan(&q1, &catalog, &RefineConfig::default());
+    let q3_hj = queries::paper_query3(&catalog, queries::JoinMethod::HashJoin).unwrap();
+    let cases = [
+        ("paper Q1 pull", &q1, &p4),
+        ("paper Q1 buffered", &q1_buffered, &p4),
+        ("paper Q3-HJ", &q3_hj, &p4),
+        ("paper Q1 pull, gshare", &q1, &p4.clone().with_gshare()),
+    ];
+    let measured: Vec<(&str, u64, u64)> = cases
+        .into_iter()
+        .map(|(label, plan, machine)| {
+            let c = stats_of(plan, &catalog, machine).counters;
+            (label, c.branches, c.mispredictions)
+        })
+        .collect();
+    let pinned = [
+        ("paper Q1 pull", 1_358_126, 182_736),
+        ("paper Q1 buffered", 1_359_070, 183_536),
+        ("paper Q3-HJ", 2_458_063, 319_272),
+        ("paper Q1 pull, gshare", 1_358_126, 78_000),
+    ];
+    assert_eq!(measured, pinned);
+}
