@@ -55,8 +55,8 @@ experiments:
             against machine totals)
   systables install every sys.* introspection table, run a workload, and
             query each through an ordinary plan (asserts zero modeled cost)
-  traffic   open-loop traffic run with scripted regime switches; writes
-            BENCH_traffic.json, TRAFFIC_windows.jsonl, TRAFFIC_metrics.prom
+  traffic   open-loop traffic run with scripted regime switches, write
+            BENCH_traffic.json
   server    multi-query interference sweep: {1,2,4,8} concurrent streams ×
             {none,static,adaptive} buffer policy on the shared scheduler,
             write BENCH_server.json
@@ -366,8 +366,7 @@ fn write_trace(ctx: &ExperimentCtx, seed: u64, threads: usize, query: &str) -> S
     )
 }
 
-/// Run the open-loop traffic observatory and write `BENCH_traffic.json`
-/// plus the telemetry exports (JSONL window log, Prometheus exposition).
+/// Run the open-loop traffic observatory and write `BENCH_traffic.json`.
 fn write_traffic(
     scale: f64,
     seed: u64,
@@ -388,17 +387,12 @@ fn write_traffic(
         cfg.window_ns = Some(((ms as f64 * 1e6) / 8.0).round().max(1.0) as u64);
     }
     let run = run_traffic(&cfg);
-    for (path, content) in [
-        ("BENCH_traffic.json", run.report.to_json()),
-        ("TRAFFIC_windows.jsonl", run.jsonl.clone()),
-        ("TRAFFIC_metrics.prom", run.prometheus.clone()),
-    ] {
-        if let Err(e) = std::fs::write(path, content) {
-            die(&format!("cannot write {path}: {e}"));
-        }
+    let path = "BENCH_traffic.json";
+    if let Err(e) = std::fs::write(path, run.report.to_json()) {
+        die(&format!("cannot write {path}: {e}"));
     }
     format!(
-        "{}wrote BENCH_traffic.json ({} regimes), TRAFFIC_windows.jsonl, TRAFFIC_metrics.prom\n",
+        "{}wrote {path} ({} regimes)\n",
         run.table,
         run.report.regimes.len()
     )

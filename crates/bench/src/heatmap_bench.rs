@@ -318,18 +318,15 @@ pub fn server_trace(scale: f64, seed: u64) -> (String, String) {
     (report.perfetto_json(), report.summary())
 }
 
-/// Install every `sys.*` table (server, database caches, SLO windows),
-/// run a short workload, then query each table through an ordinary plan.
+/// Install every `sys.*` table (server and database caches), run a short
+/// workload, then query each table through an ordinary plan.
 /// Returns one line per table with its row count, and asserts that every
 /// sys scan executed **zero** modeled work (the observer-effect contract).
 pub fn sys_tables_demo(scale: f64, seed: u64) -> String {
     use bufferdb_cachesim::PerfCounters;
     use bufferdb_core::exec::execute_query;
-    use bufferdb_core::obs::slo::{slo_windows_table, SloConfig, SloTracker};
-    use bufferdb_core::obs::timeseries::TimeSeriesRegistry;
     use bufferdb_core::prepare::Database;
     use bufferdb_core::session::QueryOpts;
-    use std::sync::{Arc, Mutex};
 
     let machine = MachineConfig::pentium4_like();
     let db = Database::open(
@@ -346,21 +343,10 @@ pub fn sys_tables_demo(scale: f64, seed: u64) -> String {
     let (completed, failed) = drive(&mut vs, &plans, catalog);
     assert_eq!(failed, 0, "observatory workload must run clean");
 
-    // Populate the database-side tables and an SLO tracker with real state.
+    // Populate the database-side tables with real state.
     let q = db.prepare(&plans[0]).expect("prepare");
     assert!(q.execute().is_ok());
     assert!(db.prepare(&plans[0]).is_ok()); // second prepare: a cache hit
-    let mut ts = TimeSeriesRegistry::new(1_000_000);
-    ts.record_latency("all", 1, 500);
-    let done = ts.finish(1_000_000);
-    let mut slo = SloTracker::new(SloConfig::default());
-    for w in &done.windows {
-        slo.observe(w);
-    }
-    catalog.register_sys_table(
-        "sys.slo_windows",
-        slo_windows_table(Arc::new(Mutex::new(slo))),
-    );
 
     let mut s = format!("== sys.* tables after {completed} queries ==\n");
     for name in catalog.sys_table_names() {

@@ -1,6 +1,6 @@
-//! Integration tests for the open-loop traffic driver: determinism,
-//! golden-normalized expositions, zero modeled telemetry overhead, and
-//! chaos scoped to its regime without plan-cache poisoning.
+//! Integration tests for the open-loop traffic driver: determinism, the
+//! report's shape, and chaos scoped to its regime without plan-cache
+//! poisoning.
 
 use std::sync::OnceLock;
 
@@ -27,60 +27,6 @@ fn tiny_run() -> &'static TrafficRun {
     RUN.get_or_init(|| run_traffic(&tiny_cfg()))
 }
 
-/// Replace every number outside string literals with `0`, keeping keys,
-/// label names, and structure. Latencies are virtual-time and therefore
-/// deterministic per host, but float library differences (powf/ln) may
-/// move a log2 bucket by one ulp across platforms — the goldens pin the
-/// exposition *shape*, the determinism test pins the values.
-fn normalize_numbers(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut in_str = false;
-    let mut escaped = false;
-    let mut chars = text.chars().peekable();
-    while let Some(c) = chars.next() {
-        if in_str {
-            out.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-        } else if c == '"' {
-            in_str = true;
-            out.push(c);
-        } else if c.is_ascii_digit() {
-            while let Some(&n) = chars.peek() {
-                if n.is_ascii_digit() || matches!(n, '.' | 'e' | 'E' | '+' | '-') {
-                    chars.next();
-                } else {
-                    break;
-                }
-            }
-            out.push('0');
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-fn check_golden(got: &str, path: &str, name: &str) {
-    let full = format!("{}/tests/golden/{path}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("BUFFERDB_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&full, got).expect("write golden");
-        return;
-    }
-    let want = std::fs::read_to_string(&full)
-        .unwrap_or_else(|e| panic!("missing golden {full}: {e} (set BUFFERDB_UPDATE_GOLDEN=1)"));
-    assert_eq!(
-        got, want,
-        "normalized {name} exposition changed; rerun with BUFFERDB_UPDATE_GOLDEN=1 \
-         and review the diff if the change is intentional"
-    );
-}
-
 #[test]
 fn traffic_run_is_deterministic() {
     let first = tiny_run();
@@ -90,35 +36,7 @@ fn traffic_run_is_deterministic() {
         "modeled instruction stream must be identical for the same seed"
     );
     assert_eq!(first.report.to_json(), second.report.to_json());
-    assert_eq!(first.prometheus, second.prometheus);
-    assert_eq!(first.jsonl, second.jsonl);
     assert_eq!(first.table, second.table);
-}
-
-#[test]
-fn prometheus_exposition_matches_golden() {
-    let run = tiny_run();
-    check_golden(
-        &normalize_numbers(&run.prometheus),
-        "traffic_metrics.prom",
-        "Prometheus",
-    );
-}
-
-#[test]
-fn jsonl_exposition_matches_golden() {
-    let run = tiny_run();
-    check_golden(
-        &normalize_numbers(&run.jsonl),
-        "traffic_windows.jsonl",
-        "JSONL",
-    );
-    // Every line must itself be a valid JSON document of a known kind.
-    for line in run.jsonl.lines() {
-        let doc = Json::parse(line).unwrap_or_else(|e| panic!("bad JSONL line {line:?}: {e}"));
-        let kind = doc.get("kind").and_then(|k| k.as_str()).expect("kind");
-        assert!(kind == "window" || kind == "regime", "unknown kind {kind}");
-    }
 }
 
 #[test]
@@ -153,6 +71,17 @@ fn report_carries_schema_version_and_regime_shape() {
             assert!(classes[0].get(key).is_some(), "missing {key}");
         }
     }
+    // Cancellations and fault trips are disjoint subsets of the errors.
+    for r in &run.report.regimes {
+        assert!(
+            r.cancelled + r.fault_trips <= r.errors,
+            "{}: {} cancelled + {} fault trips > {} errors",
+            r.name,
+            r.cancelled,
+            r.fault_trips,
+            r.errors
+        );
+    }
     // The shift regime re-prepares after the stats-epoch bump: its misses
     // and invalidation sweep must be visible.
     assert!(run.report.regimes[1].cache_misses > 0);
@@ -161,36 +90,6 @@ fn report_carries_schema_version_and_regime_shape() {
         run.report.issued,
         run.report.regimes.iter().map(|r| r.issued).sum::<u64>()
     );
-}
-
-/// Recording telemetry must add zero *modeled* work: the instruction
-/// stream of a query bracketed by time-series writes is bit-identical to
-/// an unobserved run (exact equality, not a tolerance).
-#[test]
-fn telemetry_adds_zero_modeled_instructions() {
-    use bufferdb_bench::experiments::ExperimentCtx;
-    use bufferdb_core::exec::execute_query;
-    use bufferdb_core::obs::TimeSeriesRegistry;
-    use bufferdb_core::session::QueryOpts;
-
-    let ctx = ExperimentCtx::new(0.002, 7);
-    let plan = bufferdb_tpch::queries::paper_query1(&ctx.catalog).expect("q1");
-    let plain = execute_query(&plan, &ctx.catalog, &ctx.machine, &QueryOpts::new());
-    assert!(plain.is_ok(), "{:?}", plain.error());
-
-    let mut ts = TimeSeriesRegistry::new(1_000_000);
-    ts.counter_add("queries_ok", 0, 1);
-    let observed = execute_query(&plan, &ctx.catalog, &ctx.machine, &QueryOpts::new());
-    assert!(observed.is_ok(), "{:?}", observed.error());
-    ts.record_latency("all", 1_500_000, 42);
-    ts.gauge_set("offered_qps", 2_000_000, 1.0);
-    let series = ts.finish(3_000_000);
-    assert_eq!(series.counter_total("queries_ok"), 1);
-
-    let (_, a, _) = plain.into_result().expect("plain");
-    let (_, b, _) = observed.into_result().expect("observed");
-    assert_eq!(a.counters.instructions, b.counters.instructions);
-    assert_eq!(a.counters, b.counters);
 }
 
 /// Chaos is armed for exactly one regime: the steady regime before it and

@@ -52,8 +52,7 @@ pub use fault::{FaultMode, FaultRegistry, Trigger};
 pub use footprint::{FootprintModel, OpKind};
 pub use obs::{
     BufferGauges, ExchangeLane, HistSummary, Histogram, MetricsRegistry, ObsId, OpStats,
-    QueryProfile, QueryProfiler, SloConfig, SloTracker, SloWindow, TimeSeries, TimeSeriesRegistry,
-    TraceEvent, TraceReport, Tracer, WindowSnapshot,
+    QueryProfile, QueryProfiler, TraceEvent, TraceReport, Tracer,
 };
 pub use optimizer::{choose_pipeline_modes, ExecModePolicy};
 pub use parallel::parallelize_plan;

@@ -19,15 +19,9 @@
 //! one (the buffer's "light-weight" claim extends to the instrumentation).
 
 pub mod hist;
-pub mod prom;
-pub mod slo;
-pub mod timeseries;
 pub mod trace;
 
 pub use hist::{HistSummary, Histogram, MetricsRegistry};
-pub use prom::PromText;
-pub use slo::{SloConfig, SloTracker, SloWindow};
-pub use timeseries::{TimeSeries, TimeSeriesRegistry, WindowSnapshot};
 pub use trace::{TimedEvent, TraceEvent, TraceReport, TraceRing, TraceTrack, Tracer};
 
 use crate::arena::TupleSlot;

@@ -32,7 +32,6 @@ pub use reuse::{
 };
 
 use crate::exec::QueryOutcome;
-use crate::obs::prom::PromText;
 use crate::obs::trace::TraceEvent;
 use crate::optimizer::{choose_pipeline_modes, ExecModePolicy};
 use crate::parallel::parallelize_plan;
@@ -288,91 +287,6 @@ impl Database {
                     .collect()
             })),
         );
-    }
-
-    /// Render the plan-cache, reuse-cache, and adaptive-loop counters in
-    /// Prometheus text exposition under `prefix` (e.g.
-    /// `bufferdb_plancache_hits_total`). Shares the [`PromText`] registry
-    /// conventions with the traffic observatory's series dump and
-    /// [`crate::server::virt::VirtualServer::prometheus_text`], so sections
-    /// concatenate into one well-formed scrape body.
-    pub fn prometheus_text(&self, prefix: &str) -> String {
-        let mut p = PromText::new();
-        let cs = self.cache.stats();
-        let c = |n: &str| format!("{prefix}_plancache_{n}");
-        p.counter(&c("hits_total"), "Plan-cache lookup hits.", cs.hits as f64);
-        p.counter(
-            &c("misses_total"),
-            "Plan-cache lookup misses.",
-            cs.misses as f64,
-        );
-        p.counter(
-            &c("evictions_total"),
-            "Plan-cache capacity evictions.",
-            cs.evictions as f64,
-        );
-        p.counter(
-            &c("invalidations_total"),
-            "Plan-cache stale-epoch invalidations.",
-            cs.invalidations as f64,
-        );
-        p.gauge(
-            &c("entries"),
-            "Resident plan-cache entries.",
-            cs.entries as f64,
-        );
-        let ad = self.cache.adapt_stats();
-        let a = |n: &str| format!("{prefix}_adapt_{n}");
-        p.counter(
-            &a("installs_total"),
-            "Adapted plans installed.",
-            ad.installs as f64,
-        );
-        p.counter(
-            &a("validations_total"),
-            "Adapted plans validated.",
-            ad.validations as f64,
-        );
-        p.counter(
-            &a("rollbacks_total"),
-            "Adapted plans rolled back.",
-            ad.rollbacks as f64,
-        );
-        p.counter(
-            &a("freezes_total"),
-            "Plan entries frozen.",
-            ad.freezes as f64,
-        );
-        let rs = self.reuse.stats();
-        let r = |n: &str| format!("{prefix}_reuse_{n}");
-        p.counter(
-            &r("lookups_total"),
-            "Reuse-cache subtree lookups.",
-            rs.lookups as f64,
-        );
-        p.counter(&r("hits_total"), "Reuse-cache splice hits.", rs.hits as f64);
-        p.counter(
-            &r("installs_total"),
-            "Reuse-cache installs.",
-            rs.installs as f64,
-        );
-        p.counter(
-            &r("evictions_total"),
-            "Reuse-cache benefit-ranked evictions.",
-            rs.evictions as f64,
-        );
-        p.gauge(
-            &r("entries"),
-            "Live reuse-cache entries.",
-            rs.entries as f64,
-        );
-        p.gauge(&r("bytes"), "Live reuse-cache bytes.", rs.bytes as f64);
-        p.counter(
-            &r("cycles_saved_total"),
-            "Modeled cycles saved by replaying cached intermediates.",
-            rs.cycles_saved as f64,
-        );
-        p.finish()
     }
 
     /// Set the default worker budget for subsequent prepares/executions.

@@ -54,7 +54,6 @@ use crate::exec::phase::{PhaseOutcome, PhaseState};
 use crate::exec::{run_drive, DriveSpec, QueryOutcome};
 use crate::fault::FaultRegistry;
 use crate::footprint::FootprintModel;
-use crate::obs::prom::PromText;
 use crate::obs::trace::{TraceEvent, TraceReport};
 use crate::obs::QueryProfiler;
 use bufferdb_cachesim::{CodeLayout, HeatSnapshot, Machine, MachineConfig, PerfCounters};
@@ -304,6 +303,23 @@ impl VCore {
             self.log.pop_front();
         }
         self.log.push_back(entry);
+    }
+
+    /// The machines at home: the session core's (absent while granted to a
+    /// drive) followed by every pool core's.
+    fn home_machines(&self) -> impl Iterator<Item = &Machine> {
+        self.core_machine
+            .iter()
+            .chain(self.pool.iter().filter_map(|w| w.machine.as_ref()))
+    }
+
+    /// Every home machine's heat ledger folded into one snapshot.
+    fn heatmap(&self) -> HeatSnapshot {
+        let mut snap = HeatSnapshot::default();
+        for m in self.home_machines() {
+            snap.merge(&m.heat_snapshot());
+        }
+        snap
     }
 }
 
@@ -847,33 +863,15 @@ impl VirtualServer {
     /// turn contributes nothing until it comes home. Empty when
     /// [`VirtualServer::enable_heatmap`] was never called.
     pub fn heatmap(&self) -> HeatSnapshot {
-        let c = lock(&self.core);
-        let mut snap = HeatSnapshot::default();
-        if let Some(m) = c.core_machine.as_ref() {
-            snap.merge(&m.heat_snapshot());
-        }
-        for w in &c.pool {
-            if let Some(m) = w.machine.as_ref() {
-                snap.merge(&m.heat_snapshot());
-            }
-        }
-        snap
+        lock(&self.core).heatmap()
     }
 
     /// Machine-total counters summed over the session core and pool cores —
     /// the conservation denominator the heatmap is checked against.
     pub fn machine_counters(&self) -> PerfCounters {
-        let c = lock(&self.core);
-        let mut total = PerfCounters::default();
-        if let Some(m) = c.core_machine.as_ref() {
-            total = total + m.snapshot();
-        }
-        for w in &c.pool {
-            if let Some(m) = w.machine.as_ref() {
-                total = total + m.snapshot();
-            }
-        }
-        total
+        lock(&self.core)
+            .home_machines()
+            .fold(PerfCounters::default(), |total, m| total + m.snapshot())
     }
 
     /// Switch on the always-on server flight recorder (admission waits,
@@ -1064,17 +1062,9 @@ impl VirtualServer {
         catalog.register_sys_table(
             "sys.cache_segments",
             Arc::new(FnSysTable::new(segments_schema, move || {
-                let c = lock(&core);
-                let mut snap = HeatSnapshot::default();
-                if let Some(m) = c.core_machine.as_ref() {
-                    snap.merge(&m.heat_snapshot());
-                }
-                for w in &c.pool {
-                    if let Some(m) = w.machine.as_ref() {
-                        snap.merge(&m.heat_snapshot());
-                    }
-                }
-                snap.by_segment()
+                lock(&core)
+                    .heatmap()
+                    .by_segment()
                     .into_iter()
                     .map(|(seg, cell)| {
                         Tuple::new(vec![
@@ -1088,88 +1078,6 @@ impl VirtualServer {
                     .collect()
             })),
         );
-    }
-
-    /// Render scheduler and i-cache gauges in Prometheus text exposition
-    /// under `prefix` (e.g. `bufferdb_server_completed_total`). Per-segment
-    /// heat appears as labelled samples when
-    /// [`VirtualServer::enable_heatmap`] is on. Concatenates cleanly with
-    /// [`crate::prepare::Database::prometheus_text`] and the traffic
-    /// observatory's series dump — one builder, one set of conventions.
-    pub fn prometheus_text(&self, prefix: &str) -> String {
-        let mut p = PromText::new();
-        let s = self.stats();
-        let n = |name: &str| format!("{prefix}_server_{name}");
-        p.counter(
-            &n("submitted_total"),
-            "Queries admitted.",
-            s.submitted as f64,
-        );
-        p.counter(
-            &n("completed_total"),
-            "Queries completed.",
-            s.completed as f64,
-        );
-        p.counter(&n("failed_total"), "Queries failed.", s.failed as f64);
-        p.counter(&n("units_total"), "Morsel units executed.", s.units as f64);
-        p.counter(
-            &n("steals_total"),
-            "Cross-worker morsel steals.",
-            s.steals as f64,
-        );
-        let (turns, core_v, waiting, running) = {
-            let c = lock(&self.core);
-            (c.turns, c.core_v, c.sched.waiting.len(), c.running.len())
-        };
-        p.counter(
-            &n("turns_total"),
-            "Session-core quantum turns.",
-            turns as f64,
-        );
-        p.counter(
-            &n("core_vns_total"),
-            "Session-core virtual nanoseconds.",
-            core_v as f64,
-        );
-        p.gauge(
-            &n("waiting"),
-            "Queries queued for admission.",
-            waiting as f64,
-        );
-        p.gauge(&n("running"), "Queries currently resident.", running as f64);
-        let mc = self.machine_counters();
-        p.counter(
-            &n("l1i_misses_total"),
-            "Modeled L1i misses across all cores.",
-            mc.l1i_misses as f64,
-        );
-        p.counter(
-            &n("l1i_cross_misses_total"),
-            "Modeled L1i misses caused by cross-query eviction.",
-            mc.l1i_cross_misses as f64,
-        );
-        let heat = self.heatmap();
-        if !heat.cells.is_empty() {
-            let m = n("segment_misses_total");
-            p.header(
-                &m,
-                "counter",
-                "Modeled L1i misses attributed per code segment.",
-            );
-            let x = n("segment_cross_misses_total");
-            for (seg, cell) in heat.by_segment() {
-                p.labelled(&m, &[("segment", &seg)], cell.misses as f64);
-            }
-            p.header(
-                &x,
-                "counter",
-                "Cross-query L1i misses attributed per code segment.",
-            );
-            for (seg, cell) in heat.by_segment() {
-                p.labelled(&x, &[("segment", &seg)], cell.cross_misses as f64);
-            }
-        }
-        p.finish()
     }
 }
 

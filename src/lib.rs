@@ -51,11 +51,9 @@ pub mod prelude {
     pub use bufferdb_core::expr::Expr;
     pub use bufferdb_core::fault::{FaultMode, FaultRegistry, Trigger};
     pub use bufferdb_core::footprint::{FootprintModel, OpKind};
-    pub use bufferdb_core::obs::slo::slo_windows_table;
     pub use bufferdb_core::obs::{
         BufferGauges, ExchangeLane, HistSummary, Histogram, MetricsRegistry, ObsId, OpStats,
-        PromText, QueryProfile, SloConfig, SloTracker, SloWindow, TimeSeries, TimeSeriesRegistry,
-        TraceEvent, TraceReport, Tracer, WindowSnapshot,
+        QueryProfile, TraceEvent, TraceReport, Tracer,
     };
     pub use bufferdb_core::optimizer::{choose_pipeline_modes, ExecModePolicy};
     pub use bufferdb_core::parallel::parallelize_plan;

@@ -6,7 +6,6 @@
 
 use bufferdb::prelude::*;
 use bufferdb::tpch::{self, queries};
-use std::sync::{Arc, Mutex};
 
 fn catalog() -> Catalog {
     tpch::generate_catalog(0.002, 7)
@@ -181,37 +180,6 @@ fn database_cache_tables_reflect_cache_state() {
     .into_result()
     .unwrap();
     assert_eq!(rows.len() as u64, db.reuse_cache().stats().entries);
-}
-
-#[test]
-fn slo_windows_table_exposes_verdicts() {
-    let catalog = catalog();
-    let mut ts = TimeSeriesRegistry::new(1000);
-    ts.record_latency("all", 10, 50);
-    ts.counter_add("queries_ok", 10, 1);
-    ts.record_latency("all", 1010, 5_000_000_000);
-    ts.counter_add("queries_ok", 1010, 1);
-    let done = ts.finish(2000);
-    let mut slo = SloTracker::new(SloConfig {
-        p95_ns: 100,
-        ..SloConfig::default()
-    });
-    for w in &done.windows {
-        slo.observe(w);
-    }
-    let tracker = Arc::new(Mutex::new(slo));
-    catalog.register_sys_table("sys.slo_windows", slo_windows_table(tracker));
-    let (rows, _, _) = execute_query(
-        &sys_scan("sys.slo_windows"),
-        &catalog,
-        &machine(),
-        &QueryOpts::new(),
-    )
-    .into_result()
-    .unwrap();
-    assert_eq!(rows.len(), 2);
-    assert_eq!(rows[0].get(7), &Datum::Bool(true), "fast window passes");
-    assert_eq!(rows[1].get(7), &Datum::Bool(false), "slow window fails");
 }
 
 // --- observer-effect zero --------------------------------------------------
