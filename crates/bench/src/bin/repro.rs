@@ -1,10 +1,6 @@
-//! `repro` — regenerate any table or figure from the paper.
-//!
-//! ```text
-//! repro [--sf <scale>] [--seed <n>] <experiment>...
-//! experiments: table1 table2 fig4 fig9 fig10 fig11 fig12 fig13
-//!              fig15 fig16 fig17 table3 table4 table5 calibrate ablation all
-//! ```
+//! `repro` — regenerate any table or figure from the paper, and the
+//! committed `BENCH_*.json` reports. `repro --help` prints the experiments
+//! and options (`USAGE` below).
 //!
 //! The paper runs at TPC-H scale factor 0.2 on real hardware; the default
 //! here is 0.02 because every tuple pays for cache simulation. Shapes (who
@@ -36,8 +32,6 @@ experiments:
   ablation  predictor / placement / cache-size / copy-buffer / cross-arch
   blockcmp  buffering vs block-oriented processing (related work)
   misscurve i-cache miss rate vs capacity, interleaved vs batched
-  baseline  write per-query metrics to BENCH_baseline.json
-  scaling   TPC-H at 1/2/4/8 workers, write BENCH_parallel.json
   modes     executor showdown: pull vs buffered pull vs push vs auto at
             1/2/4 workers on the TPC-H mix, write BENCH_modes.json
   prepared  plan-cache hit/miss timing + adaptive refinement,
@@ -62,9 +56,11 @@ experiments:
             write BENCH_server.json
   reuse     subplan reuse-cache sweep: zipfian workload over {1,2,4} client
             streams × {off,tight,default} cache budgets, write BENCH_reuse.json
-  all       everything above (except trace, traffic and server)
+  all       every experiment above except analyze <file.json>, trace,
+            heatmap, systables, traffic, server and reuse
 options:
-  --threads <n>     worker budget for parallel builds (default: all cores)
+  --threads <n>     trace: worker budget of the traced query (default: all
+                    cores)
   --timeout-ms <n>  cancel any single query after <n> ms (exit code 3)
   --qps <f>         traffic: base offered rate in queries per virtual second
                     (default: auto-calibrate to ~70% utilization)
@@ -190,8 +186,6 @@ fn main() {
             "ablation",
             "blockcmp",
             "misscurve",
-            "baseline",
-            "scaling",
             "modes",
             "prepared",
             "analyze",
@@ -237,8 +231,6 @@ fn main() {
             "ablation" => exp::ablation(&ctx),
             "blockcmp" => exp::blockcmp(&ctx),
             "misscurve" => exp::misscurve(&ctx),
-            "baseline" => write_baseline(&ctx, seed, threads),
-            "scaling" => write_scaling(&ctx, seed),
             "modes" => write_modes(&ctx, seed),
             "prepared" => write_prepared(&ctx, seed),
             "analyze" => {
@@ -275,43 +267,6 @@ fn main() {
     }
 }
 
-/// Run the baseline query set and write `BENCH_baseline.json` next to the
-/// current directory (uploaded as a CI artifact).
-fn write_baseline(ctx: &ExperimentCtx, seed: u64, threads: usize) -> String {
-    let report = exp::baseline_metrics(ctx, seed, threads);
-    let path = "BENCH_baseline.json";
-    let json = report.to_json();
-    if let Err(e) = std::fs::write(path, &json) {
-        die(&format!("cannot write {path}: {e}"));
-    }
-    let mut s = format!(
-        "== Baseline metrics ==\nwrote {path} ({} entries)\n",
-        report.entries.len()
-    );
-    for e in &report.entries {
-        s.push_str(&format!(
-            "{:<9} {:<8} | {:>9.3}s | CPI {:>5.2} | L1i misses {:>10}\n",
-            e.query, e.variant, e.modeled_seconds, e.cpi, e.l1i_misses
-        ));
-    }
-    s
-}
-
-/// Run the morsel-parallel scaling sweep and write `BENCH_parallel.json`
-/// (uploaded as a CI artifact).
-fn write_scaling(ctx: &ExperimentCtx, seed: u64) -> String {
-    let report = exp::scaling_metrics(ctx, seed);
-    let path = "BENCH_parallel.json";
-    if let Err(e) = std::fs::write(path, report.to_json()) {
-        die(&format!("cannot write {path}: {e}"));
-    }
-    format!(
-        "{}wrote {path} ({} runs)\n",
-        exp::scaling_table(&report),
-        report.entries.len()
-    )
-}
-
 /// Run the executor-mode showdown and write `BENCH_modes.json` (uploaded
 /// as a CI artifact and drift-gated against the committed copy). Rows are
 /// asserted bit-identical across modes before any physics are reported.
@@ -332,7 +287,7 @@ fn write_modes(ctx: &ExperimentCtx, seed: u64) -> String {
 /// (uploaded as a CI artifact). Runs serial — one worker — so the
 /// committed artifact is host-independent and deterministic for a seed.
 fn write_prepared(ctx: &ExperimentCtx, seed: u64) -> String {
-    let report = exp::prepared_metrics(ctx, seed, 1);
+    let report = exp::prepared_metrics(ctx, seed);
     let path = "BENCH_plancache.json";
     if let Err(e) = std::fs::write(path, report.to_json()) {
         die(&format!("cannot write {path}: {e}"));

@@ -1,9 +1,8 @@
 //! One function per paper artifact (table or figure).
 
 use crate::runner::{
-    comparison_report, reduction, run_plan, run_plan_traced, CacheContentionPoint, MetricsReport,
-    ModesEntry, ModesReport, PlanCacheReport, PreparedQueryMetrics, QueryMetrics, RunResult,
-    ScalingEntry, ScalingReport, WorkerLaneMetrics,
+    comparison_report, reduction, run_plan, CacheContentionPoint, ModesEntry, ModesReport,
+    PlanCacheReport, PreparedQueryMetrics, RunResult,
 };
 use bufferdb_cachesim::MachineConfig;
 use bufferdb_core::exec::execute_query;
@@ -12,7 +11,7 @@ use bufferdb_core::obs::TraceEvent;
 use bufferdb_core::optimizer::ExecModePolicy;
 use bufferdb_core::plan::explain::explain;
 use bufferdb_core::plan::{AggFunc, PlanNode};
-use bufferdb_core::prepare::{prepare_physical_plan, prepare_plan_parts_with_mode, Database};
+use bufferdb_core::prepare::{prepare_plan_parts_with_mode, Database};
 use bufferdb_core::refine::calibrate::calibrate_cardinality_threshold;
 use bufferdb_core::refine::{refine_plan, RefineConfig};
 use bufferdb_core::session::QueryOpts;
@@ -370,43 +369,6 @@ pub fn table5(ctx: &ExperimentCtx) -> String {
     s
 }
 
-/// Per-query modeled metrics for the machine-readable baseline export:
-/// the paper's Query 1 plus the Table 5 TPC-H queries, original vs refined.
-/// The `repro` binary serializes this to `BENCH_baseline.json`.
-pub fn baseline_metrics(ctx: &ExperimentCtx, seed: u64, threads: usize) -> MetricsReport {
-    let plans: Vec<(&str, PlanNode)> = vec![
-        (
-            "paper Q1",
-            queries::paper_query1(&ctx.catalog).expect("paper q1"),
-        ),
-        ("Q1", queries::tpch_q1(&ctx.catalog).expect("q1")),
-        ("Q6", queries::tpch_q6(&ctx.catalog).expect("q6")),
-        ("Q12", queries::tpch_q12(&ctx.catalog).expect("q12")),
-        ("Q14", queries::tpch_q14(&ctx.catalog).expect("q14")),
-    ];
-    let mut report = MetricsReport {
-        scale: ctx.scale,
-        seed,
-        threads: threads.max(1) as u64,
-        entries: Vec::new(),
-    };
-    for (name, plan) in plans {
-        let refined = ctx.buffered(&plan);
-        let o = run_plan_traced("original", &plan, &ctx.catalog, &ctx.machine, threads);
-        let b = run_plan_traced("refined", &refined, &ctx.catalog, &ctx.machine, threads);
-        report
-            .entries
-            .push(QueryMetrics::from_run(name, "original", &plan, &o));
-        report
-            .entries
-            .push(QueryMetrics::from_run(name, "refined", &refined, &b));
-    }
-    report
-}
-
-/// Worker counts swept by the scaling experiment.
-pub const SCALING_WORKERS: [usize; 4] = [1, 2, 4, 8];
-
 /// Modeled wall-clock of a profiled parallel run: every core's cycles are
 /// in the conserved total, but per exchange the worker lanes ran
 /// concurrently — so the modeled wall clock replaces each exchange's
@@ -429,73 +391,6 @@ fn modeled_wall_seconds(
         }
     }
     wall.max(0) as f64 / cfg.clock_hz as f64
-}
-
-/// Morsel-parallel scaling sweep: the Table 5 TPC-H queries executed at
-/// 1/2/4/8 exchange workers (plan prepared by [`prepare_physical_plan`] —
-/// the one parallelize-then-refine path — then run under the profiler).
-/// At 1 worker the prepared plan is the serial plan (no exchange rewrite),
-/// so the speedup baseline is a true serial run. Checks counter
-/// conservation on
-/// every run — the per-worker cache simulation must account for exactly the
-/// work the serial run would have done, just on different cores — and
-/// reports the modeled-machine wall-clock speedup relative to the 1-worker
-/// run plus per-worker L1i lanes. The `repro` binary serializes this to
-/// `BENCH_parallel.json`.
-pub fn scaling_metrics(ctx: &ExperimentCtx, seed: u64) -> ScalingReport {
-    let plans: Vec<(&str, PlanNode)> = vec![
-        ("Q1", queries::tpch_q1(&ctx.catalog).expect("q1")),
-        ("Q6", queries::tpch_q6(&ctx.catalog).expect("q6")),
-        ("Q12", queries::tpch_q12(&ctx.catalog).expect("q12")),
-        ("Q14", queries::tpch_q14(&ctx.catalog).expect("q14")),
-    ];
-    let mut report = ScalingReport {
-        scale: ctx.scale,
-        seed,
-        entries: Vec::new(),
-    };
-    for (name, plan) in plans {
-        let mut base_modeled = None;
-        let mut base_host = None;
-        for workers in SCALING_WORKERS {
-            let par = prepare_physical_plan(&plan, &ctx.catalog, &ctx.refine, workers)
-                .unwrap_or_else(|e| panic!("{name}: prepare: {e}"));
-            let opts = QueryOpts::new().threads(workers).profile(true);
-            let (rows, stats, profile) = execute_query(&par, &ctx.catalog, &ctx.machine, &opts)
-                .into_result()
-                .unwrap_or_else(|e| panic!("{name} at {workers} workers: {e}"));
-            let profile = profile.expect("profiling was requested");
-            assert_eq!(
-                profile.sum_op_counters(),
-                stats.counters,
-                "{name} at {workers} workers: per-worker counters not conserved"
-            );
-            let modeled = modeled_wall_seconds(&stats, &profile, &ctx.machine);
-            let host = stats.wall.as_secs_f64();
-            let mbase = *base_modeled.get_or_insert(modeled);
-            let hbase = *base_host.get_or_insert(host);
-            let lanes: Vec<WorkerLaneMetrics> = profile
-                .ops
-                .iter()
-                .filter_map(|op| op.workers.as_ref())
-                .flatten()
-                .map(WorkerLaneMetrics::from_lane)
-                .collect();
-            report.entries.push(ScalingEntry {
-                query: name.to_string(),
-                workers: workers as u64,
-                rows: rows.len() as u64,
-                modeled_wall_seconds: modeled,
-                speedup: if modeled > 0.0 { mbase / modeled } else { 1.0 },
-                modeled_cpu_seconds: stats.seconds(),
-                host_seconds: host,
-                host_speedup: if host > 0.0 { hbase / host } else { 1.0 },
-                l1i_misses: stats.counters.l1i_misses,
-                lanes,
-            });
-        }
-    }
-    report
 }
 
 /// Resolve a trace-target query name to its plan.
@@ -559,31 +454,6 @@ pub fn trace_query(ctx: &ExperimentCtx, seed: u64, threads: usize, name: &str) -
         .or(last)
         .expect("at least one round executed");
     (trace.perfetto_json(), trace.summary())
-}
-
-/// Plain-text rendering of the scaling sweep (the `repro scaling` report).
-pub fn scaling_table(report: &ScalingReport) -> String {
-    let mut s = String::from(
-        "== Scaling: TPC-H under morsel-driven parallelism ==\n\
-         (wall = modeled machine wall clock: serial cycles + slowest lane per exchange;\n\
-          cpu = conserved modeled cycles over all cores; host = simulation runtime)\n\
-         query | workers | wall (s) | speedup | cpu (s) | host (s) | L1i misses | lanes\n",
-    );
-    for e in &report.entries {
-        let _ = writeln!(
-            s,
-            "{:<5} | {:>7} | {:>8.4} | {:>6.2}x | {:>7.4} | {:>8.4} | {:>10} | {}",
-            e.query,
-            e.workers,
-            e.modeled_wall_seconds,
-            e.speedup,
-            e.modeled_cpu_seconds,
-            e.host_seconds,
-            e.l1i_misses,
-            e.lanes.len(),
-        );
-    }
-    s
 }
 
 /// Worker counts swept by the executor-mode showdown.
@@ -726,14 +596,14 @@ pub fn modes_table(report: &ModesReport) -> String {
 /// the canonical case. There the observed group miss rate exceeds the
 /// threshold, the adaptive loop tightens the effective budget, and
 /// re-refinement splits the group with a buffer the static pass declined.
-pub fn prepared_metrics(ctx: &ExperimentCtx, seed: u64, threads: usize) -> PlanCacheReport {
-    // `Database` owns its catalog; regenerate identically from the seed.
-    let mut db = Database::open(
+pub fn prepared_metrics(ctx: &ExperimentCtx, seed: u64) -> PlanCacheReport {
+    // `Database` owns its catalog; regenerate identically from the seed. It
+    // runs serial (the session default), so the report is host-independent.
+    let db = Database::open(
         bufferdb_tpch::generate_catalog(ctx.scale, seed),
         ctx.machine.clone(),
     )
     .with_refine_config(ctx.refine.clone());
-    db.set_threads(threads);
     let plans: Vec<(&str, PlanNode)> = vec![
         (
             "paperQ1",
@@ -775,7 +645,7 @@ pub fn prepared_metrics(ctx: &ExperimentCtx, seed: u64, threads: usize) -> PlanC
     let mut report = PlanCacheReport {
         scale: ctx.scale,
         seed,
-        threads: threads as u64,
+        threads: 1,
         ..PlanCacheReport::default()
     };
     for (i, (name, plan)) in plans.iter().enumerate() {
@@ -788,7 +658,7 @@ pub fn prepared_metrics(ctx: &ExperimentCtx, seed: u64, threads: usize) -> PlanC
         assert!(s_out.is_ok(), "{name}: static run: {:?}", s_out.error());
         let static_l1i = s_out.stats().counters.l1i_misses;
         // Drive the feedback loop to convergence (bounded by the
-        // generation cap in `AdaptConfig`).
+        // adaptive loop's generation cap).
         let mut generation = q.generation();
         loop {
             let out = q.execute_adaptive();

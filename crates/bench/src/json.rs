@@ -414,7 +414,7 @@ mod tests {
     #[test]
     fn parse_round_trips_the_writer() {
         let doc = Json::Obj(vec![
-            ("schema".into(), Json::str("bufferdb-metrics/v1")),
+            ("schema".into(), Json::str("bufferdb-modes/v1")),
             ("schema_version".into(), Json::U64(SCHEMA_VERSION)),
             ("neg".into(), Json::F64(-2.5)),
             ("flag".into(), Json::Bool(false)),
@@ -428,7 +428,7 @@ mod tests {
         assert_eq!(parsed, doc);
         assert_eq!(
             parsed.get("schema").and_then(Json::as_str),
-            Some("bufferdb-metrics/v1")
+            Some("bufferdb-modes/v1")
         );
         assert_eq!(
             parsed.get("schema_version").and_then(Json::as_u64),

@@ -22,17 +22,15 @@ pub use heatmap_bench::{
 };
 pub use json::Json;
 pub use reuse_bench::{reuse_metrics, reuse_table, ReuseReport, ReuseSweepEntry};
-pub use runner::{run_plan, MetricsReport, QueryMetrics, RunResult};
+pub use runner::{run_plan, RunResult};
 pub use server_bench::{server_metrics, server_table, ServerReport, ServerSweepEntry};
 pub use traffic::{run_traffic, RegimeSpec, TrafficConfig, TrafficRun};
 
 /// Every report this crate writes: `(schema, payload key)`, each taken from
 /// the const its writer serializes through.
-const REPORT_SCHEMAS: [(&str, &str); 8] = [
+const REPORT_SCHEMAS: [(&str, &str); 6] = [
     HeatmapReport::SCHEMA,
-    MetricsReport::SCHEMA,
     runner::ModesReport::SCHEMA,
-    runner::ScalingReport::SCHEMA,
     runner::PlanCacheReport::SCHEMA,
     ReuseReport::SCHEMA,
     ServerReport::SCHEMA,
@@ -109,45 +107,68 @@ pub fn run_copy_buffered_query1(ctx: &experiments::ExperimentCtx) -> (f64, u64) 
 mod tests {
     use super::*;
 
-    /// `repro analyze <file>` must accept every report the repository
-    /// commits — CI runs it on freshly written ones.
-    #[test]
-    fn every_committed_report_validates() {
+    /// The `BENCH_*.json` reports committed at the repository root.
+    fn committed_reports() -> Vec<(String, String)> {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let mut checked = Vec::new();
+        let mut reports = Vec::new();
         for entry in std::fs::read_dir(root).expect("repository root") {
             let path = entry.expect("directory entry").path();
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
             if name.starts_with("BENCH_") && name.ends_with(".json") {
                 let text = std::fs::read_to_string(&path).expect("readable report");
-                if let Err(e) = check_report(&text) {
-                    panic!("{name}: {e}");
-                }
-                checked.push(name.to_string());
+                reports.push((name.to_string(), text));
             }
         }
-        assert!(checked.len() >= 6, "committed reports found: {checked:?}");
+        reports
+    }
+
+    /// `repro analyze <file>` must accept every report the repository
+    /// commits — CI runs it on freshly written ones.
+    #[test]
+    fn every_committed_report_validates() {
+        for (name, text) in committed_reports() {
+            if let Err(e) = check_report(&text) {
+                panic!("{name}: {e}");
+            }
+        }
+    }
+
+    /// Every report this crate writes is committed (a schema without a
+    /// committed `BENCH_*.json` is an ungated report), and every committed
+    /// report is one this crate writes.
+    #[test]
+    fn every_report_schema_is_committed() {
+        use std::collections::BTreeSet;
+        let committed: BTreeSet<String> = committed_reports()
+            .iter()
+            .map(|(name, text)| {
+                let doc = Json::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+                let schema = doc.get("schema").and_then(Json::as_str);
+                schema.unwrap_or_else(|| panic!("{name}: no schema")).into()
+            })
+            .collect();
+        let known: BTreeSet<String> = REPORT_SCHEMAS.iter().map(|(s, _)| s.to_string()).collect();
+        assert_eq!(committed, known);
     }
 
     #[test]
     fn check_report_accepts_a_writer_and_says_what_is_wrong() {
-        let metrics = MetricsReport {
+        let modes = runner::ModesReport {
             scale: 0.001,
             seed: 1,
-            threads: 1,
             entries: Vec::new(),
         };
         assert_eq!(
-            check_report(&metrics.to_json()).as_deref(),
-            Ok("schema bufferdb-metrics/v1, version 2, 0 queries")
+            check_report(&modes.to_json()).as_deref(),
+            Ok("schema bufferdb-modes/v1, version 2, 0 runs")
         );
-        let unknown = metrics
+        let unknown = modes
             .to_json()
-            .replace("bufferdb-metrics/v1", "bufferdb-nope/v1");
+            .replace("bufferdb-modes/v1", "bufferdb-nope/v1");
         assert!(check_report(&unknown)
             .unwrap_err()
             .contains("unknown schema"));
-        let stale = metrics
+        let stale = modes
             .to_json()
             .replace("\"schema_version\": 2", "\"schema_version\": 99");
         assert!(check_report(&stale).unwrap_err().contains("not supported"));

@@ -1,12 +1,11 @@
 //! Shared plan-execution helpers for the experiments, plus the JSON
-//! metrics report the `repro` binary exports for CI artifacts.
+//! reports the `repro` binary writes.
 
 use crate::json::{Json, SCHEMA_VERSION};
 use bufferdb_cachesim::{format_counter_comparison, pct_reduction, MachineConfig};
 use bufferdb_core::exec::{drive_root, execute_query, Operator, QueryOutcome};
 use bufferdb_core::fault::FaultRegistry;
 use bufferdb_core::footprint::FootprintModel;
-use bufferdb_core::obs::{ExchangeLane, HistSummary, TraceReport};
 use bufferdb_core::plan::PlanNode;
 use bufferdb_core::session::QueryOpts;
 use bufferdb_core::stats::ExecStats;
@@ -46,7 +45,7 @@ fn fault_registry() -> Arc<FaultRegistry> {
 /// wiring [`run_plan`] applies, for experiments that drive
 /// `execute_query` themselves.
 pub(crate) fn profiled_exec_options(threads: usize) -> QueryOpts {
-    exec_options(threads, false).profile(true)
+    exec_options(threads).profile(true)
 }
 
 /// See [`report_failure_and_exit`]: the CLI failure contract (exit 3 for a
@@ -56,11 +55,8 @@ pub(crate) fn fail_query(label: &str, stats: &ExecStats, rows: usize, err: DbErr
     report_failure_and_exit(label, stats, rows, err)
 }
 
-fn exec_options(threads: usize, trace: bool) -> QueryOpts {
-    let mut opts = QueryOpts::new()
-        .threads(threads)
-        .trace(trace)
-        .faults(fault_registry());
+fn exec_options(threads: usize) -> QueryOpts {
+    let mut opts = QueryOpts::new().threads(threads).faults(fault_registry());
     if let Some(&ms) = QUERY_TIMEOUT_MS.get() {
         opts = opts.timeout(Duration::from_millis(ms));
     }
@@ -95,8 +91,6 @@ pub struct RunResult {
     pub rows: Vec<Tuple>,
     /// Simulated counters and cost breakdown.
     pub stats: ExecStats,
-    /// Flight-recorder trace, when the run was traced.
-    pub trace: Option<TraceReport>,
 }
 
 impl RunResult {
@@ -111,43 +105,7 @@ impl RunResult {
 /// failure, reports and exits (code 3 for a timeout, 1 otherwise) instead
 /// of panicking.
 pub fn run_plan(label: &str, plan: &PlanNode, catalog: &Catalog, cfg: &MachineConfig) -> RunResult {
-    run_plan_threads(label, plan, catalog, cfg, 1)
-}
-
-/// [`run_plan`] with a worker budget for intra-operator parallelism (the
-/// partitioned hash-join build; exchange fan-out comes from the plan).
-pub fn run_plan_threads(
-    label: &str,
-    plan: &PlanNode,
-    catalog: &Catalog,
-    cfg: &MachineConfig,
-    threads: usize,
-) -> RunResult {
-    run_plan_inner(label, plan, catalog, cfg, threads, false)
-}
-
-/// [`run_plan_threads`] with the flight recorder enabled; the trace rides
-/// on the result for Perfetto export or histogram extraction.
-pub fn run_plan_traced(
-    label: &str,
-    plan: &PlanNode,
-    catalog: &Catalog,
-    cfg: &MachineConfig,
-    threads: usize,
-) -> RunResult {
-    run_plan_inner(label, plan, catalog, cfg, threads, true)
-}
-
-fn run_plan_inner(
-    label: &str,
-    plan: &PlanNode,
-    catalog: &Catalog,
-    cfg: &MachineConfig,
-    threads: usize,
-    trace: bool,
-) -> RunResult {
-    let outcome = execute_query(plan, catalog, cfg, &exec_options(threads, trace));
-    package(label, outcome)
+    package(label, execute_query(plan, catalog, cfg, &exec_options(1)))
 }
 
 /// [`run_plan`] for an operator tree assembled by hand (built against
@@ -159,11 +117,10 @@ pub(crate) fn run_root(
     fm: &FootprintModel,
     cfg: &MachineConfig,
 ) -> RunResult {
-    package(label, drive_root(root, fm, cfg, &exec_options(1, false)))
+    package(label, drive_root(root, fm, cfg, &exec_options(1)))
 }
 
-fn package(label: &str, mut outcome: QueryOutcome) -> RunResult {
-    let trace = outcome.take_trace();
+fn package(label: &str, outcome: QueryOutcome) -> RunResult {
     let (rows, stats, _profile, error) = outcome.into_parts();
     if let Some(err) = error {
         report_failure_and_exit(label, &stats, rows.len(), err);
@@ -172,7 +129,6 @@ fn package(label: &str, mut outcome: QueryOutcome) -> RunResult {
         label: label.to_string(),
         rows,
         stats,
-        trace,
     }
 }
 
@@ -197,306 +153,6 @@ pub fn comparison_report(title: &str, original: &RunResult, buffered: &RunResult
         100.0 * b.improvement_over(o)
     ));
     s
-}
-
-/// One query-variant measurement destined for the JSON report.
-#[derive(Debug, Clone)]
-pub struct QueryMetrics {
-    /// Query name ("Q1", "paper q3 mj", …).
-    pub query: String,
-    /// Plan variant ("original", "refined").
-    pub variant: String,
-    /// Buffer operators in the executed plan.
-    pub buffers: u64,
-    /// Result rows.
-    pub rows: u64,
-    /// Modeled elapsed seconds.
-    pub modeled_seconds: f64,
-    /// Modeled cost per instruction.
-    pub cpi: f64,
-    /// Instructions retired.
-    pub instructions: u64,
-    /// L1 instruction (trace) cache misses.
-    pub l1i_misses: u64,
-    /// L2 misses that paid memory latency.
-    pub l2_misses: u64,
-    /// Branch mispredictions.
-    pub mispredictions: u64,
-    /// ITLB misses.
-    pub itlb_misses: u64,
-    /// Flight-recorder histogram summaries (empty when the run was not
-    /// traced). Additive to the `bufferdb-metrics/v1` schema.
-    pub histograms: Vec<HistogramMetric>,
-}
-
-/// Quantile summary of one flight-recorder histogram, destined for the
-/// JSON metrics report.
-#[derive(Debug, Clone)]
-pub struct HistogramMetric {
-    /// Metric name (e.g. `morsel_service_ns`).
-    pub name: String,
-    /// Recorded samples.
-    pub count: u64,
-    /// Median (log₂-bucket upper bound).
-    pub p50: u64,
-    /// 95th percentile.
-    pub p95: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// Exact maximum.
-    pub max: u64,
-}
-
-impl HistogramMetric {
-    /// Package a named histogram summary for export.
-    pub fn from_summary(name: &str, s: &HistSummary) -> Self {
-        HistogramMetric {
-            name: name.to_string(),
-            count: s.count,
-            p50: s.p50,
-            p95: s.p95,
-            p99: s.p99,
-            max: s.max,
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".into(), Json::str(&self.name)),
-            ("count".into(), Json::U64(self.count)),
-            ("p50".into(), Json::U64(self.p50)),
-            ("p95".into(), Json::U64(self.p95)),
-            ("p99".into(), Json::U64(self.p99)),
-            ("max".into(), Json::U64(self.max)),
-        ])
-    }
-}
-
-impl QueryMetrics {
-    /// Extract the exported metrics from one executed plan.
-    pub fn from_run(query: &str, variant: &str, plan: &PlanNode, run: &RunResult) -> Self {
-        let c = &run.stats.counters;
-        let histograms = run
-            .trace
-            .as_ref()
-            .map(|t| {
-                t.metrics
-                    .summaries()
-                    .iter()
-                    .map(|(name, s)| HistogramMetric::from_summary(name, s))
-                    .collect()
-            })
-            .unwrap_or_default();
-        QueryMetrics {
-            query: query.to_string(),
-            variant: variant.to_string(),
-            buffers: plan.buffer_count() as u64,
-            rows: run.stats.rows,
-            modeled_seconds: run.stats.seconds(),
-            cpi: run.stats.cpi(),
-            instructions: c.instructions,
-            l1i_misses: c.l1i_misses,
-            l2_misses: c.l2_misses_uncovered(),
-            mispredictions: c.mispredictions,
-            itlb_misses: c.itlb_misses,
-            histograms,
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("query".into(), Json::str(&self.query)),
-            ("variant".into(), Json::str(&self.variant)),
-            ("buffers".into(), Json::U64(self.buffers)),
-            ("rows".into(), Json::U64(self.rows)),
-            ("modeled_seconds".into(), Json::F64(self.modeled_seconds)),
-            ("cpi".into(), Json::F64(self.cpi)),
-            ("instructions".into(), Json::U64(self.instructions)),
-            ("l1i_misses".into(), Json::U64(self.l1i_misses)),
-            ("l2_misses".into(), Json::U64(self.l2_misses)),
-            ("mispredictions".into(), Json::U64(self.mispredictions)),
-            ("itlb_misses".into(), Json::U64(self.itlb_misses)),
-            (
-                "histograms".into(),
-                Json::Arr(self.histograms.iter().map(|h| h.to_json()).collect()),
-            ),
-        ])
-    }
-}
-
-/// The machine-readable counterpart of the plain-text experiment reports.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsReport {
-    /// TPC-H scale factor the catalog was generated at.
-    pub scale: f64,
-    /// Generator seed.
-    pub seed: u64,
-    /// Worker-thread budget the queries ran with.
-    pub threads: u64,
-    /// One entry per (query, variant) execution.
-    pub entries: Vec<QueryMetrics>,
-}
-
-impl MetricsReport {
-    /// The report's `schema` string and the top-level array its payload
-    /// lives under.
-    pub const SCHEMA: (&'static str, &'static str) = ("bufferdb-metrics/v1", "queries");
-
-    /// Render the report as a pretty-printed JSON document.
-    pub fn to_json(&self) -> String {
-        Json::Obj(vec![
-            ("schema".into(), Json::str(Self::SCHEMA.0)),
-            ("schema_version".into(), Json::U64(SCHEMA_VERSION)),
-            ("scale_factor".into(), Json::F64(self.scale)),
-            ("seed".into(), Json::U64(self.seed)),
-            ("threads".into(), Json::U64(self.threads)),
-            (
-                Self::SCHEMA.1.into(),
-                Json::Arr(self.entries.iter().map(|e| e.to_json()).collect()),
-            ),
-        ])
-        .pretty()
-    }
-}
-
-/// Per-worker measurements for one exchange, destined for the scaling
-/// report (mirrors [`ExchangeLane`] with the derived miss rate).
-#[derive(Debug, Clone)]
-pub struct WorkerLaneMetrics {
-    /// Worker index within the exchange's pool.
-    pub worker: u64,
-    /// Morsels this worker claimed.
-    pub morsels: u64,
-    /// Rows this worker produced.
-    pub rows: u64,
-    /// Instructions retired on the worker's simulated core.
-    pub instructions: u64,
-    /// L1i misses on the worker's simulated core.
-    pub l1i_misses: u64,
-    /// L1i miss rate (misses / accesses) on the worker's core.
-    pub l1i_miss_rate: f64,
-}
-
-impl WorkerLaneMetrics {
-    /// Derive the exported lane metrics from a profiler exchange lane.
-    pub fn from_lane(lane: &ExchangeLane) -> Self {
-        let rate = if lane.counters.l1i_accesses == 0 {
-            0.0
-        } else {
-            lane.counters.l1i_misses as f64 / lane.counters.l1i_accesses as f64
-        };
-        WorkerLaneMetrics {
-            worker: lane.worker,
-            morsels: lane.morsels,
-            rows: lane.rows,
-            instructions: lane.counters.instructions,
-            l1i_misses: lane.counters.l1i_misses,
-            l1i_miss_rate: rate,
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("worker".into(), Json::U64(self.worker)),
-            ("morsels".into(), Json::U64(self.morsels)),
-            ("rows".into(), Json::U64(self.rows)),
-            ("instructions".into(), Json::U64(self.instructions)),
-            ("l1i_misses".into(), Json::U64(self.l1i_misses)),
-            ("l1i_miss_rate".into(), Json::F64(self.l1i_miss_rate)),
-        ])
-    }
-}
-
-/// One (query, worker-count) point on the scaling curve.
-///
-/// Two elapsed-time views are reported. `modeled_wall_seconds` is the
-/// simulated machine's wall clock: per-exchange, the workers run
-/// concurrently on their own cores, so the parallel phase costs the *slowest
-/// lane* rather than the sum — this is the scaling curve of the modeled
-/// hardware and is host-independent. `host_seconds` is the real wall clock
-/// of the simulation itself; it only scales when the host has idle cores.
-#[derive(Debug, Clone)]
-pub struct ScalingEntry {
-    /// Query name.
-    pub query: String,
-    /// Exchange worker count for this run.
-    pub workers: u64,
-    /// Result rows.
-    pub rows: u64,
-    /// Modeled wall-clock seconds: serial cycles plus each exchange's
-    /// critical path (its slowest worker lane).
-    pub modeled_wall_seconds: f64,
-    /// Wall-clock speedup relative to the 1-worker run of the same query
-    /// (on the modeled machine's clock).
-    pub speedup: f64,
-    /// Modeled CPU seconds summed over every core (the conserved total).
-    pub modeled_cpu_seconds: f64,
-    /// Host wall-clock seconds of the simulation run (sanity only).
-    pub host_seconds: f64,
-    /// Host wall-clock speedup relative to the 1-worker run.
-    pub host_speedup: f64,
-    /// Aggregate L1i misses across all cores (conserved).
-    pub l1i_misses: u64,
-    /// Per-worker lanes from every exchange in the plan.
-    pub lanes: Vec<WorkerLaneMetrics>,
-}
-
-impl ScalingEntry {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("query".into(), Json::str(&self.query)),
-            ("workers".into(), Json::U64(self.workers)),
-            ("rows".into(), Json::U64(self.rows)),
-            (
-                "modeled_wall_seconds".into(),
-                Json::F64(self.modeled_wall_seconds),
-            ),
-            ("speedup".into(), Json::F64(self.speedup)),
-            (
-                "modeled_cpu_seconds".into(),
-                Json::F64(self.modeled_cpu_seconds),
-            ),
-            ("host_seconds".into(), Json::F64(self.host_seconds)),
-            ("host_speedup".into(), Json::F64(self.host_speedup)),
-            ("l1i_misses".into(), Json::U64(self.l1i_misses)),
-            (
-                "worker_lanes".into(),
-                Json::Arr(self.lanes.iter().map(|l| l.to_json()).collect()),
-            ),
-        ])
-    }
-}
-
-/// The machine-readable scaling report (`BENCH_parallel.json`).
-#[derive(Debug, Clone, Default)]
-pub struct ScalingReport {
-    /// TPC-H scale factor.
-    pub scale: f64,
-    /// Generator seed.
-    pub seed: u64,
-    /// One entry per (query, worker-count) execution.
-    pub entries: Vec<ScalingEntry>,
-}
-
-impl ScalingReport {
-    /// The report's `schema` string and the top-level array its payload
-    /// lives under.
-    pub const SCHEMA: (&'static str, &'static str) = ("bufferdb-parallel/v1", "runs");
-
-    /// Render the report as a pretty-printed JSON document.
-    pub fn to_json(&self) -> String {
-        Json::Obj(vec![
-            ("schema".into(), Json::str(Self::SCHEMA.0)),
-            ("schema_version".into(), Json::U64(SCHEMA_VERSION)),
-            ("scale_factor".into(), Json::F64(self.scale)),
-            ("seed".into(), Json::U64(self.seed)),
-            (
-                Self::SCHEMA.1.into(),
-                Json::Arr(self.entries.iter().map(|e| e.to_json()).collect()),
-            ),
-        ])
-        .pretty()
-    }
 }
 
 /// One cell of the executor-mode showdown: a query executed under one
@@ -730,48 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_report_renders_json() {
-        let report = MetricsReport {
-            scale: 0.02,
-            seed: 42,
-            threads: 4,
-            entries: vec![QueryMetrics {
-                query: "Q1".into(),
-                variant: "original".into(),
-                buffers: 0,
-                rows: 4,
-                modeled_seconds: 1.25,
-                cpi: 1.9,
-                instructions: 1000,
-                l1i_misses: 10,
-                l2_misses: 5,
-                mispredictions: 3,
-                itlb_misses: 1,
-                histograms: vec![HistogramMetric {
-                    name: "morsel_service_ns".into(),
-                    count: 8,
-                    p50: 1024,
-                    p95: 4096,
-                    p99: 4096,
-                    max: 3999,
-                }],
-            }],
-        };
-        let text = report.to_json();
-        assert!(
-            text.contains("\"schema\": \"bufferdb-metrics/v1\""),
-            "{text}"
-        );
-        assert!(text.contains("\"query\": \"Q1\""), "{text}");
-        assert!(text.contains("\"threads\": 4"), "{text}");
-        assert!(text.contains("\"instructions\": 1000"), "{text}");
-        assert!(text.contains("\"modeled_seconds\": 1.25"), "{text}");
-        assert!(text.contains("\"histograms\""), "{text}");
-        assert!(text.contains("\"name\": \"morsel_service_ns\""), "{text}");
-        assert!(text.contains("\"p95\": 4096"), "{text}");
-    }
-
-    #[test]
     fn plancache_report_renders_json() {
         let report = PlanCacheReport {
             scale: 0.02,
@@ -808,41 +422,5 @@ mod tests {
         assert!(text.contains("\"adapted_l1i_misses\": 700"), "{text}");
         assert!(text.contains("\"shards\": 8"), "{text}");
         assert!(text.contains("\"ns_per_lookup\": 55.25"), "{text}");
-    }
-
-    #[test]
-    fn scaling_report_renders_json() {
-        let report = ScalingReport {
-            scale: 0.01,
-            seed: 42,
-            entries: vec![ScalingEntry {
-                query: "Q6".into(),
-                workers: 4,
-                rows: 1,
-                modeled_wall_seconds: 0.5,
-                speedup: 3.2,
-                modeled_cpu_seconds: 1.1,
-                host_seconds: 0.2,
-                host_speedup: 1.0,
-                l1i_misses: 77,
-                lanes: vec![WorkerLaneMetrics {
-                    worker: 0,
-                    morsels: 3,
-                    rows: 100,
-                    instructions: 5000,
-                    l1i_misses: 20,
-                    l1i_miss_rate: 0.01,
-                }],
-            }],
-        };
-        let text = report.to_json();
-        assert!(
-            text.contains("\"schema\": \"bufferdb-parallel/v1\""),
-            "{text}"
-        );
-        assert!(text.contains("\"workers\": 4"), "{text}");
-        assert!(text.contains("\"speedup\": 3.2"), "{text}");
-        assert!(text.contains("\"worker_lanes\""), "{text}");
-        assert!(text.contains("\"morsels\": 3"), "{text}");
     }
 }

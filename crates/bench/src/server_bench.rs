@@ -29,7 +29,7 @@ use crate::json::{Json, SCHEMA_VERSION};
 use bufferdb_cachesim::MachineConfig;
 use bufferdb_core::parallel::parallelize_plan;
 use bufferdb_core::plan::PlanNode;
-use bufferdb_core::prepare::{adapt_plan, AdaptConfig, AdaptState};
+use bufferdb_core::prepare::{adapt_plan, AdaptState};
 use bufferdb_core::refine::{refine_plan, RefineConfig};
 use bufferdb_core::server::virt::VirtualServer;
 use bufferdb_core::server::{ServerConfig, SubmitSpec};
@@ -215,7 +215,6 @@ fn run_cell(
     streams: usize,
     policy: Policy,
 ) -> ServerSweepEntry {
-    let adapt_cfg = AdaptConfig::default();
     let pool = stream_plans(catalog);
     let n_plans = pool.len();
     let mut plans: Vec<PlanState> = pool
@@ -297,7 +296,6 @@ fn run_cell(
                     profile,
                     catalog,
                     refine_cfg,
-                    &adapt_cfg,
                     &mut st.adapt,
                 );
                 if let Some(plan) = decision.new_plan {

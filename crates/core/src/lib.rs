@@ -51,16 +51,16 @@ pub use expr::Expr;
 pub use fault::{FaultMode, FaultRegistry, Trigger};
 pub use footprint::{FootprintModel, OpKind};
 pub use obs::{
-    BufferGauges, ExchangeLane, HistSummary, Histogram, MetricsRegistry, ObsId, OpStats,
-    QueryProfile, QueryProfiler, TraceEvent, TraceReport, Tracer,
+    BufferGauges, ExchangeLane, Histogram, MetricsRegistry, ObsId, OpStats, QueryProfile,
+    QueryProfiler, TraceEvent, TraceReport, Tracer,
 };
 pub use optimizer::{choose_pipeline_modes, ExecModePolicy};
 pub use parallel::parallelize_plan;
 pub use plan::analyze::explain_analyze;
 pub use plan::{AggFunc, AggSpec, IndexMode, PlanNode};
 pub use prepare::{
-    prepare_physical_plan, AdaptConfig, AdaptStats, CacheStats, Database, PlanCache,
-    PlanFingerprint, PreparedQuery, ReuseCache, ReuseStats,
+    prepare_physical_plan, AdaptStats, CacheStats, Database, PlanCache, PlanFingerprint,
+    PreparedQuery, ReuseCache, ReuseStats,
 };
 pub use refine::{refine_plan, refine_plan_observed, ObservedCards, RefineConfig};
 pub use server::virt::{CompletedQuery, VirtualServer};

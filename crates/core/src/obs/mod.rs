@@ -21,7 +21,7 @@
 pub mod hist;
 pub mod trace;
 
-pub use hist::{HistSummary, Histogram, MetricsRegistry};
+pub use hist::{Histogram, MetricsRegistry};
 pub use trace::{TimedEvent, TraceEvent, TraceReport, TraceRing, TraceTrack, Tracer};
 
 use crate::arena::TupleSlot;

@@ -26,8 +26,8 @@
 //!
 //! Every installed adaptation is **validated by its next profiled
 //! execution**: the pass remembers the replaced plan and its observed L1i
-//! misses, and if the new plan regresses past [`AdaptConfig::regret_factor`]
-//! it is rolled back and the entry frozen — observation can propose, but a
+//! misses, and if the new plan regresses past `REGRET_FACTOR` (1.5×) it is
+//! rolled back and the entry frozen — observation can propose, but a
 //! worse measurement vetoes. (The two rules above can genuinely conflict:
 //! dropping an underfed buffer merges groups, and if the merged group then
 //! thrashes, the cardinality gate would keep re-refinement from ever
@@ -44,46 +44,28 @@ use crate::plan::PlanNode;
 use crate::refine::{refine_plan_observed, ObservedCards, RefineConfig};
 use bufferdb_storage::Catalog;
 
-/// Tuning knobs for the adaptive loop.
-#[derive(Debug, Clone)]
-pub struct AdaptConfig {
-    /// Observed L1i miss rate (misses / accesses over one execution group)
-    /// above which the group is considered thrashing.
-    pub miss_rate_threshold: f64,
-    /// Minimum L1i accesses a group must have executed before its miss rate
-    /// is trusted (cold-start misses dominate tiny groups).
-    pub min_group_accesses: u64,
-    /// Multiplier applied to the effective refinement capacity when a group
-    /// thrashes (`0 < decay < 1`).
-    pub capacity_decay: f64,
-    /// Floor for the decayed capacity: below this, splitting groups further
-    /// cannot help and adaptation stops tightening.
-    pub min_l1i_capacity: usize,
-    /// Maximum number of plan replacements per cache entry; bounds how long
-    /// the loop may chase noise.
-    pub max_generations: u64,
-    /// An installed adaptation whose next profiled execution shows more
-    /// than `regret_factor ×` the L1i misses of the plan it replaced is
-    /// rolled back (and the entry frozen against further adaptation).
-    pub regret_factor: f64,
-    /// Absolute miss floor below which the regret check never fires —
-    /// tiny queries are all cold-start noise.
-    pub min_regret_misses: u64,
-}
-
-impl Default for AdaptConfig {
-    fn default() -> Self {
-        AdaptConfig {
-            miss_rate_threshold: 0.003,
-            min_group_accesses: 10_000,
-            capacity_decay: 0.75,
-            min_l1i_capacity: 4 * 1024,
-            max_generations: 4,
-            regret_factor: 1.5,
-            min_regret_misses: 1_000,
-        }
-    }
-}
+/// Observed L1i miss rate (misses / accesses over one execution group)
+/// above which the group is considered thrashing.
+const MISS_RATE_THRESHOLD: f64 = 0.003;
+/// Minimum L1i accesses a group must have executed before its miss rate is
+/// trusted (cold-start misses dominate tiny groups).
+const MIN_GROUP_ACCESSES: u64 = 10_000;
+/// Multiplier applied to the effective refinement capacity when a group
+/// thrashes (`0 < decay < 1`).
+const CAPACITY_DECAY: f64 = 0.75;
+/// Floor for the decayed capacity: below this, splitting groups further
+/// cannot help and adaptation stops tightening.
+const MIN_L1I_CAPACITY: usize = 4 * 1024;
+/// Maximum number of plan replacements per cache entry; bounds how long the
+/// loop may chase noise.
+const MAX_GENERATIONS: u64 = 4;
+/// An installed adaptation whose next profiled execution shows more than
+/// `REGRET_FACTOR ×` the L1i misses of the plan it replaced is rolled back
+/// (and the entry frozen against further adaptation).
+const REGRET_FACTOR: f64 = 1.5;
+/// Absolute miss floor below which the regret check never fires — tiny
+/// queries are all cold-start noise.
+const MIN_REGRET_MISSES: u64 = 1_000;
 
 /// The measurement an installed adaptation must beat: the plan it replaced
 /// and that plan's observed L1i misses.
@@ -278,7 +260,6 @@ pub fn adapt_plan(
     profile: &QueryProfile,
     catalog: &Catalog,
     refine_cfg: &RefineConfig,
-    adapt_cfg: &AdaptConfig,
     state: &mut AdaptState,
 ) -> AdaptDecision {
     let mut effective = state
@@ -300,7 +281,7 @@ pub fn adapt_plan(
         }
         let rate = obs.miss_rate();
         worst = worst.max(rate);
-        if obs.accesses >= adapt_cfg.min_group_accesses && rate > adapt_cfg.miss_rate_threshold {
+        if obs.accesses >= MIN_GROUP_ACCESSES && rate > MISS_RATE_THRESHOLD {
             thrashing += 1;
         }
     }
@@ -325,8 +306,8 @@ pub fn adapt_plan(
     // rolls it back and freezes the entry — checked *before* the generation
     // cap, so a bad final-generation install can still be undone.
     if let Some(pending) = state.pending_validation.take() {
-        if total_misses > adapt_cfg.min_regret_misses
-            && total_misses as f64 > pending.prior_l1i_misses as f64 * adapt_cfg.regret_factor
+        if total_misses > MIN_REGRET_MISSES
+            && total_misses as f64 > pending.prior_l1i_misses as f64 * REGRET_FACTOR
         {
             state.frozen = true;
             state.generation += 1;
@@ -341,17 +322,16 @@ pub fn adapt_plan(
         }
     }
 
-    if state.generation >= adapt_cfg.max_generations {
+    if state.generation >= MAX_GENERATIONS {
         return done(effective);
     }
 
-    let can_tighten = thrashing > 0 && effective > adapt_cfg.min_l1i_capacity;
+    let can_tighten = thrashing > 0 && effective > MIN_L1I_CAPACITY;
     if !can_tighten && underfed == 0 {
         return done(effective);
     }
     if can_tighten {
-        effective = ((effective as f64 * adapt_cfg.capacity_decay) as usize)
-            .max(adapt_cfg.min_l1i_capacity);
+        effective = ((effective as f64 * CAPACITY_DECAY) as usize).max(MIN_L1I_CAPACITY);
     }
 
     // Re-refine the base plan against the observed world: decayed capacity
@@ -488,7 +468,6 @@ mod tests {
     fn regressed_adaptation_rolls_back_and_freezes() {
         let c = catalog();
         let cfg = RefineConfig::default();
-        let adapt_cfg = AdaptConfig::default();
         let executed = scan();
         let prior = buffer(scan());
         let mut state = AdaptState {
@@ -502,9 +481,7 @@ mod tests {
         // The installed plan's first measurement is 100× worse than what it
         // replaced: the pass must hand back the prior plan and freeze.
         let profile = profile_with_misses(1, 100_000, 1_000_000);
-        let d = adapt_plan(
-            &executed, &executed, &profile, &c, &cfg, &adapt_cfg, &mut state,
-        );
+        let d = adapt_plan(&executed, &executed, &profile, &c, &cfg, &mut state);
         assert_eq!(d.new_plan, Some(prior));
         assert!(d.rolled_back);
         assert!(state.frozen);
@@ -512,9 +489,7 @@ mod tests {
 
         // Frozen: even a blatantly thrashing measurement changes nothing.
         let thrash = profile_with_misses(1, 500_000, 1_000_000);
-        let d = adapt_plan(
-            &executed, &executed, &thrash, &c, &cfg, &adapt_cfg, &mut state,
-        );
+        let d = adapt_plan(&executed, &executed, &thrash, &c, &cfg, &mut state);
         assert_eq!(d.new_plan, None);
         assert_eq!(state.generation, 2);
     }
@@ -523,7 +498,6 @@ mod tests {
     fn validated_adaptation_is_kept() {
         let c = catalog();
         let cfg = RefineConfig::default();
-        let adapt_cfg = AdaptConfig::default();
         let executed = scan();
         let mut state = AdaptState {
             generation: 1,
@@ -536,9 +510,7 @@ mod tests {
         // Better than the replaced plan: validation passes, no rollback,
         // and the one-shot pending slot is consumed.
         let profile = profile_with_misses(1, 2_000, 1_000_000);
-        let d = adapt_plan(
-            &executed, &executed, &profile, &c, &cfg, &adapt_cfg, &mut state,
-        );
+        let d = adapt_plan(&executed, &executed, &profile, &c, &cfg, &mut state);
         assert_eq!(d.new_plan, None);
         assert!(!d.rolled_back);
         assert!(!state.frozen);

@@ -19,7 +19,7 @@ pub mod fingerprint;
 pub mod plancache;
 pub mod reuse;
 
-pub use adapt::{adapt_plan, AdaptConfig, AdaptDecision, AdaptState, PendingValidation};
+pub use adapt::{adapt_plan, AdaptDecision, AdaptState, PendingValidation};
 pub use fingerprint::{
     fingerprint_plan, fingerprint_plan_with_mode, subtree_hash, PlanFingerprint,
 };
@@ -114,7 +114,7 @@ pub fn prepare_physical_plan(
 }
 
 /// The top-level facade: a [`Session`] plus a shared [`PlanCache`] and the
-/// adaptive-refinement configuration.
+/// refinement configuration.
 ///
 /// `Database` wraps rather than replaces `Session`: cancellation, fault
 /// injection, and default thread/timeout settings all live on the session
@@ -124,21 +124,18 @@ pub struct Database {
     cache: Arc<PlanCache>,
     reuse: Arc<ReuseCache>,
     refine_cfg: RefineConfig,
-    adapt_cfg: AdaptConfig,
     mode: ExecModePolicy,
 }
 
 impl Database {
     /// Open a database over `catalog` simulating `cfg`, with a
-    /// default-capacity plan cache and default refinement/adaptation
-    /// configuration.
+    /// default-capacity plan cache and default refinement configuration.
     pub fn open(catalog: Catalog, cfg: MachineConfig) -> Self {
         Database {
             session: Session::new(catalog, cfg),
             cache: Arc::new(PlanCache::default()),
             reuse: Arc::new(ReuseCache::default()),
             refine_cfg: RefineConfig::default(),
-            adapt_cfg: AdaptConfig::default(),
             mode: ExecModePolicy::default(),
         }
     }
@@ -179,12 +176,6 @@ impl Database {
     /// Replace the refinement configuration used by [`Database::prepare`].
     pub fn with_refine_config(mut self, cfg: RefineConfig) -> Self {
         self.refine_cfg = cfg;
-        self
-    }
-
-    /// Replace the adaptive-refinement configuration.
-    pub fn with_adapt_config(mut self, cfg: AdaptConfig) -> Self {
-        self.adapt_cfg = cfg;
         self
     }
 
@@ -332,7 +323,6 @@ impl Database {
                 profile,
                 self.catalog(),
                 &self.refine_cfg,
-                &self.adapt_cfg,
                 &mut state,
             );
             if had_pending {

@@ -52,8 +52,8 @@ pub mod prelude {
     pub use bufferdb_core::fault::{FaultMode, FaultRegistry, Trigger};
     pub use bufferdb_core::footprint::{FootprintModel, OpKind};
     pub use bufferdb_core::obs::{
-        BufferGauges, ExchangeLane, HistSummary, Histogram, MetricsRegistry, ObsId, OpStats,
-        QueryProfile, TraceEvent, TraceReport, Tracer,
+        BufferGauges, ExchangeLane, Histogram, MetricsRegistry, ObsId, OpStats, QueryProfile,
+        TraceEvent, TraceReport, Tracer,
     };
     pub use bufferdb_core::optimizer::{choose_pipeline_modes, ExecModePolicy};
     pub use bufferdb_core::parallel::parallelize_plan;
@@ -62,8 +62,8 @@ pub mod prelude {
     pub use bufferdb_core::plan::{AggFunc, AggSpec, IndexMode, PlanNode};
     pub use bufferdb_core::prepare::{
         fingerprint_plan, fingerprint_plan_with_mode, prepare_physical_plan,
-        prepare_plan_parts_with_mode, AdaptConfig, AdaptStats, CacheEntry, CacheStats, Database,
-        PlanCache, PlanFingerprint, PreparedQuery, ReuseCache, ReuseStats,
+        prepare_plan_parts_with_mode, AdaptStats, CacheEntry, CacheStats, Database, PlanCache,
+        PlanFingerprint, PreparedQuery, ReuseCache, ReuseStats,
     };
     pub use bufferdb_core::refine::{
         refine_plan, refine_plan_observed, ObservedCards, RefineConfig,
