@@ -34,11 +34,14 @@ experiments:
   misscurve i-cache miss rate vs capacity, interleaved vs batched
   modes     executor showdown: pull vs buffered pull vs push vs auto at
             1/2/4 workers on the TPC-H mix, write BENCH_modes.json
-  prepared  plan-cache hit/miss timing + adaptive refinement,
+  prepared  plan-cache hits/misses + adaptive refinement,
             write BENCH_plancache.json
   analyze   EXPLAIN ANALYZE of Query 1, unbuffered vs buffered
   analyze <file.json>  validate a bench report's schema/schema_version and
             summarize it (rejects unknown versions, exit code 2)
+  analyze <new.json> <committed.json>  gate a fresh BENCH_modes.json against
+            the committed one: one-worker cells exact, the rest within 2% of
+            L1i misses, push beats pull at one worker (exit code 1)
   trace <query>  flight-recorder trace of one query (Q1 Q6 Q12 Q14
             paperQ1 paperQ2), write Perfetto JSON to TRACE_<query>.json
   trace --server  whole-server flight recorder: admission waits, query
@@ -234,15 +237,20 @@ fn main() {
             "modes" => write_modes(&ctx, seed),
             "prepared" => write_prepared(&ctx, seed),
             "analyze" => {
-                // `analyze <file.json>` validates a report; bare `analyze`
-                // keeps the EXPLAIN ANALYZE behavior.
-                match experiments.get(i).filter(|a| a.ends_with(".json")) {
-                    Some(path) => {
-                        let path = path.clone();
+                // `analyze <file.json>` validates a report, `analyze
+                // <new.json> <committed.json>` gates a modes report; bare
+                // `analyze` keeps the EXPLAIN ANALYZE behavior.
+                let json = |at: usize| experiments.get(at).filter(|a| a.ends_with(".json"));
+                match (json(i).cloned(), json(i + 1).cloned()) {
+                    (Some(new), Some(committed)) => {
+                        i += 2;
+                        compare_modes(&new, &committed)
+                    }
+                    (Some(path), None) => {
                         i += 1;
                         analyze_report(&path)
                     }
-                    None => analyze_query1(&ctx),
+                    _ => analyze_query1(&ctx),
                 }
             }
             "traffic" => write_traffic(scale, seed, regimes, qps, duration_ms),
@@ -422,11 +430,22 @@ fn write_server_trace(scale: f64, seed: u64) -> String {
 /// short summary. Unknown schemas or versions are a hard error (exit 2)
 /// rather than a misparse.
 fn analyze_report(path: &str) -> String {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-    match bufferdb_bench::check_report(&text) {
+    match bufferdb_bench::check_report(&read(path)) {
         Ok(summary) => format!("== Report check ==\n{path}: {summary}\n"),
         Err(e) => die(&format!("{path}: {e}")),
+    }
+}
+
+/// Gate a fresh `BENCH_modes.json` against the committed one
+/// ([`bufferdb_bench::compare_modes`]); any violated rule exits 1 with
+/// every violation listed.
+fn compare_modes(new: &str, committed: &str) -> String {
+    match bufferdb_bench::compare_modes(&read(new), &read(committed)) {
+        Ok(summary) => format!("== Modes gate ==\n{new} vs {committed}: {summary}\n"),
+        Err(e) => {
+            eprintln!("error: {new} vs {committed}:\n{e}");
+            std::process::exit(1)
+        }
     }
 }
 
@@ -440,6 +459,10 @@ fn analyze_query1(ctx: &ExperimentCtx) -> String {
     let orig = explain_analyze(&plan, &ctx.catalog, &ctx.machine).expect("analyze original");
     let buf = explain_analyze(&refined, &ctx.catalog, &ctx.machine).expect("analyze refined");
     format!("== EXPLAIN ANALYZE: Query 1 original ==\n{orig}\n== EXPLAIN ANALYZE: Query 1 refined ==\n{buf}")
+}
+
+fn read(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")))
 }
 
 fn die(msg: &str) -> ! {

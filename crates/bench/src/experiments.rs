@@ -1,8 +1,8 @@
 //! One function per paper artifact (table or figure).
 
 use crate::runner::{
-    comparison_report, reduction, run_plan, CacheContentionPoint, ModesEntry, ModesReport,
-    PlanCacheReport, PreparedQueryMetrics, RunResult,
+    comparison_report, reduction, run_plan, ModesEntry, ModesReport, PlanCacheReport,
+    PreparedQueryMetrics, RunResult,
 };
 use bufferdb_cachesim::MachineConfig;
 use bufferdb_core::exec::execute_query;
@@ -584,11 +584,12 @@ pub fn modes_table(report: &ModesReport) -> String {
 }
 
 /// Prepared-query study for the plan cache and the adaptive refinement
-/// loop: for each query, time the cold (miss) and warm (hit) prepare
-/// paths, then execute adaptively until the feedback loop converges and
-/// compare the static plan's simulated L1i misses against the adapted
-/// plan's. The `repro` binary serializes this to `BENCH_plancache.json`;
-/// CI asserts `cache_hits > 0` on it.
+/// loop: each query is prepared through a cleared cache (misses) and a warm
+/// one (hits), then executed adaptively until the feedback loop converges,
+/// and the static plan's simulated L1i misses are compared against the
+/// adapted plan's. Every value is a pure function of (scale, seed): the
+/// `repro` binary serializes this to `BENCH_plancache.json`, which CI
+/// regenerates and `cmp`s against the committed copy.
 ///
 /// The interesting rows are queries whose execution groups *statically* fit
 /// the 16 KB L1i budget but thrash at runtime (the footprint model excludes
@@ -619,36 +620,25 @@ pub fn prepared_metrics(ctx: &ExperimentCtx, seed: u64) -> PlanCacheReport {
         ("Q14", queries::tpch_q14(db.catalog()).expect("q14")),
     ];
 
-    // Cold path: clear the cache each round so every prepare re-optimizes.
-    const TIMING_ROUNDS: usize = 5;
-    let mut miss_us = vec![0.0_f64; plans.len()];
-    let mut hit_us = vec![0.0_f64; plans.len()];
-    for _ in 0..TIMING_ROUNDS {
-        db.plan_cache().clear();
-        for (i, (name, plan)) in plans.iter().enumerate() {
-            let t = std::time::Instant::now();
-            db.prepare(plan)
-                .unwrap_or_else(|e| panic!("{name}: prepare: {e}"));
-            miss_us[i] += t.elapsed().as_secs_f64() * 1e6;
+    // Five cold rounds (the cache is cleared first, so every prepare
+    // misses), then five warm ones (every prepare hits).
+    const ROUNDS: usize = 5;
+    for round in 0..2 * ROUNDS {
+        if round < ROUNDS {
+            db.plan_cache().clear();
         }
-    }
-    // Warm path: every plan is now resident; prepares are pure lookups.
-    for _ in 0..TIMING_ROUNDS {
-        for (i, (name, plan)) in plans.iter().enumerate() {
-            let t = std::time::Instant::now();
+        for (name, plan) in &plans {
             db.prepare(plan)
                 .unwrap_or_else(|e| panic!("{name}: prepare: {e}"));
-            hit_us[i] += t.elapsed().as_secs_f64() * 1e6;
         }
     }
 
     let mut report = PlanCacheReport {
         scale: ctx.scale,
         seed,
-        threads: 1,
         ..PlanCacheReport::default()
     };
-    for (i, (name, plan)) in plans.iter().enumerate() {
+    for (name, plan) in &plans {
         let q = db
             .prepare(plan)
             .unwrap_or_else(|e| panic!("{name}: prepare: {e}"));
@@ -673,8 +663,6 @@ pub fn prepared_metrics(ctx: &ExperimentCtx, seed: u64) -> PlanCacheReport {
         assert!(a_out.is_ok(), "{name}: adapted run: {:?}", a_out.error());
         report.queries.push(PreparedQueryMetrics {
             query: name.to_string(),
-            miss_prepare_micros: miss_us[i] / TIMING_ROUNDS as f64,
-            hit_prepare_micros: hit_us[i] / TIMING_ROUNDS as f64,
             rows: a_out.rows().len() as u64,
             static_buffers: static_plan.buffer_count() as u64,
             adapted_buffers: adapted_plan.buffer_count() as u64,
@@ -687,95 +675,20 @@ pub fn prepared_metrics(ctx: &ExperimentCtx, seed: u64) -> PlanCacheReport {
     report.hits = cache.hits;
     report.misses = cache.misses;
     report.entries = cache.entries as u64;
-    report.contention = cache_contention();
     report
-}
-
-/// Hit-path latency under concurrent load, single-shard vs sharded.
-///
-/// Models a 256-session server: 256 distinct prepared-statement
-/// fingerprints resident at once, with every available core hammering
-/// lookups across that working set (each OS thread walks its own stride
-/// through the 256 logical sessions' fingerprints). A single-shard cache
-/// serializes every lookup on one mutex; the sharded cache splits the
-/// population across independently locked shards, so the same offered load
-/// contends only within a shard.
-fn cache_contention() -> Vec<CacheContentionPoint> {
-    use bufferdb_core::prepare::{fingerprint_plan, PlanCache};
-    const POPULATION: usize = 256;
-    const LOOKUPS_PER_THREAD: usize = 100_000;
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(2, 8);
-    let machine = MachineConfig::pentium4_like();
-    let refine = RefineConfig::default();
-    let plans: Vec<PlanNode> = (0..POPULATION)
-        .map(|i| PlanNode::SeqScan {
-            table: format!("session{i}"),
-            predicate: None,
-            projection: None,
-        })
-        .collect();
-    let fps: Vec<_> = plans
-        .iter()
-        .map(|p| fingerprint_plan(p, &machine, 1, 0, &refine))
-        .collect();
-    let mut out = Vec::new();
-    for shards in [1usize, bufferdb_core::prepare::DEFAULT_CACHE_SHARDS] {
-        // Capacity 2× the population so per-shard LRU never evicts the
-        // working set even under a skewed fingerprint distribution: every
-        // timed lookup is a hit.
-        let cache = PlanCache::sharded(POPULATION * 2, shards);
-        for (plan, fp) in plans.iter().zip(&fps) {
-            cache.insert(*fp, 0, plan.clone(), plan.clone());
-        }
-        let total = (threads * LOOKUPS_PER_THREAD) as u64;
-        let start = std::time::Instant::now();
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let cache = &cache;
-                let fps = &fps;
-                s.spawn(move || {
-                    let mut hits = 0_u64;
-                    // Coprime stride per thread: all threads sweep the whole
-                    // population in different orders, colliding on shards
-                    // the way independent sessions would.
-                    let stride = 2 * t + 1;
-                    let mut at = t;
-                    for _ in 0..LOOKUPS_PER_THREAD {
-                        at = (at + stride) % POPULATION;
-                        if cache.lookup(fps[at]).is_some() {
-                            hits += 1;
-                        }
-                    }
-                    std::hint::black_box(hits);
-                });
-            }
-        });
-        out.push(CacheContentionPoint {
-            shards: shards as u64,
-            threads: threads as u64,
-            lookups: total,
-            ns_per_lookup: start.elapsed().as_nanos() as f64 / total as f64,
-        });
-    }
-    out
 }
 
 /// Plain-text rendering of the prepared-query study (`repro prepared`).
 pub fn prepared_table(report: &PlanCacheReport) -> String {
     let mut s = String::from(
         "== Prepared queries: plan cache + adaptive refinement ==\n\
-         query   | prepare miss | prepare hit | buffers     | gens | L1i misses static -> adapted\n",
+         query   | buffers     | gens | L1i misses static -> adapted\n",
     );
     for q in &report.queries {
         let _ = writeln!(
             s,
-            "{:<7} | {:>9.1} us | {:>8.1} us | {:>2} -> {:>2}    | {:>4} | {:>10} -> {:>10}  ({:+.1}%)",
+            "{:<7} | {:>2} -> {:>2}    | {:>4} | {:>10} -> {:>10}  ({:+.1}%)",
             q.query,
-            q.miss_prepare_micros,
-            q.hit_prepare_micros,
             q.static_buffers,
             q.adapted_buffers,
             q.generations,
@@ -789,17 +702,6 @@ pub fn prepared_table(report: &PlanCacheReport) -> String {
         "cache: {} hits, {} misses, {} resident",
         report.hits, report.misses, report.entries
     );
-    for c in &report.contention {
-        let _ = writeln!(
-            s,
-            "hit path @ {} threads, {} shard{}: {:>7.1} ns/lookup ({} lookups)",
-            c.threads,
-            c.shards,
-            if c.shards == 1 { "" } else { "s" },
-            c.ns_per_lookup,
-            c.lookups
-        );
-    }
     s
 }
 

@@ -15,25 +15,19 @@
 //! covering the whole run.
 
 use crate::json::{Json, SCHEMA_VERSION};
+use crate::server_bench::{closed_loop, stream_plans, WORKERS};
 use bufferdb_cachesim::MachineConfig;
-use bufferdb_core::parallel::parallelize_plan;
 use bufferdb_core::plan::PlanNode;
 use bufferdb_core::refine::{refine_plan, RefineConfig};
 use bufferdb_core::server::virt::VirtualServer;
-use bufferdb_core::server::{ServerConfig, SubmitSpec};
+use bufferdb_core::server::ServerConfig;
+use bufferdb_core::session::QueryOpts;
 use bufferdb_storage::Catalog;
-use bufferdb_tpch::queries::{self, JoinMethod};
 use std::fmt::Write as _;
-
-/// Pool workers for the observatory runs (matches `repro server`).
-const WORKERS: usize = 10;
 
 /// Concurrent closed-loop streams. High enough that quantum time-sharing
 /// (the cross-eviction channel) is exercised on every turn.
 const STREAMS: usize = 4;
-
-/// Exchange lanes per plan.
-const LANES: usize = 2;
 
 /// Total queries per run (divisible by [`STREAMS`]).
 const TOTAL_JOBS: usize = 16;
@@ -165,53 +159,25 @@ impl HeatmapReport {
     }
 }
 
-/// The workload mix (same 8 plans as `repro server`), refined so buffer
-/// operators appear as their own heat segments.
-fn workload(catalog: &Catalog, refine_cfg: &RefineConfig) -> Vec<PlanNode> {
-    [
-        queries::paper_query1(catalog).expect("paper q1"),
-        queries::paper_query3(catalog, JoinMethod::HashJoin).expect("paper q3 hj"),
-        queries::paper_query3(catalog, JoinMethod::MergeJoin).expect("paper q3 mj"),
-        queries::tpch_q12(catalog).expect("q12"),
-        queries::tpch_q6(catalog).expect("q6"),
-        queries::tpch_q14(catalog).expect("q14"),
-        queries::paper_query2(catalog).expect("paper q2"),
-        queries::tpch_q1(catalog).expect("q1"),
-    ]
-    .iter()
-    .map(|p| {
-        let base = parallelize_plan(p, catalog, LANES).expect("parallelize");
-        refine_plan(&base, catalog, refine_cfg)
-    })
-    .collect()
-}
-
-/// Drive the closed-loop job list to completion on `vs`.
-fn drive(vs: &mut VirtualServer, plans: &[PlanNode], catalog: &Catalog) -> (u64, u64) {
-    let mut job_of: Vec<usize> = Vec::new();
-    for job in 0..STREAMS.min(TOTAL_JOBS) {
-        vs.submit(SubmitSpec::new(&plans[job % plans.len()], catalog))
-            .expect("submit round 0");
-        job_of.push(job);
-    }
-    let (mut completed, mut failed) = (0u64, 0u64);
-    loop {
-        let done = vs.drain();
-        if done.is_empty() {
-            break;
-        }
-        for c in done {
-            completed += 1;
-            failed += u64::from(!c.outcome.is_ok());
-            let next = job_of[c.id as usize] + STREAMS;
-            if next < TOTAL_JOBS {
-                vs.submit(SubmitSpec::new(&plans[next % plans.len()], catalog).at(c.done_ns))
-                    .expect("submit next round");
-                job_of.push(next);
-            }
-        }
-    }
-    (completed, failed)
+/// Drive the `repro server` mix, statically refined so buffer operators
+/// appear as their own heat segments, through the closed-loop job list on
+/// `vs`. Returns the plans.
+fn drive(vs: &mut VirtualServer, catalog: &Catalog) -> Vec<PlanNode> {
+    let refine_cfg = RefineConfig::default();
+    let mut plans: Vec<PlanNode> = (stream_plans(catalog).iter())
+        .map(|base| refine_plan(base, catalog, &refine_cfg))
+        .collect();
+    let opts = QueryOpts::new();
+    closed_loop(
+        vs,
+        catalog,
+        STREAMS,
+        TOTAL_JOBS,
+        &opts,
+        &mut plans,
+        |_, _, _, _| {},
+    );
+    plans
 }
 
 /// Run the observatory workload with the heat ledger on and report
@@ -219,12 +185,9 @@ fn drive(vs: &mut VirtualServer, plans: &[PlanNode], catalog: &Catalog) -> (u64,
 pub fn heatmap_metrics(scale: f64, seed: u64) -> HeatmapReport {
     let catalog = bufferdb_tpch::generate_catalog(scale, seed);
     let machine = MachineConfig::pentium4_like();
-    let refine_cfg = RefineConfig::default();
-    let plans = workload(&catalog, &refine_cfg);
     let mut vs = VirtualServer::new(ServerConfig::new(WORKERS, STREAMS, machine));
     vs.enable_heatmap();
-    let (completed, failed) = drive(&mut vs, &plans, &catalog);
-    assert_eq!(failed, 0, "observatory workload must run clean");
+    drive(&mut vs, &catalog);
     let totals = vs.machine_counters();
     let snap = vs.heatmap();
     let mut segments: Vec<SegmentEntry> = snap
@@ -258,7 +221,7 @@ pub fn heatmap_metrics(scale: f64, seed: u64) -> HeatmapReport {
         seed,
         workers: WORKERS as u64,
         streams: STREAMS as u64,
-        jobs: completed,
+        jobs: TOTAL_JOBS as u64,
         machine_l1i_misses: totals.l1i_misses,
         machine_l1i_cross_misses: totals.l1i_cross_misses,
         segments,
@@ -309,11 +272,9 @@ pub fn heatmap_table(report: &HeatmapReport) -> String {
 pub fn server_trace(scale: f64, seed: u64) -> (String, String) {
     let catalog = bufferdb_tpch::generate_catalog(scale, seed);
     let machine = MachineConfig::pentium4_like();
-    let plans = workload(&catalog, &RefineConfig::default());
     let mut vs = VirtualServer::new(ServerConfig::new(WORKERS, STREAMS, machine));
     vs.enable_flight_recorder();
-    let (_, failed) = drive(&mut vs, &plans, &catalog);
-    assert_eq!(failed, 0, "observatory workload must run clean");
+    drive(&mut vs, &catalog);
     let report = vs.finish_recorder().expect("recorder was enabled");
     (report.perfetto_json(), report.summary())
 }
@@ -326,7 +287,6 @@ pub fn sys_tables_demo(scale: f64, seed: u64) -> String {
     use bufferdb_cachesim::PerfCounters;
     use bufferdb_core::exec::execute_query;
     use bufferdb_core::prepare::Database;
-    use bufferdb_core::session::QueryOpts;
 
     let machine = MachineConfig::pentium4_like();
     let db = Database::open(
@@ -339,16 +299,14 @@ pub fn sys_tables_demo(scale: f64, seed: u64) -> String {
     let mut vs = VirtualServer::new(ServerConfig::new(WORKERS, STREAMS, machine.clone()));
     vs.enable_heatmap();
     vs.install_sys_tables(catalog);
-    let plans = workload(catalog, &RefineConfig::default());
-    let (completed, failed) = drive(&mut vs, &plans, catalog);
-    assert_eq!(failed, 0, "observatory workload must run clean");
+    let plans = drive(&mut vs, catalog);
 
     // Populate the database-side tables with real state.
     let q = db.prepare(&plans[0]).expect("prepare");
     assert!(q.execute().is_ok());
     assert!(db.prepare(&plans[0]).is_ok()); // second prepare: a cache hit
 
-    let mut s = format!("== sys.* tables after {completed} queries ==\n");
+    let mut s = format!("== sys.* tables after {TOTAL_JOBS} queries ==\n");
     for name in catalog.sys_table_names() {
         let plan = PlanNode::SysScan {
             table: name.clone(),

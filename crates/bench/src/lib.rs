@@ -26,6 +26,8 @@ pub use runner::{run_plan, RunResult};
 pub use server_bench::{server_metrics, server_table, ServerReport, ServerSweepEntry};
 pub use traffic::{run_traffic, RegimeSpec, TrafficConfig, TrafficRun};
 
+use std::collections::BTreeMap;
+
 /// Every report this crate writes: `(schema, payload key)`, each taken from
 /// the const its writer serializes through.
 const REPORT_SCHEMAS: [(&str, &str); 6] = [
@@ -63,6 +65,131 @@ pub fn check_report(text: &str) -> Result<String, String> {
         "schema {schema}, version {version}, {} {payload_key}",
         payload.len()
     ))
+}
+
+/// Gate a freshly written `BENCH_modes.json` against the committed one
+/// (`repro analyze <new> <committed>`). Every other report regenerates byte
+/// for byte and is gated with `cmp`; cells with more than one worker depend
+/// on the morsel claim order, so this report needs rules:
+///
+/// - both documents pass [`check_report`] and carry the same schema;
+/// - the cell set, keyed on (query, mode, workers), is unchanged;
+/// - every cell's `rows` is unchanged;
+/// - one-worker cells are deterministic: every field is unchanged (not
+///   only instructions and L1i misses: `modeled_wall_seconds` also carries
+///   the L1d, branch and ITLB cycles a slip in a tuple slot's width would
+///   move);
+/// - other cells keep `l1i_misses` within 2 % + 100 of the committed value
+///   (fifteen regenerations moved them by at most 0.82 %; EXPERIMENTS.md
+///   "Multi-worker cells");
+/// - the headline: at one worker, push beats pull on every query.
+///
+/// Returns a one-line summary, or every violated rule, one per line, each
+/// naming the cell and both values.
+pub fn compare_modes(new: &str, committed: &str) -> Result<String, String> {
+    check_report(new).map_err(|e| format!("new report: {e}"))?;
+    check_report(committed).map_err(|e| format!("committed report: {e}"))?;
+    let (new, old) = (Json::parse(new)?, Json::parse(committed)?);
+    let (schema, payload) = runner::ModesReport::SCHEMA;
+    if [&new, &old].map(|d| d.get("schema").and_then(Json::as_str)) != [Some(schema); 2] {
+        return Err(format!("both reports must be {schema} reports"));
+    }
+    let (old_cells, new_cells) = (modes_cells(&old, payload)?, modes_cells(&new, payload)?);
+    let show = |v: Option<&Json>| v.map_or("missing".into(), |v| v.pretty().trim_end().to_string());
+    let label = |(query, mode, workers): &CellKey| format!("{query} {mode} @{workers}w");
+    let mut broken = Vec::new();
+    for (key, base) in &old_cells {
+        let cell = label(key);
+        let Some(cur) = new_cells.get(key) else {
+            broken.push(format!("{cell}: missing from the new report"));
+            continue;
+        };
+        let mut fields = vec!["rows"];
+        if key.2 == 1 {
+            fields = field_names(base);
+            fields.extend(
+                field_names(cur)
+                    .into_iter()
+                    .filter(|f| base.get(f).is_none()),
+            );
+        }
+        for f in fields {
+            if base.get(f) != cur.get(f) {
+                broken.push(format!(
+                    "{cell}: {f} {} -> {}",
+                    show(base.get(f)),
+                    show(cur.get(f))
+                ));
+            }
+        }
+        if key.2 > 1 {
+            let (b, c) = (base.get("l1i_misses"), cur.get("l1i_misses"));
+            let within = match (b.and_then(Json::as_f64), c.and_then(Json::as_f64)) {
+                (Some(b), Some(c)) => 0.98 * b - 100.0 <= c && c <= 1.02 * b + 100.0,
+                _ => false,
+            };
+            if !within {
+                broken.push(format!(
+                    "{cell}: l1i_misses {} -> {} (more than 2 % + 100 apart)",
+                    show(b),
+                    show(c)
+                ));
+            }
+        }
+    }
+    for key in new_cells.keys().filter(|k| !old_cells.contains_key(*k)) {
+        broken.push(format!("{}: not in the committed report", label(key)));
+    }
+    for (key, cur) in new_cells.iter().filter(|(k, _)| k.1 == "push" && k.2 == 1) {
+        let speedup = cur.get("speedup_vs_pull");
+        if !speedup.and_then(Json::as_f64).is_some_and(|x| x > 1.0) {
+            let base = old_cells.get(key).and_then(|b| b.get("speedup_vs_pull"));
+            broken.push(format!(
+                "{}: speedup_vs_pull {} -> {}: push does not beat pull",
+                label(key),
+                show(base),
+                show(speedup)
+            ));
+        }
+    }
+    if broken.is_empty() {
+        Ok(format!(
+            "{} cells: one-worker cells exact, the rest within 2 % + 100 L1i misses; push \
+             beats pull at one worker on every query",
+            new_cells.len()
+        ))
+    } else {
+        Err(broken.join("\n"))
+    }
+}
+
+/// A `BENCH_modes.json` cell's key: (query, mode, workers).
+type CellKey = (String, String, u64);
+
+fn modes_cells<'a>(doc: &'a Json, payload: &str) -> Result<BTreeMap<CellKey, &'a Json>, String> {
+    let mut cells = BTreeMap::new();
+    for cell in doc.get(payload).and_then(Json::as_arr).unwrap_or_default() {
+        let text = |k| cell.get(k).and_then(Json::as_str).map(str::to_string);
+        let key = (
+            text("query"),
+            text("mode"),
+            cell.get("workers").and_then(Json::as_u64),
+        );
+        let (Some(query), Some(mode), Some(workers)) = key else {
+            return Err(format!("a cell lacks its query, mode or workers: {cell}"));
+        };
+        if cells.insert((query, mode, workers), cell).is_some() {
+            return Err(format!("a cell appears twice: {cell}"));
+        }
+    }
+    Ok(cells)
+}
+
+fn field_names(obj: &Json) -> Vec<&str> {
+    match obj {
+        Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        _ => Vec::new(),
+    }
 }
 
 /// Execute Query 1 with the ablation-only **copying** buffer (§5 argues the
@@ -149,6 +276,68 @@ mod tests {
             .collect();
         let known: BTreeSet<String> = REPORT_SCHEMAS.iter().map(|(s, _)| s.to_string()).collect();
         assert_eq!(committed, known);
+    }
+
+    /// Break one cell at a time: each rule fails, naming the cell and both
+    /// values.
+    #[test]
+    fn modes_gate_names_the_cell_and_both_values() {
+        use runner::{ModesEntry, ModesReport};
+        let cell = |mode: &str, workers: u64, speedup_vs_pull: f64| ModesEntry {
+            query: "Q6".into(),
+            mode: mode.into(),
+            workers,
+            rows: 1,
+            speedup_vs_pull,
+            instructions: 9_000,
+            l1i_misses: 100_000,
+            ..ModesEntry::default()
+        };
+        let committed = ModesReport {
+            entries: vec![
+                cell("pull", 1, 1.0),
+                cell("push", 1, 1.5),
+                cell("pull", 2, 1.0),
+                cell("push", 2, 1.5),
+            ],
+            ..ModesReport::default()
+        };
+        type Edit = dyn Fn(&mut ModesReport);
+        let gate = |edit: &Edit| {
+            let mut new = committed.clone();
+            edit(&mut new);
+            compare_modes(&new.to_json(), &committed.to_json())
+        };
+        assert!(gate(&|_| {}).is_ok());
+        // A multi-worker cell may wobble within the band.
+        assert!(gate(&|r| r.entries[2].l1i_misses = 101_500).is_ok());
+        let broken: [(&Edit, &str); 5] = [
+            (
+                &|r| r.entries[1].instructions = 9_001,
+                "Q6 push @1w: instructions 9000 -> 9001",
+            ),
+            (
+                &|r| r.entries[3].l1i_misses = 103_000,
+                "Q6 push @2w: l1i_misses 100000 -> 103000",
+            ),
+            (&|r| r.entries[2].rows = 2, "Q6 pull @2w: rows 1 -> 2"),
+            (
+                &|r| drop(r.entries.remove(3)),
+                "Q6 push @2w: missing from the new report",
+            ),
+            (
+                &|r| r.entries[1].speedup_vs_pull = 0.9,
+                "Q6 push @1w: speedup_vs_pull 1.5 -> 0.9: push",
+            ),
+        ];
+        for (edit, want) in broken {
+            let err = gate(edit).expect_err(want);
+            assert!(err.contains(want), "{err:?} lacks {want:?}");
+        }
+        let stale = committed
+            .to_json()
+            .replace("bufferdb-modes/v1", "bufferdb-nope/v1");
+        assert!(compare_modes(&committed.to_json(), &stale).is_err());
     }
 
     #[test]

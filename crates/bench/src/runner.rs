@@ -157,7 +157,7 @@ pub fn comparison_report(title: &str, original: &RunResult, buffered: &RunResult
 
 /// One cell of the executor-mode showdown: a query executed under one
 /// mode policy at one worker count.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ModesEntry {
     /// Query name.
     pub query: String,
@@ -241,16 +241,11 @@ impl ModesReport {
     }
 }
 
-/// One prepared query's cache-path timings and adaptation outcome.
+/// One prepared query's adaptation outcome.
 #[derive(Debug, Clone)]
 pub struct PreparedQueryMetrics {
     /// Query name.
     pub query: String,
-    /// Average cold-path prepare time (fingerprint + parallelize + refine +
-    /// insert), microseconds.
-    pub miss_prepare_micros: f64,
-    /// Average warm-path prepare time (fingerprint + lookup), microseconds.
-    pub hit_prepare_micros: f64,
     /// Result rows.
     pub rows: u64,
     /// Buffer operators in the statically refined plan.
@@ -266,22 +261,9 @@ pub struct PreparedQueryMetrics {
 }
 
 impl PreparedQueryMetrics {
-    /// Whether adaptation replaced the static plan.
-    pub fn adapted(&self) -> bool {
-        self.generations > 0
-    }
-
     fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("query".into(), Json::str(&self.query)),
-            (
-                "miss_prepare_micros".into(),
-                Json::F64(self.miss_prepare_micros),
-            ),
-            (
-                "hit_prepare_micros".into(),
-                Json::F64(self.hit_prepare_micros),
-            ),
             ("rows".into(), Json::U64(self.rows)),
             ("static_buffers".into(), Json::U64(self.static_buffers)),
             ("adapted_buffers".into(), Json::U64(self.adapted_buffers)),
@@ -298,32 +280,6 @@ impl PreparedQueryMetrics {
     }
 }
 
-/// One cell of the plan-cache hit-path contention microbench: `threads`
-/// host threads hammering lookups over a fixed fingerprint population on a
-/// cache with `shards` shards.
-#[derive(Debug, Clone)]
-pub struct CacheContentionPoint {
-    /// Shard count of the measured cache.
-    pub shards: u64,
-    /// Concurrent lookup threads.
-    pub threads: u64,
-    /// Total lookups timed across all threads.
-    pub lookups: u64,
-    /// Mean wall-clock per lookup (host nanoseconds).
-    pub ns_per_lookup: f64,
-}
-
-impl CacheContentionPoint {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("shards".into(), Json::U64(self.shards)),
-            ("threads".into(), Json::U64(self.threads)),
-            ("lookups".into(), Json::U64(self.lookups)),
-            ("ns_per_lookup".into(), Json::F64(self.ns_per_lookup)),
-        ])
-    }
-}
-
 /// The machine-readable prepared-query report (`BENCH_plancache.json`).
 #[derive(Debug, Clone, Default)]
 pub struct PlanCacheReport {
@@ -331,8 +287,6 @@ pub struct PlanCacheReport {
     pub scale: f64,
     /// Generator seed.
     pub seed: u64,
-    /// Worker budget the prepared plans were built/run with.
-    pub threads: u64,
     /// Plan-cache hits over the whole experiment.
     pub hits: u64,
     /// Plan-cache misses over the whole experiment.
@@ -341,14 +295,12 @@ pub struct PlanCacheReport {
     pub entries: u64,
     /// One entry per prepared query.
     pub queries: Vec<PreparedQueryMetrics>,
-    /// Hit-path latency under concurrent load, single-shard vs sharded.
-    pub contention: Vec<CacheContentionPoint>,
 }
 
 impl PlanCacheReport {
     /// The report's `schema` string and the top-level array its payload
     /// lives under.
-    pub const SCHEMA: (&'static str, &'static str) = ("bufferdb-plancache/v1", "queries");
+    pub const SCHEMA: (&'static str, &'static str) = ("bufferdb-plancache/v2", "queries");
 
     /// Render the report as a pretty-printed JSON document.
     pub fn to_json(&self) -> String {
@@ -357,17 +309,12 @@ impl PlanCacheReport {
             ("schema_version".into(), Json::U64(SCHEMA_VERSION)),
             ("scale_factor".into(), Json::F64(self.scale)),
             ("seed".into(), Json::U64(self.seed)),
-            ("threads".into(), Json::U64(self.threads)),
             ("cache_hits".into(), Json::U64(self.hits)),
             ("cache_misses".into(), Json::U64(self.misses)),
             ("cache_entries".into(), Json::U64(self.entries)),
             (
                 Self::SCHEMA.1.into(),
                 Json::Arr(self.queries.iter().map(|q| q.to_json()).collect()),
-            ),
-            (
-                "contention".into(),
-                Json::Arr(self.contention.iter().map(|c| c.to_json()).collect()),
             ),
         ])
         .pretty()
@@ -390,14 +337,11 @@ mod tests {
         let report = PlanCacheReport {
             scale: 0.02,
             seed: 42,
-            threads: 1,
             hits: 12,
             misses: 6,
             entries: 6,
             queries: vec![PreparedQueryMetrics {
                 query: "Q2".into(),
-                miss_prepare_micros: 80.5,
-                hit_prepare_micros: 2.5,
                 rows: 1,
                 static_buffers: 0,
                 adapted_buffers: 1,
@@ -405,22 +349,14 @@ mod tests {
                 static_l1i_misses: 5000,
                 adapted_l1i_misses: 700,
             }],
-            contention: vec![CacheContentionPoint {
-                shards: 8,
-                threads: 4,
-                lookups: 400000,
-                ns_per_lookup: 55.25,
-            }],
         };
         let text = report.to_json();
         assert!(
-            text.contains("\"schema\": \"bufferdb-plancache/v1\""),
+            text.contains("\"schema\": \"bufferdb-plancache/v2\""),
             "{text}"
         );
         assert!(text.contains("\"cache_hits\": 12"), "{text}");
         assert!(text.contains("\"generations\": 1"), "{text}");
         assert!(text.contains("\"adapted_l1i_misses\": 700"), "{text}");
-        assert!(text.contains("\"shards\": 8"), "{text}");
-        assert!(text.contains("\"ns_per_lookup\": 55.25"), "{text}");
     }
 }

@@ -31,7 +31,7 @@ use bufferdb_core::parallel::parallelize_plan;
 use bufferdb_core::plan::PlanNode;
 use bufferdb_core::prepare::{adapt_plan, AdaptState};
 use bufferdb_core::refine::{refine_plan, RefineConfig};
-use bufferdb_core::server::virt::VirtualServer;
+use bufferdb_core::server::virt::{CompletedQuery, VirtualServer};
 use bufferdb_core::server::{ServerConfig, SubmitSpec};
 use bufferdb_core::session::QueryOpts;
 use bufferdb_storage::Catalog;
@@ -43,7 +43,7 @@ pub const STREAM_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Pool workers. Wider than the largest stream count so admitted queries
 /// always share free workers (that sharing is the interference channel).
-const WORKERS: usize = 10;
+pub(crate) const WORKERS: usize = 10;
 
 /// Exchange lanes per query plan.
 const LANES: usize = 2;
@@ -78,7 +78,7 @@ impl Policy {
 }
 
 /// One (stream count × policy) cell of the sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServerSweepEntry {
     /// Concurrent closed-loop streams (= admission slots).
     pub streams: u64,
@@ -176,27 +176,17 @@ impl ServerReport {
     }
 }
 
-/// Shared per-plan state within one sweep cell: the sweep models a plan
-/// cache, so all clients running the same query share one physical plan
-/// and one adaptive-feedback state.
-struct PlanState {
-    /// Parallelized, pre-refinement plan adaptation re-refines from.
-    base: PlanNode,
-    /// The plan the next submission of this query will run.
-    physical: PlanNode,
-    adapt: AdaptState,
-}
-
-/// The 8 distinct workload queries, cycled round-robin through the shared
-/// job list; every added client stream picks up a *different* code
-/// footprint mix.
-fn stream_plans(catalog: &Catalog) -> Vec<PlanNode> {
+/// The 8 distinct workload queries, parallelized to [`LANES`] exchange
+/// lanes and cycled round-robin through a job list; every added client
+/// stream picks up a *different* code footprint mix. `repro heatmap`,
+/// `repro trace --server` and `repro systables` run the same mix.
+pub(crate) fn stream_plans(catalog: &Catalog) -> Vec<PlanNode> {
     // Ordered for operator-mix diversity: interference is displacement of
     // *distinct* code, so each added stream should bring a different
     // operator family (aggregate → hash join → sort/merge → semi-join …)
     // rather than re-warming the shared text the earlier streams already
     // keep resident.
-    vec![
+    [
         queries::paper_query1(catalog).expect("paper q1"),
         queries::paper_query3(catalog, JoinMethod::HashJoin).expect("paper q3 hj"),
         queries::paper_query3(catalog, JoinMethod::MergeJoin).expect("paper q3 mj"),
@@ -206,6 +196,56 @@ fn stream_plans(catalog: &Catalog) -> Vec<PlanNode> {
         queries::paper_query2(catalog).expect("paper q2"),
         queries::tpch_q1(catalog).expect("q1"),
     ]
+    .iter()
+    .map(|p| parallelize_plan(p, catalog, LANES).expect("parallelize stream plan"))
+    .collect()
+}
+
+/// Drive `total` jobs through `streams` closed-loop clients on `vs`. Client `i` runs jobs `i, i + S, i + 2S, …`,
+/// each submitted at its predecessor's completion instant; job `j` runs
+/// `plans[j % plans.len()]` as it stands when submitted. `on_done(job,
+/// ran, completion, plan)` sees every completion in virtual-time order,
+/// with the plan it ran, before the client's next job is submitted, and
+/// may replace `plan`, the one that query's later jobs run. Panics on a
+/// failed query.
+pub(crate) fn closed_loop(
+    vs: &mut VirtualServer,
+    catalog: &Catalog,
+    streams: usize,
+    total: usize,
+    opts: &QueryOpts,
+    plans: &mut [PlanNode],
+    mut on_done: impl FnMut(usize, &PlanNode, &CompletedQuery, &mut PlanNode),
+) {
+    let n = plans.len();
+    // (job, plan it runs), indexed by submission id.
+    let mut submitted: Vec<(usize, PlanNode)> = Vec::new();
+    let submit = |vs: &mut VirtualServer, plan: &PlanNode, at: u64| {
+        let spec = SubmitSpec::new(plan, catalog).at(at).opts(opts.clone());
+        vs.submit(spec).expect("submit");
+        plan.clone()
+    };
+    for job in 0..streams.min(total) {
+        submitted.push((job, submit(vs, &plans[job % n], 0)));
+    }
+    loop {
+        let done = vs.drain();
+        if done.is_empty() {
+            break;
+        }
+        for c in done {
+            let (job, ran) = &submitted[c.id as usize];
+            let job = *job;
+            if let Some(e) = c.outcome.error() {
+                panic!("job {job} (submission {}): {e}", c.id);
+            }
+            on_done(job, ran, &c, &mut plans[job % n]);
+            let next = job + streams;
+            if next < total {
+                submitted.push((next, submit(vs, &plans[next % n], c.done_ns)));
+            }
+        }
+    }
 }
 
 fn run_cell(
@@ -215,72 +255,38 @@ fn run_cell(
     streams: usize,
     policy: Policy,
 ) -> ServerSweepEntry {
-    let pool = stream_plans(catalog);
-    let n_plans = pool.len();
-    let mut plans: Vec<PlanState> = pool
+    // The sweep models a plan cache: all clients running the same query
+    // share one physical plan and one adaptive-feedback state.
+    let bases = stream_plans(catalog);
+    let mut physical: Vec<PlanNode> = bases
         .iter()
-        .map(|p| {
-            let base = parallelize_plan(p, catalog, LANES).expect("parallelize stream plan");
-            let physical = match policy {
-                Policy::None => base.clone(),
-                Policy::Static | Policy::Adaptive => refine_plan(&base, catalog, refine_cfg),
-            };
-            PlanState {
-                base,
-                physical,
-                adapt: AdaptState::default(),
-            }
+        .map(|base| match policy {
+            Policy::None => base.clone(),
+            Policy::Static | Policy::Adaptive => refine_plan(base, catalog, refine_cfg),
         })
         .collect();
-
-    // Every cell executes the *same* job list — `TOTAL_JOBS` queries
-    // cycling the plan pool — so the only variable across cells is how
-    // many clients drain it concurrently. Client `i` runs jobs
-    // `i, i + S, i + 2S, …` as a closed loop: comparable total work,
-    // varying interleaving depth.
-    let mut vs = VirtualServer::new(ServerConfig::new(WORKERS, streams, machine.clone()));
-    let opts = QueryOpts::new().profile(true);
-    // Per-submission bookkeeping, indexed by submission id.
-    let mut job_of: Vec<usize> = Vec::new();
-    let mut executed_of: Vec<PlanNode> = Vec::new();
-    for job in 0..streams.min(TOTAL_JOBS) {
-        let st = &plans[job % n_plans];
-        vs.submit(SubmitSpec::new(&st.physical, catalog).opts(opts.clone()))
-            .expect("submit round 0");
-        job_of.push(job);
-        executed_of.push(st.physical.clone());
-    }
+    let mut adapt: Vec<AdaptState> = bases.iter().map(|_| AdaptState::default()).collect();
 
     let mut entry = ServerSweepEntry {
         streams: streams as u64,
         policy: policy.name().to_string(),
-        queries: 0,
-        failed: 0,
-        units: 0,
-        steals: 0,
-        instructions: 0,
-        l1i_misses: 0,
-        l1i_cross_misses: 0,
-        modeled_cpu_seconds: 0.0,
-        mean_latency_ms: 0.0,
-        makespan_ms: 0.0,
+        ..ServerSweepEntry::default()
     };
     let mut latency_ns_sum = 0u128;
-    loop {
-        // Closed loop: each completion immediately arms the stream's next
-        // submission at its completion instant (nondecreasing arrivals,
-        // because drain returns completions in virtual-time order).
-        let done = vs.drain();
-        if done.is_empty() {
-            break;
-        }
-        for c in done {
-            let job = job_of[c.id as usize];
-            let plan_idx = job % n_plans;
+    // Every cell executes the *same* job list, so the only variable across
+    // cells is how many clients drain it concurrently: comparable total
+    // work, varying interleaving depth.
+    let mut vs = VirtualServer::new(ServerConfig::new(WORKERS, streams, machine.clone()));
+    let opts = QueryOpts::new().profile(true);
+    closed_loop(
+        &mut vs,
+        catalog,
+        streams,
+        TOTAL_JOBS,
+        &opts,
+        &mut physical,
+        |job, ran, c, plan| {
             let counters = c.outcome.stats().counters;
-            if let Some(e) = c.outcome.error() {
-                panic!("job {job} (submission {}): {e}", c.id);
-            }
             let profile = c.outcome.profile().expect("profiled run");
             assert_eq!(
                 profile.sum_op_counters(),
@@ -289,17 +295,11 @@ fn run_cell(
                 c.id
             );
             if policy == Policy::Adaptive {
-                let st = &mut plans[plan_idx];
-                let decision = adapt_plan(
-                    &st.base,
-                    &executed_of[c.id as usize],
-                    profile,
-                    catalog,
-                    refine_cfg,
-                    &mut st.adapt,
-                );
-                if let Some(plan) = decision.new_plan {
-                    st.physical = plan;
+                let i = job % bases.len();
+                let decision =
+                    adapt_plan(&bases[i], ran, profile, catalog, refine_cfg, &mut adapt[i]);
+                if let Some(new_plan) = decision.new_plan {
+                    *plan = new_plan;
                 }
             }
             entry.queries += 1;
@@ -309,20 +309,8 @@ fn run_cell(
             entry.modeled_cpu_seconds += c.outcome.stats().breakdown.seconds();
             latency_ns_sum += (c.done_ns - c.arrival_ns) as u128;
             entry.makespan_ms = entry.makespan_ms.max(c.done_ns as f64 / 1e6);
-            let next = job + streams;
-            if next < TOTAL_JOBS {
-                let st = &plans[next % n_plans];
-                vs.submit(
-                    SubmitSpec::new(&st.physical, catalog)
-                        .at(c.done_ns)
-                        .opts(opts.clone()),
-                )
-                .expect("submit next round");
-                job_of.push(next);
-                executed_of.push(st.physical.clone());
-            }
-        }
-    }
+        },
+    );
     let stats = vs.stats();
     entry.failed = stats.failed;
     entry.units = stats.units;

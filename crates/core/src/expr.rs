@@ -10,8 +10,8 @@
 //! `build_executor` every expression is lowered once into a [`Program`], a
 //! flat postfix sequence whose leaf operands are *locations* — a column of
 //! the row (or of either side of a join pair), a literal-pool entry — read
-//! by reference, never cloned. [`Expr::eval`] remains as the constant
-//! folder's evaluator and as the oracle the programs are tested against.
+//! by reference, never cloned. [`Expr::eval`] remains as the oracle the
+//! programs are tested against.
 
 use bufferdb_types::{ops, DataType, Datum, DbError, Result, Schema, SchemaRef, Tuple};
 use std::cmp::Ordering;

@@ -27,7 +27,6 @@ pub mod context;
 #[cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 pub mod exec;
 pub mod expr;
-pub mod expr_fold;
 pub mod fault;
 pub mod footprint;
 pub mod obs;

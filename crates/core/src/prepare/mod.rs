@@ -23,9 +23,7 @@ pub use adapt::{adapt_plan, AdaptDecision, AdaptState, PendingValidation};
 pub use fingerprint::{
     fingerprint_plan, fingerprint_plan_with_mode, subtree_hash, PlanFingerprint,
 };
-pub use plancache::{
-    AdaptStats, CacheEntry, CacheStats, PlanCache, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS,
-};
+pub use plancache::{AdaptStats, CacheEntry, CacheStats, PlanCache, DEFAULT_CACHE_CAPACITY};
 pub use reuse::{
     eligible_subtrees, reuse_key, splice_reused, ReuseCache, ReuseHandle, ReuseStats,
     DEFAULT_REUSE_BUDGET_BYTES,

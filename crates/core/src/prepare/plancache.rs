@@ -160,21 +160,12 @@ impl Inner {
 /// A bounded, least-recently-used cache of prepared physical plans.
 ///
 /// All methods take `&self`; the cache is safe to share across threads.
-/// The map is split into N independently locked shards keyed by
-/// fingerprint, so concurrent hit-path lookups from many sessions contend
-/// only when they land on the same shard ([`PlanCache::new`] keeps a single
-/// shard — exact global LRU — for callers that want strict eviction order;
-/// [`PlanCache::sharded`] trades per-shard LRU for ~N× hit-path
-/// throughput under load, measured by `repro plancache`'s contention
-/// microbench). Eviction scans the shard for the minimum use-tick —
-/// O(entries/shard), fine at plan-cache capacities.
+/// One mutex guards one map with exact global LRU order. Eviction scans the
+/// map for the minimum use-tick — O(entries), fine at plan-cache
+/// capacities.
 pub struct PlanCache {
     capacity: usize,
-    /// Per-shard entry budgets. Budgets sum exactly to `capacity` (each at
-    /// least 1): shard `i` gets `capacity / shards`, plus one of the
-    /// `capacity % shards` remainder slots for the lowest-indexed shards.
-    shard_budgets: Vec<usize>,
-    shards: Vec<Mutex<Inner>>,
+    inner: Mutex<Inner>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -185,39 +176,18 @@ pub struct PlanCache {
     adapt_freezes: AtomicU64,
 }
 
-/// Default shard count of a [`PlanCache::default`].
-pub const DEFAULT_CACHE_SHARDS: usize = 8;
-
 impl Default for PlanCache {
     fn default() -> Self {
-        Self::sharded(DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS)
+        Self::new(DEFAULT_CACHE_CAPACITY)
     }
 }
 
 impl PlanCache {
-    /// A single-shard cache holding at most `capacity` entries (minimum 1),
-    /// with exact global LRU eviction order.
+    /// A cache holding at most `capacity` entries (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        Self::sharded(capacity, 1)
-    }
-
-    /// A cache of `shards` independently locked shards with `capacity`
-    /// total entries. Per-shard budgets sum exactly to `capacity` (the
-    /// `capacity % shards` remainder goes to the lowest-indexed shards, one
-    /// slot each, and every shard gets at least one slot — so `shards` is
-    /// clamped to `capacity`). LRU order is per-shard; a pathological
-    /// fingerprint distribution can evict from a hot shard while a cold one
-    /// has room, which is the usual sharding trade for lock-contention
-    /// relief on the hit path.
-    pub fn sharded(capacity: usize, shards: usize) -> Self {
-        let capacity = capacity.max(1);
-        let shards = shards.clamp(1, capacity);
-        let base = capacity / shards;
-        let extra = capacity % shards;
         PlanCache {
-            capacity,
-            shard_budgets: (0..shards).map(|i| base + usize::from(i < extra)).collect(),
-            shards: (0..shards).map(|_| Mutex::new(Inner::empty())).collect(),
+            capacity: capacity.max(1),
+            inner: Mutex::new(Inner::empty()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -234,23 +204,10 @@ impl PlanCache {
         self.capacity
     }
 
-    /// Number of independently locked shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a fingerprint lives in. The fingerprint is already a
-    /// mixed 64-bit hash; fold the high bits in so shard selection is not
-    /// just the low bits the map bucketing also uses.
-    fn shard_for(&self, fp: PlanFingerprint) -> usize {
-        let raw = fp.raw();
-        ((raw ^ (raw >> 32)) % self.shards.len() as u64) as usize
-    }
-
     /// Look up a fingerprint, counting a hit or miss and refreshing the
     /// entry's LRU position on a hit.
     pub fn lookup(&self, fp: PlanFingerprint) -> Option<Arc<CacheEntry>> {
-        let mut inner = lock(&self.shards[self.shard_for(fp)]);
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get(&fp.raw()) {
@@ -283,15 +240,14 @@ impl PlanCache {
         base: PlanNode,
         physical: PlanNode,
     ) -> Arc<CacheEntry> {
-        let shard = self.shard_for(fp);
-        let mut inner = lock(&self.shards[shard]);
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(existing) = inner.map.get(&fp.raw()) {
             existing.last_used.store(tick, Ordering::Relaxed);
             return Arc::clone(existing);
         }
-        if inner.map.len() >= self.shard_budgets[shard] {
+        if inner.map.len() >= self.capacity {
             let victim = inner
                 .map
                 .iter()
@@ -313,13 +269,10 @@ impl PlanCache {
     /// are already unreachable through lookups — the epoch is in the key —
     /// so this reclaims their memory and counts them.)
     pub fn evict_stale(&self, current_epoch: u64) -> usize {
-        let mut swept = 0;
-        for shard in &self.shards {
-            let mut inner = lock(shard);
-            let before = inner.map.len();
-            inner.map.retain(|_, e| e.epoch == current_epoch);
-            swept += before - inner.map.len();
-        }
+        let mut inner = lock(&self.inner);
+        let before = inner.map.len();
+        inner.map.retain(|_, e| e.epoch == current_epoch);
+        let swept = before - inner.map.len();
         self.invalidations
             .fetch_add(swept as u64, Ordering::Relaxed);
         swept
@@ -328,14 +281,12 @@ impl PlanCache {
     /// Drop every entry (counters are preserved). Lets benchmarks re-measure
     /// the miss path repeatably.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            lock(shard).map.clear();
-        }
+        lock(&self.inner).map.clear();
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).map.len()).sum()
+        lock(&self.inner).map.len()
     }
 
     /// Whether the cache is empty.
@@ -346,11 +297,7 @@ impl PlanCache {
     /// Snapshot every resident entry, ordered by raw fingerprint for
     /// deterministic iteration. Backs the `sys.plan_cache` table.
     pub fn entries(&self) -> Vec<Arc<CacheEntry>> {
-        let mut out: Vec<Arc<CacheEntry>> = self
-            .shards
-            .iter()
-            .flat_map(|s| lock(s).map.values().cloned().collect::<Vec<_>>())
-            .collect();
+        let mut out: Vec<Arc<CacheEntry>> = lock(&self.inner).map.values().cloned().collect();
         out.sort_by_key(|e| e.fingerprint().raw());
         out
     }
@@ -469,57 +416,6 @@ mod tests {
         assert!(cache.lookup(fp("a", 0)).is_none());
         // The evicted entry's plan is still usable through the held handle.
         assert_eq!(held.physical_plan(), scan("a"));
-    }
-
-    #[test]
-    fn sharded_cache_bounds_entries_and_still_hits() {
-        let cache = PlanCache::sharded(8, 4);
-        assert_eq!(cache.shard_count(), 4);
-        assert_eq!(cache.capacity(), 8);
-        let names: Vec<String> = (0..32).map(|i| format!("t{i}")).collect();
-        for n in &names {
-            cache.insert(fp(n, 0), 0, scan(n), scan(n));
-        }
-        // Per-shard budget is 8/4 = 2; whatever the fingerprint
-        // distribution, residency never exceeds the total capacity.
-        assert!(cache.len() <= 8, "len {} exceeds capacity", cache.len());
-        // The most recent inserts are still resident in their shards.
-        let resident = names
-            .iter()
-            .filter(|n| cache.lookup(fp(n, 0)).is_some())
-            .count();
-        assert_eq!(resident, cache.len());
-        assert!(resident > 0);
-        assert!(cache.stats().evictions >= 24);
-    }
-
-    #[test]
-    fn sharded_budgets_conserve_total_capacity() {
-        // capacity not divisible by shards: ceil-per-shard would allow
-        // 8 × ceil(10/8) = 16 resident entries. The remainder distribution
-        // must keep the worst case at exactly `capacity`.
-        let cache = PlanCache::sharded(10, 8);
-        assert_eq!(cache.capacity(), 10);
-        assert_eq!(cache.shard_count(), 8);
-        for i in 0..64 {
-            let n = format!("t{i}");
-            cache.insert(fp(&n, 0), 0, scan(&n), scan(&n));
-        }
-        assert!(
-            cache.len() <= cache.capacity(),
-            "len {} exceeds capacity {}",
-            cache.len(),
-            cache.capacity()
-        );
-        // More shards than capacity: every shard still needs ≥ 1 slot, so
-        // the shard count is clamped down to the capacity.
-        let tiny = PlanCache::sharded(3, 8);
-        assert_eq!(tiny.shard_count(), 3);
-        for i in 0..16 {
-            let n = format!("u{i}");
-            tiny.insert(fp(&n, 0), 0, scan(&n), scan(&n));
-        }
-        assert!(tiny.len() <= 3, "len {} exceeds capacity 3", tiny.len());
     }
 
     #[test]

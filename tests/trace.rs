@@ -148,10 +148,13 @@ fn trace_and_profiler_conserve_at_1_2_7_workers() {
             "{workers} workers: trace morsels disagree with profiler lanes"
         );
         if workers > 1 {
-            assert!(
-                trace.tracks.iter().any(|t| t.name.starts_with("worker-")),
-                "{workers} workers: no worker tracks"
-            );
+            // One name per lane (each exchange phase has its own tracks).
+            let lanes: std::collections::BTreeSet<String> = (trace.tracks.iter())
+                .filter(|t| t.name.starts_with("worker-"))
+                .map(|t| t.name.to_string())
+                .collect();
+            let want = (0..workers).map(|i| format!("worker-{i}")).collect();
+            assert_eq!(lanes, want, "{workers} workers: worker tracks");
         }
     }
 }
