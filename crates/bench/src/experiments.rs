@@ -499,6 +499,18 @@ pub fn modes_metrics(ctx: &ExperimentCtx, seed: u64) -> ModesReport {
         ("Q6", queries::tpch_q6(&ctx.catalog).expect("q6")),
         ("Q12", queries::tpch_q12(&ctx.catalog).expect("q12")),
         ("Q14", queries::tpch_q14(&ctx.catalog).expect("q14")),
+        (
+            "paper Q3 NL",
+            queries::paper_query3(&ctx.catalog, JoinMethod::NestLoop).expect("paper q3"),
+        ),
+        (
+            "paper Q3 HJ",
+            queries::paper_query3(&ctx.catalog, JoinMethod::HashJoin).expect("paper q3"),
+        ),
+        (
+            "paper Q3 MJ",
+            queries::paper_query3(&ctx.catalog, JoinMethod::MergeJoin).expect("paper q3"),
+        ),
     ];
     let mut report = ModesReport {
         scale: ctx.scale,

@@ -49,13 +49,12 @@ fn site_slot(site: u64, mask: u64) -> usize {
     (((site >> 2) ^ (site >> 14)) & mask) as usize
 }
 
-/// Two-bit saturating counters indexed by branch address.
+/// Two-bit saturating counters indexed by branch address, bit-sliced: per
+/// 64 counters, one word of high bits and one of low bits.
 #[derive(Debug, Clone)]
 pub struct BimodalPredictor {
-    table: Vec<u8>,
-    /// Bit `i` set iff `table[i] != 3`: the counters a taken outcome
-    /// changes. Kept by every touch.
-    off3: Vec<u64>,
+    /// `(high, low)` bitplanes of the counters, 64 to a word.
+    planes: Vec<(u64, u64)>,
     mask: u64,
     branches: u64,
     mispredictions: u64,
@@ -67,67 +66,38 @@ impl BimodalPredictor {
     pub fn new(entries: usize) -> Self {
         assert!(entries.is_power_of_two());
         BimodalPredictor {
-            table: vec![2; entries],
-            off3: vec![u64::MAX; entries.div_ceil(64)],
+            planes: vec![(u64::MAX, 0); entries.div_ceil(64)],
             mask: (entries - 1) as u64,
             branches: 0,
             mispredictions: 0,
         }
     }
 
-    /// Predict and update the counter at `slot`; whether it mispredicted.
+    /// Update the counters of `word` whose bits are set in `taken` or
+    /// `not_taken` (disjoint) with those outcomes, all at once; how many
+    /// mispredicted. A counter predicts taken iff its high bit is set.
     #[inline(always)]
-    fn touch(&mut self, slot: usize, taken: bool) -> bool {
-        let c = self.table[slot];
-        let new = counter_update(c, taken);
-        self.table[slot] = new;
-        let (word, bit) = (slot >> 6, slot & 63);
-        self.off3[word] = self.off3[word] & !(1 << bit) | u64::from(new != 3) << bit;
-        counter_predict(c) != taken
+    fn update(&mut self, word: usize, taken: u64, not_taken: u64) -> u64 {
+        let (h, l) = self.planes[word];
+        let keep = !(taken | not_taken);
+        self.planes[word] = (
+            keep & h | taken & (h | l) | not_taken & h & l,
+            keep & l | taken & (h | !l) | not_taken & h & !l,
+        );
+        u64::from((taken & !h | not_taken & h).count_ones())
     }
 
     /// Fire every site of a region's call number `calls` (see
-    /// [`SitePlan`]): only the sites that can change a counter are touched.
+    /// [`SitePlan`]): one branch-free update per word of each layer.
     fn run_plan(&mut self, plan: &SitePlan, calls: u64) {
         debug_assert_eq!(plan.mask, self.mask);
-        let fires = SiteKind::ALL.map(|kind| !kind.outcome(calls));
+        // All ones for the kinds whose sites are taken on this call.
+        let [f0, f1, f2] = SiteKind::ALL.map(|kind| 0u64.wrapping_sub(kind.outcome(calls).into()));
         self.branches += plan.sites;
         let mut missed = 0;
-        // Slots no other site of the region touches, a word at a time.
-        for &(word, kinds) in &*plan.words {
-            let (mut taken, mut not_taken) = (0, 0);
-            for (mask, fire) in kinds.into_iter().zip(fires) {
-                taken |= std::hint::select_unpredictable(fire, 0, mask);
-                not_taken |= std::hint::select_unpredictable(fire, mask, 0);
-            }
-            let word = word as usize;
-            let mut off3 = self.off3[word];
-            // Taken: a counter at 3 predicts it and stays, so only the
-            // counters off 3 are visited.
-            let mut bits = off3 & taken;
-            while bits != 0 {
-                let bit = bits.trailing_zeros();
-                bits &= bits - 1;
-                let slot = word << 6 | bit as usize;
-                let c = self.table[slot];
-                missed += u64::from(c < 2);
-                self.table[slot] = c + 1;
-                off3 &= !(u64::from(c == 2) << bit);
-            }
-            // Not taken: the kinds whose period ends at this call.
-            let mut bits = not_taken;
-            while bits != 0 {
-                let slot = word << 6 | bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let c = self.table[slot];
-                missed += u64::from(c >= 2);
-                self.table[slot] = c.saturating_sub(1);
-            }
-            self.off3[word] = off3 | not_taken;
-        }
-        // Slots the region touches more than once, in firing order.
-        for &(slot, kind) in &*plan.multi {
-            missed += u64::from(self.touch(slot as usize, !fires[kind as usize]));
+        for &(word, [k0, k1, k2]) in &*plan.words {
+            let taken = k0 & f0 | k1 & f1 | k2 & f2;
+            missed += self.update(word as usize, taken, (k0 | k1 | k2) ^ taken);
         }
         self.mispredictions += missed;
     }
@@ -136,9 +106,12 @@ impl BimodalPredictor {
 impl BranchPredictor for BimodalPredictor {
     fn predict_and_update(&mut self, site: u64, taken: bool) -> bool {
         self.branches += 1;
-        let wrong = self.touch(site_slot(site, self.mask), taken);
-        self.mispredictions += u64::from(wrong);
-        !wrong
+        let slot = site_slot(site, self.mask);
+        let bit = 1 << (slot & 63);
+        let (t, n) = if taken { (bit, 0) } else { (0, bit) };
+        let wrong = self.update(slot >> 6, t, n);
+        self.mispredictions += wrong;
+        wrong == 0
     }
 
     fn branches(&self) -> u64 {
@@ -203,22 +176,19 @@ impl BranchPredictor for GsharePredictor {
 /// list and the mask; DESIGN.md §18 "Branch sites" has the argument.
 ///
 /// Every site of a region advances once per call, so on call `c` a site of
-/// period `p` is not taken iff `c % p == p - 1`. A slot that exactly one
-/// site of the region touches is independent of every other such slot, so
-/// those are kept as bit masks, by kind; slots the region touches more than
-/// once keep their sites in firing order.
+/// period `p` is not taken iff `c % p == p - 1`. Counters are independent
+/// of each other, so only the order of the touches *of one slot* matters:
+/// layer `n` holds the `n`-th touch of every slot the region touches at
+/// least `n` times, and the layers run in order.
 #[derive(Debug)]
 pub(crate) struct SitePlan {
     mask: u64,
     /// Sites one call fires.
     sites: u64,
-    /// The slots only one site of the region touches: per 64-slot word of
-    /// the table that holds any, the word's index and, per [`SiteKind`], the
-    /// slots in it whose site is of that kind.
+    /// Layer after layer, per 64-slot word of the table that the layer
+    /// touches: the word's index and, per [`SiteKind`], the slots in it
+    /// whose touch in this layer is a site of that kind.
     words: Box<[(u32, [u64; 3])]>,
-    /// `(slot, kind)` of every site on a slot the region touches more than
-    /// once, in firing order.
-    multi: Box<[(u32, u8)]>,
 }
 
 impl SitePlan {
@@ -228,29 +198,23 @@ impl SitePlan {
     }
 
     fn new(segments: &[SegmentRef], mask: u64) -> Self {
-        let fired: Vec<(u32, u8)> = segments
-            .iter()
-            .flat_map(|seg| &seg.sites)
-            .map(|&(addr, kind)| {
-                let slot = u32::try_from(site_slot(addr, mask));
-                (slot.expect("at most 2^32 counters"), kind as u8)
-            })
-            .collect();
-        let mut touches: HashMap<u32, u32> = HashMap::new();
-        for &(slot, _) in &fired {
-            *touches.entry(slot).or_default() += 1;
-        }
-        let (multi, single): (Vec<_>, Vec<_>) =
-            fired.iter().partition(|(slot, _)| touches[slot] > 1);
-        let mut words: BTreeMap<u32, [u64; 3]> = BTreeMap::new();
-        for &(slot, kind) in &single {
-            words.entry(slot >> 6).or_default()[kind as usize] |= 1 << (slot & 63);
+        let mut sites = 0;
+        let mut touches: HashMap<u32, usize> = HashMap::new();
+        let mut layers: Vec<BTreeMap<u32, [u64; 3]>> = Vec::new();
+        for &(addr, kind) in segments.iter().flat_map(|seg| &seg.sites) {
+            let slot = u32::try_from(site_slot(addr, mask)).expect("at most 2^32 counters");
+            let layer = touches.entry(slot).or_default();
+            if *layer == layers.len() {
+                layers.push(BTreeMap::new());
+            }
+            layers[*layer].entry(slot >> 6).or_default()[kind as usize] |= 1 << (slot & 63);
+            *layer += 1;
+            sites += 1;
         }
         SitePlan {
             mask,
-            sites: fired.len() as u64,
-            words: words.into_iter().collect(),
-            multi: multi.into_boxed_slice(),
+            sites,
+            words: layers.into_iter().flatten().collect(),
         }
     }
 }
@@ -480,9 +444,17 @@ mod tests {
         // Order and table size are part of the key.
         assert!(!Arc::ptr_eq(&ab, &site_plan(&list(&[&b, &a]), 511)));
         assert_eq!(site_plan(&list(&[&a, &b]), 63).mask(), 63);
-        // A segment listed twice touches each of its slots at least twice.
+        // A segment listed twice touches each slot twice as often: every
+        // touch is in some layer, and layers 2j and 2j + 1 cover the words
+        // of the segment's own layer j.
         let twice = site_plan(&list(&[&a, &a]), 511);
-        assert!(twice.words.is_empty());
-        assert_eq!(twice.multi.len(), 2 * a.sites.len());
+        let touched: u32 = (twice.words.iter().flat_map(|(_, kinds)| kinds))
+            .map(|m| m.count_ones())
+            .sum();
+        assert_eq!(touched as usize, 2 * a.sites.len());
+        assert_eq!(
+            twice.words.len(),
+            2 * site_plan(&list(&[&a]), 511).words.len()
+        );
     }
 }

@@ -176,14 +176,14 @@ impl TupleArena {
         }
     }
 
-    /// The simulated width of the row `held` stands for: a pair's is its
-    /// concatenation's.
+    /// The simulated width of the row `held` stands for: a table row's as
+    /// its table stored it, a pair's its concatenation's (one header).
     fn simulated_width(&self, held: &Held) -> usize {
+        let width = |r: &TableRow| self.tables[r.table as usize].tuple_width(r.id);
         match held {
-            Held::Pair(l, r, _) => Tuple::simulated_width_of(
-                (self.table_row(*l).values().iter()).chain(self.table_row(*r).values()),
-            ),
-            other => self.resolve(other).simulated_width(),
+            Held::Owned(t) => t.simulated_width(),
+            Held::Row(r) => width(r),
+            Held::Pair(l, r, _) => width(l) + width(r) - 16,
         }
     }
 

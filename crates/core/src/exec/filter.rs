@@ -8,16 +8,41 @@
 use crate::arena::TupleSlot;
 use crate::context::ExecContext;
 use crate::exec::Operator;
-use crate::expr::{Expr, Program};
+use crate::expr::{Expr, Program, RowRef};
 use crate::footprint::{FootprintModel, OpKind};
-use bufferdb_cachesim::CodeRegion;
+use bufferdb_cachesim::{CodeRegion, Machine};
 use bufferdb_types::{Datum, Result, SchemaRef};
+
+/// The filter's row kernel: a predicate program and its branch site. The
+/// filter operator, the scan's predicate, the nest-loop qual and the fused
+/// push filter stage all run it.
+pub(crate) struct RowFilter {
+    predicate: Program,
+    site: u64,
+}
+
+impl RowFilter {
+    /// `predicate` lowered over rows of `schema`, branching at `site`.
+    pub(crate) fn new(predicate: &Expr, schema: &SchemaRef, site: u64) -> Self {
+        RowFilter {
+            predicate: Program::new(predicate, schema),
+            site,
+        }
+    }
+
+    /// Whether `row` passes, charging the program and its branch.
+    pub(crate) fn keep(&mut self, machine: &mut Machine, row: RowRef<'_>) -> Result<bool> {
+        let keep = self.predicate.eval_predicate(row)?;
+        machine.add_instructions(self.predicate.cost());
+        machine.branch(self.site, keep);
+        Ok(keep)
+    }
+}
 
 /// Filter operator: passes through tuples satisfying the predicate.
 pub struct FilterOp {
     child: Box<dyn Operator>,
-    predicate: Program,
-    pred_site: u64,
+    filter: RowFilter,
     schema: SchemaRef,
     code: CodeRegion,
 }
@@ -28,9 +53,8 @@ impl FilterOp {
         let schema = child.schema();
         predicate.data_type(&schema)?;
         Ok(FilterOp {
+            filter: RowFilter::new(&predicate, &schema, fm.predicate_site()),
             child,
-            predicate: Program::new(&predicate, &schema),
-            pred_site: fm.predicate_site(),
             schema,
             code: fm.region_for(&OpKind::Filter),
         })
@@ -57,10 +81,7 @@ impl Operator for FilterOp {
             match self.child.next(ctx)? {
                 None => return Ok(None),
                 Some(slot) => {
-                    let keep = self.predicate.eval_predicate(ctx.arena.row(slot))?;
-                    ctx.machine.add_instructions(self.predicate.cost());
-                    ctx.machine.branch(self.pred_site, keep);
-                    if keep {
+                    if self.filter.keep(&mut ctx.machine, ctx.arena.row(slot))? {
                         return Ok(Some(slot));
                     }
                 }

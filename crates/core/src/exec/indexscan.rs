@@ -6,7 +6,7 @@ use crate::exec::{schema_slot_bytes, Operator, DEFAULT_BATCH};
 use crate::fault;
 use crate::footprint::{FootprintModel, OpKind};
 use crate::plan::IndexMode;
-use bufferdb_cachesim::CodeRegion;
+use bufferdb_cachesim::{CodeRegion, Machine};
 use bufferdb_storage::{Catalog, IndexDef, Table};
 use bufferdb_types::{Datum, DbError, Result, SchemaRef};
 use std::sync::Arc;
@@ -14,21 +14,130 @@ use std::sync::Arc;
 /// Simulated address region for index node storage.
 const INDEX_SPACE: u64 = 0x4_0000_0000;
 
-/// Index scan operator producing heap rows in key order.
-pub struct IndexScanOp {
+/// The index scan's row kernel: descents into the B+-tree, the heap rows
+/// they found and the fetch of each. [`IndexScanOp`] runs it one returned
+/// row per index-code execution; a fused push group
+/// ([`crate::exec::push`]) runs it as its nest-loop probe (one lookup per
+/// outer row) or as its merge join's right side.
+pub(crate) struct IndexCursor {
     index: Arc<IndexDef>,
     table: Arc<Table>,
+    key_site: u64,
+    index_base: u64,
+    /// The heap table's registration in the arena (set at `open`).
+    table_id: u32,
+    /// Heap row ids of the current lookup or range, in key order.
+    matches: Vec<u32>,
+    pos: usize,
+}
+
+impl IndexCursor {
+    pub(crate) fn new(catalog: &Catalog, fm: &mut FootprintModel, index: &str) -> Result<Self> {
+        let index = catalog.index(index)?;
+        let table = catalog.table(&index.table)?;
+        // Each index gets a stable simulated address region for its nodes.
+        let index_base = INDEX_SPACE + (fxhash(index.name.as_bytes()) & 0xFFFF) * (1 << 24);
+        Ok(IndexCursor {
+            index,
+            table,
+            key_site: fm.predicate_site(),
+            index_base,
+            table_id: 0,
+            matches: Vec::new(),
+            pos: 0,
+        })
+    }
+
+    /// The heap table.
+    pub(crate) fn table(&self) -> &Table {
+        &self.table
+    }
+
+    /// The heap table's registration in the arena.
+    pub(crate) fn table_id(&self) -> u32 {
+        self.table_id
+    }
+
+    /// Register the heap table with the arena; no position yet.
+    pub(crate) fn open(&mut self, ctx: &mut ExecContext) {
+        self.table_id = ctx.arena.register_table(&self.table);
+        self.clear();
+    }
+
+    /// Simulate a root-to-leaf descent: one cache-line-sized node read per
+    /// level at key-dependent addresses (index probes are random accesses —
+    /// the data structure that "competes with a large buffer for cache
+    /// memory", §7.4).
+    pub(crate) fn descend(&self, machine: &mut Machine, key: i64) {
+        let height = self.index.btree.height() as u64;
+        let entries = self.index.btree.len().max(1) as u64;
+        for level in 0..height {
+            // Higher levels are smaller (fan-out 64): scale the address range.
+            let level_nodes = (entries >> (6 * (height - level))).max(1);
+            let node = mix(key as u64 ^ (level << 56)) % level_nodes;
+            machine.data_read(self.index_base + node * 64, 64);
+        }
+        machine.add_instructions(self.index.btree.probe_cost() as u64 * 6);
+    }
+
+    /// Position on the rows with keys in `[lo, hi]` (`None`: unbounded)
+    /// whose heap row ids fall in `morsel`, when given (no simulated work:
+    /// the caller charges the descent).
+    pub(crate) fn range(
+        &mut self,
+        (lo, hi): (Option<i64>, Option<i64>),
+        morsel: Option<(u32, u32)>,
+    ) {
+        let (mlo, mhi) = morsel.unwrap_or((0, u32::MAX));
+        let rows = (self.index.btree)
+            .range(lo.unwrap_or(i64::MIN), hi.unwrap_or(i64::MAX))
+            .map(|(_, r)| r)
+            .filter(|&r| r >= mlo && r < mhi);
+        self.matches.clear();
+        self.matches.extend(rows);
+        self.pos = 0;
+    }
+
+    /// Position on the rows whose key is `key`: one descent and the found
+    /// branch; a NULL key joins nothing and descends nowhere.
+    pub(crate) fn lookup(&mut self, machine: &mut Machine, key: Option<i64>) {
+        self.matches.clear();
+        if let Some(key) = key {
+            self.descend(machine, key);
+            let rows = self.index.btree.range(key, key).map(|(_, r)| r);
+            self.matches.extend(rows);
+        }
+        machine.branch(self.key_site, !self.matches.is_empty());
+        self.pos = 0;
+    }
+
+    /// Fetch the next row of the position: its fault site, then its heap
+    /// read.
+    pub(crate) fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<u32>> {
+        let Some(&id) = self.matches.get(self.pos) else {
+            return Ok(None);
+        };
+        ctx.fault(fault::INDEXSCAN_NEXT)?;
+        self.pos += 1;
+        ctx.machine
+            .data_read(self.table.row_addr(id), self.table.row_width(id));
+        Ok(Some(id))
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.matches.clear();
+        self.pos = 0;
+    }
+}
+
+/// Index scan operator producing heap rows in key order.
+pub struct IndexScanOp {
+    cursor: IndexCursor,
     mode: IndexMode,
     schema: SchemaRef,
     code: CodeRegion,
-    key_site: u64,
-    matches: Vec<u32>,
-    pos: usize,
-    /// The heap table's registration in the arena (set at `open`).
-    table_id: u32,
     out_region: u32,
     batch_hint: usize,
-    index_base: u64,
 }
 
 impl IndexScanOp {
@@ -39,54 +148,17 @@ impl IndexScanOp {
         index: &str,
         mode: IndexMode,
     ) -> Result<Self> {
-        let index = catalog.index(index)?;
-        let table = catalog.table(&index.table)?;
-        let schema = table.schema().clone();
+        catalog.index(index)?;
         let code = fm.region_for(&OpKind::IndexScan);
-        let key_site = fm.predicate_site();
-        // Each index gets a stable simulated address region for its nodes.
-        let index_base = INDEX_SPACE + (fxhash(index.name.as_bytes()) & 0xFFFF) * (1 << 24);
+        let cursor = IndexCursor::new(catalog, fm, index)?;
         Ok(IndexScanOp {
-            index,
-            table,
+            schema: cursor.table.schema().clone(),
+            cursor,
             mode,
-            schema,
             code,
-            key_site,
-            matches: Vec::new(),
-            pos: 0,
-            table_id: 0,
             out_region: u32::MAX,
             batch_hint: DEFAULT_BATCH,
-            index_base,
         })
-    }
-
-    /// Simulate a root-to-leaf descent: one cache-line-sized node read per
-    /// level at key-dependent addresses (index probes are random accesses —
-    /// the data structure that "competes with a large buffer for cache
-    /// memory", §7.4).
-    fn simulate_descent(&self, ctx: &mut ExecContext, key: i64) {
-        let height = self.index.btree.height() as u64;
-        let entries = self.index.btree.len().max(1) as u64;
-        for level in 0..height {
-            // Higher levels are smaller (fan-out 64): scale the address range.
-            let level_nodes = (entries >> (6 * (height - level))).max(1);
-            let node = mix(key as u64 ^ (level << 56)) % level_nodes;
-            ctx.machine.data_read(self.index_base + node * 64, 64);
-        }
-        ctx.machine
-            .add_instructions(self.index.btree.probe_cost() as u64 * 6);
-    }
-
-    fn fill_range(&mut self, lo: Option<i64>, hi: Option<i64>) {
-        self.matches = self
-            .index
-            .btree
-            .range(lo.unwrap_or(i64::MIN), hi.unwrap_or(i64::MAX))
-            .map(|(_, r)| r)
-            .collect();
-        self.pos = 0;
     }
 }
 
@@ -114,24 +186,19 @@ impl Operator for IndexScanOp {
         self.out_region = ctx
             .arena
             .alloc_region(self.batch_hint as u32 + 1, schema_slot_bytes(&self.schema));
-        self.table_id = ctx.arena.register_table(&self.table);
+        self.cursor.open(ctx);
         match self.mode {
+            // An exchange worker hands us a morsel of the heap row-id
+            // domain: the range keeps only matches inside it.
             IndexMode::Range { lo, hi } => {
-                self.simulate_descent(ctx, lo.unwrap_or(0));
-                self.fill_range(lo, hi);
-                // An exchange worker hands us a morsel of the heap row-id
-                // domain: keep only matches inside it.
-                if let Some((mlo, mhi)) = ctx.morsel.take() {
-                    self.matches.retain(|&r| r >= mlo && r < mhi);
-                }
+                self.cursor.descend(&mut ctx.machine, lo.unwrap_or(0));
+                self.cursor.range((lo, hi), ctx.morsel.take());
             }
             IndexMode::LookupParam => {
                 // Waits for the first rescan with a parameter. Morsels never
                 // apply here (lookups are driven by the outer row), but a
                 // stray one must not leak to a sibling scan.
                 ctx.morsel.take();
-                self.matches.clear();
-                self.pos = 0;
             }
         }
         Ok(())
@@ -139,49 +206,30 @@ impl Operator for IndexScanOp {
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<TupleSlot>> {
         ctx.machine.exec_region(&mut self.code);
-        if self.pos >= self.matches.len() {
+        let Some(row_id) = self.cursor.next(ctx)? else {
             return Ok(None);
-        }
-        ctx.fault(fault::INDEXSCAN_NEXT)?;
-        let row_id = self.matches[self.pos];
-        self.pos += 1;
-        ctx.machine
-            .data_read(self.table.row_addr(row_id), self.table.row_width(row_id));
+        };
         Ok(Some(ctx.arena.store_row(
             self.out_region,
-            self.table_id,
+            self.cursor.table_id(),
             row_id,
             &mut ctx.machine,
         )))
     }
 
     fn close(&mut self, _ctx: &mut ExecContext) -> Result<()> {
-        self.matches.clear();
+        self.cursor.clear();
         Ok(())
     }
 
     fn rescan(&mut self, ctx: &mut ExecContext, param: Option<&Datum>) -> Result<()> {
         match (&self.mode, param) {
             (IndexMode::Range { lo, hi }, None) => {
-                let (lo, hi) = (*lo, *hi);
-                self.fill_range(lo, hi);
+                self.cursor.range((*lo, *hi), None);
                 Ok(())
             }
             (IndexMode::LookupParam, Some(d)) => {
-                let found = match d.as_int() {
-                    Some(key) => {
-                        self.simulate_descent(ctx, key);
-                        self.matches = self.index.btree.lookup(key);
-                        !self.matches.is_empty()
-                    }
-                    None => {
-                        // NULL key joins nothing.
-                        self.matches.clear();
-                        false
-                    }
-                };
-                ctx.machine.branch(self.key_site, found);
-                self.pos = 0;
+                self.cursor.lookup(&mut ctx.machine, d.as_int());
                 Ok(())
             }
             (IndexMode::LookupParam, None) => Err(DbError::ExecProtocol(

@@ -9,19 +9,18 @@
 
 use crate::arena::TupleSlot;
 use crate::context::ExecContext;
-use crate::exec::{schema_slot_bytes, Operator};
+use crate::exec::sort::SortRun;
+use crate::exec::Operator;
 use crate::footprint::{FootprintModel, OpKind};
 use bufferdb_cachesim::CodeRegion;
 use bufferdb_types::{Datum, DbError, Result, SchemaRef};
 
-/// Materialize operator.
+/// Materialize operator: its storage is a sort's run, never sorted.
 pub struct MaterializeOp {
     child: Box<dyn Operator>,
     schema: SchemaRef,
     code: CodeRegion,
-    stored: Vec<TupleSlot>,
-    pos: usize,
-    own_region: u32,
+    stored: SortRun,
     drained: bool,
 }
 
@@ -33,9 +32,7 @@ impl MaterializeOp {
             child,
             schema,
             code: fm.region_for(&OpKind::Materialize),
-            stored: Vec::new(),
-            pos: 0,
-            own_region: u32::MAX,
+            stored: SortRun::new(Vec::new()),
             drained: false,
         }
     }
@@ -48,11 +45,7 @@ impl Operator for MaterializeOp {
 
     fn open(&mut self, ctx: &mut ExecContext) -> Result<()> {
         self.child.open(ctx)?;
-        self.own_region = ctx
-            .arena
-            .alloc_unbounded_region(schema_slot_bytes(&self.schema));
-        self.stored.clear();
-        self.pos = 0;
+        self.stored.begin(ctx, &self.schema);
         self.drained = false;
         Ok(())
     }
@@ -64,21 +57,12 @@ impl Operator for MaterializeOp {
                 ctx.tuple_yield();
                 ctx.machine.exec_region(&mut self.code);
                 let held = ctx.arena.hold(slot);
-                let own = ctx
-                    .arena
-                    .store_held(self.own_region, held, &mut ctx.machine);
-                self.stored.push(own);
+                self.stored.push(ctx, held);
             }
             self.drained = true;
         }
         ctx.machine.exec_region(&mut self.code);
-        if self.pos >= self.stored.len() {
-            return Ok(None);
-        }
-        let slot = self.stored[self.pos];
-        self.pos += 1;
-        ctx.arena.read(slot, &mut ctx.machine);
-        Ok(Some(slot))
+        Ok(self.stored.next(ctx))
     }
 
     fn close(&mut self, ctx: &mut ExecContext) -> Result<()> {
@@ -93,7 +77,7 @@ impl Operator for MaterializeOp {
             ));
         }
         // Replay without re-running the child: the point of materialization.
-        self.pos = 0;
+        self.stored.rewind();
         Ok(())
     }
 }

@@ -11,6 +11,135 @@ use crate::exec::{schema_slot_bytes, Operator, DEFAULT_BATCH};
 use crate::footprint::{FootprintModel, OpKind};
 use bufferdb_cachesim::CodeRegion;
 use bufferdb_types::{Datum, DbError, Result, SchemaRef};
+use std::cmp::Ordering;
+
+/// A right-side row `R` and its join key (`None` for NULL), or `None` once
+/// the right input is exhausted.
+type RightRow<R> = Result<Option<(R, Option<i64>)>>;
+
+/// The merge's cursor kernel: the right side's one-row lookahead and the
+/// group of right rows sharing the last loaded key. [`MergeJoinOp`] drives
+/// it with right rows held from its pull child; the fused push merge stage
+/// ([`crate::exec::push`]) with heap row ids from its index cursor. Both
+/// hand their right input in as a `next` callback.
+pub(crate) struct MergeCursor<R> {
+    cmp_site: u64,
+    /// Right rows whose key is `group_key`, in input order.
+    group: Vec<R>,
+    group_key: Option<i64>,
+    pending: Option<(R, i64)>,
+    last_left: Option<i64>,
+    last_right: Option<i64>,
+}
+
+/// `k` must not fall below the previous key of the same side.
+fn in_order(side: &str, last: &mut Option<i64>, k: i64) -> Result<()> {
+    match *last {
+        Some(prev) if k < prev => Err(DbError::InvalidPlan(format!(
+            "merge join {side} input not sorted: {k} after {prev}"
+        ))),
+        _ => {
+            *last = Some(k);
+            Ok(())
+        }
+    }
+}
+
+impl<R> MergeCursor<R> {
+    pub(crate) fn new(fm: &mut FootprintModel) -> Self {
+        MergeCursor {
+            cmp_site: fm.predicate_site(),
+            group: Vec::new(),
+            group_key: None,
+            pending: None,
+            last_left: None,
+            last_right: None,
+        }
+    }
+
+    pub(crate) fn reset(&mut self) {
+        self.group.clear();
+        self.group_key = None;
+        self.pending = None;
+        self.last_left = None;
+        self.last_right = None;
+    }
+
+    /// Pull the next non-NULL-key right row into the lookahead.
+    pub(crate) fn advance(
+        &mut self,
+        ctx: &mut ExecContext,
+        next: &mut impl FnMut(&mut ExecContext) -> RightRow<R>,
+    ) -> Result<()> {
+        self.pending = loop {
+            match next(ctx)? {
+                None => break None,
+                // NULL join keys match nothing.
+                Some((_, None)) => continue,
+                Some((row, Some(k))) => {
+                    in_order("right", &mut self.last_right, k)?;
+                    break Some((row, k));
+                }
+            }
+        };
+        Ok(())
+    }
+
+    /// Check the next left key's order.
+    pub(crate) fn left(&mut self, k: i64) -> Result<()> {
+        in_order("left", &mut self.last_left, k)
+    }
+
+    /// Align the right side with left key `lk`: the right rows it matches
+    /// (the group loaded for it, perhaps empty), or `None` once the right
+    /// side is exhausted below `lk`, so no later left row matches either.
+    pub(crate) fn align(
+        &mut self,
+        ctx: &mut ExecContext,
+        lk: i64,
+        next: &mut impl FnMut(&mut ExecContext) -> RightRow<R>,
+    ) -> Result<Option<&[R]>> {
+        loop {
+            if self.group_key == Some(lk) {
+                return Ok(Some(&self.group));
+            }
+            let Some(rk) = self.pending.as_ref().map(|p| p.1) else {
+                return Ok(None);
+            };
+            ctx.machine.branch(self.cmp_site, rk < lk);
+            ctx.machine.add_instructions(24);
+            match rk.cmp(&lk) {
+                // Discard an unmatched right row.
+                Ordering::Less => self.advance(ctx, next)?,
+                Ordering::Equal => self.load_group(ctx, lk, next)?,
+                Ordering::Greater => return Ok(Some(&[])),
+            }
+        }
+    }
+
+    /// Load the right group for `key`; the lookahead holds its first row.
+    fn load_group(
+        &mut self,
+        ctx: &mut ExecContext,
+        key: i64,
+        next: &mut impl FnMut(&mut ExecContext) -> RightRow<R>,
+    ) -> Result<()> {
+        self.group.clear();
+        self.group_key = Some(key);
+        while let Some((row, k)) = self.pending.take() {
+            if k != key {
+                self.pending = Some((row, k));
+                break;
+            }
+            // Materialize the group member (small copy, as Postgres's
+            // inner tuplestore does for duplicate inner keys).
+            ctx.machine.add_instructions(40);
+            self.group.push(row);
+            self.advance(ctx, next)?;
+        }
+        Ok(())
+    }
+}
 
 /// Merge join operator.
 pub struct MergeJoinOp {
@@ -20,20 +149,23 @@ pub struct MergeJoinOp {
     right_key: usize,
     schema: SchemaRef,
     code: CodeRegion,
-    cmp_site: u64,
-    current_left: Option<(TupleSlot, i64)>,
-    /// Materialized right-side rows for the current key group (table rows
-    /// by reference).
-    group: Vec<Held>,
-    group_key: Option<i64>,
-    group_pos: usize,
-    /// One-tuple lookahead on the right input.
-    pending_right: Option<(Held, i64)>,
-    right_exhausted: bool,
-    last_left_key: Option<i64>,
-    last_right_key: Option<i64>,
+    cursor: MergeCursor<Held>,
+    /// The left row being joined, the position of its next match in the
+    /// cursor's group and its number of matches.
+    current_left: Option<(TupleSlot, usize, usize)>,
+    /// The right side ran out below the current left key: nothing more
+    /// can match.
+    right_done: bool,
     out_region: u32,
     batch_hint: usize,
+}
+
+/// `right`'s next row, held, with its key in column `key`.
+fn held_right(ctx: &mut ExecContext, right: &mut dyn Operator, key: usize) -> RightRow<Held> {
+    Ok(right.next(ctx)?.map(|slot| {
+        let k = ctx.arena.row(slot).get(key).and_then(Datum::as_int);
+        (ctx.arena.hold(slot), k)
+    }))
 }
 
 impl MergeJoinOp {
@@ -48,7 +180,6 @@ impl MergeJoinOp {
     ) -> Self {
         let schema = left.schema().join(&right.schema()).into_ref();
         let code = fm.region_for(&OpKind::MergeJoin);
-        let cmp_site = fm.predicate_site();
         MergeJoinOp {
             left,
             right,
@@ -56,109 +187,43 @@ impl MergeJoinOp {
             right_key,
             schema,
             code,
-            cmp_site,
+            cursor: MergeCursor::new(fm),
             current_left: None,
-            group: Vec::new(),
-            group_key: None,
-            group_pos: 0,
-            pending_right: None,
-            right_exhausted: false,
-            last_left_key: None,
-            last_right_key: None,
+            right_done: false,
             out_region: u32::MAX,
             batch_hint: DEFAULT_BATCH,
         }
     }
 
-    /// Pull the next non-NULL-key right tuple into the lookahead slot.
-    fn advance_right(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        loop {
-            match self.right.next(ctx)? {
-                None => {
-                    self.pending_right = None;
-                    self.right_exhausted = true;
-                    return Ok(());
-                }
-                Some(slot) => {
-                    match ctx
-                        .arena
-                        .row(slot)
-                        .get(self.right_key)
-                        .and_then(Datum::as_int)
-                    {
-                        None => continue, // NULL join keys match nothing
-                        Some(k) => {
-                            if let Some(prev) = self.last_right_key {
-                                if k < prev {
-                                    return Err(DbError::InvalidPlan(format!(
-                                        "merge join right input not sorted: {k} after {prev}"
-                                    )));
-                                }
-                            }
-                            self.last_right_key = Some(k);
-                            self.pending_right = Some((ctx.arena.hold(slot), k));
-                            return Ok(());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Pull the next non-NULL-key left tuple.
+    /// Pull the next non-NULL-key left row and align the right side with
+    /// it; `false` once no further left row can match.
     fn advance_left(&mut self, ctx: &mut ExecContext) -> Result<bool> {
-        loop {
-            match self.left.next(ctx)? {
-                None => {
-                    self.current_left = None;
-                    return Ok(false);
-                }
-                Some(slot) => {
-                    let k = ctx
-                        .arena
-                        .row(slot)
-                        .get(self.left_key)
-                        .and_then(Datum::as_int);
-                    match k {
-                        None => continue,
-                        Some(k) => {
-                            if let Some(prev) = self.last_left_key {
-                                if k < prev {
-                                    return Err(DbError::InvalidPlan(format!(
-                                        "merge join left input not sorted: {k} after {prev}"
-                                    )));
-                                }
-                            }
-                            self.last_left_key = Some(k);
-                            self.current_left = Some((slot, k));
-                            self.group_pos = 0;
-                            return Ok(true);
-                        }
-                    }
-                }
-            }
+        let MergeJoinOp {
+            left,
+            right,
+            right_key,
+            cursor,
+            ..
+        } = self;
+        let mut next = |ctx: &mut ExecContext| held_right(ctx, right.as_mut(), *right_key);
+        while let Some(slot) = left.next(ctx)? {
+            let Some(k) = ctx
+                .arena
+                .row(slot)
+                .get(self.left_key)
+                .and_then(Datum::as_int)
+            else {
+                continue;
+            };
+            cursor.left(k)?;
+            let Some(group) = cursor.align(ctx, k, &mut next)? else {
+                self.right_done = true;
+                return Ok(false);
+            };
+            self.current_left = Some((slot, 0, group.len()));
+            return Ok(true);
         }
-    }
-
-    /// Load the right group for `key`, assuming `pending_right` holds its
-    /// first member.
-    fn load_group(&mut self, ctx: &mut ExecContext, key: i64) -> Result<()> {
-        self.group.clear();
-        self.group_key = Some(key);
-        while let Some((t, k)) = self.pending_right.take() {
-            if k == key {
-                // Materialize the group member (small copy, as Postgres's
-                // inner tuplestore does for duplicate inner keys).
-                ctx.machine.add_instructions(40);
-                self.group.push(t);
-                self.advance_right(ctx)?;
-            } else {
-                self.pending_right = Some((t, k));
-                break;
-            }
-        }
-        self.group_pos = 0;
-        Ok(())
+        Ok(false)
     }
 }
 
@@ -178,73 +243,43 @@ impl Operator for MergeJoinOp {
             .arena
             .alloc_region(self.batch_hint as u32 + 1, schema_slot_bytes(&self.schema));
         self.current_left = None;
-        self.group.clear();
-        self.group_key = None;
-        self.pending_right = None;
-        self.right_exhausted = false;
-        self.last_left_key = None;
-        self.last_right_key = None;
-        self.advance_right(ctx)?;
-        Ok(())
+        self.right_done = false;
+        self.cursor.reset();
+        let (right, key) = (self.right.as_mut(), self.right_key);
+        self.cursor.advance(ctx, &mut |ctx: &mut ExecContext| {
+            held_right(ctx, right, key)
+        })
     }
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<TupleSlot>> {
         ctx.machine.exec_region(&mut self.code);
-        loop {
-            if self.current_left.is_none() {
-                // One cancel check per left-tuple advance: key-skewed inputs
-                // can spin the alignment loop for a while between returns.
-                ctx.check_cancel()?;
-                if !self.advance_left(ctx)? {
-                    return Ok(None);
-                }
-            }
-            let Some((left_slot, lk)) = self.current_left else {
-                return Ok(None);
-            };
-
-            // Emit from the loaded group when it matches the current left key.
-            if self.group_key == Some(lk) {
-                if let Some(right) = self.group.get(self.group_pos) {
-                    self.group_pos += 1;
-                    let slot =
-                        ctx.arena
-                            .store_join(self.out_region, left_slot, right, &mut ctx.machine);
+        while !self.right_done {
+            if let Some((left, pos, len)) = self.current_left {
+                // The cursor's group is this left row's matches.
+                if pos < len {
+                    self.current_left = Some((left, pos + 1, len));
+                    let right = &self.cursor.group[pos];
+                    let slot = ctx
+                        .arena
+                        .store_join(self.out_region, left, right, &mut ctx.machine);
                     return Ok(Some(slot));
                 }
-                // Group exhausted for this left tuple; move to the next left
-                // (which may share the key and re-scan the same group).
+                // Matches exhausted for this left row; the next left row
+                // may share the key and re-scan the same group.
                 self.current_left = None;
-                continue;
             }
-
-            // Align the right side with the current left key.
-            match &self.pending_right {
-                None => {
-                    debug_assert!(self.right_exhausted);
-                    // Right side is done and the loaded group (if any) is for
-                    // a smaller key: no further matches are possible.
-                    return Ok(None);
-                }
-                Some((_, rk)) => {
-                    let rk = *rk;
-                    ctx.machine.branch(self.cmp_site, rk < lk);
-                    ctx.machine.add_instructions(24);
-                    if rk < lk {
-                        self.advance_right(ctx)?; // discard unmatched right
-                    } else if rk == lk {
-                        self.load_group(ctx, lk)?;
-                    } else {
-                        // rk > lk: this left tuple has no match.
-                        self.current_left = None;
-                    }
-                }
+            // One cancel check per left-row advance: key-skewed inputs can
+            // spin the alignment loop for a while between returns.
+            ctx.check_cancel()?;
+            if !self.advance_left(ctx)? {
+                return Ok(None);
             }
         }
+        Ok(None)
     }
 
     fn close(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        self.group.clear();
+        self.cursor.group.clear();
         self.left.close(ctx)?;
         self.right.close(ctx)
     }

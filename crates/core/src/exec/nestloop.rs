@@ -7,8 +7,9 @@
 
 use crate::arena::TupleSlot;
 use crate::context::ExecContext;
+use crate::exec::filter::RowFilter;
 use crate::exec::{schema_slot_bytes, Operator, DEFAULT_BATCH};
-use crate::expr::{Expr, Program, RowRef};
+use crate::expr::{Expr, RowRef};
 use crate::footprint::{FootprintModel, OpKind};
 use bufferdb_cachesim::CodeRegion;
 use bufferdb_types::{Datum, Result, SchemaRef};
@@ -19,8 +20,7 @@ pub struct NestLoopOp {
     inner: Box<dyn Operator>,
     param_outer_col: Option<usize>,
     /// The qual over the (outer, inner) pair, read in place.
-    qual: Option<Program>,
-    qual_site: u64,
+    qual: Option<RowFilter>,
     schema: SchemaRef,
     code: CodeRegion,
     current_outer: Option<TupleSlot>,
@@ -44,8 +44,7 @@ impl NestLoopOp {
             outer,
             inner,
             param_outer_col,
-            qual: qual.map(|q| Program::new(&q, &schema)),
-            qual_site,
+            qual: qual.map(|q| RowFilter::new(&q, &schema, qual_site)),
             schema,
             code,
             current_outer: None,
@@ -103,10 +102,7 @@ impl Operator for NestLoopOp {
                     if let Some(q) = &mut self.qual {
                         let pair =
                             RowRef::pair(ctx.arena.tuple(outer_slot), ctx.arena.tuple(inner_slot));
-                        let keep = q.eval_predicate(pair)?;
-                        ctx.machine.add_instructions(q.cost());
-                        ctx.machine.branch(self.qual_site, keep);
-                        if !keep {
+                        if !q.keep(&mut ctx.machine, pair)? {
                             continue;
                         }
                     }

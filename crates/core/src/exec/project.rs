@@ -3,16 +3,51 @@
 use crate::arena::TupleSlot;
 use crate::context::ExecContext;
 use crate::exec::{schema_slot_bytes, Operator, DEFAULT_BATCH};
-use crate::expr::{Expr, Program};
+use crate::expr::{Expr, Program, RowRef};
 use crate::footprint::{FootprintModel, OpKind};
-use bufferdb_cachesim::CodeRegion;
+use bufferdb_cachesim::{CodeRegion, Machine};
 use bufferdb_types::{Datum, Result, Schema, SchemaRef};
+
+/// The projection's row kernel: one program per output column. The
+/// projection operator, the scan's projection and the fused push project
+/// stage all run it.
+pub(crate) struct RowProject {
+    exprs: Vec<Program>,
+}
+
+impl RowProject {
+    /// `exprs` lowered over rows of `schema`.
+    pub(crate) fn new(exprs: &[(Expr, String)], schema: &SchemaRef) -> Self {
+        RowProject {
+            exprs: exprs.iter().map(|(e, _)| Program::new(e, schema)).collect(),
+        }
+    }
+
+    /// Output columns.
+    pub(crate) fn arity(&self) -> usize {
+        self.exprs.len()
+    }
+
+    /// Overwrite `out` with the projection of `row`, charging each program.
+    pub(crate) fn write(
+        &mut self,
+        machine: &mut Machine,
+        row: RowRef<'_>,
+        out: &mut [Datum],
+    ) -> Result<()> {
+        for (e, v) in self.exprs.iter_mut().zip(out) {
+            machine.add_instructions(e.cost());
+            v.clone_from(e.eval(row)?);
+        }
+        Ok(())
+    }
+}
 
 /// Projection operator: evaluates expressions per input row, reading the
 /// input in place and writing into its slot's recycled tuple.
 pub struct ProjectOp {
     child: Box<dyn Operator>,
-    exprs: Vec<Program>,
+    project: RowProject,
     schema: SchemaRef,
     code: CodeRegion,
     out_region: u32,
@@ -36,7 +71,7 @@ impl ProjectOp {
         }
         Ok(ProjectOp {
             child,
-            exprs: exprs.iter().map(|(e, _)| Program::new(e, &input)).collect(),
+            project: RowProject::new(&exprs, &input),
             schema: Schema::new(fields).into_ref(),
             code: fm.region_for(&OpKind::Project),
             out_region: u32::MAX,
@@ -67,12 +102,10 @@ impl Operator for ProjectOp {
         match self.child.next(ctx)? {
             None => Ok(None),
             Some(slot) => {
-                let mut out = ctx.arena.recycle(self.out_region, self.exprs.len());
+                let mut out = ctx.arena.recycle(self.out_region, self.project.arity());
                 let row = ctx.arena.row(slot);
-                for (e, v) in self.exprs.iter_mut().zip(out.values_mut()) {
-                    ctx.machine.add_instructions(e.cost());
-                    v.clone_from(e.eval(row)?);
-                }
+                self.project
+                    .write(&mut ctx.machine, row, out.values_mut())?;
                 Ok(Some(ctx.arena.store(
                     self.out_region,
                     out,

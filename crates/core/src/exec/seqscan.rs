@@ -6,8 +6,10 @@
 
 use crate::arena::TupleSlot;
 use crate::context::ExecContext;
+use crate::exec::filter::RowFilter;
+use crate::exec::project::RowProject;
 use crate::exec::{schema_slot_bytes, Operator, DEFAULT_BATCH};
-use crate::expr::{Expr, Program, RowRef};
+use crate::expr::{Expr, RowRef};
 use crate::fault;
 use crate::footprint::{FootprintModel, OpKind};
 use bufferdb_cachesim::{CodeRegion, Machine};
@@ -30,9 +32,8 @@ pub(crate) struct ScanCursor {
     table: Arc<Table>,
     /// The table's registration in the arena (set at `open`).
     table_id: u32,
-    predicate: Option<Program>,
-    pred_site: u64,
-    projection: Option<Vec<Program>>,
+    predicate: Option<RowFilter>,
+    projection: Option<RowProject>,
     pos: u32,
     /// First row id of the scanned range (0 unless a morsel was claimed).
     start: u32,
@@ -48,11 +49,10 @@ impl ScanCursor {
         projection: Option<&[(Expr, String)]>,
     ) -> Self {
         let schema = table.schema().clone();
+        let site = fm.predicate_site();
         ScanCursor {
-            predicate: predicate.map(|p| Program::new(p, &schema)),
-            pred_site: fm.predicate_site(),
-            projection: projection
-                .map(|v| v.iter().map(|(e, _)| Program::new(e, &schema)).collect()),
+            predicate: predicate.map(|p| RowFilter::new(p, &schema, site)),
+            projection: projection.map(|v| RowProject::new(v, &schema)),
             table,
             table_id: 0,
             pos: 0,
@@ -84,7 +84,7 @@ impl ScanCursor {
 
     /// Arity of the projected rows, when the scan projects.
     pub(crate) fn projection_arity(&self) -> Option<usize> {
-        self.projection.as_ref().map(Vec::len)
+        self.projection.as_ref().map(RowProject::arity)
     }
 
     /// Restart at the beginning of the range claimed at `open`.
@@ -113,13 +113,10 @@ impl ScanCursor {
         }
         ctx.machine
             .data_read(self.table.row_addr(id), self.table.row_width(id));
-        let Some(pred) = &mut self.predicate else {
-            return Ok(true);
-        };
-        let keep = pred.eval_predicate(RowRef::one(self.table.row(id)))?;
-        ctx.machine.add_instructions(pred.cost());
-        ctx.machine.branch(self.pred_site, keep);
-        Ok(keep)
+        match &mut self.predicate {
+            Some(pred) => pred.keep(&mut ctx.machine, RowRef::one(self.table.row(id))),
+            None => Ok(true),
+        }
     }
 
     /// Write the projection of passing row `id` into `out` (one value per
@@ -130,12 +127,10 @@ impl ScanCursor {
         id: u32,
         out: &mut [Datum],
     ) -> Result<()> {
-        let row = RowRef::one(self.table.row(id));
-        for (p, v) in self.projection.iter_mut().flatten().zip(out) {
-            machine.add_instructions(p.cost());
-            v.clone_from(p.eval(row)?);
+        match &mut self.projection {
+            Some(p) => p.write(machine, RowRef::one(self.table.row(id)), out),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Store passing row `id` into `region`: a reference to the table row,

@@ -6,7 +6,7 @@
 //! its own materialized storage. As a pipeline breaker it "already buffers
 //! query execution below it" (§6) and is never merged into a group.
 
-use crate::arena::TupleSlot;
+use crate::arena::{Held, TupleSlot};
 use crate::context::ExecContext;
 use crate::exec::{schema_slot_bytes, Operator};
 use crate::expr::RowRef;
@@ -15,17 +15,94 @@ use bufferdb_cachesim::CodeRegion;
 use bufferdb_types::{ops, Datum, Result, SchemaRef};
 use std::cmp::Ordering;
 
+/// The sort's run kernel: rows copied into the sort's own storage, sorted
+/// in memory, then read back in order. [`SortOp`] forms the run one child
+/// row per sort-code execution; a fused push group
+/// ([`crate::exec::push`]) forms it as its sink and reads it back as the
+/// source of the group above; the materialize operator keeps one and never
+/// sorts it.
+pub(crate) struct SortRun {
+    keys: Vec<(usize, bool)>,
+    /// The run as slots of its own unbounded region (table rows held by
+    /// reference, built rows by copy).
+    slots: Vec<TupleSlot>,
+    region: u32,
+    pos: usize,
+}
+
+impl SortRun {
+    /// An empty run ordered by `keys` (`(column, ascending)`).
+    pub(crate) fn new(keys: Vec<(usize, bool)>) -> Self {
+        SortRun {
+            keys,
+            slots: Vec::new(),
+            region: u32::MAX,
+            pos: 0,
+        }
+    }
+
+    /// Start a new, empty run of rows of `schema`.
+    pub(crate) fn begin(&mut self, ctx: &mut ExecContext, schema: &SchemaRef) {
+        self.region = ctx.arena.alloc_unbounded_region(schema_slot_bytes(schema));
+        self.clear();
+    }
+
+    /// Copy one row into the run (tuplesort copies tuples; the simulated
+    /// write is the copy's).
+    pub(crate) fn push(&mut self, ctx: &mut ExecContext, held: Held) {
+        let own = ctx.arena.store_held(self.region, held, &mut ctx.machine);
+        self.slots.push(own);
+    }
+
+    /// Sort the run: n log n comparisons at ~32 instructions each.
+    pub(crate) fn sort(&mut self, ctx: &mut ExecContext) {
+        let n = self.slots.len() as u64;
+        if n > 1 {
+            ctx.machine.add_instructions(n * n.ilog2() as u64 * 32);
+        }
+        let (arena, keys) = (&ctx.arena, &self.keys);
+        self.slots
+            .sort_by(|a, b| compare(keys, arena.row(*a), arena.row(*b)));
+        self.pos = 0;
+    }
+
+    /// The next row of the sorted run, its simulated read charged.
+    pub(crate) fn next(&mut self, ctx: &mut ExecContext) -> Option<TupleSlot> {
+        let slot = *self.slots.get(self.pos)?;
+        self.pos += 1;
+        ctx.arena.read(slot, &mut ctx.machine);
+        Some(slot)
+    }
+
+    /// Read the run again from its first row.
+    pub(crate) fn rewind(&mut self) {
+        self.pos = 0;
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.pos = 0;
+    }
+}
+
+fn compare(keys: &[(usize, bool)], a: RowRef<'_>, b: RowRef<'_>) -> Ordering {
+    for &(col, asc) in keys {
+        let (x, y) = (a.get(col), b.get(col));
+        let o = ops::sort_compare(x.unwrap_or(&Datum::Null), y.unwrap_or(&Datum::Null));
+        let o = if asc { o } else { o.reverse() };
+        if o != Ordering::Equal {
+            return o;
+        }
+    }
+    Ordering::Equal
+}
+
 /// Sort operator.
 pub struct SortOp {
     child: Box<dyn Operator>,
-    keys: Vec<(usize, bool)>,
     schema: SchemaRef,
     code: CodeRegion,
-    /// Sorted output order as slots into our own materialized region
-    /// (table rows held by reference, built rows by copy).
-    sorted: Vec<TupleSlot>,
-    pos: usize,
-    own_region: u32,
+    run: SortRun,
     done_build: bool,
 }
 
@@ -40,54 +117,23 @@ impl SortOp {
         let code = fm.region_for(&OpKind::Sort);
         SortOp {
             child,
-            keys,
             schema,
             code,
-            sorted: Vec::new(),
-            pos: 0,
-            own_region: u32::MAX,
+            run: SortRun::new(keys),
             done_build: false,
         }
     }
 
-    fn compare(keys: &[(usize, bool)], a: RowRef<'_>, b: RowRef<'_>) -> Ordering {
-        for &(col, asc) in keys {
-            let (x, y) = (a.get(col), b.get(col));
-            let o = ops::sort_compare(x.unwrap_or(&Datum::Null), y.unwrap_or(&Datum::Null));
-            let o = if asc { o } else { o.reverse() };
-            if o != Ordering::Equal {
-                return o;
-            }
-        }
-        Ordering::Equal
-    }
-
     fn build(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        self.own_region = ctx
-            .arena
-            .alloc_unbounded_region(schema_slot_bytes(&self.schema));
-        self.sorted.clear();
+        self.run.begin(ctx, &self.schema);
         while let Some(slot) = self.child.next(ctx)? {
             ctx.check_cancel()?;
             ctx.tuple_yield();
             ctx.machine.exec_region(&mut self.code);
-            // Materialize into our own storage (tuplesort copies tuples;
-            // the simulated write is the copy's).
             let held = ctx.arena.hold(slot);
-            let own = ctx
-                .arena
-                .store_held(self.own_region, held, &mut ctx.machine);
-            self.sorted.push(own);
+            self.run.push(ctx, held);
         }
-        // The in-memory sort: n log n comparisons at ~32 instructions each.
-        let n = self.sorted.len() as u64;
-        if n > 1 {
-            ctx.machine.add_instructions(n * n.ilog2() as u64 * 32);
-        }
-        let (arena, keys) = (&ctx.arena, &self.keys);
-        self.sorted
-            .sort_by(|a, b| Self::compare(keys, arena.row(*a), arena.row(*b)));
-        self.pos = 0;
+        self.run.sort(ctx);
         self.done_build = true;
         Ok(())
     }
@@ -101,8 +147,7 @@ impl Operator for SortOp {
     fn open(&mut self, ctx: &mut ExecContext) -> Result<()> {
         self.child.open(ctx)?;
         self.done_build = false;
-        self.sorted.clear();
-        self.pos = 0;
+        self.run.clear();
         Ok(())
     }
 
@@ -112,17 +157,11 @@ impl Operator for SortOp {
         }
         // Return phase: sort code per call (tuplesort_gettuple).
         ctx.machine.exec_region(&mut self.code);
-        if self.pos >= self.sorted.len() {
-            return Ok(None);
-        }
-        let slot = self.sorted[self.pos];
-        self.pos += 1;
-        ctx.arena.read(slot, &mut ctx.machine);
-        Ok(Some(slot))
+        Ok(self.run.next(ctx))
     }
 
     fn close(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        self.sorted.clear();
+        self.run.clear();
         self.child.close(ctx)
     }
 
@@ -133,7 +172,7 @@ impl Operator for SortOp {
             ));
         }
         // The sorted result is retained; rescanning just resets the cursor.
-        self.pos = 0;
+        self.run.rewind();
         Ok(())
     }
 }

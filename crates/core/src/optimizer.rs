@@ -81,7 +81,7 @@ impl ExecModePolicy {
     }
 }
 
-/// Can `n` be the probe-side chain of a fused hash join (filters and
+/// Can `n` be the probe-side chain of a fused join (filters and
 /// projections over one sequential scan)?
 fn probe_chain_ok(n: &PlanNode) -> bool {
     match n {
@@ -92,24 +92,61 @@ fn probe_chain_ok(n: &PlanNode) -> bool {
 }
 
 /// Can `n` be fused below a push group root: `[Filter|Project]*` over a
-/// sequential scan, or over a hash join whose probe side is such a chain
-/// (the blocking build side stays a pull subtree either way)?
+/// sequential scan, or over one join whose other side needs no region of
+/// its own —
+/// - a hash join probed by such a chain (the blocking build side stays a
+///   pull subtree);
+/// - an index nest-loop join whose outer is such a chain (one index lookup
+///   per outer row, a probe stage);
+/// - a merge join of a sorted run, formed by its own sort group over a
+///   chain, with an index range (the merge is a stage; the sort is the
+///   breaker between the two groups).
 fn chain_ok(n: &PlanNode) -> bool {
     match n {
         PlanNode::Filter { input, .. } | PlanNode::Project { input, .. } => chain_ok(input),
         PlanNode::SeqScan { .. } => true,
         PlanNode::HashJoin { probe, .. } => probe_chain_ok(probe),
+        PlanNode::NestLoopJoin {
+            outer,
+            inner,
+            param_outer_col: Some(_),
+            ..
+        } => {
+            let lookup = matches!(
+                **inner,
+                PlanNode::IndexScan {
+                    mode: IndexMode::LookupParam,
+                    ..
+                }
+            );
+            lookup && probe_chain_ok(outer)
+        }
+        PlanNode::MergeJoin {
+            left,
+            right,
+            left_key,
+            ..
+        } => match (&**left, &**right) {
+            (
+                PlanNode::Sort { input, keys },
+                PlanNode::IndexScan {
+                    mode: IndexMode::Range { .. },
+                    ..
+                },
+            ) => keys.first() == Some(&(*left_key, true)) && chain_ok(input),
+            _ => false,
+        },
         _ => false,
     }
 }
 
 /// Is `n` the root of a push-eligible pipeline? An aggregate may cap the
-/// group (it is the terminal sink); everything below must be a fuseable
-/// chain. Nested-loop inners, index scans, sorts, merges and exchanges are
-/// never fused.
+/// group, or a sort (its run is formed as the group's sink); everything
+/// below must be a fuseable chain. A sort over an aggregate, exchanges and
+/// non-index nest-loop inners are never fused.
 fn push_eligible(n: &PlanNode) -> bool {
     match n {
-        PlanNode::Aggregate { input, .. } => chain_ok(input),
+        PlanNode::Aggregate { input, .. } | PlanNode::Sort { input, .. } => chain_ok(input),
         other => chain_ok(other),
     }
 }
@@ -130,7 +167,9 @@ fn fuse_wanted(n: &PlanNode, cfg: &RefineConfig, policy: ExecModePolicy) -> bool
 }
 
 /// Clone the fused chain, recursing mode selection into hash-join build
-/// sides (they stay pull subtrees and may contain their own pipelines).
+/// sides (they stay pull subtrees and may contain their own pipelines) and
+/// fusing a merge's left sort as a group of its own, whose run the merge
+/// group reads.
 fn recurse_build_sides(n: &PlanNode, cfg: &RefineConfig, policy: ExecModePolicy) -> PlanNode {
     match n {
         PlanNode::Aggregate {
@@ -141,6 +180,10 @@ fn recurse_build_sides(n: &PlanNode, cfg: &RefineConfig, policy: ExecModePolicy)
             input: Box::new(recurse_build_sides(input, cfg, policy)),
             group_by: group_by.clone(),
             aggs: aggs.clone(),
+        },
+        PlanNode::Sort { input, keys } => PlanNode::Sort {
+            input: Box::new(recurse_build_sides(input, cfg, policy)),
+            keys: keys.clone(),
         },
         PlanNode::Filter { input, predicate } => PlanNode::Filter {
             input: Box::new(recurse_build_sides(input, cfg, policy)),
@@ -162,6 +205,19 @@ fn recurse_build_sides(n: &PlanNode, cfg: &RefineConfig, policy: ExecModePolicy)
             build: Box::new(mode_rec(build, cfg, policy)),
             probe_key: *probe_key,
             build_key: *build_key,
+        },
+        PlanNode::MergeJoin {
+            left,
+            right,
+            left_key,
+            right_key,
+        } => PlanNode::MergeJoin {
+            left: Box::new(PlanNode::PushPipeline {
+                input: Box::new(recurse_build_sides(left, cfg, policy)),
+            }),
+            right: right.clone(),
+            left_key: *left_key,
+            right_key: *right_key,
         },
         other => other.clone(),
     }
@@ -646,29 +702,89 @@ mod tests {
     }
 
     #[test]
-    fn nestloop_inner_is_never_fused() {
+    fn index_nestloop_fuses_as_one_probe_group() {
         let cfg = RefineConfig::default();
         let scan = PlanNode::SeqScan {
             table: "fact".into(),
-            predicate: None,
+            predicate: Some(Expr::col(1).lt(Expr::lit(100))),
             projection: None,
         };
-        let plan = PlanNode::NestLoopJoin {
+        let lookup = PlanNode::IndexScan {
+            index: "dim_pkey".into(),
+            mode: IndexMode::LookupParam,
+        };
+        let nestloop = |inner: PlanNode, param_outer_col| PlanNode::NestLoopJoin {
             outer: Box::new(scan.clone()),
-            inner: Box::new(scan),
-            param_outer_col: None,
+            inner: Box::new(inner),
+            param_outer_col,
             qual: None,
-            fk_inner: false,
+            fk_inner: true,
+        };
+        let agg = |input: PlanNode| PlanNode::Aggregate {
+            input: Box::new(input),
+            group_by: vec![],
+            aggs: vec![crate::plan::AggSpec::count_star("n")],
+        };
+        // [scan → index probe → aggregate] is one group, the plan itself
+        // under the marker, whose footprint is the four members' union.
+        let plan = agg(nestloop(lookup.clone(), Some(0)));
+        let marked = choose_pipeline_modes(&plan, &cfg, ExecModePolicy::Push);
+        assert_eq!(
+            marked,
+            PlanNode::PushPipeline {
+                input: Box::new(plan.clone())
+            }
+        );
+        assert_eq!(
+            push_member_kinds(&plan),
+            [
+                OpKind::aggregate(&[crate::plan::AggSpec::count_star("n")]),
+                OpKind::NestLoop,
+                OpKind::IndexScan,
+                OpKind::SeqScan { with_pred: true },
+            ]
+        );
+        // A rescanned (non-index) inner, or an unparameterized one, is no
+        // probe: the join stays pull over its fused outer scan.
+        for plan in [nestloop(scan.clone(), Some(0)), nestloop(lookup, None)] {
+            let marked = choose_pipeline_modes(&plan, &cfg, ExecModePolicy::Push);
+            let PlanNode::NestLoopJoin { outer, inner, .. } = &marked else {
+                panic!("root must stay a nestloop: {marked:?}");
+            };
+            assert!(matches!(**outer, PlanNode::PushPipeline { .. }));
+            assert!(!matches!(**inner, PlanNode::PushPipeline { .. }));
+        }
+    }
+
+    #[test]
+    fn sort_over_an_aggregate_is_not_fused() {
+        // TPC-H Q1's shape: the sort's input is no fusable chain, so only
+        // the aggregate's group fuses and the sort stays pull above it.
+        let cfg = RefineConfig::default();
+        let plan = PlanNode::Sort {
+            input: Box::new(agg_over_scan()),
+            keys: vec![(0, true)],
         };
         let marked = choose_pipeline_modes(&plan, &cfg, ExecModePolicy::Push);
-        let PlanNode::NestLoopJoin { outer, inner, .. } = &marked else {
-            panic!("root must stay a nestloop: {marked:?}");
+        let PlanNode::Sort { input, .. } = &marked else {
+            panic!("sort must stay pull: {marked:?}");
         };
-        assert!(matches!(**outer, PlanNode::PushPipeline { .. }));
-        assert!(
-            matches!(**inner, PlanNode::SeqScan { .. }),
-            "rescanned inner must stay pull"
+        assert_eq!(
+            **input,
+            choose_pipeline_modes(&agg_over_scan(), &cfg, ExecModePolicy::Push)
         );
+        // Over a chain, the sort is that chain's sink.
+        let PlanNode::Aggregate { input: scan, .. } = agg_over_scan() else {
+            unreachable!()
+        };
+        let sorted = PlanNode::Sort {
+            input: scan,
+            keys: vec![(0, true)],
+        };
+        assert!(matches!(
+            choose_pipeline_modes(&sorted, &cfg, ExecModePolicy::Push),
+            PlanNode::PushPipeline { .. }
+        ));
     }
 
     #[test]

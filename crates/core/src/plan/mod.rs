@@ -216,8 +216,9 @@ pub enum PlanNode {
         table: String,
     },
     /// Executor-mode marker: run the wrapped pipeline on the push-based
-    /// backend, batch-at-a-time, as ONE fused code region (scan → filters/
-    /// projects → optional hash-join probes → optional terminal aggregate).
+    /// backend, batch-at-a-time, as ONE fused code region (a scan or a
+    /// sorted run → filters/projects → an optional hash, index nest-loop or
+    /// merge join → an optional terminal aggregate or sort).
     /// The fused group has a single combined instruction footprint
     /// ([`OpKind::PushGroup`]) — the push model's alternative to the
     /// paper's buffer operators. Inserted by the mode-selection pass
@@ -232,10 +233,24 @@ pub enum PlanNode {
 /// The footprint kinds of the operators fused into a push pipeline over
 /// `node`, top-down. Hash-join *build* sides are excluded — they stay pull
 /// subtrees whose footprint is accounted separately, exactly as the
-/// refiner treats blocking build phases.
+/// refiner treats blocking build phases. A nest-loop probe and a merge
+/// bring the index code their right side runs; a merge's left side is a
+/// sorted run, read through sort code, whose formation is the sort
+/// group's own.
 pub fn push_member_kinds(node: &PlanNode) -> Vec<OpKind> {
     fn rec(n: &PlanNode, out: &mut Vec<OpKind>) {
         match n {
+            PlanNode::Sort { input, .. } => {
+                out.push(OpKind::Sort);
+                rec(input, out);
+            }
+            PlanNode::NestLoopJoin { outer, .. } => {
+                out.extend([OpKind::NestLoop, OpKind::IndexScan]);
+                rec(outer, out);
+            }
+            PlanNode::MergeJoin { .. } => {
+                out.extend([OpKind::MergeJoin, OpKind::IndexScan, OpKind::Sort]);
+            }
             PlanNode::Aggregate { input, aggs, .. } => {
                 out.push(OpKind::aggregate(aggs));
                 rec(input, out);

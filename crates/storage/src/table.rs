@@ -14,7 +14,8 @@ pub struct Table {
     rows: Vec<Tuple>,
     /// Simulated byte address of each row (sequential heap layout).
     addrs: Vec<u64>,
-    /// Simulated width of each row in bytes.
+    /// Simulated width of each row's tuple in bytes
+    /// ([`Tuple::simulated_width`], before heap alignment).
     widths: Vec<u32>,
     stats: TableStats,
 }
@@ -46,8 +47,13 @@ impl Table {
         self.addrs[id as usize]
     }
 
-    /// Simulated width in bytes of row `id`.
+    /// Simulated width in bytes of row `id`'s heap slot (16-byte aligned).
     pub fn row_width(&self, id: RowId) -> usize {
+        self.tuple_width(id).next_multiple_of(16)
+    }
+
+    /// [`Tuple::simulated_width`] of row `id`, without summing its values.
+    pub fn tuple_width(&self, id: RowId) -> usize {
         self.widths[id as usize] as usize
     }
 
@@ -64,7 +70,7 @@ impl Table {
     /// Total simulated heap size in bytes.
     pub fn heap_bytes(&self) -> u64 {
         match (self.addrs.first(), self.addrs.last(), self.widths.last()) {
-            (Some(first), Some(last), Some(w)) => last + *w as u64 - first,
+            (Some(first), Some(last), Some(w)) => last + w.next_multiple_of(16) as u64 - first,
             _ => 0,
         }
     }
@@ -130,10 +136,10 @@ impl TableBuilder {
         let mut widths = Vec::with_capacity(self.rows.len());
         let mut addr = base_addr;
         for row in &self.rows {
-            let w = row.simulated_width().next_multiple_of(16) as u32;
+            let w = row.simulated_width() as u32;
             addrs.push(addr);
             widths.push(w);
-            addr += w as u64;
+            addr += w.next_multiple_of(16) as u64;
         }
         let stats = TableStats::compute(&self.schema, &self.rows);
         Table {

@@ -2,7 +2,9 @@
 //! TPC-H Q6, under push and buffered pull, must make the same number of
 //! heap allocations at two scale factors — everything they allocate is
 //! per-query (executor, machine, arena regions), none of it per scanned row
-//! or per batch.
+//! or per batch. Paper Query 3's nest-loop and merge-join plans under push
+//! may add only the few regrowths of the vectors a sorted run, its arena
+//! region and an index range grow into.
 //!
 //! The binary installs its own counting allocator (the one the allocation
 //! bench uses); counts are per thread, so the test harness's other threads
@@ -66,5 +68,38 @@ fn scanned_rows_allocate_nothing() {
                 l.0
             );
         }
+    }
+}
+
+#[test]
+fn fused_query3_joins_allocate_nothing_per_scanned_row() {
+    use queries::JoinMethod;
+    let small = tpch::generate_catalog(0.002, 42);
+    let large = tpch::generate_catalog(0.004, 42);
+    let rows = |c: &Catalog| c.table("lineitem").map(|t| t.row_count()).unwrap_or(0);
+    let extra_rows = rows(&large) - rows(&small);
+    for method in [JoinMethod::NestLoop, JoinMethod::MergeJoin] {
+        let [s, l] = [&small, &large].map(|c| {
+            let logical = queries::paper_query3(c, method).expect("query builds");
+            let plan = prepare_plan_parts_with_mode(
+                &logical,
+                c,
+                &RefineConfig::default(),
+                1,
+                ExecModePolicy::Push,
+            )
+            .expect("plan prepares")
+            .physical;
+            allocations(&plan, c)
+        });
+        // Doubling the rows regrows each growing vector once more: a
+        // handful of allocations against thousands of extra rows.
+        assert!(
+            l.0.abs_diff(s.0) * 1000 < extra_rows as u64,
+            "{method:?} under push: {} allocations at sf 0.002, {} at sf 0.004 \
+             ({extra_rows} more lineitem rows)",
+            s.0,
+            l.0
+        );
     }
 }

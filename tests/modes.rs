@@ -91,6 +91,42 @@ fn all_modes_produce_bit_identical_rows_at_every_worker_count() {
     }
 }
 
+/// Paper Query 3 under each join method: push fuses one nest-loop probe
+/// group; a hash probe group beside its build side's scan group; a sort
+/// group and the merge group over its run. Every mode at 1/2 workers
+/// returns the pull rows, in order.
+#[test]
+fn paper_query3_joins_fuse_and_match_pull_at_one_and_two_workers() {
+    use queries::JoinMethod;
+    let methods = [
+        JoinMethod::NestLoop,
+        JoinMethod::HashJoin,
+        JoinMethod::MergeJoin,
+    ];
+    for workers in [1usize, 2] {
+        let reference = db(ExecModePolicy::Pull, workers);
+        for method in methods {
+            let plan = queries::paper_query3(reference.catalog(), method).unwrap();
+            let want = exact_rows(reference.prepare(&plan).unwrap().execute());
+            for mode in MODES {
+                let candidate = db(mode, workers);
+                let prepared = candidate.prepare(&plan).unwrap();
+                if mode == ExecModePolicy::Push && workers == 1 {
+                    let groups = if method == JoinMethod::NestLoop { 1 } else { 2 };
+                    assert_eq!(
+                        push_count(&prepared.plan()),
+                        groups,
+                        "{method:?} under push: {:?}",
+                        prepared.plan()
+                    );
+                }
+                let got = exact_rows(prepared.execute());
+                assert_eq!(got, want, "{method:?} x{workers} under {}", mode.label());
+            }
+        }
+    }
+}
+
 /// Push-mode profiles conserve exactly: the assembled query counters equal
 /// the profile total, and per-operator counters sum to that total — the
 /// fused pipelines' work is fully attributed, never dropped or doubled.
