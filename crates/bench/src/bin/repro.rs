@@ -32,7 +32,7 @@ experiments:
   ablation  predictor / placement / cache-size / copy-buffer / cross-arch
   blockcmp  buffering vs block-oriented processing (related work)
   misscurve i-cache miss rate vs capacity, interleaved vs batched
-  modes     executor showdown: pull vs buffered pull vs push vs auto at
+  modes     executor showdown: pull vs buffered pull vs push at
             1/2/4 workers on the TPC-H mix, write BENCH_modes.json
   prepared  plan-cache hits/misses + adaptive refinement,
             write BENCH_plancache.json

@@ -461,30 +461,20 @@ pub const MODES_WORKERS: [usize; 3] = [1, 2, 4];
 
 /// Mode policies swept by the showdown, pull first (it is the baseline
 /// the other modes' speedups are computed against).
-pub const MODES_POLICIES: [ExecModePolicy; 4] = [
+pub const MODES_POLICIES: [ExecModePolicy; 3] = [
     ExecModePolicy::Pull,
     ExecModePolicy::BufferedPull,
     ExecModePolicy::Push,
-    ExecModePolicy::Auto,
 ];
 
-fn push_pipeline_count(plan: &PlanNode) -> usize {
-    let own = usize::from(matches!(plan, PlanNode::PushPipeline { .. }));
-    own + plan
-        .children()
-        .iter()
-        .map(|c| push_pipeline_count(c))
-        .sum::<usize>()
-}
-
 /// The executor-mode showdown: the TPC-H mix prepared under each
-/// [`ExecModePolicy`] — unbuffered pull, the paper's buffered pull, the
-/// fused batch-at-a-time push backend, and footprint-driven auto selection
-/// — at 1/2/4 exchange workers. Every cell asserts bit-identical rows
-/// against the pull baseline and exact per-operator counter conservation
-/// before any number is reported; the physics (instructions, L1i misses,
-/// modeled wall clock) are the only things allowed to differ. The `repro`
-/// binary serializes this to `BENCH_modes.json`.
+/// [`ExecModePolicy`] — unbuffered pull, the paper's buffered pull and the
+/// fused batch-at-a-time push backend — at 1/2/4 exchange workers. Every
+/// cell asserts bit-identical rows against the pull baseline and exact
+/// per-operator counter conservation before any number is reported; the
+/// physics (instructions, L1i misses, modeled wall clock) are the only
+/// things allowed to differ. The `repro` binary serializes this to
+/// `BENCH_modes.json`.
 pub fn modes_metrics(ctx: &ExperimentCtx, seed: u64) -> ModesReport {
     let plans: Vec<(&str, PlanNode)> = vec![
         (
@@ -556,7 +546,9 @@ pub fn modes_metrics(ctx: &ExperimentCtx, seed: u64) -> ModesReport {
                     mode: mode.label().to_string(),
                     workers: workers as u64,
                     rows: rows.len() as u64,
-                    fused_pipelines: push_pipeline_count(&parts.physical) as u64,
+                    fused_pipelines: (parts.physical)
+                        .count(|n| matches!(n, PlanNode::PushPipeline { .. }))
+                        as u64,
                     buffers: parts.physical.buffer_count() as u64,
                     modeled_wall_seconds: modeled,
                     modeled_cpu_seconds: stats.seconds(),
@@ -896,99 +888,33 @@ pub fn blockcmp(ctx: &ExperimentCtx) -> String {
 /// Wrap every pipelined edge in a buffer (ablation baseline: "too much
 /// buffering").
 pub fn buffer_everywhere(plan: &PlanNode, size: usize) -> PlanNode {
-    let wrap = |p: &PlanNode| -> Box<PlanNode> {
-        let inner = buffer_everywhere(p, size);
-        if matches!(inner, PlanNode::Buffer { .. }) || p.is_blocking() {
-            Box::new(inner)
+    let wrap = |child: &PlanNode| {
+        let inner = buffer_everywhere(child, size);
+        if matches!(inner, PlanNode::Buffer { .. }) || child.is_blocking() {
+            inner
         } else {
-            Box::new(PlanNode::Buffer {
+            PlanNode::Buffer {
                 input: Box::new(inner),
                 size,
-            })
-        }
-    };
-    match plan {
-        PlanNode::SeqScan { .. }
-        | PlanNode::IndexScan { .. }
-        | PlanNode::ReusedScan { .. }
-        | PlanNode::SysScan { .. } => plan.clone(),
-        // A fused push group is already batch-at-a-time internally; a
-        // buffer above (or inside) it would only add copies.
-        PlanNode::PushPipeline { .. } => plan.clone(),
-        PlanNode::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => PlanNode::Aggregate {
-            input: wrap(input),
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-        },
-        PlanNode::Project { input, exprs } => PlanNode::Project {
-            input: wrap(input),
-            exprs: exprs.clone(),
-        },
-        PlanNode::Sort { input, keys } => PlanNode::Sort {
-            input: wrap(input),
-            keys: keys.clone(),
-        },
-        PlanNode::Materialize { input } => PlanNode::Materialize { input: wrap(input) },
-        PlanNode::Filter { input, predicate } => PlanNode::Filter {
-            input: wrap(input),
-            predicate: predicate.clone(),
-        },
-        PlanNode::Limit { input, limit } => PlanNode::Limit {
-            input: wrap(input),
-            limit: *limit,
-        },
-        PlanNode::Buffer { input, size: s } => PlanNode::Buffer {
-            input: Box::new(buffer_everywhere(input, size)),
-            size: *s,
-        },
-        PlanNode::NestLoopJoin {
-            outer,
-            inner,
-            param_outer_col,
-            qual,
-            fk_inner,
-        } => {
-            PlanNode::NestLoopJoin {
-                outer: wrap(outer),
-                // The parameterized inner cannot be usefully buffered.
-                inner: Box::new(buffer_everywhere(inner, size)),
-                param_outer_col: *param_outer_col,
-                qual: qual.clone(),
-                fk_inner: *fk_inner,
             }
         }
-        PlanNode::HashJoin {
-            probe,
-            build,
-            probe_key,
-            build_key,
-        } => PlanNode::HashJoin {
-            probe: wrap(probe),
-            build: wrap(build),
-            probe_key: *probe_key,
-            build_key: *build_key,
-        },
-        PlanNode::MergeJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => PlanNode::MergeJoin {
-            left: wrap(left),
-            right: wrap(right),
-            left_key: *left_key,
-            right_key: *right_key,
-        },
-        // An exchange already batches at its boundary; buffer below it only.
-        PlanNode::Exchange { input, workers } => PlanNode::Exchange {
-            input: Box::new(buffer_everywhere(input, size)),
-            workers: *workers,
-        },
-    }
+    };
+    let inputs = match plan {
+        // A fused push group is already batch-at-a-time internally; a
+        // buffer above (or inside) it would only add copies.
+        PlanNode::PushPipeline { .. } => return plan.clone(),
+        // A buffer or an exchange already batches at its boundary; buffer
+        // below it only.
+        PlanNode::Buffer { input, .. } | PlanNode::Exchange { input, .. } => {
+            vec![buffer_everywhere(input, size)]
+        }
+        // The parameterized inner cannot be usefully buffered.
+        PlanNode::NestLoopJoin { outer, inner, .. } => {
+            vec![wrap(outer), buffer_everywhere(inner, size)]
+        }
+        _ => plan.children().into_iter().map(wrap).collect(),
+    };
+    plan.with_inputs(inputs)
 }
 
 #[cfg(test)]

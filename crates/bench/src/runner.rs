@@ -161,7 +161,7 @@ pub fn comparison_report(title: &str, original: &RunResult, buffered: &RunResult
 pub struct ModesEntry {
     /// Query name.
     pub query: String,
-    /// Executor-mode policy label (`pull`, `buffered-pull`, `push`, `auto`).
+    /// Executor-mode policy label (`pull`, `buffered-pull`, `push`).
     pub mode: String,
     /// Exchange worker count for this run.
     pub workers: u64,

@@ -491,15 +491,6 @@ impl Cache {
         self.misses
     }
 
-    /// Miss ratio in [0, 1]; 0 when never accessed.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-
     /// Empty the cache (counters are preserved). A flush is not an
     /// eviction *by* anyone, so pending cross-owner attributions clear too.
     pub fn flush(&mut self) {

@@ -152,21 +152,6 @@ impl HeatSnapshot {
         rows
     }
 
-    /// Per-owner rollup (segments summed), sorted by owner tag.
-    pub fn by_owner(&self) -> Vec<(u32, HeatCell)> {
-        let mut map: HashMap<u32, HeatCell> = HashMap::new();
-        for ((_, owner), v) in &self.cells {
-            let c = map.entry(*owner).or_default();
-            c.misses += v.misses;
-            c.cross_misses += v.cross_misses;
-            c.evictions += v.evictions;
-            c.cross_caused += v.cross_caused;
-        }
-        let mut rows: Vec<(u32, HeatCell)> = map.into_iter().collect();
-        rows.sort_by_key(|&(owner, _)| owner);
-        rows
-    }
-
     /// Render a terminal heatmap: one row per segment, one column per set
     /// bucket, shading by resident lines; miss totals on the right.
     /// `buckets` folds the sets down for narrow terminals (32 sets → 32

@@ -219,17 +219,6 @@ impl TraceEvent {
         }
     }
 
-    /// Whether this is an adaptivity decision (rendered on its own track).
-    pub fn is_adaptivity(&self) -> bool {
-        matches!(
-            self,
-            TraceEvent::AdaptInstall { .. }
-                | TraceEvent::AdaptValidate { .. }
-                | TraceEvent::AdaptRollback
-                | TraceEvent::AdaptFreeze
-        )
-    }
-
     fn args(&self) -> Vec<(&'static str, Arg)> {
         match self {
             TraceEvent::MorselClaim { morsel, lo, hi } => vec![

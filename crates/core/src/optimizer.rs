@@ -9,9 +9,8 @@
 //! executor simulates — so its choices align with the simulated outcomes.
 
 use crate::expr::Expr;
-use crate::footprint::OpKind;
 use crate::plan::estimate::{estimate_rows, predicate_selectivity};
-use crate::plan::{push_member_kinds, IndexMode, PlanNode};
+use crate::plan::{IndexMode, PlanNode};
 use crate::refine::RefineConfig;
 use bufferdb_storage::Catalog;
 use bufferdb_types::{DbError, Result};
@@ -28,9 +27,6 @@ use bufferdb_types::{DbError, Result};
 /// * `Push` — every eligible pipeline is fused into a
 ///   [`PlanNode::PushPipeline`] group executing batch-at-a-time over one
 ///   combined code region; the refiner still buffers what stays pull.
-/// * `Auto` — per-pipeline choice: fuse a pipeline exactly when its
-///   combined footprint (group members + push driver) fits the configured
-///   L1i capacity, otherwise leave it to the refiner's buffered pull.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecModePolicy {
     /// Volcano pull, no buffers.
@@ -40,8 +36,6 @@ pub enum ExecModePolicy {
     BufferedPull,
     /// Fuse every eligible pipeline into a push group.
     Push,
-    /// Fuse per pipeline when the fused footprint fits L1i.
-    Auto,
 }
 
 impl ExecModePolicy {
@@ -51,19 +45,7 @@ impl ExecModePolicy {
             ExecModePolicy::Pull => "pull",
             ExecModePolicy::BufferedPull => "buffered-pull",
             ExecModePolicy::Push => "push",
-            ExecModePolicy::Auto => "auto",
         }
-    }
-
-    /// Parse a [`ExecModePolicy::label`] back into a policy.
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "pull" => ExecModePolicy::Pull,
-            "buffered-pull" => ExecModePolicy::BufferedPull,
-            "push" => ExecModePolicy::Push,
-            "auto" => ExecModePolicy::Auto,
-            _ => return None,
-        })
     }
 
     /// Whether the refiner runs over the mode-marked plan (buffers are a
@@ -73,11 +55,11 @@ impl ExecModePolicy {
     }
 
     /// Whether profiled feedback may re-refine the cached plan. Buffer
-    /// placement is what adaptation moves, so only the modes that asked
-    /// for refiner-placed buffers adapt; `Pull` and `Push` plans are
-    /// pinned to what the policy chose.
+    /// placement is what adaptation moves, so only the mode that asked for
+    /// refiner-placed buffers adapts; `Pull` and `Push` plans are pinned to
+    /// what the policy chose.
     pub(crate) fn adapts(self) -> bool {
-        matches!(self, ExecModePolicy::BufferedPull | ExecModePolicy::Auto)
+        self == ExecModePolicy::BufferedPull
     }
 }
 
@@ -151,183 +133,69 @@ fn push_eligible(n: &PlanNode) -> bool {
     }
 }
 
-/// Does `policy` want this eligible pipeline fused? `Push` always fuses;
-/// `Auto` fuses when the group is non-trivial (≥ 2 members) and its
-/// combined footprint fits the refiner's L1i budget — the same capacity
-/// the buffered alternative is judged against.
-fn fuse_wanted(n: &PlanNode, cfg: &RefineConfig, policy: ExecModePolicy) -> bool {
-    match policy {
-        ExecModePolicy::Pull | ExecModePolicy::BufferedPull => false,
-        ExecModePolicy::Push => true,
-        ExecModePolicy::Auto => {
-            let members = push_member_kinds(n);
-            members.len() >= 2 && OpKind::PushGroup(members).footprint_bytes() <= cfg.l1i_capacity
-        }
-    }
-}
-
 /// Clone the fused chain, recursing mode selection into hash-join build
 /// sides (they stay pull subtrees and may contain their own pipelines) and
 /// fusing a merge's left sort as a group of its own, whose run the merge
 /// group reads.
-fn recurse_build_sides(n: &PlanNode, cfg: &RefineConfig, policy: ExecModePolicy) -> PlanNode {
+fn recurse_build_sides(n: &PlanNode) -> PlanNode {
     match n {
-        PlanNode::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => PlanNode::Aggregate {
-            input: Box::new(recurse_build_sides(input, cfg, policy)),
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-        },
-        PlanNode::Sort { input, keys } => PlanNode::Sort {
-            input: Box::new(recurse_build_sides(input, cfg, policy)),
-            keys: keys.clone(),
-        },
-        PlanNode::Filter { input, predicate } => PlanNode::Filter {
-            input: Box::new(recurse_build_sides(input, cfg, policy)),
-            predicate: predicate.clone(),
-        },
-        PlanNode::Project { input, exprs } => PlanNode::Project {
-            input: Box::new(recurse_build_sides(input, cfg, policy)),
-            exprs: exprs.clone(),
-        },
-        PlanNode::HashJoin {
-            probe,
-            build,
-            probe_key,
-            build_key,
-        } => PlanNode::HashJoin {
-            // The probe chain is part of the group (no joins inside it, by
-            // eligibility); only the build subtree re-enters selection.
-            probe: probe.clone(),
-            build: Box::new(mode_rec(build, cfg, policy)),
-            probe_key: *probe_key,
-            build_key: *build_key,
-        },
-        PlanNode::MergeJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => PlanNode::MergeJoin {
-            left: Box::new(PlanNode::PushPipeline {
-                input: Box::new(recurse_build_sides(left, cfg, policy)),
-            }),
-            right: right.clone(),
-            left_key: *left_key,
-            right_key: *right_key,
-        },
+        // The probe chain is part of the group (no joins inside it, by
+        // eligibility); only the build subtree re-enters selection.
+        PlanNode::HashJoin { probe, build, .. } => {
+            n.with_inputs(vec![(**probe).clone(), mode_rec(build)])
+        }
+        PlanNode::MergeJoin { left, right, .. } => n.with_inputs(vec![
+            PlanNode::PushPipeline {
+                input: Box::new(recurse_build_sides(left)),
+            },
+            (**right).clone(),
+        ]),
+        PlanNode::Aggregate { .. }
+        | PlanNode::Sort { .. }
+        | PlanNode::Filter { .. }
+        | PlanNode::Project { .. } => {
+            n.with_inputs(n.children().into_iter().map(recurse_build_sides).collect())
+        }
         other => other.clone(),
     }
 }
 
-fn mode_rec(plan: &PlanNode, cfg: &RefineConfig, policy: ExecModePolicy) -> PlanNode {
-    if push_eligible(plan) && fuse_wanted(plan, cfg, policy) {
+fn mode_rec(plan: &PlanNode) -> PlanNode {
+    if push_eligible(plan) {
         return PlanNode::PushPipeline {
-            input: Box::new(recurse_build_sides(plan, cfg, policy)),
+            input: Box::new(recurse_build_sides(plan)),
         };
     }
     match plan {
-        PlanNode::NestLoopJoin {
-            outer,
-            inner,
-            param_outer_col,
-            qual,
-            fk_inner,
-        } => PlanNode::NestLoopJoin {
-            outer: Box::new(mode_rec(outer, cfg, policy)),
-            // The inner side is rescanned per outer row; push pipelines do
-            // not rescan, so it stays pull.
-            inner: inner.clone(),
-            param_outer_col: *param_outer_col,
-            qual: qual.clone(),
-            fk_inner: *fk_inner,
-        },
-        PlanNode::HashJoin {
-            probe,
-            build,
-            probe_key,
-            build_key,
-        } => PlanNode::HashJoin {
-            probe: Box::new(mode_rec(probe, cfg, policy)),
-            build: Box::new(mode_rec(build, cfg, policy)),
-            probe_key: *probe_key,
-            build_key: *build_key,
-        },
-        PlanNode::MergeJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => PlanNode::MergeJoin {
-            left: Box::new(mode_rec(left, cfg, policy)),
-            right: Box::new(mode_rec(right, cfg, policy)),
-            left_key: *left_key,
-            right_key: *right_key,
-        },
-        PlanNode::Sort { input, keys } => PlanNode::Sort {
-            input: Box::new(mode_rec(input, cfg, policy)),
-            keys: keys.clone(),
-        },
-        PlanNode::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => PlanNode::Aggregate {
-            input: Box::new(mode_rec(input, cfg, policy)),
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-        },
-        PlanNode::Project { input, exprs } => PlanNode::Project {
-            input: Box::new(mode_rec(input, cfg, policy)),
-            exprs: exprs.clone(),
-        },
-        PlanNode::Filter { input, predicate } => PlanNode::Filter {
-            input: Box::new(mode_rec(input, cfg, policy)),
-            predicate: predicate.clone(),
-        },
-        PlanNode::Limit { input, limit } => PlanNode::Limit {
-            input: Box::new(mode_rec(input, cfg, policy)),
-            limit: *limit,
-        },
-        PlanNode::Buffer { input, size } => PlanNode::Buffer {
-            input: Box::new(mode_rec(input, cfg, policy)),
-            size: *size,
-        },
-        PlanNode::Materialize { input } => PlanNode::Materialize {
-            input: Box::new(mode_rec(input, cfg, policy)),
-        },
-        PlanNode::Exchange { input, workers } => PlanNode::Exchange {
-            // Fusion happens per worker pipeline, under the exchange.
-            input: Box::new(mode_rec(input, cfg, policy)),
-            workers: *workers,
-        },
-        PlanNode::PushPipeline { .. }
-        | PlanNode::SeqScan { .. }
-        | PlanNode::IndexScan { .. }
-        | PlanNode::ReusedScan { .. }
-        | PlanNode::SysScan { .. } => plan.clone(),
+        // The inner side is rescanned per outer row; push pipelines do not
+        // rescan, so it stays pull.
+        PlanNode::NestLoopJoin { outer, inner, .. } => {
+            plan.with_inputs(vec![mode_rec(outer), (**inner).clone()])
+        }
+        PlanNode::PushPipeline { .. } => plan.clone(),
+        // Everything else, an exchange included: fusion happens per worker
+        // pipeline, under the exchange.
+        _ => plan.with_inputs(plan.children().into_iter().map(mode_rec).collect()),
     }
 }
 
 /// Mark every pipeline of `plan` with its execution model under `policy`:
-/// eligible pipelines are wrapped in [`PlanNode::PushPipeline`] when the
-/// policy wants them fused, everything else is left for the pull executor
-/// (and, after this pass, the refiner). Runs between parallelization and
-/// refinement — see `crate::prepare::prepare_plan_parts_with_mode`.
+/// under `Push` every eligible pipeline is wrapped in
+/// [`PlanNode::PushPipeline`]; everything else is left for the pull
+/// executor (and, after this pass, the refiner). Runs between
+/// parallelization and refinement — see
+/// `crate::prepare::prepare_plan_parts_with_mode`.
 ///
 /// Output is bit-identical across policies by construction: the marker
 /// changes *how* a pipeline executes, never what it produces.
 pub fn choose_pipeline_modes(
     plan: &PlanNode,
-    refine_cfg: &RefineConfig,
+    _refine_cfg: &RefineConfig,
     policy: ExecModePolicy,
 ) -> PlanNode {
     match policy {
         ExecModePolicy::Pull | ExecModePolicy::BufferedPull => plan.clone(),
-        ExecModePolicy::Push | ExecModePolicy::Auto => mode_rec(plan, refine_cfg, policy),
+        ExecModePolicy::Push => mode_rec(plan),
     }
 }
 
@@ -516,6 +384,8 @@ pub fn estimated_output_rows(choice: &JoinChoice, catalog: &Catalog) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::footprint::OpKind;
+    use crate::plan::push_member_kinds;
     use bufferdb_index::BTreeIndex;
     use bufferdb_storage::{IndexDef, TableBuilder};
     use bufferdb_types::{DataType, Datum, Field, Schema, Tuple};
@@ -643,9 +513,8 @@ mod tests {
         }
     }
 
-    fn push_count(p: &PlanNode) -> usize {
-        let own = usize::from(matches!(p, PlanNode::PushPipeline { .. }));
-        own + p.children().iter().map(|c| push_count(c)).sum::<usize>()
+    fn is_push(n: &PlanNode) -> bool {
+        matches!(n, PlanNode::PushPipeline { .. })
     }
 
     #[test]
@@ -657,7 +526,7 @@ mod tests {
             matches!(&marked, PlanNode::PushPipeline { input } if matches!(**input, PlanNode::Aggregate { .. })),
             "aggregate caps the group: {marked:?}"
         );
-        assert_eq!(push_count(&marked), 1);
+        assert_eq!(marked.count(is_push), 1);
     }
 
     #[test]
@@ -667,38 +536,6 @@ mod tests {
         for policy in [ExecModePolicy::Pull, ExecModePolicy::BufferedPull] {
             assert_eq!(choose_pipeline_modes(&plan, &cfg, policy), plan);
         }
-    }
-
-    #[test]
-    fn auto_fuses_only_when_the_group_fits_l1i() {
-        // With shared segments counted once, COUNT(*) over a filtered scan
-        // plus the push driver unions to ~15.6K: inside the default 16K
-        // budget, but well over a 12K one.
-        let plan = agg_over_scan();
-        let tight = RefineConfig {
-            l1i_capacity: 12 * 1024,
-            ..RefineConfig::default()
-        };
-        assert_eq!(
-            push_count(&choose_pipeline_modes(&plan, &tight, ExecModePolicy::Auto)),
-            0,
-            "over-budget group must stay buffered pull"
-        );
-        let roomy = RefineConfig::default();
-        assert_eq!(
-            push_count(&choose_pipeline_modes(&plan, &roomy, ExecModePolicy::Auto)),
-            1
-        );
-        // A bare scan is a trivial group: auto never fuses it.
-        let scan = PlanNode::SeqScan {
-            table: "fact".into(),
-            predicate: None,
-            projection: None,
-        };
-        assert_eq!(
-            push_count(&choose_pipeline_modes(&scan, &roomy, ExecModePolicy::Auto)),
-            0
-        );
     }
 
     #[test]
@@ -811,7 +648,7 @@ mod tests {
         let marked = choose_pipeline_modes(&plan, &cfg, ExecModePolicy::Push);
         // The exchange blocks fusion of the aggregate; below it the join
         // pipeline fuses, and the build side becomes its own group.
-        assert_eq!(push_count(&marked), 2, "{marked:?}");
+        assert_eq!(marked.count(is_push), 2, "{marked:?}");
         let PlanNode::Aggregate { input, .. } = &marked else {
             panic!()
         };

@@ -73,92 +73,36 @@ fn rec(
         }
         return Ok(plan.clone());
     }
-    Ok(match plan {
-        PlanNode::NestLoopJoin {
-            outer,
-            inner,
-            param_outer_col,
-            qual,
-            fk_inner,
-        } => PlanNode::NestLoopJoin {
-            outer: Box::new(rec(outer, catalog, workers, order_required)?),
-            // The inner side is rescanned per outer row; exchanges cannot
-            // rescan, so it stays serial.
-            inner: inner.clone(),
-            param_outer_col: *param_outer_col,
-            qual: qual.clone(),
-            fk_inner: *fk_inner,
-        },
-        PlanNode::HashJoin {
-            probe,
-            build,
-            probe_key,
-            build_key,
-        } => PlanNode::HashJoin {
-            // Probe-side order flows into the join output (and build-side
-            // insertion order into per-key match order), so both inherit
-            // the ancestor's order sensitivity.
-            probe: Box::new(rec(probe, catalog, workers, order_required)?),
-            build: Box::new(rec(build, catalog, workers, order_required)?),
-            probe_key: *probe_key,
-            build_key: *build_key,
-        },
-        PlanNode::MergeJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => PlanNode::MergeJoin {
-            left: Box::new(rec(left, catalog, workers, true)?),
-            right: Box::new(rec(right, catalog, workers, true)?),
-            left_key: *left_key,
-            right_key: *right_key,
-        },
-        PlanNode::Sort { input, keys } => PlanNode::Sort {
-            // Stable-sort ties keep input order.
-            input: Box::new(rec(input, catalog, workers, true)?),
-            keys: keys.clone(),
-        },
-        PlanNode::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => PlanNode::Aggregate {
-            // Float accumulation and group insertion order are input-order
-            // sensitive.
-            input: Box::new(rec(input, catalog, workers, true)?),
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-        },
-        PlanNode::Limit { input, limit } => PlanNode::Limit {
-            // Which rows survive the limit depends on order.
-            input: Box::new(rec(input, catalog, workers, true)?),
-            limit: *limit,
-        },
-        PlanNode::Project { input, exprs } => PlanNode::Project {
-            input: Box::new(rec(input, catalog, workers, order_required)?),
-            exprs: exprs.clone(),
-        },
-        PlanNode::Filter { input, predicate } => PlanNode::Filter {
-            input: Box::new(rec(input, catalog, workers, order_required)?),
-            predicate: predicate.clone(),
-        },
-        PlanNode::Buffer { input, size } => PlanNode::Buffer {
-            input: Box::new(rec(input, catalog, workers, order_required)?),
-            size: *size,
-        },
-        PlanNode::Materialize { input } => PlanNode::Materialize {
-            input: Box::new(rec(input, catalog, workers, order_required)?),
-        },
-        // Already parallel, already mode-marked (mode selection runs after
-        // this pass, so this is defensive), or a leaf that did not qualify.
-        PlanNode::Exchange { .. }
-        | PlanNode::PushPipeline { .. }
-        | PlanNode::SeqScan { .. }
-        | PlanNode::IndexScan { .. }
-        | PlanNode::ReusedScan { .. }
-        | PlanNode::SysScan { .. } => plan.clone(),
-    })
+    // The order sensitivity this node's children inherit.
+    let child_order = match plan {
+        // Already parallel, or already mode-marked (mode selection runs
+        // after this pass, so this is defensive).
+        PlanNode::Exchange { .. } | PlanNode::PushPipeline { .. } => return Ok(plan.clone()),
+        // The inner side is rescanned per outer row; exchanges cannot
+        // rescan, so it stays serial.
+        PlanNode::NestLoopJoin { outer, inner, .. } => {
+            let outer = rec(outer, catalog, workers, order_required)?;
+            return Ok(plan.with_inputs(vec![outer, (**inner).clone()]));
+        }
+        // Merge inputs must stay sorted; stable-sort ties keep input order;
+        // float accumulation and group insertion order are input-order
+        // sensitive; which rows survive a limit depends on order.
+        PlanNode::MergeJoin { .. }
+        | PlanNode::Sort { .. }
+        | PlanNode::Aggregate { .. }
+        | PlanNode::Limit { .. } => true,
+        // Probe-side order flows into the join output (and build-side
+        // insertion order into per-key match order), so both sides of a
+        // hash join inherit the ancestor's order sensitivity, as does the
+        // input of every other streaming operator.
+        _ => order_required,
+    };
+    let inputs = plan
+        .children()
+        .into_iter()
+        .map(|c| rec(c, catalog, workers, child_order))
+        .collect::<Result<Vec<_>>>()?;
+    Ok(plan.with_inputs(inputs))
 }
 
 #[cfg(test)]
@@ -193,13 +137,8 @@ mod tests {
         }
     }
 
-    fn exchange_count(p: &PlanNode) -> usize {
-        let own = usize::from(matches!(p, PlanNode::Exchange { .. }));
-        own + p
-            .children()
-            .iter()
-            .map(|c| exchange_count(c))
-            .sum::<usize>()
+    fn is_exchange(n: &PlanNode) -> bool {
+        matches!(n, PlanNode::Exchange { .. })
     }
 
     #[test]
@@ -211,7 +150,7 @@ mod tests {
             aggs: vec![AggSpec::new(AggFunc::Sum, Expr::col(1), "s")],
         };
         let par = parallelize_plan(&plan, &c, 4).unwrap();
-        assert_eq!(exchange_count(&par), 1);
+        assert_eq!(par.count(is_exchange), 1);
         let PlanNode::Aggregate { input, .. } = &par else {
             panic!()
         };
@@ -226,7 +165,7 @@ mod tests {
     fn small_tables_stay_serial() {
         let c = catalog(100);
         let par = parallelize_plan(&scan(), &c, 4).unwrap();
-        assert_eq!(exchange_count(&par), 0);
+        assert_eq!(par.count(is_exchange), 0);
     }
 
     #[test]
@@ -255,7 +194,7 @@ mod tests {
             workers: 2,
         };
         let par = parallelize_plan(&plan, &c, 8).unwrap();
-        assert_eq!(exchange_count(&par), 1);
+        assert_eq!(par.count(is_exchange), 1);
         assert!(matches!(par, PlanNode::Exchange { workers: 2, .. }));
     }
 

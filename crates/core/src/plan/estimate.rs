@@ -3,7 +3,7 @@
 //! unlikely to benefit from buffering").
 
 use crate::expr::{CmpOp, Expr};
-use crate::plan::{AggFunc, PlanNode};
+use crate::plan::PlanNode;
 use bufferdb_storage::Catalog;
 use bufferdb_types::Datum;
 
@@ -156,13 +156,6 @@ fn column_cmp_selectivity(
         }
         CmpOp::Ne => 1.0 - 1.0 / stats.row_count.max(1) as f64,
     }
-}
-
-/// Whether the aggregate list contains expensive computed aggregates — used
-/// by `explain` annotations only.
-pub fn has_computed_aggs(aggs: &[crate::plan::AggSpec]) -> bool {
-    aggs.iter()
-        .any(|a| matches!(a.func, AggFunc::Sum | AggFunc::Avg))
 }
 
 #[cfg(test)]

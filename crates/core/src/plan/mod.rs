@@ -300,6 +300,89 @@ impl PlanNode {
         }
     }
 
+    /// This node over `inputs` in place of its children, given in
+    /// [`PlanNode::children`] order; every other field is cloned. The owned
+    /// counterpart of `children()`: a rewrite pass maps the children and
+    /// rebuilds through here, so no pass spells out a variant's fields.
+    ///
+    /// # Panics
+    /// If `inputs.len()` differs from `self.children().len()`.
+    pub fn with_inputs(&self, inputs: Vec<PlanNode>) -> PlanNode {
+        let mut inputs = inputs.into_iter();
+        let mut next = || Box::new(inputs.next().expect("with_inputs: too few inputs"));
+        let node = match self {
+            PlanNode::SeqScan { .. }
+            | PlanNode::IndexScan { .. }
+            | PlanNode::ReusedScan { .. }
+            | PlanNode::SysScan { .. } => self.clone(),
+            PlanNode::NestLoopJoin {
+                param_outer_col,
+                qual,
+                fk_inner,
+                ..
+            } => PlanNode::NestLoopJoin {
+                outer: next(),
+                inner: next(),
+                param_outer_col: *param_outer_col,
+                qual: qual.clone(),
+                fk_inner: *fk_inner,
+            },
+            PlanNode::HashJoin {
+                probe_key,
+                build_key,
+                ..
+            } => PlanNode::HashJoin {
+                probe: next(),
+                build: next(),
+                probe_key: *probe_key,
+                build_key: *build_key,
+            },
+            PlanNode::MergeJoin {
+                left_key,
+                right_key,
+                ..
+            } => PlanNode::MergeJoin {
+                left: next(),
+                right: next(),
+                left_key: *left_key,
+                right_key: *right_key,
+            },
+            PlanNode::Sort { keys, .. } => PlanNode::Sort {
+                input: next(),
+                keys: keys.clone(),
+            },
+            PlanNode::Aggregate { group_by, aggs, .. } => PlanNode::Aggregate {
+                input: next(),
+                group_by: group_by.clone(),
+                aggs: aggs.clone(),
+            },
+            PlanNode::Project { exprs, .. } => PlanNode::Project {
+                input: next(),
+                exprs: exprs.clone(),
+            },
+            PlanNode::Filter { predicate, .. } => PlanNode::Filter {
+                input: next(),
+                predicate: predicate.clone(),
+            },
+            PlanNode::Limit { limit, .. } => PlanNode::Limit {
+                input: next(),
+                limit: *limit,
+            },
+            PlanNode::Buffer { size, .. } => PlanNode::Buffer {
+                input: next(),
+                size: *size,
+            },
+            PlanNode::Materialize { .. } => PlanNode::Materialize { input: next() },
+            PlanNode::Exchange { workers, .. } => PlanNode::Exchange {
+                input: next(),
+                workers: *workers,
+            },
+            PlanNode::PushPipeline { .. } => PlanNode::PushPipeline { input: next() },
+        };
+        assert!(inputs.next().is_none(), "with_inputs: too many inputs");
+        node
+    }
+
     /// The footprint kind of this node (probe side for hash joins; the build
     /// side is accounted separately by the refiner and executor).
     pub fn op_kind(&self) -> OpKind {
@@ -448,23 +531,27 @@ impl PlanNode {
         }
     }
 
+    /// Number of nodes in the tree (this one included) for which `pred`
+    /// holds.
+    pub fn count(&self, pred: impl Fn(&PlanNode) -> bool) -> usize {
+        fn rec(n: &PlanNode, pred: &dyn Fn(&PlanNode) -> bool) -> usize {
+            usize::from(pred(n))
+                + n.children()
+                    .into_iter()
+                    .map(|c| rec(c, pred))
+                    .sum::<usize>()
+        }
+        rec(self, &pred)
+    }
+
     /// Count of plan nodes (diagnostics / tests).
     pub fn node_count(&self) -> usize {
-        1 + self
-            .children()
-            .iter()
-            .map(|c| c.node_count())
-            .sum::<usize>()
+        self.count(|_| true)
     }
 
     /// Number of buffer operators in the tree.
     pub fn buffer_count(&self) -> usize {
-        let own = usize::from(matches!(self, PlanNode::Buffer { .. }));
-        own + self
-            .children()
-            .iter()
-            .map(|c| c.buffer_count())
-            .sum::<usize>()
+        self.count(|n| matches!(n, PlanNode::Buffer { .. }))
     }
 }
 
@@ -622,6 +709,103 @@ mod tests {
             input: Box::new(scan())
         }
         .is_blocking());
+    }
+
+    /// A tree holding each of the sixteen variants once, every non-child
+    /// field set to a value no other field of its node shares.
+    fn every_variant() -> PlanNode {
+        let scan = PlanNode::SeqScan {
+            table: "t".into(),
+            predicate: Some(Expr::col(0).le(Expr::lit(3))),
+            projection: Some(vec![(Expr::col(1), "v".into())]),
+        };
+        let nestloop = PlanNode::NestLoopJoin {
+            outer: Box::new(scan),
+            inner: Box::new(PlanNode::IndexScan {
+                index: "t_pkey".into(),
+                mode: IndexMode::Range {
+                    lo: Some(1),
+                    hi: None,
+                },
+            }),
+            param_outer_col: Some(1),
+            qual: Some(Expr::col(0).eq(Expr::col(2))),
+            fk_inner: true,
+        };
+        let reused = PlanNode::ReusedScan {
+            handle: ReuseHandle::scratch(
+                Schema::new(vec![Field::new("k", DataType::Int)]).into_ref(),
+                vec![],
+            ),
+        };
+        let hash = PlanNode::HashJoin {
+            probe: Box::new(nestloop),
+            build: Box::new(reused),
+            probe_key: 1,
+            build_key: 2,
+        };
+        let merge = PlanNode::MergeJoin {
+            left: Box::new(PlanNode::Sort {
+                input: Box::new(hash),
+                keys: vec![(0, true), (1, false)],
+            }),
+            right: Box::new(PlanNode::SysScan {
+                table: "sys.queries".into(),
+            }),
+            left_key: 3,
+            right_key: 4,
+        };
+        let mut plan = merge;
+        for f in [
+            (|input| PlanNode::PushPipeline { input }) as fn(Box<PlanNode>) -> PlanNode,
+            |input| PlanNode::Exchange { input, workers: 3 },
+            |input| PlanNode::Materialize { input },
+            |input| PlanNode::Aggregate {
+                input,
+                group_by: vec![0, 2],
+                aggs: vec![AggSpec::count_star("n")],
+            },
+            |input| PlanNode::Project {
+                input,
+                exprs: vec![(Expr::col(1), "n".into())],
+            },
+            |input| PlanNode::Filter {
+                input,
+                predicate: Expr::col(0).gt(Expr::lit(5)),
+            },
+            |input| PlanNode::Buffer { input, size: 77 },
+            |input| PlanNode::Limit { input, limit: 9 },
+        ] {
+            plan = f(Box::new(plan));
+        }
+        plan
+    }
+
+    #[test]
+    fn with_inputs_is_the_owned_inverse_of_children() {
+        let tree = every_variant();
+        let mut variants = std::collections::HashSet::new();
+        let mut stack = vec![&tree];
+        while let Some(node) = stack.pop() {
+            variants.insert(std::mem::discriminant(node));
+            let children: Vec<PlanNode> = node.children().into_iter().cloned().collect();
+            // No field is dropped or swapped when the children come back.
+            assert_eq!(node.with_inputs(children.clone()), *node);
+            // New children land in `children()` order.
+            let fresh: Vec<PlanNode> = (0..children.len())
+                .map(|i| PlanNode::SysScan {
+                    table: format!("sys.child{i}"),
+                })
+                .collect();
+            let rebuilt = node.with_inputs(fresh.clone());
+            let got: Vec<PlanNode> = rebuilt.children().into_iter().cloned().collect();
+            assert_eq!(got, fresh, "{node:?}");
+            stack.extend(node.children());
+        }
+        assert_eq!(variants.len(), 16, "the tree must hold every variant");
+        assert_eq!(tree.node_count(), 16);
+        assert_eq!(tree.buffer_count(), 1);
+        assert_eq!(tree.count(|n| n.children().len() == 2), 3);
     }
 
     #[test]

@@ -186,11 +186,7 @@ mod tests {
             fingerprint_plan(&scan("t"), &cfg, 1, 0, &tight),
             "refine cfg"
         );
-        for mode in [
-            ExecModePolicy::Pull,
-            ExecModePolicy::Push,
-            ExecModePolicy::Auto,
-        ] {
+        for mode in [ExecModePolicy::Pull, ExecModePolicy::Push] {
             assert_ne!(
                 base,
                 fingerprint_plan_with_mode(&scan("t"), &cfg, 1, 0, &r, mode),

@@ -159,11 +159,6 @@ impl Database {
         self
     }
 
-    /// The executor-mode policy prepares run under.
-    pub fn exec_mode(&self) -> ExecModePolicy {
-        self.mode
-    }
-
     /// Replace the plan cache (e.g. a smaller capacity for tests, or a
     /// cache shared with another database over the same catalog semantics).
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
@@ -571,11 +566,6 @@ impl PreparedQuery<'_> {
     /// The fingerprint this query is cached under.
     pub fn fingerprint(&self) -> PlanFingerprint {
         self.entry.fingerprint()
-    }
-
-    /// The original logical plan (pre-splice), as handed to prepare.
-    pub fn logical_plan(&self) -> &PlanNode {
-        &self.logical
     }
 
     /// Harvest this query's eligible subtrees into the reuse cache — a

@@ -518,94 +518,24 @@ fn splice_rec(
             return PlanNode::ReusedScan { handle };
         }
     }
-    use PlanNode as P;
-    let rec = |n: &PlanNode, s: &mut u64| splice_rec(n, cache, machine, epoch, s);
-    match node {
-        P::SeqScan { .. } | P::IndexScan { .. } | P::ReusedScan { .. } | P::SysScan { .. } => {
-            node.clone()
-        }
-        P::NestLoopJoin {
+    let inputs = match node {
+        // A parameterized inner is re-scanned per outer row with a fresh
+        // key: its output is not a function of the subtree alone, so it
+        // must never be replaced by a static replay.
+        PlanNode::NestLoopJoin {
             outer,
             inner,
-            param_outer_col,
-            qual,
-            fk_inner,
-        } => P::NestLoopJoin {
-            outer: Box::new(rec(outer, splices)),
-            // A parameterized inner is re-scanned per outer row with a
-            // fresh key: its output is not a function of the subtree
-            // alone, so it must never be replaced by a static replay.
-            inner: if param_outer_col.is_some() {
-                inner.clone()
-            } else {
-                Box::new(rec(inner, splices))
-            },
-            param_outer_col: *param_outer_col,
-            qual: qual.clone(),
-            fk_inner: *fk_inner,
-        },
-        P::HashJoin {
-            probe,
-            build,
-            probe_key,
-            build_key,
-        } => P::HashJoin {
-            probe: Box::new(rec(probe, splices)),
-            build: Box::new(rec(build, splices)),
-            probe_key: *probe_key,
-            build_key: *build_key,
-        },
-        P::MergeJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => P::MergeJoin {
-            left: Box::new(rec(left, splices)),
-            right: Box::new(rec(right, splices)),
-            left_key: *left_key,
-            right_key: *right_key,
-        },
-        P::Sort { input, keys } => P::Sort {
-            input: Box::new(rec(input, splices)),
-            keys: keys.clone(),
-        },
-        P::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => P::Aggregate {
-            input: Box::new(rec(input, splices)),
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-        },
-        P::Project { input, exprs } => P::Project {
-            input: Box::new(rec(input, splices)),
-            exprs: exprs.clone(),
-        },
-        P::Filter { input, predicate } => P::Filter {
-            input: Box::new(rec(input, splices)),
-            predicate: predicate.clone(),
-        },
-        P::Limit { input, limit } => P::Limit {
-            input: Box::new(rec(input, splices)),
-            limit: *limit,
-        },
-        P::Buffer { input, size } => P::Buffer {
-            input: Box::new(rec(input, splices)),
-            size: *size,
-        },
-        P::Materialize { input } => P::Materialize {
-            input: Box::new(rec(input, splices)),
-        },
-        P::Exchange { input, workers } => P::Exchange {
-            input: Box::new(rec(input, splices)),
-            workers: *workers,
-        },
-        P::PushPipeline { input } => P::PushPipeline {
-            input: Box::new(rec(input, splices)),
-        },
-    }
+            param_outer_col: Some(_),
+            ..
+        } => vec![
+            splice_rec(outer, cache, machine, epoch, splices),
+            (**inner).clone(),
+        ],
+        _ => (node.children().into_iter())
+            .map(|child| splice_rec(child, cache, machine, epoch, splices))
+            .collect(),
+    };
+    node.with_inputs(inputs)
 }
 
 /// The materialization points eligible to *install* after a clean run:

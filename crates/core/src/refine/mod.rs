@@ -136,68 +136,26 @@ impl Refiner<'_> {
             // can never pay for itself: treat it as a group boundary.
             PlanNode::SysScan { .. } => (node.clone(), None),
 
-            PlanNode::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => {
-                let rebuild = |i: PlanNode| PlanNode::Aggregate {
-                    input: Box::new(i),
-                    group_by: group_by.clone(),
-                    aggs: aggs.clone(),
-                };
-                self.refine_unary(node, input, rebuild)
-            }
-            PlanNode::Project { input, exprs } => {
-                let rebuild = |i: PlanNode| PlanNode::Project {
-                    input: Box::new(i),
-                    exprs: exprs.clone(),
-                };
-                self.refine_unary(node, input, rebuild)
-            }
-            PlanNode::Filter { input, predicate } => {
-                let rebuild = |i: PlanNode| PlanNode::Filter {
-                    input: Box::new(i),
-                    predicate: predicate.clone(),
-                };
-                self.refine_unary(node, input, rebuild)
-            }
-            PlanNode::Limit { input, limit } => {
-                let rebuild = |i: PlanNode| PlanNode::Limit {
-                    input: Box::new(i),
-                    limit: *limit,
-                };
-                self.refine_unary(node, input, rebuild)
+            PlanNode::Aggregate { input, .. }
+            | PlanNode::Project { input, .. }
+            | PlanNode::Filter { input, .. }
+            | PlanNode::Limit { input, .. } => {
+                let (child, child_group) = self.refine(input);
+                self.refine_join_side(node, child, child_group, |c| node.with_inputs(vec![c]))
             }
 
-            PlanNode::Sort { input, keys } => {
+            PlanNode::Sort { input, .. } | PlanNode::Materialize { input } => {
                 let (child, child_group) = self.refine(input);
-                let child = self.close_before_blocking(child, child_group, OpKind::Sort);
-                (
-                    PlanNode::Sort {
-                        input: Box::new(child),
-                        keys: keys.clone(),
-                    },
-                    None,
-                )
-            }
-            PlanNode::Materialize { input } => {
-                let (child, child_group) = self.refine(input);
-                let child = self.close_before_blocking(child, child_group, OpKind::Materialize);
-                (
-                    PlanNode::Materialize {
-                        input: Box::new(child),
-                    },
-                    None,
-                )
+                let child = self.close_before_blocking(child, child_group, node.op_kind());
+                (node.with_inputs(vec![child]), None)
             }
 
             PlanNode::NestLoopJoin {
                 outer,
                 inner,
                 param_outer_col,
-                qual,
                 fk_inner,
+                ..
             } => {
                 let (outer_p, outer_g) = self.refine(outer);
                 let (inner_p, inner_g) = self.refine(inner);
@@ -210,43 +168,24 @@ impl Refiner<'_> {
                 } else {
                     self.finalize(inner_p, inner_g)
                 };
-                let rebuild = |o: PlanNode| PlanNode::NestLoopJoin {
-                    outer: Box::new(o),
-                    inner: Box::new(inner_p.clone()),
-                    param_outer_col: *param_outer_col,
-                    qual: qual.clone(),
-                    fk_inner: *fk_inner,
-                };
-                self.refine_join_side(node, outer_p, outer_g, rebuild)
+                self.refine_join_side(node, outer_p, outer_g, |o| {
+                    node.with_inputs(vec![o, inner_p])
+                })
             }
 
-            PlanNode::HashJoin {
-                probe,
-                build,
-                probe_key,
-                build_key,
-            } => {
+            PlanNode::HashJoin { probe, build, .. } => {
                 let (probe_p, probe_g) = self.refine(probe);
                 let (build_p, build_g) = self.refine(build);
                 // The blocking build phase interleaves HashBuild code with
                 // the build child per row: close the build group with a
                 // buffer when the pair overflows L1i (Figure 16).
                 let build_p = self.close_before_blocking(build_p, build_g, OpKind::HashBuild);
-                let rebuild = |p: PlanNode| PlanNode::HashJoin {
-                    probe: Box::new(p),
-                    build: Box::new(build_p.clone()),
-                    probe_key: *probe_key,
-                    build_key: *build_key,
-                };
-                self.refine_join_side(node, probe_p, probe_g, rebuild)
+                self.refine_join_side(node, probe_p, probe_g, |p| {
+                    node.with_inputs(vec![p, build_p])
+                })
             }
 
-            PlanNode::MergeJoin {
-                left,
-                right,
-                left_key,
-                right_key,
-            } => {
+            PlanNode::MergeJoin { left, right, .. } => {
                 let (left_p, left_g) = self.refine(left);
                 let (right_p, right_g) = self.refine(right);
                 let my_kind = node.op_kind();
@@ -258,37 +197,19 @@ impl Refiner<'_> {
                     have_any = true;
                 }
                 if have_any && self.fits(&all) {
-                    let p = PlanNode::MergeJoin {
-                        left: Box::new(left_p),
-                        right: Box::new(right_p),
-                        left_key: *left_key,
-                        right_key: *right_key,
-                    };
-                    return (p, Some(all));
+                    return (node.with_inputs(vec![left_p, right_p]), Some(all));
                 }
                 // Otherwise close each input group separately (Figure 17:
                 // buffer above the IndexScan; the Sort side is a boundary).
                 let left_p = self.finalize(left_p, left_g);
                 let right_p = self.finalize(right_p, right_g);
-                let p = PlanNode::MergeJoin {
-                    left: Box::new(left_p),
-                    right: Box::new(right_p),
-                    left_key: *left_key,
-                    right_key: *right_key,
-                };
-                (p, Some(vec![my_kind]))
+                (node.with_inputs(vec![left_p, right_p]), Some(vec![my_kind]))
             }
 
-            PlanNode::Buffer { input, size } => {
+            PlanNode::Buffer { input, .. } => {
                 // A hand-placed buffer: keep it, close anything below.
                 let (child, _group) = self.refine(input);
-                (
-                    PlanNode::Buffer {
-                        input: Box::new(child),
-                        size: *size,
-                    },
-                    None,
-                )
+                (node.with_inputs(vec![child]), None)
             }
 
             PlanNode::PushPipeline { .. } => {
@@ -301,7 +222,7 @@ impl Refiner<'_> {
                 (node.clone(), Some(vec![node.op_kind()]))
             }
 
-            PlanNode::Exchange { input, workers } => {
+            PlanNode::Exchange { input, .. } => {
                 // The worker pipeline's code never interleaves with the
                 // parent's (they run on different simulated cores), so
                 // groups never span *down* the exchange edge: the subtree
@@ -313,38 +234,21 @@ impl Refiner<'_> {
                 // buffered, and parallel plans would be stuck with their
                 // full coordinator footprint per tuple.
                 let (child, _group) = self.refine(input);
-                (
-                    PlanNode::Exchange {
-                        input: Box::new(child),
-                        workers: *workers,
-                    },
-                    Some(vec![OpKind::Exchange]),
-                )
+                (node.with_inputs(vec![child]), Some(vec![OpKind::Exchange]))
             }
         }
     }
 
-    /// Shared logic for pipelined unary operators: merge with the child
-    /// group when the union fits, otherwise buffer the child group.
-    fn refine_unary(
-        &self,
-        node: &PlanNode,
-        input: &PlanNode,
-        rebuild: impl Fn(PlanNode) -> PlanNode,
-    ) -> (PlanNode, Option<Group>) {
-        let (child, child_group) = self.refine(input);
-        self.refine_join_side(node, child, child_group, rebuild)
-    }
-
     /// Merge `node` with the group coming from its pipelined input, or close
     /// that group with a buffer. Shared by unary operators and the pipelined
-    /// side of joins.
+    /// side of joins; `rebuild` puts `node` back together over the
+    /// (possibly buffered) child.
     fn refine_join_side(
         &self,
         node: &PlanNode,
         child: PlanNode,
         child_group: Option<Group>,
-        rebuild: impl Fn(PlanNode) -> PlanNode,
+        rebuild: impl FnOnce(PlanNode) -> PlanNode,
     ) -> (PlanNode, Option<Group>) {
         let my_kind = node.op_kind();
         match child_group {

@@ -82,11 +82,6 @@ impl Decimal {
         self.scale
     }
 
-    /// True if the value is exactly zero.
-    pub fn is_zero(&self) -> bool {
-        self.mantissa == 0
-    }
-
     /// Lossy conversion to `f64` (used only for AVG reporting and display).
     pub fn to_f64(&self) -> f64 {
         self.mantissa as f64 / POW10[self.scale as usize] as f64

@@ -140,14 +140,6 @@ fn parallel_profile_conserves_counters_and_lane_rows() {
 /// determinism assertions above test nothing.
 #[test]
 fn tpch_plans_actually_parallelize() {
-    fn exchange_count(p: &PlanNode) -> usize {
-        let own = usize::from(matches!(p, PlanNode::Exchange { .. }));
-        own + p
-            .children()
-            .iter()
-            .map(|c| exchange_count(c))
-            .sum::<usize>()
-    }
     let catalog = tpch::generate_catalog(0.002, 7);
     for name in ["tpch q1", "tpch q6", "tpch q12", "tpch q14"] {
         let plan = all_queries(&catalog)
@@ -157,7 +149,7 @@ fn tpch_plans_actually_parallelize() {
             .1;
         let par = parallelize_plan(&plan, &catalog, 4).unwrap();
         assert!(
-            exchange_count(&par) >= 1,
+            par.count(|n| matches!(n, PlanNode::Exchange { .. })) >= 1,
             "{name}: expected at least one exchange"
         );
     }

@@ -185,70 +185,7 @@ fn check_no_stacked_or_blocking_buffers(node: &PlanNode) {
 fn strip_buffers(node: &PlanNode) -> PlanNode {
     match node {
         PlanNode::Buffer { input, .. } => strip_buffers(input),
-        PlanNode::Filter { input, predicate } => PlanNode::Filter {
-            input: Box::new(strip_buffers(input)),
-            predicate: predicate.clone(),
-        },
-        PlanNode::Limit { input, limit } => PlanNode::Limit {
-            input: Box::new(strip_buffers(input)),
-            limit: *limit,
-        },
-        PlanNode::Project { input, exprs } => PlanNode::Project {
-            input: Box::new(strip_buffers(input)),
-            exprs: exprs.clone(),
-        },
-        PlanNode::Sort { input, keys } => PlanNode::Sort {
-            input: Box::new(strip_buffers(input)),
-            keys: keys.clone(),
-        },
-        PlanNode::Materialize { input } => PlanNode::Materialize {
-            input: Box::new(strip_buffers(input)),
-        },
-        PlanNode::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => PlanNode::Aggregate {
-            input: Box::new(strip_buffers(input)),
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-        },
-        PlanNode::HashJoin {
-            probe,
-            build,
-            probe_key,
-            build_key,
-        } => PlanNode::HashJoin {
-            probe: Box::new(strip_buffers(probe)),
-            build: Box::new(strip_buffers(build)),
-            probe_key: *probe_key,
-            build_key: *build_key,
-        },
-        PlanNode::MergeJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => PlanNode::MergeJoin {
-            left: Box::new(strip_buffers(left)),
-            right: Box::new(strip_buffers(right)),
-            left_key: *left_key,
-            right_key: *right_key,
-        },
-        PlanNode::NestLoopJoin {
-            outer,
-            inner,
-            param_outer_col,
-            qual,
-            fk_inner,
-        } => PlanNode::NestLoopJoin {
-            outer: Box::new(strip_buffers(outer)),
-            inner: Box::new(strip_buffers(inner)),
-            param_outer_col: *param_outer_col,
-            qual: qual.clone(),
-            fk_inner: *fk_inner,
-        },
-        leaf => leaf.clone(),
+        _ => node.with_inputs(node.children().into_iter().map(strip_buffers).collect()),
     }
 }
 
@@ -390,7 +327,6 @@ fn cache_keys_equal_fnv1a_of_the_debug_renderings() {
         ExecModePolicy::Pull,
         ExecModePolicy::BufferedPull,
         ExecModePolicy::Push,
-        ExecModePolicy::Auto,
     ];
     for (i, plan) in plans.iter().enumerate() {
         assert_eq!(subtree_hash(plan), key_oracle::subtree_hash(plan));
@@ -421,7 +357,7 @@ fn cache_keys_equal_fnv1a_of_the_debug_renderings() {
 
     // The facade keys from its session's cached machine rendering.
     for machine in machines {
-        let db = Database::open(catalog(), machine.clone()).with_exec_mode(ExecModePolicy::Auto);
+        let db = Database::open(catalog(), machine.clone()).with_exec_mode(ExecModePolicy::Push);
         let epoch = db.catalog().stats_epoch();
         for plan in plans.iter().skip(9).take(40) {
             let prepared = db.prepare(plan).expect("prepares");
@@ -433,7 +369,7 @@ fn cache_keys_equal_fnv1a_of_the_debug_renderings() {
                     1,
                     epoch,
                     db.refine_config(),
-                    ExecModePolicy::Auto
+                    ExecModePolicy::Push
                 )
             );
         }

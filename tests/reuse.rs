@@ -30,9 +30,8 @@ fn normalized(rows: &[Tuple]) -> Vec<String> {
     v
 }
 
-fn reused_count(p: &PlanNode) -> usize {
-    let own = usize::from(matches!(p, PlanNode::ReusedScan { .. }));
-    own + p.children().iter().map(|c| reused_count(c)).sum::<usize>()
+fn is_reused(n: &PlanNode) -> bool {
+    matches!(n, PlanNode::ReusedScan { .. })
 }
 
 fn open_db() -> Database {
@@ -74,7 +73,7 @@ fn reused_results_are_bit_identical_at_every_worker_count() {
         for ((name, plan), want) in plans.iter().zip(&recomputed) {
             let q = db.prepare_opts(plan, &on).unwrap();
             assert!(
-                reused_count(&q.plan()) >= 1,
+                q.plan().count(is_reused) >= 1,
                 "{name} at {workers} workers: no ReusedScan spliced"
             );
             let out = q.execute_opts(&on.clone().threads(workers));
@@ -101,7 +100,7 @@ fn profile_conserves_counters_when_reused_scan_replaces_a_subtree() {
     for (name, plan) in suite_plans(db.catalog()) {
         db.harvest_reuse(&plan, &on);
         let q = db.prepare_opts(&plan, &on).unwrap();
-        assert!(reused_count(&q.plan()) >= 1, "{name}: no splice");
+        assert!(q.plan().count(is_reused) >= 1, "{name}: no splice");
         let out = q.execute_opts(&on.clone().profile(true));
         assert!(out.is_ok(), "{name}: {:?}", out.error());
         let profile = out.profile().expect("profiling was requested");
@@ -136,7 +135,7 @@ fn stats_epoch_bump_invalidates_without_disturbing_prepared_queries() {
 
     assert!(db.harvest_reuse(&plan, &on) >= 1);
     let q = db.prepare_opts(&plan, &on).unwrap();
-    assert_eq!(reused_count(&q.plan()), 1, "whole-plan aggregate splice");
+    assert_eq!(q.plan().count(is_reused), 1, "whole-plan aggregate splice");
 
     // The bump lands while `q` is still outstanding — mid-stream from the
     // cache's point of view.
@@ -151,7 +150,7 @@ fn stats_epoch_bump_invalidates_without_disturbing_prepared_queries() {
 
     // The next prepare sweeps the stale entry and recomputes.
     let q2 = db.prepare_opts(&plan, &on).unwrap();
-    assert_eq!(reused_count(&q2.plan()), 0, "stale entry must not splice");
+    assert_eq!(q2.plan().count(is_reused), 0, "stale entry must not splice");
     assert!(db.reuse_cache().is_empty(), "sweep reclaims the entry");
     let s = db.reuse_cache().stats();
     assert!(s.invalidations >= 1, "sweep counts the invalidation");
@@ -160,7 +159,7 @@ fn stats_epoch_bump_invalidates_without_disturbing_prepared_queries() {
     // Re-harvesting under the new epoch fills the cache again.
     assert!(db.harvest_reuse(&plan, &on) >= 1);
     let q3 = db.prepare_opts(&plan, &on).unwrap();
-    assert_eq!(reused_count(&q3.plan()), 1);
+    assert_eq!(q3.plan().count(is_reused), 1);
     assert_eq!(normalized(q3.execute_opts(&on).rows()), want);
 }
 
@@ -182,13 +181,13 @@ fn fault_during_install_never_poisons_the_cache() {
     // Prepares in between see nothing to splice.
     let on = QueryOpts::new();
     let q = db.prepare_opts(&plan, &on).unwrap();
-    assert_eq!(reused_count(&q.plan()), 0);
+    assert_eq!(q.plan().count(is_reused), 0);
 
     // A clean harvest afterwards installs normally: transient failures are
     // not remembered as refusals.
     assert!(db.harvest_reuse(&plan, &on) >= 1);
     assert_eq!(
-        reused_count(&db.prepare_opts(&plan, &on).unwrap().plan()),
+        db.prepare_opts(&plan, &on).unwrap().plan().count(is_reused),
         1
     );
 }
@@ -208,7 +207,7 @@ fn cancel_during_install_installs_nothing() {
     let on = QueryOpts::new();
     assert!(db.harvest_reuse(&plan, &on) >= 1);
     let q = db.prepare_opts(&plan, &on).unwrap();
-    assert!(reused_count(&q.plan()) >= 1);
+    assert!(q.plan().count(is_reused) >= 1);
 }
 
 /// `ReusePolicy` gates each side independently: `ReadOnly` splices but
@@ -227,12 +226,15 @@ fn reuse_policy_gates_splice_and_install_independently() {
 
     assert!(db.harvest_reuse(&plan, &on) >= 1);
     assert_eq!(
-        reused_count(&db.prepare_opts(&plan, &off).unwrap().plan()),
+        db.prepare_opts(&plan, &off)
+            .unwrap()
+            .plan()
+            .count(is_reused),
         0,
         "Off must not splice a hot cache"
     );
     assert_eq!(
-        reused_count(&db.prepare_opts(&plan, &ro).unwrap().plan()),
+        db.prepare_opts(&plan, &ro).unwrap().plan().count(is_reused),
         1,
         "ReadOnly splices"
     );
@@ -267,7 +269,7 @@ fn tight_budget_evicts_by_benefit_per_byte_with_exact_accounting() {
     let mut spliced = 0;
     for (name, plan) in &plans {
         let q = db.prepare_opts(plan, &on).unwrap();
-        if reused_count(&q.plan()) >= 1 {
+        if q.plan().count(is_reused) >= 1 {
             spliced += 1;
             let off = QueryOpts::new().reuse(ReusePolicy::Off);
             let want = normalized(
