@@ -426,7 +426,7 @@ pub fn trace_query(ctx: &ExperimentCtx, seed: u64, threads: usize, name: &str) -
     let prepared = db
         .prepare(&plan)
         .unwrap_or_else(|e| panic!("{name}: prepare: {e}"));
-    let opts = QueryOpts::new().trace(true).threads(threads);
+    let opts = QueryOpts::new().trace(true);
     const ROUNDS: usize = 6;
     let mut with_install = None;
     let mut with_instants = None;
@@ -515,7 +515,7 @@ pub fn modes_metrics(ctx: &ExperimentCtx, seed: u64) -> ModesReport {
                 let parts =
                     prepare_plan_parts_with_mode(&plan, &ctx.catalog, &ctx.refine, workers, mode)
                         .unwrap_or_else(|e| panic!("{name}: prepare ({}): {e}", mode.label()));
-                let opts = crate::runner::profiled_exec_options(workers);
+                let opts = crate::runner::profiled_exec_options();
                 let label = format!("{name} x{workers} ({})", mode.label());
                 let outcome = execute_query(&parts.physical, &ctx.catalog, &ctx.machine, &opts);
                 let (rows, stats, profile, error) = outcome.into_parts();

@@ -245,7 +245,7 @@ fn run_cell(
     // The shared runner wiring: carries the process-wide `--timeout-ms`
     // and `BUFFERDB_FAULT` registry (a hand-rolled `QueryOpts::new()`
     // here would silently drop both knobs).
-    let opts = crate::runner::profiled_exec_options(1);
+    let opts = crate::runner::profiled_exec_options();
     let mut rng: Vec<u64> = (0..streams)
         .map(|s| splitmix(seed ^ (s as u64).wrapping_mul(0xA076_1D64_78BD_642F)))
         .collect();

@@ -44,8 +44,8 @@ fn fault_registry() -> Arc<FaultRegistry> {
 /// (`--timeout-ms`) and fault registry (`BUFFERDB_FAULT`) — the same
 /// wiring [`run_plan`] applies, for experiments that drive
 /// `execute_query` themselves.
-pub(crate) fn profiled_exec_options(threads: usize) -> QueryOpts {
-    exec_options(threads).profile(true)
+pub(crate) fn profiled_exec_options() -> QueryOpts {
+    exec_options().profile(true)
 }
 
 /// See [`report_failure_and_exit`]: the CLI failure contract (exit 3 for a
@@ -55,8 +55,8 @@ pub(crate) fn fail_query(label: &str, stats: &ExecStats, rows: usize, err: DbErr
     report_failure_and_exit(label, stats, rows, err)
 }
 
-fn exec_options(threads: usize) -> QueryOpts {
-    let mut opts = QueryOpts::new().threads(threads).faults(fault_registry());
+fn exec_options() -> QueryOpts {
+    let mut opts = QueryOpts::new().faults(fault_registry());
     if let Some(&ms) = QUERY_TIMEOUT_MS.get() {
         opts = opts.timeout(Duration::from_millis(ms));
     }
@@ -105,7 +105,7 @@ impl RunResult {
 /// failure, reports and exits (code 3 for a timeout, 1 otherwise) instead
 /// of panicking.
 pub fn run_plan(label: &str, plan: &PlanNode, catalog: &Catalog, cfg: &MachineConfig) -> RunResult {
-    package(label, execute_query(plan, catalog, cfg, &exec_options(1)))
+    package(label, execute_query(plan, catalog, cfg, &exec_options()))
 }
 
 /// [`run_plan`] for an operator tree assembled by hand (built against
@@ -117,7 +117,7 @@ pub(crate) fn run_root(
     fm: &FootprintModel,
     cfg: &MachineConfig,
 ) -> RunResult {
-    package(label, drive_root(root, fm, cfg, &exec_options(1)))
+    package(label, drive_root(root, fm, cfg, &exec_options()))
 }
 
 fn package(label: &str, outcome: QueryOutcome) -> RunResult {

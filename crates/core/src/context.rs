@@ -26,10 +26,6 @@ pub struct ExecContext {
     /// the driving leaf scan claims it (`take`) at `open` and restricts
     /// itself to rows in `[lo, hi)`.
     pub morsel: Option<(u32, u32)>,
-    /// Worker budget for intra-operator parallelism (the hash-join build
-    /// partitioning). 1 inside exchange workers so parallel phases never
-    /// nest.
-    pub build_threads: usize,
     /// Cooperative cancellation flag, checked at morsel-claim, buffer-fill
     /// and blocking-operator loop boundaries. Cloned into worker contexts so
     /// one token stops the whole pool.
@@ -79,7 +75,6 @@ impl ExecContext {
             arena: TupleArena::new(),
             profiler: None,
             morsel: None,
-            build_threads: 1,
             cancel: CancelToken::new(),
             faults: Arc::new(FaultRegistry::new()),
             tracer: None,
@@ -88,10 +83,8 @@ impl ExecContext {
         }
     }
 
-    /// Fresh context for an exchange/build worker: same machine
-    /// configuration, sharing the coordinator's cancel token and fault
-    /// registry, with intra-operator parallelism disabled (parallel phases
-    /// never nest).
+    /// Fresh context for an exchange lane: same machine configuration,
+    /// sharing the coordinator's cancel token and fault registry.
     pub fn for_worker(
         cfg: MachineConfig,
         parent_cancel: &CancelToken,

@@ -12,16 +12,9 @@ use crate::context::ExecContext;
 use crate::exec::{schema_slot_bytes, Operator, DEFAULT_BATCH};
 use crate::fault;
 use crate::footprint::{FootprintModel, OpKind};
-use crate::obs::trace::{TraceEvent, Tracer};
-use bufferdb_cachesim::{CodeRegion, Machine, PerfCounters};
-use bufferdb_types::{Datum, DbError, Result, SchemaRef};
+use bufferdb_cachesim::{CodeRegion, Machine};
+use bufferdb_types::{Datum, Result, SchemaRef};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Below this many build rows a partitioned build cannot amortize thread
-/// start-up: insert on the coordinating core instead.
-const PARALLEL_BUILD_MIN_ROWS: usize = 256;
 
 fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -67,34 +60,15 @@ impl JoinTable {
         self.keys.clear();
     }
 
-    /// Keep the build row in `slot` (no simulated access).
-    fn push(&mut self, ctx: &ExecContext, slot: TupleSlot) -> Option<i64> {
-        let key = ctx
-            .arena
-            .row(slot)
-            .get(self.build_key)
-            .and_then(Datum::as_int);
-        self.keys.push(key);
-        self.rows.push(ctx.arena.hold(slot));
-        key
-    }
-
     fn bucket_addr(&self, key: i64) -> u64 {
         self.ht_base + (mix(key as u64) & self.bucket_mask) * 16
     }
 
-    /// Size the simulated bucket array once the build row count is known.
-    fn alloc_buckets(&mut self, ctx: &mut ExecContext) {
-        let buckets = (self.rows.len().max(1) * 2).next_power_of_two() as u64;
-        self.bucket_mask = buckets - 1;
-        self.ht_base = ctx.arena.sim_alloc(buckets * 16);
-    }
-
-    /// Serial blocking build: drain `child`, interleaving the build `code`
-    /// with the child's code per row (the PCPC pattern the refiner may
-    /// break with a buffer below the join), then account one bucket write
-    /// per insert.
-    pub(crate) fn build_serial(
+    /// Blocking build: drain `child`, interleaving the build `code` with
+    /// the child's code per row (the PCPC pattern the refiner may break
+    /// with a buffer below the join), size the simulated bucket array once
+    /// the row count is known, then account one bucket write per insert.
+    pub(crate) fn build(
         &mut self,
         ctx: &mut ExecContext,
         child: &mut dyn Operator,
@@ -107,12 +81,21 @@ impl JoinTable {
             ctx.fault(fault::HASHJOIN_BUILD)?;
             ctx.machine.exec_region(code);
             let idx = self.rows.len() as u32;
+            let key = ctx
+                .arena
+                .row(slot)
+                .get(self.build_key)
+                .and_then(Datum::as_int);
             // NULL build keys never match; they are stored but unreachable.
-            if let Some(k) = self.push(ctx, slot) {
+            if let Some(k) = key {
                 self.index.entry(k).or_default().push(idx);
             }
+            self.keys.push(key);
+            self.rows.push(ctx.arena.hold(slot));
         }
-        self.alloc_buckets(ctx);
+        let buckets = (self.rows.len().max(1) * 2).next_power_of_two() as u64;
+        self.bucket_mask = buckets - 1;
+        self.ht_base = ctx.arena.sim_alloc(buckets * 16);
         // Writes are modeled in build-row order — the order the inserts
         // actually happened — not by iterating `index`, whose randomized
         // hash order would make the simulated miss counts nondeterministic.
@@ -200,179 +183,6 @@ impl HashJoinOp {
             &mut ctx.machine,
         )
     }
-
-    /// Partitioned hash-table insertion over already-drained build rows.
-    ///
-    /// Rows are partitioned by `mix(key) % workers`, so partitions are
-    /// key-disjoint: the merged table is a conflict-free union whose per-key
-    /// match lists keep the same (row-index) order as a serial build — the
-    /// join output is bit-identical. Each worker simulates its inserts on
-    /// its own [`Machine`] (a private core running a clone of the build code
-    /// region); the worker counters are absorbed into the coordinating
-    /// machine, which keeps profiler conservation exact (the jump lands on
-    /// this operator's bracket).
-    ///
-    /// Failure semantics mirror the exchange: a worker panic is contained by
-    /// `catch_unwind` and surfaces as [`DbError::WorkerFailed`]; the first
-    /// failure of any kind raises a stop flag so sibling workers quit at
-    /// their next row; the serial fallback is panic-free and propagates
-    /// typed errors only.
-    fn parallel_insert(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        let workers = ctx.build_threads;
-        let table = &mut self.table;
-        if table.keys.len() < PARALLEL_BUILD_MIN_ROWS {
-            for (idx, key) in table.keys.iter().enumerate() {
-                ctx.check_cancel()?;
-                ctx.fault(fault::HASHJOIN_BUILD)?;
-                ctx.machine.exec_region(&mut self.build_code);
-                if let Some(k) = *key {
-                    ctx.machine.data_write(table.bucket_addr(k), 16);
-                    table.index.entry(k).or_default().push(idx as u32);
-                }
-            }
-            return Ok(());
-        }
-        let cfg = ctx.machine.config().clone();
-        let keys = &table.keys;
-        let ht_base = table.ht_base;
-        let mask = table.bucket_mask;
-        let code = &self.build_code;
-        let stop = AtomicBool::new(false);
-        let cancel = ctx.cancel.clone();
-        let faults = std::sync::Arc::clone(&ctx.faults);
-        // Per-worker flight-recorder rings (on the query clock); each build
-        // partition comes back as its own `build-N` track.
-        let tracers: Vec<Option<Tracer>> = (0..workers)
-            .map(|w| {
-                ctx.tracer
-                    .as_ref()
-                    .map(|t| t.for_worker(format!("build-{w}")))
-            })
-            .collect();
-        type BuildPart = (PerfCounters, Result<HashMap<i64, Vec<u32>>>, Option<Tracer>);
-        let parts: Vec<BuildPart> = std::thread::scope(|s| {
-            let handles: Vec<_> = tracers
-                .into_iter()
-                .enumerate()
-                .map(|(w, tracer)| {
-                    let cfg = cfg.clone();
-                    let mut code = code.clone();
-                    let stop = &stop;
-                    let cancel = &cancel;
-                    let faults = &faults;
-                    s.spawn(move || {
-                        // The machine and tracer live outside the unwind
-                        // boundary so a panicked worker still reports its
-                        // counters and its ring.
-                        let mut m = Machine::new(cfg);
-                        let mut tracer = tracer;
-                        let start_ns = tracer.as_ref().map_or(0, Tracer::now_ns);
-                        let mut inserted = 0u64;
-                        let caught =
-                            catch_unwind(AssertUnwindSafe(|| -> Result<HashMap<i64, Vec<u32>>> {
-                                let mut part: HashMap<i64, Vec<u32>> = HashMap::new();
-                                for (idx, &key) in keys.iter().enumerate() {
-                                    // NULL keys go to worker 0: they run build
-                                    // code but insert nothing (never matched).
-                                    let owner = match key {
-                                        Some(k) => (mix(k as u64) % workers as u64) as usize,
-                                        None => 0,
-                                    };
-                                    if owner != w {
-                                        continue;
-                                    }
-                                    if stop.load(Ordering::Relaxed) {
-                                        break;
-                                    }
-                                    if let Err(e) = cancel.check() {
-                                        if let Some(t) = tracer.as_mut() {
-                                            t.record(TraceEvent::CancelObserved);
-                                        }
-                                        return Err(e);
-                                    }
-                                    if let Err(e) = faults.hit(fault::HASHJOIN_BUILD) {
-                                        if let Some(t) = tracer.as_mut() {
-                                            t.record(TraceEvent::FaultTrip {
-                                                site: fault::HASHJOIN_BUILD.into(),
-                                            });
-                                        }
-                                        return Err(e);
-                                    }
-                                    m.exec_region(&mut code);
-                                    if let Some(k) = key {
-                                        m.data_write(ht_base + (mix(k as u64) & mask) * 16, 16);
-                                        part.entry(k).or_default().push(idx as u32);
-                                        inserted += 1;
-                                    }
-                                }
-                                Ok(part)
-                            }));
-                        let result = match caught {
-                            Ok(r) => r,
-                            Err(payload) => {
-                                if let Some(t) = tracer.as_mut() {
-                                    t.record(TraceEvent::WorkerPanic);
-                                }
-                                Err(DbError::WorkerFailed(format!(
-                                    "hash build worker {w} panicked: {}",
-                                    fault::panic_message(&*payload)
-                                )))
-                            }
-                        };
-                        if result.is_err() {
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                        if let Some(t) = tracer.as_mut() {
-                            t.record(TraceEvent::BuildPartition {
-                                worker: w as u32,
-                                rows: inserted,
-                                start_ns,
-                            });
-                        }
-                        (m.snapshot(), result, tracer)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(w, h)| {
-                    h.join().unwrap_or_else(|payload| {
-                        (
-                            PerfCounters::default(),
-                            Err(DbError::WorkerFailed(format!(
-                                "hash build worker {w} panicked: {}",
-                                fault::panic_message(&*payload)
-                            ))),
-                            None,
-                        )
-                    })
-                })
-                .collect()
-        });
-        let mut first_err = None;
-        for (counters, result, trace) in parts {
-            // Absorb every lane's counters — even failed ones — so the
-            // simulated work that did happen stays conserved.
-            ctx.machine.absorb(&counters);
-            ctx.absorb_trace(trace);
-            match result {
-                Ok(part) => table.index.extend(part),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(e) => {
-                table.index.clear();
-                Err(e)
-            }
-            None => Ok(()),
-        }
-    }
 }
 
 impl Operator for HashJoinOp {
@@ -391,22 +201,8 @@ impl Operator for HashJoinOp {
             .arena
             .alloc_region(self.batch_hint as u32 + 1, schema_slot_bytes(&self.schema));
 
-        if ctx.build_threads > 1 {
-            // Parallel build: the child is one iterator, so the drain itself
-            // stays on this core — but build-code execution and hash
-            // insertion move to a key-partitioned worker pool.
-            self.table.clear();
-            while let Some(slot) = self.build.next(ctx)? {
-                ctx.check_cancel()?;
-                ctx.tuple_yield();
-                self.table.push(ctx, slot);
-            }
-            self.table.alloc_buckets(ctx);
-            self.parallel_insert(ctx)?;
-        } else {
-            self.table
-                .build_serial(ctx, self.build.as_mut(), &mut self.build_code)?;
-        }
+        self.table
+            .build(ctx, self.build.as_mut(), &mut self.build_code)?;
         self.pending = None;
         Ok(())
     }

@@ -442,7 +442,7 @@ impl QueryOutcome {
 /// (including cancellation and injected faults) land in
 /// [`QueryOutcome::error`], and a panic anywhere in the serial driving path
 /// is contained and converted to [`DbError::WorkerFailed`] — the same
-/// containment exchange and hash-build workers apply on their own threads.
+/// containment exchange lanes apply on their own threads.
 pub fn execute_query(
     plan: &PlanNode,
     catalog: &Catalog,
@@ -482,8 +482,6 @@ pub(crate) struct DriveSpec {
     pub(crate) trace: bool,
     /// Seal the drive machine's L1i heat ledger into the outcome.
     pub(crate) heatmap: bool,
-    /// Worker budget for intra-operator parallelism (the hash-join build).
-    pub(crate) build_threads: usize,
     /// Owner tag for cross-query miss attribution. 0 — the simulator's
     /// "untagged" sentinel, never handed out by a server — marks a solo
     /// run, which never switches attribution on.
@@ -504,7 +502,6 @@ impl DriveSpec {
             faults: opts.resolve_faults(),
             trace: opts.wants_trace(),
             heatmap: opts.wants_heatmap(),
-            build_threads: opts.thread_override().unwrap_or(1).max(1),
             tag: 0,
             slicer: None,
         }
@@ -513,9 +510,8 @@ impl DriveSpec {
     /// A pool drive for a multi-query server: `plan` is built on the calling
     /// thread against clones of the server's pre-linked `master` layout
     /// (every query and every lane maps each operator to the same text
-    /// addresses). Parallelism comes from the pool, never from nested build
-    /// threads, and heat is a server-level ledger. The server assigns
-    /// `tag` once the build has succeeded.
+    /// addresses). Heat is a server-level ledger. The server assigns `tag`
+    /// once the build has succeeded.
     pub(crate) fn for_server(
         plan: &PlanNode,
         catalog: &Catalog,
@@ -531,7 +527,6 @@ impl DriveSpec {
         })?;
         Ok(DriveSpec {
             heatmap: false,
-            build_threads: 1,
             ..DriveSpec::new(root, &fm, opts)
         })
     }
@@ -562,7 +557,6 @@ pub(crate) fn run_drive(
     if spec.tag != 0 {
         ctx.machine.set_query_tag(spec.tag);
     }
-    ctx.build_threads = spec.build_threads;
     ctx.cancel = spec.cancel;
     ctx.faults = spec.faults;
     ctx.slicer = spec.slicer;

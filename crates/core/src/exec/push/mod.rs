@@ -242,7 +242,7 @@ impl Join {
                 ..
             } => {
                 build.open(ctx)?;
-                table.build_serial(ctx, build.as_mut(), build_code)
+                table.build(ctx, build.as_mut(), build_code)
             }
             Join::Index { cursor, .. } => {
                 cursor.open(ctx);

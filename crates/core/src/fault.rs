@@ -7,10 +7,10 @@
 //! configured [`FaultMode`] decides *how*: a typed
 //! [`DbError::FaultInjected`] that unwinds like any real executor error, or
 //! a controlled panic that exercises the worker-containment paths
-//! (`catch_unwind` in the exchange and the parallel hash-join build).
+//! (`catch_unwind` in the exchange lanes and the drive spine).
 //!
 //! The registry travels inside [`crate::context::ExecContext`] and is cloned
-//! into every exchange/build worker context, so hit counts are global across
+//! into every exchange worker context, so hit counts are global across
 //! the worker pool — `at_row(n)` means "the n-th time *any* thread passes
 //! this site", which makes chaos runs deterministic at any worker count when
 //! the trigger fires during a serial phase, and pool-wide (first claimant

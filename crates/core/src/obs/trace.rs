@@ -1,14 +1,14 @@
 //! The flight recorder: per-worker event rings, end-of-query merge, and
 //! the Perfetto/terminal renderers.
 //!
-//! Each execution thread (coordinator, exchange workers, parallel hash-join
-//! build workers) owns a private [`TraceRing`] — a fixed-size, power-of-two
-//! ring of timestamped [`TraceEvent`]s. Writes are single-producer and
-//! wait-free: one slot store plus a release-ordered cursor bump, overwriting
-//! the oldest event when full and *counting* the overflow instead of ever
-//! blocking the hot path. Rings merge at query end (workers hand their
-//! [`Tracer`] back with their counters, exactly like profiler absorption)
-//! into a [`TraceReport`] carried on `QueryOutcome`.
+//! Each execution thread (coordinator, exchange workers) owns a private
+//! [`TraceRing`] — a fixed-size, power-of-two ring of timestamped
+//! [`TraceEvent`]s. Writes are single-producer and wait-free: one slot
+//! store plus a release-ordered cursor bump, overwriting the oldest event
+//! when full and *counting* the overflow instead of ever blocking the hot
+//! path. Rings merge at query end (workers hand their [`Tracer`] back with
+//! their counters, exactly like profiler absorption) into a
+//! [`TraceReport`] carried on `QueryOutcome`.
 //!
 //! Like the profiler, the recorder executes no simulated code regions: a
 //! traced run retires the same modeled instructions as an untraced one. The
@@ -106,16 +106,6 @@ pub enum TraceEvent {
         /// Tuples sent for this morsel.
         rows: u64,
     },
-    /// A parallel hash-join build partition finished (span since
-    /// `start_ns`).
-    BuildPartition {
-        /// Build-worker index.
-        worker: u32,
-        /// Rows inserted by this partition.
-        rows: u64,
-        /// Timestamp at partition start.
-        start_ns: u64,
-    },
     /// Adaptive refinement installed a new plan generation.
     AdaptInstall {
         /// Generation number after the install.
@@ -192,7 +182,6 @@ impl TraceEvent {
             TraceEvent::FillEnd { .. } => "buffer.fill",
             TraceEvent::DrainEnd { .. } => "buffer.drain",
             TraceEvent::GatherEnqueue { .. } => "gather.enqueue",
-            TraceEvent::BuildPartition { .. } => "build.partition",
             TraceEvent::AdaptInstall { .. } => "adapt.install",
             TraceEvent::AdaptValidate { .. } => "adapt.validate",
             TraceEvent::AdaptRollback => "adapt.rollback",
@@ -211,7 +200,6 @@ impl TraceEvent {
         match self {
             TraceEvent::MorselComplete { start_ns, .. }
             | TraceEvent::FillEnd { start_ns, .. }
-            | TraceEvent::BuildPartition { start_ns, .. }
             | TraceEvent::QueryWait { start_ns, .. }
             | TraceEvent::QueryRun { start_ns, .. }
             | TraceEvent::CoreTurn { start_ns, .. } => Some(*start_ns),
@@ -246,9 +234,6 @@ impl TraceEvent {
             ],
             TraceEvent::GatherEnqueue { morsel, rows } => {
                 vec![("morsel", Arg::U(*morsel as u64)), ("rows", Arg::U(*rows))]
-            }
-            TraceEvent::BuildPartition { worker, rows, .. } => {
-                vec![("worker", Arg::U(*worker as u64)), ("rows", Arg::U(*rows))]
             }
             TraceEvent::AdaptInstall {
                 generation,
@@ -369,7 +354,7 @@ impl Default for TraceRing {
 /// events plus its overflow accounting.
 #[derive(Debug, Clone)]
 pub struct TraceTrack {
-    /// Track name (`coordinator`, `worker-0`, `build-1`, …).
+    /// Track name (`coordinator`, `worker-0`, `worker-1`, …).
     pub name: String,
     /// Retained events, oldest first.
     pub events: Vec<TimedEvent>,
@@ -456,7 +441,7 @@ impl Tracer {
     }
 
     /// Merge a joined worker's tracer: its ring becomes a finished track,
-    /// its own finished tracks (e.g. nested build workers) chain along, and
+    /// its own finished tracks chain along, and
     /// its metrics fold into ours.
     pub fn absorb(&mut self, worker: Tracer) {
         let Tracer {
@@ -629,7 +614,6 @@ impl TraceReport {
             let mut aborts = 0u64;
             let mut fills = 0u64;
             let mut drains = 0u64;
-            let mut builds = 0u64;
             let mut faults = 0u64;
             let mut cancels = 0u64;
             let mut panics = 0u64;
@@ -649,7 +633,6 @@ impl TraceReport {
                     TraceEvent::MorselAbort { .. } => aborts += 1,
                     TraceEvent::FillEnd { .. } => fills += 1,
                     TraceEvent::DrainEnd { .. } => drains += 1,
-                    TraceEvent::BuildPartition { .. } => builds += 1,
                     TraceEvent::FaultTrip { .. } => faults += 1,
                     TraceEvent::CancelObserved => cancels += 1,
                     TraceEvent::WorkerPanic => panics += 1,
@@ -670,9 +653,6 @@ impl TraceReport {
             }
             if fills + drains > 0 {
                 notes.push(format!("fills {fills}, drains {drains}"));
-            }
-            if builds > 0 {
-                notes.push(format!("build parts {builds}"));
             }
             if faults > 0 {
                 notes.push(format!("faults {faults}"));
@@ -822,14 +802,14 @@ mod tests {
         root.record(claim(0));
         let mut w0 = root.for_worker("worker-0".into());
         w0.metric(MORSEL_SERVICE_NS, 100);
-        let mut nested = w0.for_worker("build-0".into());
+        let mut nested = w0.for_worker("nested".into());
         nested.record(TraceEvent::WorkerPanic);
         w0.absorb(nested);
         root.absorb(w0);
         root.metric(MORSEL_SERVICE_NS, 300);
         let report = root.finish();
         let names: Vec<_> = report.tracks.iter().map(|t| t.name.as_str()).collect();
-        assert_eq!(names, vec!["coordinator", "worker-0", "build-0"]);
+        assert_eq!(names, vec!["coordinator", "worker-0", "nested"]);
         assert_eq!(report.events_recorded(), 2);
         assert_eq!(report.events_dropped(), 0);
         assert_eq!(

@@ -115,10 +115,12 @@ pub fn prepare_physical_plan(
 /// refinement configuration.
 ///
 /// `Database` wraps rather than replaces `Session`: cancellation, fault
-/// injection, and default thread/timeout settings all live on the session
-/// and apply to prepared executions unchanged.
+/// injection, and the default timeout live on the session and apply to
+/// prepared executions unchanged. The worker count is the database's own:
+/// it shapes the plans it prepares (their exchanges), not the session.
 pub struct Database {
     session: Session,
+    threads: usize,
     cache: Arc<PlanCache>,
     reuse: Arc<ReuseCache>,
     refine_cfg: RefineConfig,
@@ -131,6 +133,7 @@ impl Database {
     pub fn open(catalog: Catalog, cfg: MachineConfig) -> Self {
         Database {
             session: Session::new(catalog, cfg),
+            threads: 1,
             cache: Arc::new(PlanCache::default()),
             reuse: Arc::new(ReuseCache::default()),
             refine_cfg: RefineConfig::default(),
@@ -273,11 +276,11 @@ impl Database {
         );
     }
 
-    /// Set the default worker budget for subsequent prepares/executions.
+    /// Set the exchange worker count of subsequently prepared plans.
     /// Changing it re-keys future fingerprints (a plan parallelized for 2
     /// workers is not the plan for 8).
     pub fn set_threads(&mut self, threads: usize) {
-        self.session.set_threads(threads);
+        self.threads = threads.max(1);
     }
 
     /// Set (or clear) the session's default per-query timeout.
@@ -381,7 +384,7 @@ impl Database {
         } else {
             plan.clone()
         };
-        let threads = self.session.threads();
+        let threads = self.threads;
         let fp = PlanFingerprint::seal(
             fingerprint::plan_machine_hash(&plan, self.session.machine_debug()),
             threads,

@@ -1,6 +1,6 @@
 //! A long-lived query session: repeated executions against one catalog with
-//! cross-query settings (worker budget, timeout, fault registry) and a
-//! handle for cancelling the in-flight query from another thread.
+//! cross-query settings (timeout, fault registry) and a handle for
+//! cancelling the in-flight query from another thread.
 //!
 //! The session exists for the robustness contract: after any failed query —
 //! typed error, timeout, injected fault, or contained worker panic — the
@@ -64,12 +64,13 @@ impl ReusePolicy {
 /// Used directly by [`crate::exec::execute_query`], by [`Session::query`],
 /// by [`crate::prepare::Database`], and (wrapped in a
 /// [`crate::server::SubmitSpec`]) by both servers. Unset options fall back
-/// to the caller's defaults: a session fills in its worker budget, timeout,
-/// and fault registry; bare `execute_query` runs serial with no deadline
-/// and no armed faults.
+/// to the caller's defaults: a session fills in its timeout and fault
+/// registry; bare `execute_query` runs with no deadline and no armed
+/// faults. How many workers a query runs on is not an option: it is the
+/// `workers` of the plan's [`crate::plan::PlanNode::Exchange`] nodes.
 ///
 /// ```ignore
-/// let opts = QueryOpts::new().profile(true).threads(4);
+/// let opts = QueryOpts::new().profile(true).timeout(Duration::from_secs(1));
 /// let out = session.query(&plan, &opts);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -77,7 +78,6 @@ pub struct QueryOpts {
     profile: bool,
     trace: bool,
     heatmap: bool,
-    threads: Option<usize>,
     timeout: Option<Duration>,
     cancel: Option<CancelToken>,
     faults: Option<Arc<FaultRegistry>>,
@@ -108,12 +108,6 @@ impl QueryOpts {
     /// cost, off by default).
     pub fn heatmap(mut self, on: bool) -> Self {
         self.heatmap = on;
-        self
-    }
-
-    /// Override the session's worker budget for this query.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
         self
     }
 
@@ -160,11 +154,6 @@ impl QueryOpts {
         self.heatmap
     }
 
-    /// The thread override, if any.
-    pub fn thread_override(&self) -> Option<usize> {
-        self.threads
-    }
-
     /// The timeout override, if any.
     pub fn timeout_override(&self) -> Option<Duration> {
         self.timeout
@@ -206,14 +195,15 @@ impl QueryOpts {
     }
 }
 
-/// Stateful query runner over one catalog.
+/// Stateful query runner over one catalog. It runs each plan as given:
+/// parallelism is already in the plan (its exchanges), so the session holds
+/// no worker count.
 pub struct Session {
     catalog: Catalog,
     cfg: MachineConfig,
     /// `format!("{cfg:?}")`, rendered once: plan-cache and reuse-cache keys
     /// fold it in per request and per consulted subtree.
     cfg_debug: String,
-    threads: usize,
     timeout: Option<Duration>,
     faults: Arc<FaultRegistry>,
     /// Cancel token of the in-flight (or most recent) query, so another
@@ -228,7 +218,6 @@ impl Session {
             catalog,
             cfg_debug: format!("{cfg:?}"),
             cfg,
-            threads: 1,
             timeout: None,
             faults: Arc::new(FaultRegistry::new()),
             current: Mutex::new(CancelToken::new()),
@@ -250,11 +239,6 @@ impl Session {
         &self.cfg_debug
     }
 
-    /// The session's default worker budget.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// The session's default per-query timeout.
     pub fn timeout(&self) -> Option<Duration> {
         self.timeout
@@ -264,11 +248,6 @@ impl Session {
     /// subsequent queries.
     pub fn faults(&self) -> &Arc<FaultRegistry> {
         &self.faults
-    }
-
-    /// Set the worker budget for intra-operator parallelism.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Set (or clear) a per-query timeout; applies to queries started after
@@ -302,14 +281,11 @@ impl Session {
         execute_query(plan, &self.catalog, &self.cfg, &resolved.cancel(cancel))
     }
 
-    /// Fill session defaults into options the caller left unset: the worker
-    /// budget, the per-query timeout, and the fault registry. Explicit
-    /// settings in `opts` always win.
+    /// Fill session defaults into options the caller left unset: the
+    /// per-query timeout and the fault registry. Explicit settings in `opts`
+    /// always win.
     pub fn resolve_opts(&self, opts: &QueryOpts) -> QueryOpts {
         let mut resolved = opts.clone();
-        if resolved.thread_override().is_none() {
-            resolved = resolved.threads(self.threads);
-        }
         if resolved.timeout_override().is_none() {
             if let Some(t) = self.timeout {
                 resolved = resolved.timeout(t);

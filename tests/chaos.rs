@@ -101,9 +101,8 @@ fn plan_for(site: &str, workers: usize, catalog: &Catalog) -> PlanNode {
 #[test]
 fn every_site_and_worker_count_fails_cleanly_and_recovers() {
     quiet_injected_panics();
-    let mut session = Session::new(chaos_catalog(), MachineConfig::pentium4_like());
+    let session = Session::new(chaos_catalog(), MachineConfig::pentium4_like());
     for workers in [1usize, 2, 7] {
-        session.set_threads(workers);
         for site in fault::ALL_SITES {
             let plan = plan_for(site, workers, session.catalog());
             for mode in [FaultMode::Error, FaultMode::Panic] {
@@ -145,8 +144,7 @@ fn every_site_and_worker_count_fails_cleanly_and_recovers() {
 #[test]
 fn injected_error_keeps_profiled_counters_conserved() {
     quiet_injected_panics();
-    let mut session = Session::new(chaos_catalog(), MachineConfig::pentium4_like());
-    session.set_threads(2);
+    let session = Session::new(chaos_catalog(), MachineConfig::pentium4_like());
     for site in fault::ALL_SITES {
         let plan = plan_for(site, 2, session.catalog());
         session

@@ -52,8 +52,7 @@ fn parallel_results_match_serial_at_every_worker_count() {
         );
         for workers in [1usize, 2, 7] {
             let par = parallelize_plan(&plan, &catalog, workers).unwrap();
-            let opts = QueryOpts::new().threads(workers);
-            let (rows, _, _) = execute_query(&par, &catalog, &machine, &opts)
+            let (rows, _, _) = execute_query(&par, &catalog, &machine, &QueryOpts::new())
                 .into_result()
                 .unwrap_or_else(|e| panic!("{name} at {workers} workers: {e}"));
             assert_eq!(
@@ -85,8 +84,7 @@ fn refined_parallel_results_match_serial() {
                 &catalog,
                 &cfg,
             );
-            let opts = QueryOpts::new().threads(workers);
-            let (rows, _, _) = execute_query(&par, &catalog, &machine, &opts)
+            let (rows, _, _) = execute_query(&par, &catalog, &machine, &QueryOpts::new())
                 .into_result()
                 .unwrap_or_else(|e| panic!("{name} refined at {workers} workers: {e}"));
             assert_eq!(
@@ -108,7 +106,7 @@ fn parallel_profile_conserves_counters_and_lane_rows() {
     for (name, plan) in all_queries(&catalog) {
         for workers in [2usize, 7] {
             let par = parallelize_plan(&plan, &catalog, workers).unwrap();
-            let opts = QueryOpts::new().threads(workers).profile(true);
+            let opts = QueryOpts::new().profile(true);
             let (_, stats, profile) = execute_query(&par, &catalog, &machine, &opts)
                 .into_result()
                 .unwrap_or_else(|e| panic!("{name} at {workers} workers: {e}"));

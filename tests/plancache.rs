@@ -140,8 +140,8 @@ fn cached_results_match_uncached_at_1_2_7_workers() {
         for plan in [agg_plan(), scan()] {
             let direct = prepare_physical_plan(&plan, db.catalog(), db.refine_config(), workers)
                 .unwrap_or_else(|e| panic!("{workers} workers: prepare: {e}"));
-            let opts = QueryOpts::new().threads(workers);
-            let (rows, _, _) = execute_query(&direct, db.catalog(), db.session().machine(), &opts)
+            let machine = db.session().machine();
+            let (rows, _, _) = execute_query(&direct, db.catalog(), machine, &QueryOpts::new())
                 .into_result()
                 .unwrap_or_else(|e| panic!("{workers} workers: uncached run: {e}"));
             let prepared = db.prepare(&plan).unwrap();

@@ -76,7 +76,7 @@ fn reused_results_are_bit_identical_at_every_worker_count() {
                 q.plan().count(is_reused) >= 1,
                 "{name} at {workers} workers: no ReusedScan spliced"
             );
-            let out = q.execute_opts(&on.clone().threads(workers));
+            let out = q.execute_opts(&on);
             assert!(
                 out.is_ok(),
                 "{name} at {workers} workers: {:?}",

@@ -34,9 +34,9 @@ fn normalized(rows: &[Tuple]) -> Vec<String> {
     v
 }
 
-fn solo_rows(plan: &PlanNode, catalog: &Catalog, lanes: usize) -> Vec<String> {
-    let opts = QueryOpts::new().threads(lanes);
-    let (rows, _, _) = execute_query(plan, catalog, &MachineConfig::pentium4_like(), &opts)
+fn solo_rows(plan: &PlanNode, catalog: &Catalog) -> Vec<String> {
+    let machine = MachineConfig::pentium4_like();
+    let (rows, _, _) = execute_query(plan, catalog, &machine, &QueryOpts::new())
         .into_result()
         .unwrap();
     normalized(&rows)
@@ -145,7 +145,7 @@ fn concurrent_queries_match_solo_and_conserve_counters() {
     let plans = suite(&catalog, lanes);
     let expected: Vec<Vec<String>> = plans
         .iter()
-        .map(|(_, plan)| solo_rows(plan, &catalog, lanes))
+        .map(|(_, plan)| solo_rows(plan, &catalog))
         .collect();
     // Two rounds of the suite, so every machine carries another query's
     // residue.
@@ -297,7 +297,7 @@ fn faulted_query_does_not_poison_the_pool() {
         "{name} after cancel: {:?}",
         after.error()
     );
-    assert_eq!(normalized(after.rows()), solo_rows(plan, &catalog, lanes));
+    assert_eq!(normalized(after.rows()), solo_rows(plan, &catalog));
     assert!(server.stats().failed >= 3);
 }
 
@@ -363,7 +363,7 @@ fn virtual_server_workers_one_runs_on_one_core() {
             );
             assert_eq!(
                 normalized(c.outcome.rows()),
-                solo_rows(plan, &catalog, lanes),
+                solo_rows(plan, &catalog),
                 "{name} on a {workers}-worker virtual server: rows differ"
             );
         }

@@ -104,7 +104,7 @@ fn trace_and_profiler_conserve_at_1_2_7_workers() {
     let plan = queries::tpch_q12(&catalog).unwrap();
     for workers in [1usize, 2, 7] {
         let par = parallelize_plan(&plan, &catalog, workers).unwrap();
-        let opts = QueryOpts::new().threads(workers).profile(true).trace(true);
+        let opts = QueryOpts::new().profile(true).trace(true);
         let mut out = execute_query(&par, &catalog, &machine, &opts);
         assert!(out.is_ok(), "{workers} workers: {:?}", out.error());
         let trace = out.take_trace().expect("trace was requested");
@@ -147,15 +147,15 @@ fn trace_and_profiler_conserve_at_1_2_7_workers() {
             trace_morsels, lane_morsels,
             "{workers} workers: trace morsels disagree with profiler lanes"
         );
-        if workers > 1 {
-            // One name per lane (each exchange phase has its own tracks).
-            let lanes: std::collections::BTreeSet<String> = (trace.tracks.iter())
-                .filter(|t| t.name.starts_with("worker-"))
-                .map(|t| t.name.to_string())
-                .collect();
-            let want = (0..workers).map(|i| format!("worker-{i}")).collect();
-            assert_eq!(lanes, want, "{workers} workers: worker tracks");
-        }
+        // Exactly the coordinator plus one name per exchange lane (each
+        // exchange phase has its own tracks under those names); no other
+        // thread records anything.
+        let names: std::collections::BTreeSet<String> =
+            trace.tracks.iter().map(|t| t.name.to_string()).collect();
+        let want = std::iter::once("coordinator".to_string())
+            .chain((0..workers).map(|i| format!("worker-{i}")))
+            .collect();
+        assert_eq!(names, want, "{workers} workers: trace tracks");
     }
 }
 
@@ -174,8 +174,7 @@ fn injected_fill_fault_leaves_complete_trace() {
         }),
         workers: 2,
     };
-    let mut session = Session::new(small_catalog(20_000), MachineConfig::pentium4_like());
-    session.set_threads(2);
+    let session = Session::new(small_catalog(20_000), MachineConfig::pentium4_like());
     session
         .faults()
         .arm(fault::BUFFER_FILL, Trigger::at_row(3), FaultMode::Error);
@@ -196,7 +195,6 @@ fn cancelled_query_leaves_complete_trace() {
     let plan = queries::tpch_q6(&catalog).unwrap();
     let par = parallelize_plan(&plan, &catalog, 2).unwrap();
     let mut session = Session::new(catalog, MachineConfig::pentium4_like());
-    session.set_threads(2);
     session.set_timeout(Some(Duration::ZERO));
     let out = session.query(&par, &QueryOpts::new().trace(true));
     assert!(
