@@ -11,8 +11,7 @@ use bufferdb_bench::experiments::ExperimentCtx;
 use bufferdb_tpch::queries::JoinMethod;
 
 const USAGE: &str = "usage: repro [--sf <scale>] [--seed <n>] [--threads <n>] [--timeout-ms <n>]
-             [--qps <f>] [--duration <ms>] [--regimes <n>] [--streams <list>]
-             <experiment>...
+             [--regimes <n>] <experiment>...
 experiments:
   table1    machine specification
   table2    operator instruction footprints
@@ -65,13 +64,8 @@ options:
   --threads <n>     trace: worker budget of the traced query (default: all
                     cores)
   --timeout-ms <n>  cancel any single query after <n> ms (exit code 3)
-  --qps <f>         traffic: base offered rate in queries per virtual second
-                    (default: auto-calibrate to ~70% utilization)
-  --duration <ms>   traffic: virtual milliseconds per full regime
-                    (default: sized so a regime sees ~40 queries)
   --regimes <n>     traffic: number of scripted regimes, 1-4 (default 4:
                     steady, shift, burst, chaos)
-  --streams <list>  server: comma-separated stream counts (default 1,2,4,8)
 environment:
   BUFFERDB_FAULT    comma-separated fault specs `site:mode:trigger` injected
                     into every query (sites: seqscan.next indexscan.next
@@ -84,10 +78,7 @@ fn main() {
     let mut threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut qps: Option<f64> = None;
-    let mut duration_ms: Option<u64> = None;
     let mut regimes = 4_usize;
-    let mut streams: Vec<usize> = bufferdb_bench::server_bench::STREAM_COUNTS.to_vec();
     let mut experiments: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -118,46 +109,12 @@ fn main() {
                     .unwrap_or_else(|| die("--timeout-ms needs an integer"));
                 bufferdb_bench::runner::set_query_timeout_ms(ms);
             }
-            "--qps" => {
-                qps = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&q: &f64| q > 0.0)
-                        .unwrap_or_else(|| die("--qps needs a positive number")),
-                );
-            }
-            "--duration" => {
-                duration_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&ms: &u64| ms >= 1)
-                        .unwrap_or_else(|| die("--duration needs a positive integer (ms)")),
-                );
-            }
             "--regimes" => {
                 regimes = args
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&n: &usize| (1..=4).contains(&n))
                     .unwrap_or_else(|| die("--regimes needs an integer in 1..=4"));
-            }
-            "--streams" => {
-                let list = args
-                    .next()
-                    .unwrap_or_else(|| die("--streams needs a comma-separated list"));
-                streams = list
-                    .split(',')
-                    .map(|v| {
-                        v.trim()
-                            .parse()
-                            .ok()
-                            .filter(|&n: &usize| (1..=64).contains(&n))
-                            .unwrap_or_else(|| die("--streams entries must be integers in 1..=64"))
-                    })
-                    .collect();
-                if streams.is_empty() {
-                    die("--streams needs at least one entry");
-                }
             }
             "-h" | "--help" => {
                 println!("{USAGE}");
@@ -253,8 +210,8 @@ fn main() {
                     _ => analyze_query1(&ctx),
                 }
             }
-            "traffic" => write_traffic(scale, seed, regimes, qps, duration_ms),
-            "server" => write_server(scale, seed, &streams),
+            "traffic" => write_traffic(scale, seed, regimes),
+            "server" => write_server(scale, seed),
             "reuse" => write_reuse(scale, seed),
             "heatmap" => write_heatmap(scale, seed),
             "systables" => bufferdb_bench::sys_tables_demo(scale, seed),
@@ -330,26 +287,14 @@ fn write_trace(ctx: &ExperimentCtx, seed: u64, threads: usize, query: &str) -> S
 }
 
 /// Run the open-loop traffic observatory and write `BENCH_traffic.json`.
-fn write_traffic(
-    scale: f64,
-    seed: u64,
-    regimes: usize,
-    qps: Option<f64>,
-    duration_ms: Option<u64>,
-) -> String {
+fn write_traffic(scale: f64, seed: u64, regimes: usize) -> String {
     use bufferdb_bench::traffic::{run_traffic, TrafficConfig};
     // Fail malformed BUFFERDB_FAULT with exit 2 (the CLI contract) before
     // the run starts; run_traffic itself re-arms it per regime.
     if let Err(msg) = bufferdb_core::fault::FaultRegistry::from_env() {
         die(&format!("invalid BUFFERDB_FAULT: {msg}"));
     }
-    let mut cfg = TrafficConfig::scripted(scale, seed, regimes);
-    cfg.qps = qps;
-    if let Some(ms) = duration_ms {
-        // A full regime is 8 windows; `--duration` fixes its virtual span.
-        cfg.window_ns = Some(((ms as f64 * 1e6) / 8.0).round().max(1.0) as u64);
-    }
-    let run = run_traffic(&cfg);
+    let run = run_traffic(&TrafficConfig::scripted(scale, seed, regimes));
     let path = "BENCH_traffic.json";
     if let Err(e) = std::fs::write(path, run.report.to_json()) {
         die(&format!("cannot write {path}: {e}"));
@@ -364,8 +309,8 @@ fn write_traffic(
 /// Run the multi-query interference sweep on the deterministic virtual
 /// scheduler and write `BENCH_server.json` (uploaded as a CI artifact;
 /// bit-stable for a given scale/seed/stream list).
-fn write_server(scale: f64, seed: u64, streams: &[usize]) -> String {
-    let report = bufferdb_bench::server_metrics(scale, seed, streams);
+fn write_server(scale: f64, seed: u64) -> String {
+    let report = bufferdb_bench::server_metrics(scale, seed);
     let path = "BENCH_server.json";
     if let Err(e) = std::fs::write(path, report.to_json()) {
         die(&format!("cannot write {path}: {e}"));

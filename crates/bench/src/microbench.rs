@@ -47,15 +47,3 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
         ns[BATCHES - 1],
     );
 }
-
-/// Run `f` a fixed `iters` times and report ns/iter — for expensive bodies
-/// (whole-query executions) where auto-calibration would take minutes.
-pub fn bench_n<T>(name: &str, iters: u64, mut f: impl FnMut() -> T) {
-    std::hint::black_box(f());
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    let ns = start.elapsed().as_nanos() as f64 / iters as f64;
-    println!("{name:<34} {:>14.3} ms/iter   ({iters} iters)", ns / 1e6);
-}

@@ -323,8 +323,8 @@ fn run_cell(
     entry
 }
 
-/// Run the full sweep: `streams` × {none, static, adaptive}.
-pub fn server_metrics(scale: f64, seed: u64, streams: &[usize]) -> ServerReport {
+/// Run the full sweep: [`STREAM_COUNTS`] × {none, static, adaptive}.
+pub fn server_metrics(scale: f64, seed: u64) -> ServerReport {
     let catalog = bufferdb_tpch::generate_catalog(scale, seed);
     let machine = MachineConfig::pentium4_like();
     let refine_cfg = RefineConfig::default();
@@ -336,7 +336,7 @@ pub fn server_metrics(scale: f64, seed: u64, streams: &[usize]) -> ServerReport 
         jobs: TOTAL_JOBS as u64,
         entries: Vec::new(),
     };
-    for &s in streams {
+    for &s in &STREAM_COUNTS {
         for policy in Policy::ALL {
             report
                 .entries

@@ -239,12 +239,6 @@ impl MachineConfig {
         }
     }
 
-    /// Same machine with a bimodal (per-address) predictor, for ablation.
-    pub fn with_bimodal(mut self) -> Self {
-        self.branch.kind = PredictorKind::Bimodal;
-        self
-    }
-
     /// Same machine with a gshare predictor, for ablation.
     pub fn with_gshare(mut self) -> Self {
         self.branch.kind = PredictorKind::Gshare;
@@ -367,10 +361,6 @@ mod tests {
         assert_eq!(
             MachineConfig::pentium4_like().with_gshare().branch.kind,
             PredictorKind::Gshare
-        );
-        assert_eq!(
-            MachineConfig::pentium4_like().with_bimodal().branch.kind,
-            PredictorKind::Bimodal
         );
     }
 }

@@ -41,24 +41,6 @@ impl PerfCounters {
     pub fn l2_misses_uncovered(&self) -> u64 {
         self.l2_misses - self.l2_covered
     }
-
-    /// Branch misprediction ratio in [0, 1].
-    pub fn misprediction_ratio(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.mispredictions as f64 / self.branches as f64
-        }
-    }
-
-    /// L1i miss ratio in [0, 1].
-    pub fn l1i_miss_ratio(&self) -> f64 {
-        if self.l1i_accesses == 0 {
-            0.0
-        } else {
-            self.l1i_misses as f64 / self.l1i_accesses as f64
-        }
-    }
 }
 
 impl Add for PerfCounters {
@@ -142,13 +124,6 @@ mod tests {
         let d = a - b;
         assert_eq!(d.instructions, 6);
         assert_eq!(d.l1i_misses, 2);
-    }
-
-    #[test]
-    fn ratios_handle_zero_denominators() {
-        let c = PerfCounters::default();
-        assert_eq!(c.misprediction_ratio(), 0.0);
-        assert_eq!(c.l1i_miss_ratio(), 0.0);
     }
 
     #[test]

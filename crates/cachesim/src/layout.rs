@@ -413,20 +413,6 @@ impl CodeLayout {
     pub fn get(&self, name: &str) -> Option<SegmentRef> {
         self.get_ref(name).cloned()
     }
-
-    /// Combined footprint in bytes of a set of segment names, counting each
-    /// segment once (the paper's §6.1 shared-function rule).
-    pub fn combined_bytes(&self, names: &[&str]) -> usize {
-        let mut seen = Vec::new();
-        let mut total = 0;
-        for n in names {
-            if !seen.contains(n) {
-                seen.push(n);
-                total += self.get_ref(n).map_or(0, |s| s.bytes);
-            }
-        }
-        total
-    }
 }
 
 /// Per-operator-instance executable region: shared immutable segments plus
@@ -580,16 +566,6 @@ mod tests {
         let mut l = CodeLayout::new();
         l.define(&SegmentSpec::new("expr", 1500));
         l.define(&SegmentSpec::new("expr", 2000));
-    }
-
-    #[test]
-    fn combined_bytes_counts_shared_once() {
-        let mut l = CodeLayout::new();
-        l.define(&SegmentSpec::new("common", 800));
-        l.define(&SegmentSpec::new("scan", 8200));
-        l.define(&SegmentSpec::new("agg", 200));
-        assert_eq!(l.combined_bytes(&["common", "scan"]), 9000);
-        assert_eq!(l.combined_bytes(&["common", "scan", "common", "agg"]), 9200);
     }
 
     #[test]

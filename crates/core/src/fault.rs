@@ -148,17 +148,6 @@ impl FaultRegistry {
         self.any_armed.store(true, Ordering::Release);
     }
 
-    /// Disarm `site` (no-op when not armed).
-    pub fn disarm(&self, site: &str) {
-        let mut sites = self.lock();
-        sites.remove(site);
-        let empty = sites.is_empty();
-        drop(sites);
-        if empty {
-            self.any_armed.store(false, Ordering::Release);
-        }
-    }
-
     /// Disarm every site.
     pub fn clear(&self) {
         self.lock().clear();
@@ -354,16 +343,13 @@ mod tests {
     }
 
     #[test]
-    fn disarm_and_clear_reset() {
+    fn clear_resets() {
         let r = FaultRegistry::new();
         r.arm(SEQSCAN_NEXT, Trigger::every(1), FaultMode::Error);
         assert!(r.hit(SEQSCAN_NEXT).is_err());
-        r.disarm(SEQSCAN_NEXT);
-        assert!(r.hit(SEQSCAN_NEXT).is_ok());
-        assert!(!r.is_armed());
-        r.arm(SEQSCAN_NEXT, Trigger::every(1), FaultMode::Error);
         r.clear();
         assert!(r.hit(SEQSCAN_NEXT).is_ok());
+        assert!(!r.is_armed());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! executor simulates — so its choices align with the simulated outcomes.
 
 use crate::expr::Expr;
-use crate::plan::estimate::{estimate_rows, predicate_selectivity};
+use crate::plan::estimate::predicate_selectivity;
 use crate::plan::{IndexMode, PlanNode};
 use crate::refine::RefineConfig;
 use bufferdb_storage::Catalog;
@@ -375,12 +375,6 @@ pub fn choose_join_plan(
         .ok_or_else(|| DbError::InvalidPlan("no join candidates".into()))
 }
 
-/// Validate that a chosen plan produces the expected estimated cardinality
-/// (diagnostic helper used by tests and EXPLAIN output).
-pub fn estimated_output_rows(choice: &JoinChoice, catalog: &Catalog) -> f64 {
-    estimate_rows(&choice.plan, catalog)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,7 +492,6 @@ mod tests {
         let c = catalog(50_000, 5_000);
         let choice = choose_join_plan(&query(None, true), &c, &JoinCostModel::default()).unwrap();
         assert!(choice.cost > 0.0);
-        assert!(estimated_output_rows(&choice, &c) > 0.0);
     }
 
     fn agg_over_scan() -> PlanNode {

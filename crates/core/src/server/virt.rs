@@ -28,12 +28,18 @@
 //!   core of simulated compute.
 //!
 //! Drives need a real call stack to park mid-operator, so each admitted
-//! query runs on an OS thread — but in strict lockstep: the scheduler
-//! grants the session machine to exactly one drive at a time over a
-//! channel and blocks until that drive yields it back (quantum expiry,
-//! phase wait, or completion). At any instant at most one drive thread is
-//! runnable, so the schedule — and every counter — is a pure function of
-//! the submissions: bit-for-bit reproducible.
+//! query runs on an OS thread — but in strict lockstep, with no scheduler
+//! thread: whichever thread holds the session core runs the scheduling
+//! step (`VCore::step`) itself, under the core lock. A drive whose quantum
+//! expires (or that waits on a phase, or finishes) sends the machine home,
+//! accounts its turn and steps: pool units run right there on its stack,
+//! and when a step grants the next turn to the same drive it takes the
+//! machine back and continues with no thread hand-off. Only when the turn
+//! goes elsewhere does it wake exactly one thread — the chosen resident,
+//! or the [`VirtualServer::run_until`] caller once nothing admitted can
+//! run — and park. At any instant at most one thread steps or drives, so
+//! the schedule — and every counter — is a pure function of the
+//! submissions: bit-for-bit reproducible.
 //!
 //! Virtual time: the session core's clock advances by the machine-model
 //! cycle cost of each grant-to-yield window; pool clocks advance per unit.
@@ -50,7 +56,7 @@ use super::{lock, DriveAccounting, ServerConfig, ServerRecorder, ServerStats, Su
 use crate::cancel::CancelToken;
 use crate::context::{CoreSlicer, ExecContext};
 use crate::exec::exchange::{ExchangeDelegate, PhaseRequest};
-use crate::exec::phase::{PhaseOutcome, PhaseState};
+use crate::exec::phase::{Lane, PhaseOutcome, PhaseState};
 use crate::exec::{run_drive, DriveSpec, QueryOutcome};
 use crate::fault::FaultRegistry;
 use crate::footprint::FootprintModel;
@@ -61,7 +67,7 @@ use bufferdb_storage::{Catalog, FnSysTable};
 use bufferdb_types::{DataType, Datum, DbError, Field, Result, Schema, Tuple};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// Default drive quantum on the session core, in simulated cycles. Small
@@ -69,6 +75,16 @@ use std::thread::JoinHandle;
 /// lifetime; large enough that a quantum covers many tuples (the switch
 /// itself is free in model time — only the cache displacement costs).
 pub const DEFAULT_QUANTUM_CYCLES: u64 = 40_000;
+
+/// A cold machine standing in for one lost with a dead drive thread; it
+/// inherits the heat ledger when the server has it on.
+fn cold_machine(cfg: &MachineConfig, heatmap: bool) -> Machine {
+    let mut m = Machine::new(cfg.clone());
+    if heatmap {
+        m.enable_heatmap();
+    }
+    m
+}
 
 /// Simulated cycles → nanoseconds on the model's clock.
 fn to_ns(cycles: u64, clock_hz: u64) -> u64 {
@@ -98,25 +114,47 @@ enum DriveYield {
     Quantum,
     /// Blocked until this phase's morsels all complete on the pool.
     PhaseWait(Arc<PhaseState>),
-    /// Drive finished; the thread exits after this send.
+    /// Drive finished; the thread exits after scheduling the next turn.
     Done(Box<QueryOutcome>),
 }
 
-/// A yielded turn: the session machine coming home plus the reason.
-struct YieldMsg {
-    slot: usize,
-    machine: Machine,
-    why: DriveYield,
+/// Who holds the session core's next turn.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Owner {
+    /// The [`VirtualServer::run_until`] caller: nothing admitted can run.
+    Caller,
+    /// The resident drive in this slot.
+    Drive(usize),
 }
 
-/// Drive-side end of the turn protocol, shared by the slicer (quantum
+/// What one scheduling step decided.
+enum Step {
+    /// Run this pool unit (with the core lock released), then step again.
+    Unit(Box<Unit>),
+    /// The session core's next turn is granted.
+    Turn(Owner),
+}
+
+/// A pool unit claimed by a step, with the machine it runs on.
+struct Unit {
+    phase: Arc<PhaseState>,
+    lane: Lane,
+    idx: usize,
+    machine: Machine,
+    /// The pool core it runs on; `None` for the session core (`workers = 1`).
+    worker: Option<usize>,
+}
+
+/// Drive-side end of the turn hand-off, shared by the slicer (quantum
 /// yields) and the delegate (phase waits) of one resident query.
 struct DriveGate {
     slot: usize,
     tag: u32,
     cfg: MachineConfig,
-    turn_rx: Mutex<mpsc::Receiver<Machine>>,
-    yield_tx: mpsc::Sender<YieldMsg>,
+    core: Arc<Mutex<VCore>>,
+    /// This drive's own wake-up: notified only when a step grants it a turn
+    /// (or the server is dropped).
+    wake: Condvar,
     /// Cold stand-in left in the context while the real machine is away.
     spare: Mutex<Option<Machine>>,
     acct: Mutex<DriveAccounting>,
@@ -124,47 +162,138 @@ struct DriveGate {
 }
 
 impl DriveGate {
-    /// Block for the first grant of the session machine. `None` means the
-    /// scheduler is gone and the drive should never start.
-    fn first_turn(&self) -> Option<Machine> {
-        lock(&self.turn_rx).recv().ok()
+    /// The drive thread: park until the first turn, run the query, then send
+    /// the machine home with the outcome and schedule the next turn.
+    fn run(&self, spec: DriveSpec, delegate: Box<SlicedDelegate>) {
+        let _lost = LostDrive(self);
+        let me = Owner::Drive(self.slot);
+        let c = lock(&self.core);
+        let mut c = self
+            .wake
+            .wait_while(c, |c| c.owner != Some(me) && !c.closed)
+            .unwrap_or_else(PoisonError::into_inner);
+        if c.closed {
+            return;
+        }
+        let mut machine = c.take_machine();
+        drop(c);
+        let outcome = run_drive(spec, Some((&mut machine, delegate)), &self.cfg);
+        let mut c = lock(&self.core);
+        if !c.closed {
+            c.end_turn(self.slot, machine, DriveYield::Done(Box::new(outcome)));
+            let (c, next) = run_steps(&self.core, c);
+            c.wake(next);
+        }
     }
 
     /// Swap the session machine out of `slot_machine`, send it home with
-    /// `why`, and block until the next grant (swapped back in, re-tagged).
-    /// Returns `false` if the scheduler is gone: the drive is cancelled and
-    /// `slot_machine` holds a valid (cold or real) machine so the operator
-    /// stack can unwind normally through its next cancellation check.
-    fn yield_turn(&self, slot_machine: &mut Machine, why: DriveYield) -> bool {
-        let spare = lock(&self.spare)
-            .take()
-            .unwrap_or_else(|| Machine::new(self.cfg.clone()));
-        let real = std::mem::replace(slot_machine, spare);
-        let msg = YieldMsg {
-            slot: self.slot,
-            machine: real,
-            why,
-        };
-        if let Err(mpsc::SendError(msg)) = self.yield_tx.send(msg) {
-            // Scheduler dropped mid-run: keep the real machine, abandon.
-            let spare = std::mem::replace(slot_machine, msg.machine);
-            *lock(&self.spare) = Some(spare);
-            self.cancel.cancel();
-            return false;
+    /// `why` and run scheduling steps until this drive's next turn; the
+    /// machine is then swapped back in, re-tagged. If the server is dropped
+    /// meanwhile the drive is cancelled and `slot_machine` keeps a valid
+    /// machine, so the operator stack unwinds normally through its next
+    /// cancellation check.
+    fn yield_turn(&self, slot_machine: &mut Machine, why: DriveYield) {
+        let mut c = lock(&self.core);
+        if !c.closed {
+            let spare = lock(&self.spare)
+                .take()
+                .unwrap_or_else(|| Machine::new(self.cfg.clone()));
+            c.end_turn(self.slot, std::mem::replace(slot_machine, spare), why);
+            c = hand_off(&self.core, c, Owner::Drive(self.slot), &self.wake);
         }
-        match lock(&self.turn_rx).recv() {
-            Ok(mut granted) => {
-                granted.set_query_tag(self.tag);
-                let spare = std::mem::replace(slot_machine, granted);
-                *lock(&self.spare) = Some(spare);
-                true
+        if c.closed {
+            self.cancel.cancel();
+            return;
+        }
+        let mut granted = c.take_machine();
+        drop(c);
+        granted.set_query_tag(self.tag);
+        *lock(&self.spare) = Some(std::mem::replace(slot_machine, granted));
+    }
+}
+
+/// Armed for the life of a drive thread: if the thread unwinds outside
+/// `run_drive` (which contains executor panics itself), its query retires
+/// as `WorkerFailed` and the turn it held moves on instead of wedging
+/// `run_until`; a session machine lost with the thread is replaced by a
+/// cold one when the core next takes it.
+struct LostDrive<'a>(&'a DriveGate);
+
+impl Drop for LostDrive<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let gate = self.0;
+        let mut c = lock(&gate.core);
+        let ours = c.residents.get(gate.slot).and_then(Option::as_ref);
+        if c.closed || !ours.is_some_and(|r| std::ptr::eq(&*r.gate, gate)) {
+            return;
+        }
+        c.ring.retain(|&s| s != gate.slot);
+        let outcome = QueryOutcome::failed(
+            &c.cfg,
+            DbError::WorkerFailed("virtual drive thread lost".into()),
+        );
+        c.retire(gate.slot, outcome);
+        if c.owner == Some(Owner::Drive(gate.slot)) {
+            let (c, next) = run_steps(&gate.core, c);
+            c.wake(next);
+        }
+    }
+}
+
+/// Run scheduling steps on the calling thread until one grants the session
+/// core's next turn, running the pool units they claim along the way. No
+/// one holds the turn meanwhile: a unit runs with the lock released, and a
+/// drive just spawned into a retired drive's slot must not take a turn
+/// granted to its predecessor.
+fn run_steps<'a>(
+    core: &'a Arc<Mutex<VCore>>,
+    mut c: MutexGuard<'a, VCore>,
+) -> (MutexGuard<'a, VCore>, Owner) {
+    c.owner = None;
+    loop {
+        match c.step(core) {
+            Step::Unit(u) => {
+                drop(c);
+                let Unit {
+                    phase,
+                    lane,
+                    idx,
+                    mut machine,
+                    worker,
+                } = *u;
+                let cycles = phase.run_unit(lane, idx, &mut machine);
+                c = lock(core);
+                c.unit_done(&phase, machine, worker, cycles);
             }
-            Err(_) => {
-                self.cancel.cancel();
-                false
+            Step::Turn(next) => {
+                c.owner = Some(next);
+                return (c, next);
             }
         }
     }
+}
+
+/// Step until the session core's next turn is granted. If it is `me`'s,
+/// return at once: the calling thread keeps the core with no hand-off.
+/// Otherwise wake exactly the one thread that holds it and park on `wake`
+/// until a later step — run by whichever thread holds the core then —
+/// grants `me` a turn, or the server is dropped.
+fn hand_off<'a>(
+    core: &'a Arc<Mutex<VCore>>,
+    c: MutexGuard<'a, VCore>,
+    me: Owner,
+    wake: &Condvar,
+) -> MutexGuard<'a, VCore> {
+    let (c, next) = run_steps(core, c);
+    if next == me {
+        return c;
+    }
+    c.wake(next);
+    wake.wait_while(c, |c| c.owner != Some(me) && !c.closed)
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The session core's [`CoreSlicer`]: tracks the cycle quantum at tuple
@@ -204,35 +333,32 @@ impl CoreSlicer for TurnSlicer {
 /// The session core's phase delegate: registers the phase with the
 /// scheduler, parks the drive until the pool finishes it, and folds the
 /// lane deltas into the query total on resume.
-struct SlicedDelegate {
-    core: Arc<Mutex<VCore>>,
-    gate: Arc<DriveGate>,
-}
+struct SlicedDelegate(Arc<DriveGate>);
 
 impl ExchangeDelegate for SlicedDelegate {
     fn begin_drive(&mut self, base: PerfCounters) {
-        lock(&self.gate.acct).begin(base);
+        lock(&self.0.acct).begin(base);
     }
 
     fn run_phase(&mut self, ctx: &mut ExecContext, req: PhaseRequest) -> PhaseOutcome {
-        lock(&self.gate.acct).pause(ctx.machine.snapshot());
-        let phase = Arc::new(PhaseState::new(req, self.gate.tag, ctx));
-        lock(&self.core).sched.open_phase(Arc::clone(&phase));
-        // Park. A live re-grant means the phase is done; a dead scheduler
+        let gate = &self.0;
+        lock(&gate.acct).pause(ctx.machine.snapshot());
+        let phase = Arc::new(PhaseState::new(req, gate.tag, ctx));
+        lock(&gate.core).sched.open_phase(Arc::clone(&phase));
+        // Park. The next turn means the phase is done; a dropped server
         // means the query is cancelled and whatever ran is collected as-is
         // (every claimed unit completes within its claiming step, so the
         // lanes are home either way).
-        self.gate
-            .yield_turn(&mut ctx.machine, DriveYield::PhaseWait(Arc::clone(&phase)));
+        gate.yield_turn(&mut ctx.machine, DriveYield::PhaseWait(Arc::clone(&phase)));
         // Other residents ran on this machine while we were parked; the
         // exchange re-bases the profiler when it merges the lanes.
         let out = phase.collect();
-        lock(&self.gate.acct).end_phase(&out, ctx.machine.snapshot());
+        lock(&gate.acct).end_phase(&out, ctx.machine.snapshot());
         out
     }
 
     fn seal_drive(&mut self, now: PerfCounters) -> PerfCounters {
-        lock(&self.gate.acct).seal(now)
+        lock(&self.0.acct).seal(now)
     }
 }
 
@@ -260,39 +386,60 @@ struct QueryLogEntry {
     l1i_cross_misses: u64,
 }
 
-/// A query currently admitted (its drive thread is live), mirrored into
-/// [`VCore`] so `sys.queries` can list running queries without reaching
-/// into the scheduler's resident table.
-struct RunningInfo {
+/// A query admitted onto the session core: its drive thread plus the
+/// scheduler-side turn bookkeeping.
+struct Resident {
     id: u64,
-    tag: u32,
-    arrival_ns: u64,
-    start_ns: Option<u64>,
+    arrival: u64,
+    start_v: Option<u64>,
+    /// Earliest virtual time this drive may run again (arrival before the
+    /// first turn; the phase's last unit end after a phase wait).
+    ready_at: u64,
+    waiting_on: Option<Arc<PhaseState>>,
+    gate: Arc<DriveGate>,
+    handle: JoinHandle<()>,
 }
 
-/// State shared with drive threads (they push phases; the stepper reads
-/// everything else between grants, when no drive is runnable).
+/// The session core, the pool and the resident drives, behind one lock;
+/// whichever thread holds the session core steps it.
 struct VCore {
     cfg: MachineConfig,
     clock_hz: u64,
     /// Admission, open phases, tags, stats and query spans, stamped in
     /// virtual nanoseconds.
     sched: Sched<()>,
-    /// Session core clock; the machine itself lives in the scheduler and
-    /// is `None` only while granted to a drive.
+    /// Latest arrival accepted so far: submissions may not go back in time.
+    latest_arrival: u64,
+    /// Admission reach of the current [`VirtualServer::run_until`] call.
+    horizon: u64,
+    /// Session core clock; the machine is `None` only while a drive holds it.
     core_v: u64,
     core_machine: Option<Machine>,
+    /// Counters when the session machine left for the current turn.
+    turn_base: PerfCounters,
+    /// Who holds the session core's current turn; `None` while a thread
+    /// steps to decide it.
+    owner: Option<Owner>,
+    /// The `run_until` caller's wake-up.
+    caller: Arc<Condvar>,
+    /// Set when the server is dropped: parked drives unwind, nobody steps.
+    closed: bool,
     pool: Vec<VWorker>,
+    /// Admitted queries by slot; `free` lists the empty slots.
+    residents: Vec<Option<Resident>>,
+    free: Vec<usize>,
+    /// Round-robin turn order over resident slots (the turn holder is out).
+    ring: VecDeque<usize>,
+    /// Drive threads that finished, joined by the next `run_until` return.
+    exited: Vec<JoinHandle<()>>,
     finished: Vec<CompletedQuery>,
     /// Session-core quantum grants processed (turn switches).
     turns: u64,
     /// Phase units run inline on the session core (`workers == 1`).
     core_units: u64,
-    /// Whether the heat ledger is enabled (replacement machines installed
-    /// by `fail_resident` must inherit it).
+    /// Whether the heat ledger is enabled (a replacement machine installed
+    /// for a lost drive must inherit it).
     heatmap: bool,
-    /// Admitted queries, mirrored for `sys.queries`.
-    running: Vec<RunningInfo>,
     /// Bounded log of completed queries for `sys.queries`.
     log: VecDeque<QueryLogEntry>,
 }
@@ -321,33 +468,286 @@ impl VCore {
         }
         snap
     }
-}
 
-/// A query admitted onto the session core: its parked drive thread plus
-/// the scheduler-side turn bookkeeping.
-struct Resident {
-    id: u64,
-    tag: u32,
-    arrival: u64,
-    start_v: Option<u64>,
-    /// Earliest virtual time this drive may run again (arrival before the
-    /// first turn; the phase's last unit end after a phase wait).
-    ready_at: u64,
-    waiting_on: Option<Arc<PhaseState>>,
-    turn_tx: mpsc::Sender<Machine>,
-    cancel: CancelToken,
-    handle: Option<JoinHandle<()>>,
+    /// One scheduling step: admit every job that has arrived, then pick the
+    /// earliest event in virtual time — a session-core turn, granted here,
+    /// or a pool unit, claimed for the stepping thread to run.
+    fn step(&mut self, core: &Arc<Mutex<VCore>>) -> Step {
+        loop {
+            // Admissions are free in model time; slots bound concurrency.
+            while let Some(job) = self.sched.admit(self.core_v.max(self.horizon)) {
+                self.spawn_resident(job, core);
+            }
+            // Session-core turn: the frontmost ring entry minimizing
+            // max(core_v, ready_at) among runnable residents.
+            let mut core_cand: Option<(u64, usize)> = None;
+            for (pos, &slot) in self.ring.iter().enumerate() {
+                let Some(r) = self.residents[slot].as_ref() else {
+                    continue;
+                };
+                if r.waiting_on.is_some() {
+                    continue;
+                }
+                let t = self.core_v.max(r.ready_at);
+                if core_cand.is_none_or(|(bt, _)| t < bt) {
+                    core_cand = Some((t, pos));
+                }
+            }
+            // Pool unit: the earliest pool core, or the session core when
+            // the pool is empty (`workers = 1`), from the earliest phase start.
+            let unit_v = self.pool.iter().map(|p| p.vclock).min();
+            let pool_cand = self
+                .sched
+                .phases
+                .iter()
+                .map(|p| p.start_v.load(Ordering::Relaxed))
+                .min()
+                .map(|start| unit_v.unwrap_or(self.core_v).max(start));
+            // Ties go to the session core.
+            let turn = core_cand.filter(|&(ct, _)| pool_cand.is_none_or(|pt| ct <= pt));
+            if let Some((ct, pos)) = turn {
+                if let Some(slot) = self.grant(pos, ct) {
+                    return Step::Turn(Owner::Drive(slot));
+                }
+            } else {
+                // An open phase always has a claimable unit: a unit finishes
+                // within its claiming step and resolves its phase when it is
+                // the last, and a zero-morsel phase resolves at its wait.
+                return match pool_cand.and_then(|_| self.claim_unit()) {
+                    Some(unit) => Step::Unit(Box::new(unit)),
+                    None => Step::Turn(Owner::Caller),
+                };
+            }
+        }
+    }
+
+    /// Spawn the drive thread for an admitted job and enter it in the ring.
+    fn spawn_resident(&mut self, job: Job<()>, core: &Arc<Mutex<VCore>>) {
+        let Job {
+            id,
+            arrival_ns: arrival,
+            mut spec,
+            ..
+        } = job;
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.residents.push(None);
+            self.residents.len() - 1
+        });
+        let gate = Arc::new(DriveGate {
+            slot,
+            tag: spec.tag,
+            cfg: self.cfg.clone(),
+            core: Arc::clone(core),
+            wake: Condvar::new(),
+            spare: Mutex::new(Some(Machine::new(self.cfg.clone()))),
+            acct: Mutex::new(DriveAccounting::default()),
+            cancel: spec.cancel.clone(),
+        });
+        spec.slicer = Some(Box::new(TurnSlicer {
+            gate: Arc::clone(&gate),
+            quantum_cycles: DEFAULT_QUANTUM_CYCLES,
+            base: None,
+        }));
+        let delegate = Box::new(SlicedDelegate(Arc::clone(&gate)));
+        let drive = Arc::clone(&gate);
+        let handle = std::thread::spawn(move || drive.run(spec, delegate));
+        self.residents[slot] = Some(Resident {
+            id,
+            arrival,
+            start_v: None,
+            ready_at: arrival,
+            waiting_on: None,
+            gate,
+            handle,
+        });
+        self.ring.push_back(slot);
+    }
+
+    /// Grant the session core's turn starting at `turn_v` to the resident in
+    /// ring position `pos`; returns its slot.
+    fn grant(&mut self, pos: usize, turn_v: u64) -> Option<usize> {
+        let slot = self.ring.remove(pos)?;
+        self.core_v = turn_v;
+        let r = self.residents[slot].as_mut()?;
+        if r.start_v.is_none() {
+            r.start_v = Some(turn_v);
+            // First grant ends the wait: admission queueing + any core
+            // contention between arrival and this turn.
+            self.sched.started(r.id, r.arrival, turn_v);
+        }
+        Some(slot)
+    }
+
+    /// The turn holder takes the session machine (home between turns).
+    fn take_machine(&mut self) -> Machine {
+        let m = self
+            .core_machine
+            .take()
+            .unwrap_or_else(|| cold_machine(&self.cfg, self.heatmap));
+        self.turn_base = m.snapshot();
+        m
+    }
+
+    /// The session machine came home from `slot`'s turn: advance the core
+    /// clock by the turn's cycles, then requeue, park or retire the drive.
+    fn end_turn(&mut self, slot: usize, machine: Machine, why: DriveYield) {
+        let delta = machine.snapshot() - self.turn_base;
+        let turn_v = self.core_v;
+        self.core_v += to_ns(machine.cycles_for(&delta), self.clock_hz);
+        self.core_machine = Some(machine);
+        self.turns += 1;
+        let now_v = self.core_v;
+        let Some(r) = self.residents[slot].as_mut() else {
+            return;
+        };
+        if let Some(rec) = self.sched.recorder.as_mut() {
+            rec.record_core(
+                now_v,
+                TraceEvent::CoreTurn {
+                    tag: r.gate.tag,
+                    cross_misses: delta.l1i_cross_misses,
+                    start_ns: turn_v,
+                },
+            );
+        }
+        r.ready_at = now_v;
+        match why {
+            DriveYield::Quantum => self.ring.push_back(slot),
+            DriveYield::PhaseWait(phase) => {
+                phase.start_v.store(now_v, Ordering::Relaxed);
+                phase.note_end_v(now_v);
+                r.waiting_on = Some(Arc::clone(&phase));
+                if phase.done() {
+                    // Born done (zero-morsel phase): wake immediately.
+                    self.resolve_phase(&phase);
+                }
+                self.ring.push_back(slot);
+            }
+            DriveYield::Done(outcome) => self.retire(slot, *outcome),
+        }
+    }
+
+    /// Wake the one thread that holds the session core's turn.
+    fn wake(&self, who: Owner) {
+        match who {
+            Owner::Caller => self.caller.notify_one(),
+            Owner::Drive(slot) => {
+                if let Some(r) = &self.residents[slot] {
+                    r.gate.wake.notify_one();
+                }
+            }
+        }
+    }
+
+    /// Retire the resident in `slot` at the session core's clock: the
+    /// scheduler counts it done, `sys.queries` logs it and `run_until`
+    /// hands its outcome back.
+    fn retire(&mut self, slot: usize, outcome: QueryOutcome) {
+        let Some(r) = self.residents[slot].take() else {
+            return;
+        };
+        let now_v = self.core_v;
+        let start_ns = r.start_v.unwrap_or(now_v);
+        let tag = r.gate.tag;
+        self.sched.finished(r.id, tag, start_ns, now_v, &outcome);
+        let counters = outcome.stats().counters;
+        self.push_log(QueryLogEntry {
+            id: r.id,
+            tag,
+            arrival_ns: r.arrival,
+            start_ns,
+            done_ns: now_v,
+            rows: outcome.rows().len() as u64,
+            ok: outcome.is_ok(),
+            l1i_misses: counters.l1i_misses,
+            l1i_cross_misses: counters.l1i_cross_misses,
+        });
+        self.finished.push(CompletedQuery {
+            id: r.id,
+            tag,
+            arrival_ns: r.arrival,
+            start_ns,
+            done_ns: now_v,
+            outcome,
+        });
+        self.exited.push(r.handle);
+        self.free.push(slot);
+    }
+
+    /// A phase just completed: unregister it, credit its steals, and wake
+    /// every resident parked on it at the phase's last unit end.
+    fn resolve_phase(&mut self, phase: &Arc<PhaseState>) {
+        self.sched.close_phase(phase);
+        let end = phase.max_end_v.load(Ordering::Relaxed);
+        for r in self.residents.iter_mut().flatten() {
+            if r.waiting_on.as_ref().is_some_and(|p| Arc::ptr_eq(p, phase)) {
+                r.waiting_on = None;
+                r.ready_at = r.ready_at.max(end);
+            }
+        }
+    }
+
+    /// Claim one unit for the earliest-clocked pool core — or, when the
+    /// pool is empty (`workers = 1`), for the session core between drive
+    /// turns. Every machine is home while a step runs.
+    fn claim_unit(&mut self) -> Option<Unit> {
+        let worker = (0..self.pool.len()).min_by_key(|&w| (self.pool[w].vclock, w));
+        let (phase, lane, idx) = self.sched.claim(worker.unwrap_or(0))?;
+        let (clock, home) = match worker {
+            None => (&mut self.core_v, &mut self.core_machine),
+            Some(w) => {
+                let wk = &mut self.pool[w];
+                (&mut wk.vclock, &mut wk.machine)
+            }
+        };
+        *clock = (*clock).max(phase.start_v.load(Ordering::Relaxed));
+        let machine = home
+            .take()
+            .unwrap_or_else(|| cold_machine(&self.cfg, self.heatmap));
+        Some(Unit {
+            phase,
+            lane,
+            idx,
+            machine,
+            worker,
+        })
+    }
+
+    /// A claimed unit ran for `cycles`: advance its core's clock and put
+    /// the machine back.
+    fn unit_done(
+        &mut self,
+        phase: &Arc<PhaseState>,
+        machine: Machine,
+        worker: Option<usize>,
+        cycles: u64,
+    ) {
+        self.sched.unit_done();
+        let ns = to_ns(cycles, self.clock_hz);
+        let (clock, units, home) = match worker {
+            None => (
+                &mut self.core_v,
+                &mut self.core_units,
+                &mut self.core_machine,
+            ),
+            Some(w) => {
+                let wk = &mut self.pool[w];
+                (&mut wk.vclock, &mut wk.units, &mut wk.machine)
+            }
+        };
+        *clock += ns;
+        *units += 1;
+        *home = Some(machine);
+        phase.note_end_v(*clock);
+        if phase.done() {
+            self.resolve_phase(phase);
+        }
+    }
 }
 
 /// Deterministic multi-query server in simulated time. See module docs.
 pub struct VirtualServer {
     core: Arc<Mutex<VCore>>,
-    residents: Vec<Option<Resident>>,
-    free: Vec<usize>,
-    /// Round-robin turn order over resident slots.
-    ring: VecDeque<usize>,
-    yield_rx: mpsc::Receiver<YieldMsg>,
-    yield_tx: mpsc::Sender<YieldMsg>,
     master: CodeLayout,
     faults: Arc<FaultRegistry>,
 }
@@ -358,16 +758,20 @@ impl VirtualServer {
     /// core), and `cfg.admission_slots` resident-drive slots, at virtual
     /// time zero.
     pub fn new(cfg: ServerConfig) -> Self {
-        let clock_hz = cfg.machine.clock_hz;
         let pool_n = cfg.workers.saturating_sub(1);
-        let (yield_tx, yield_rx) = mpsc::channel();
         VirtualServer {
             core: Arc::new(Mutex::new(VCore {
                 cfg: cfg.machine.clone(),
-                clock_hz,
+                clock_hz: cfg.machine.clock_hz,
                 sched: Sched::new(cfg.admission_slots),
+                latest_arrival: 0,
+                horizon: 0,
                 core_v: 0,
                 core_machine: Some(Machine::new(cfg.machine.clone())),
+                turn_base: PerfCounters::default(),
+                owner: Some(Owner::Caller),
+                caller: Arc::new(Condvar::new()),
+                closed: false,
                 pool: (0..pool_n)
                     .map(|_| VWorker {
                         machine: Some(Machine::new(cfg.machine.clone())),
@@ -375,18 +779,16 @@ impl VirtualServer {
                         units: 0,
                     })
                     .collect(),
+                residents: Vec::new(),
+                free: Vec::new(),
+                ring: VecDeque::new(),
+                exited: Vec::new(),
                 finished: Vec::new(),
                 turns: 0,
                 core_units: 0,
                 heatmap: false,
-                running: Vec::new(),
                 log: VecDeque::new(),
             })),
-            residents: Vec::new(),
-            free: Vec::new(),
-            ring: VecDeque::new(),
-            yield_rx,
-            yield_tx,
             master: FootprintModel::prelinked(),
             faults: Arc::new(FaultRegistry::new()),
         }
@@ -400,8 +802,9 @@ impl VirtualServer {
 
     /// Queue a query with its simulated arrival time
     /// ([`SubmitSpec::at`], nanoseconds). Submissions must come in
-    /// nondecreasing arrival order; admission is FIFO. Returns the
-    /// submission id echoed in [`CompletedQuery::id`].
+    /// nondecreasing arrival order — against every earlier submission, run
+    /// or still queued; admission is FIFO. Returns the submission id echoed
+    /// in [`CompletedQuery::id`].
     ///
     /// Wall-clock timeouts do not exist in virtual time, so
     /// `QueryOpts::timeout` is ignored; a caller-held cancel token
@@ -411,8 +814,7 @@ impl VirtualServer {
         let (plan, catalog, opts) = (spec.plan(), spec.catalog(), spec.query_opts());
         let arrival_ns = spec.arrival_ns();
         // Refused before anything is counted or allocated for it.
-        let latest = lock(&self.core).sched.waiting.back().map(|j| j.arrival_ns);
-        if latest.is_some_and(|at| at > arrival_ns) {
+        if arrival_ns < lock(&self.core).latest_arrival {
             return Err(DbError::ExecProtocol(
                 "virtual server submissions must arrive in order".into(),
             ));
@@ -427,400 +829,25 @@ impl VirtualServer {
             opts = opts.faults(Arc::clone(&self.faults));
         }
         let spec = DriveSpec::for_server(plan, catalog, &self.master, &opts)?;
-        Ok(lock(&self.core).sched.enqueue(spec, arrival_ns, ()).0)
-    }
-
-    /// Spawn the drive thread for an admitted job and enter it in the ring.
-    fn spawn_resident(&mut self, job: Job<()>) {
-        let Job {
-            id,
-            arrival_ns: arrival,
-            mut spec,
-            ..
-        } = job;
-        let tag = spec.tag;
-        let cancel = spec.cancel.clone();
-        let cfg = lock(&self.core).cfg.clone();
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.residents.push(None);
-                self.residents.len() - 1
-            }
-        };
-        let (turn_tx, turn_rx) = mpsc::channel();
-        let gate = Arc::new(DriveGate {
-            slot,
-            tag,
-            cfg: cfg.clone(),
-            turn_rx: Mutex::new(turn_rx),
-            yield_tx: self.yield_tx.clone(),
-            spare: Mutex::new(Some(Machine::new(cfg.clone()))),
-            acct: Mutex::new(DriveAccounting::default()),
-            cancel: cancel.clone(),
-        });
-        spec.slicer = Some(Box::new(TurnSlicer {
-            gate: Arc::clone(&gate),
-            quantum_cycles: DEFAULT_QUANTUM_CYCLES,
-            base: None,
-        }));
-        let delegate = Box::new(SlicedDelegate {
-            core: Arc::clone(&self.core),
-            gate: Arc::clone(&gate),
-        });
-        let handle = std::thread::spawn(move || {
-            let Some(mut machine) = gate.first_turn() else {
-                return;
-            };
-            let outcome = run_drive(spec, Some((&mut machine, delegate)), &cfg);
-            let _ = gate.yield_tx.send(YieldMsg {
-                slot: gate.slot,
-                machine,
-                why: DriveYield::Done(Box::new(outcome)),
-            });
-        });
-        self.residents[slot] = Some(Resident {
-            id,
-            tag,
-            arrival,
-            start_v: None,
-            ready_at: arrival,
-            waiting_on: None,
-            turn_tx,
-            cancel,
-            handle: Some(handle),
-        });
-        self.ring.push_back(slot);
-        lock(&self.core).running.push(RunningInfo {
-            id,
-            tag,
-            arrival_ns: arrival,
-            start_ns: None,
-        });
-    }
-
-    /// A phase just completed: unregister it, credit its steals, and wake
-    /// every resident parked on it at the phase's last unit end. Takes the
-    /// fields split apart so callers can hold the core lock.
-    fn resolve_phase(residents: &mut [Option<Resident>], c: &mut VCore, phase: &Arc<PhaseState>) {
-        c.sched.close_phase(phase);
-        let end = phase.max_end_v.load(Ordering::Relaxed);
-        for r in residents.iter_mut().flatten() {
-            if r.waiting_on.as_ref().is_some_and(|p| Arc::ptr_eq(p, phase)) {
-                r.waiting_on = None;
-                r.ready_at = r.ready_at.max(end);
-            }
-        }
-    }
-
-    /// Grant the session machine to the resident in ring position `pos`
-    /// whose turn starts at `turn_v`, and process its yield.
-    fn run_core_turn(&mut self, pos: usize, turn_v: u64) {
-        let Some(slot) = self.ring.remove(pos) else {
-            return;
-        };
-        let machine = {
-            let mut c = lock(&self.core);
-            c.core_v = turn_v;
-            let Some(r) = self.residents[slot].as_mut() else {
-                return;
-            };
-            if r.start_v.is_none() {
-                r.start_v = Some(turn_v);
-                // First grant ends the wait: admission queueing + any core
-                // contention between arrival and this turn.
-                let (id, arrival) = (r.id, r.arrival);
-                c.sched.started(id, arrival, turn_v);
-                if let Some(ri) = c.running.iter_mut().find(|ri| ri.id == id) {
-                    ri.start_ns = Some(turn_v);
-                }
-            }
-            let Some(m) = c.core_machine.take() else {
-                // The session machine is home whenever no turn is in flight.
-                // If it is somehow absent, retire the resident rather than
-                // wedging the turn ring.
-                drop(c);
-                self.fail_resident(slot, None);
-                return;
-            };
-            m
-        };
-        let base = machine.snapshot();
-        let Some(resident) = self.residents[slot].as_ref() else {
-            // Checked under the lock above; return the machine home.
-            lock(&self.core).core_machine = Some(machine);
-            return;
-        };
-        let turn_tag = resident.tag;
-        if let Err(mpsc::SendError(machine)) = resident.turn_tx.send(machine) {
-            // Drive thread died without yielding (it never starts without a
-            // grant, so this is the post-drop path of an abandoned thread).
-            self.fail_resident(slot, Some(machine));
-            return;
-        }
-        let Ok(msg) = self.yield_rx.recv() else {
-            // Unreachable while `self.yield_tx` lives, but if every sender is
-            // gone the granted machine is lost with its thread: retire the
-            // resident and let `fail_resident` install a replacement machine.
-            self.fail_resident(slot, None);
-            return;
-        };
-        debug_assert_eq!(msg.slot, slot);
-        let delta = msg.machine.snapshot() - base;
-        let cycles = msg.machine.cycles_for(&delta);
         let mut c = lock(&self.core);
-        c.core_v += to_ns(cycles, c.clock_hz);
-        c.core_machine = Some(msg.machine);
-        let now_v = c.core_v;
-        c.turns += 1;
-        if let Some(rec) = c.sched.recorder.as_mut() {
-            rec.record_core(
-                now_v,
-                TraceEvent::CoreTurn {
-                    tag: turn_tag,
-                    cross_misses: delta.l1i_cross_misses,
-                    start_ns: turn_v,
-                },
-            );
-        }
-        match msg.why {
-            DriveYield::Quantum => {
-                if let Some(r) = self.residents[slot].as_mut() {
-                    r.ready_at = now_v;
-                }
-                self.ring.push_back(slot);
-            }
-            DriveYield::PhaseWait(phase) => {
-                phase.start_v.store(now_v, Ordering::Relaxed);
-                phase.note_end_v(now_v);
-                if let Some(r) = self.residents[slot].as_mut() {
-                    r.ready_at = now_v;
-                    r.waiting_on = Some(Arc::clone(&phase));
-                }
-                if phase.done() {
-                    // Born done (zero-morsel phase): wake immediately.
-                    Self::resolve_phase(&mut self.residents, &mut c, &phase);
-                }
-                self.ring.push_back(slot);
-            }
-            DriveYield::Done(outcome) => {
-                drop(c);
-                self.retire(slot, *outcome);
-            }
-        }
-    }
-
-    /// Retire the resident in `slot` at the session core's clock: the
-    /// scheduler counts it done, `sys.queries` logs it and `run_until`
-    /// hands its outcome back.
-    fn retire(&mut self, slot: usize, outcome: QueryOutcome) {
-        let Some(r) = self.residents[slot].take() else {
-            return;
-        };
-        let mut c = lock(&self.core);
-        let now_v = c.core_v;
-        let start_ns = r.start_v.unwrap_or(now_v);
-        c.sched.finished(r.id, r.tag, start_ns, now_v, &outcome);
-        let counters = outcome.stats().counters;
-        c.running.retain(|ri| ri.id != r.id);
-        c.push_log(QueryLogEntry {
-            id: r.id,
-            tag: r.tag,
-            arrival_ns: r.arrival,
-            start_ns,
-            done_ns: now_v,
-            rows: outcome.rows().len() as u64,
-            ok: outcome.is_ok(),
-            l1i_misses: counters.l1i_misses,
-            l1i_cross_misses: counters.l1i_cross_misses,
-        });
-        c.finished.push(CompletedQuery {
-            id: r.id,
-            tag: r.tag,
-            arrival_ns: r.arrival,
-            start_ns,
-            done_ns: now_v,
-            outcome,
-        });
-        drop(c);
-        if let Some(h) = r.handle {
-            let _ = h.join();
-        }
-        self.free.push(slot);
-    }
-
-    /// Retire a resident whose thread is gone (scheduler-restart path):
-    /// synthesize a failed completion so accounting stays conserved.
-    fn fail_resident(&mut self, slot: usize, machine: Option<Machine>) {
-        if self.residents[slot].is_none() {
-            return;
-        }
-        let outcome = {
-            let mut c = lock(&self.core);
-            // Restore the granted machine, or install a cold replacement
-            // when it was lost with a dead drive thread, so the core is
-            // never machineless.
-            let machine = machine.unwrap_or_else(|| {
-                let mut m = Machine::new(c.cfg.clone());
-                if c.heatmap {
-                    m.enable_heatmap();
-                }
-                m
-            });
-            c.core_machine = Some(machine);
-            QueryOutcome::failed(
-                &c.cfg,
-                DbError::WorkerFailed("virtual drive thread lost".into()),
-            )
-        };
-        self.retire(slot, outcome);
-    }
-
-    /// Run one pool unit on the earliest-clocked pool core — or, when the
-    /// pool is empty (`workers = 1`), inline on the session core between
-    /// drive turns. Returns whether anything ran.
-    fn run_pool_unit(&mut self) -> bool {
-        let (phase, lane, idx, mut machine, w, on_core) = {
-            let mut c = lock(&self.core);
-            let Some((w, machine, on_core)) = (if c.pool.is_empty() {
-                // No drive turn is in flight while the scheduler steps, so
-                // the session machine is home; borrow it for one unit.
-                c.core_machine.take().map(|m| (0, m, true))
-            } else {
-                c.pool
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(_, p)| p.machine.is_some())
-                    .min_by_key(|(i, p)| (p.vclock, *i))
-                    .and_then(|(i, p)| p.machine.take().map(|m| (i, m, false)))
-            }) else {
-                return false;
-            };
-            let Some((p, lane, idx)) = c.sched.claim(w) else {
-                // All remaining phases are done but unresolved (shouldn't
-                // happen — completion resolves eagerly); sweep them so the
-                // outer loop can't spin.
-                if on_core {
-                    c.core_machine = Some(machine);
-                } else {
-                    c.pool[w].machine = Some(machine);
-                }
-                let done: Vec<Arc<PhaseState>> = c
-                    .sched
-                    .phases
-                    .iter()
-                    .filter(|p| p.done())
-                    .cloned()
-                    .collect();
-                for p in &done {
-                    Self::resolve_phase(&mut self.residents, &mut c, p);
-                }
-                return !done.is_empty();
-            };
-            let start = p.start_v.load(Ordering::Relaxed);
-            if on_core {
-                c.core_v = c.core_v.max(start);
-            } else {
-                let wk = &mut c.pool[w];
-                wk.vclock = wk.vclock.max(start);
-            }
-            (p, lane, idx, machine, w, on_core)
-        };
-        let cycles = phase.run_unit(lane, idx, &mut machine);
-        let mut c = lock(&self.core);
-        c.sched.unit_done();
-        let ns = to_ns(cycles, c.clock_hz);
-        let end = if on_core {
-            c.core_v += ns;
-            c.core_units += 1;
-            c.core_machine = Some(machine);
-            c.core_v
-        } else {
-            let wk = &mut c.pool[w];
-            wk.vclock += ns;
-            wk.units += 1;
-            wk.machine = Some(machine);
-            wk.vclock
-        };
-        phase.note_end_v(end);
-        if phase.done() {
-            Self::resolve_phase(&mut self.residents, &mut c, &phase);
-        }
-        true
+        c.latest_arrival = arrival_ns;
+        Ok(c.sched.enqueue(spec, arrival_ns, ()).0)
     }
 
     /// Advance simulated time, admitting any job with `arrival ≤ horizon`
     /// (or at or before the session core's current clock), and return the
     /// queries that completed, ordered by completion time.
     pub fn run_until(&mut self, horizon_ns: u64) -> Vec<CompletedQuery> {
-        loop {
-            // Admissions are free in model time; slots bound concurrency.
-            loop {
-                let job = {
-                    let mut c = lock(&self.core);
-                    let reach = c.core_v.max(horizon_ns);
-                    c.sched.admit(reach)
-                };
-                match job {
-                    Some(j) => self.spawn_resident(j),
-                    None => break,
-                }
-            }
-            // Candidate events, in virtual-time order. Session-core turn:
-            // the frontmost ring entry minimizing max(core_v, ready_at)
-            // among runnable residents.
-            let (core_cand, pool_cand) = {
-                let c = lock(&self.core);
-                let mut core_cand: Option<(u64, usize)> = None;
-                for (pos, &slot) in self.ring.iter().enumerate() {
-                    let Some(r) = self.residents[slot].as_ref() else {
-                        continue;
-                    };
-                    if r.waiting_on.is_some() {
-                        continue;
-                    }
-                    let t = c.core_v.max(r.ready_at);
-                    if core_cand.is_none_or(|(bt, _)| t < bt) {
-                        core_cand = Some((t, pos));
-                    }
-                }
-                let pool_cand: Option<u64> = if c.sched.phases.is_empty() {
-                    None
-                } else {
-                    let start = c
-                        .sched
-                        .phases
-                        .iter()
-                        .map(|p| p.start_v.load(Ordering::Relaxed))
-                        .min()
-                        .unwrap_or(0);
-                    if c.pool.is_empty() {
-                        // workers = 1: phase units run on the session core.
-                        Some(c.core_v.max(start))
-                    } else {
-                        c.pool.iter().map(|p| p.vclock).min().map(|v| v.max(start))
-                    }
-                };
-                (core_cand, pool_cand)
-            };
-            match (core_cand, pool_cand) {
-                (Some((ct, pos)), Some(pt)) => {
-                    if ct <= pt {
-                        self.run_core_turn(pos, ct);
-                    } else {
-                        self.run_pool_unit();
-                    }
-                }
-                (Some((ct, pos)), None) => self.run_core_turn(pos, ct),
-                (None, Some(_)) => {
-                    if !self.run_pool_unit() {
-                        break;
-                    }
-                }
-                (None, None) => break,
-            }
+        let mut c = lock(&self.core);
+        c.horizon = horizon_ns;
+        let caller = Arc::clone(&c.caller);
+        let mut c = hand_off(&self.core, c, Owner::Caller, &caller);
+        let exited = std::mem::take(&mut c.exited);
+        let mut done = std::mem::take(&mut c.finished);
+        drop(c);
+        for h in exited {
+            let _ = h.join();
         }
-        let mut done = std::mem::take(&mut lock(&self.core).finished);
         done.sort_by_key(|c| (c.done_ns, c.id));
         done
     }
@@ -951,16 +978,16 @@ impl VirtualServer {
                             Datum::Null,
                         ]));
                     }
-                    for ri in &c.running {
+                    for r in c.residents.iter().flatten() {
                         rows.push(Tuple::new(vec![
-                            int(ri.id),
+                            int(r.id),
                             Datum::str("running"),
-                            int(ri.tag as u64),
-                            int(ri.arrival_ns),
-                            ri.start_ns.map_or(Datum::Null, int),
+                            int(r.gate.tag as u64),
+                            int(r.arrival),
+                            r.start_v.map_or(Datum::Null, int),
                             Datum::Null,
-                            ri.start_ns
-                                .map_or(Datum::Null, |s| int(s.saturating_sub(ri.arrival_ns))),
+                            r.start_v
+                                .map_or(Datum::Null, |s| int(s.saturating_sub(r.arrival))),
                             Datum::Null,
                             Datum::Null,
                             Datum::Null,
@@ -1084,18 +1111,20 @@ impl VirtualServer {
 impl Drop for VirtualServer {
     fn drop(&mut self) {
         // Wake and retire any still-parked drives: cancelling first makes
-        // the unwind prompt, dropping the grant sender makes it certain.
-        for r in self.residents.iter_mut().flatten() {
-            r.cancel.cancel();
-        }
-        for r in self.residents.drain(..).flatten() {
-            let Resident {
-                turn_tx, handle, ..
-            } = r;
-            drop(turn_tx);
-            if let Some(h) = handle {
-                let _ = h.join();
+        // the unwind prompt, closing the core makes it certain.
+        let handles: Vec<JoinHandle<()>> = {
+            let mut c = lock(&self.core);
+            c.closed = true;
+            let parked: Vec<Resident> = c.residents.drain(..).flatten().collect();
+            for r in &parked {
+                r.gate.cancel.cancel();
+                r.gate.wake.notify_one();
             }
+            let exited = std::mem::take(&mut c.exited);
+            parked.into_iter().map(|r| r.handle).chain(exited).collect()
+        };
+        for h in handles {
+            let _ = h.join();
         }
     }
 }

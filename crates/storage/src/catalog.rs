@@ -114,13 +114,6 @@ impl Catalog {
         table
     }
 
-    /// Allocate `bytes` of simulated data space (hash tables, sort runs,
-    /// buffer arrays). Returns the base address.
-    pub fn alloc_data(&self, bytes: u64) -> u64 {
-        self.next_addr
-            .fetch_add(bytes.next_multiple_of(64), Ordering::Relaxed)
-    }
-
     /// Register an index.
     pub fn add_index(&self, def: IndexDef) -> Arc<IndexDef> {
         let arc = Arc::new(def);
@@ -216,15 +209,6 @@ mod tests {
         let b = c.add_table(builder("b", 1000));
         let a_end = a.row_addr(999) + a.row_width(999) as u64;
         assert!(b.row_addr(0) >= a_end, "heaps must not overlap");
-    }
-
-    #[test]
-    fn alloc_data_is_monotonic_and_aligned() {
-        let c = Catalog::new();
-        let x = c.alloc_data(100);
-        let y = c.alloc_data(10);
-        assert!(y >= x + 128);
-        assert_eq!(y % 64, 0);
     }
 
     #[test]

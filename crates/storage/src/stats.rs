@@ -85,16 +85,6 @@ impl TableStats {
         }
         ((b - lo) / (hi - lo)).clamp(0.0, 1.0)
     }
-
-    /// Estimated selectivity of an equality predicate against a key-like
-    /// column: 1 / row_count (unique-key assumption).
-    pub fn estimate_eq_key_selectivity(&self) -> f64 {
-        if self.row_count == 0 {
-            0.0
-        } else {
-            1.0 / self.row_count as f64
-        }
-    }
 }
 
 fn datum_to_f64(d: &Datum) -> Option<f64> {
@@ -162,14 +152,6 @@ mod tests {
         let s = table_stats(vec![Datum::Null, Datum::Null]);
         let sel = s.estimate_le_selectivity(0, &Datum::Int(0));
         assert!((sel - 1.0 / 3.0).abs() < 1e-9);
-        let s2 = table_stats(vec![]);
-        assert_eq!(s2.estimate_eq_key_selectivity(), 0.0);
-    }
-
-    #[test]
-    fn eq_key_selectivity() {
-        let s = table_stats((0..10).map(Datum::Int).collect());
-        assert!((s.estimate_eq_key_selectivity() - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -301,9 +301,10 @@ fn faulted_query_does_not_poison_the_pool() {
     assert!(server.stats().failed >= 3);
 }
 
-/// A submission that arrives before one already queued is refused whole: it
-/// takes no id, no owner tag and no place in the `submitted` count, so the
-/// submissions around it are numbered and tagged as if it had never come.
+/// A submission that arrives before an earlier one — still queued or
+/// already run — is refused whole: it takes no id, no owner tag and no
+/// place in the `submitted` count, so the submissions around it are
+/// numbered and tagged as if it had never come.
 #[test]
 fn virtual_server_refuses_an_out_of_order_arrival_before_counting_it() {
     let catalog = catalog();
@@ -330,6 +331,21 @@ fn virtual_server_refuses_an_out_of_order_arrival_before_counting_it() {
     let tags = run(true);
     assert_eq!(tags.len(), 2);
     assert_eq!(tags, run(false));
+    // Once `drain` has admitted the whole queue, the latest arrival still
+    // bounds the next one.
+    let mut vs = VirtualServer::new(ServerConfig::default());
+    vs.submit(SubmitSpec::new(plan, &catalog).at(1_000))
+        .unwrap();
+    assert_eq!(vs.drain().len(), 1);
+    let refused = vs.submit(SubmitSpec::new(plan, &catalog).at(999));
+    assert!(matches!(refused, Err(DbError::ExecProtocol(_))));
+    assert_eq!(vs.stats().submitted, 1);
+    assert_eq!(
+        vs.submit(SubmitSpec::new(plan, &catalog).at(1_000))
+            .unwrap(),
+        1
+    );
+    assert_eq!(vs.drain().len(), 1);
 }
 
 /// `workers = 1` means one core of simulated compute, period. The session
@@ -421,6 +437,76 @@ fn virtual_server_is_deterministic_and_attributes_interference() {
     assert!(
         cross_total > 0,
         "concurrent streams on shared cores must show cross-query L1i misses"
+    );
+}
+
+/// The virtual server's schedule is pinned, not just reproducible: four
+/// closed-loop clients run 16 jobs of the suite on 4 workers and 4 slots,
+/// each client resubmitting at its previous job's completion, and the turn
+/// count plus every query's timeline and L1i counters must match the
+/// committed golden. `BUFFERDB_UPDATE_GOLDEN=1` regenerates it.
+#[test]
+fn virtual_server_schedule_matches_golden() {
+    let catalog = catalog();
+    let plans = suite(&catalog, 2);
+    let (clients, total) = (4, 16);
+    let mut vs = VirtualServer::new(ServerConfig::new(4, 4, MachineConfig::pentium4_like()));
+    // The job each submission id runs; ids count from zero.
+    let mut jobs = Vec::new();
+    let submit = |vs: &mut VirtualServer, jobs: &mut Vec<usize>, job: usize, at: u64| {
+        vs.submit(SubmitSpec::new(&plans[job % plans.len()].1, &catalog).at(at))
+            .expect("submit");
+        jobs.push(job);
+    };
+    for job in 0..clients {
+        submit(&mut vs, &mut jobs, job, 0);
+    }
+    let mut lines = Vec::new();
+    loop {
+        let done = vs.drain();
+        if done.is_empty() {
+            break;
+        }
+        for c in done {
+            assert!(c.outcome.is_ok(), "query {}: {:?}", c.id, c.outcome.error());
+            let k = c.outcome.stats().counters;
+            lines.push(format!(
+                "{} {} {} {} {} {} {} {}",
+                c.id,
+                c.tag,
+                c.arrival_ns,
+                c.start_ns,
+                c.done_ns,
+                k.instructions,
+                k.l1i_misses,
+                k.l1i_cross_misses
+            ));
+            let next = jobs[c.id as usize] + clients;
+            if next < total {
+                submit(&mut vs, &mut jobs, next, c.done_ns);
+            }
+        }
+    }
+    assert_eq!(lines.len(), total);
+    let got = format!(
+        "turns {}\n# id tag arrival_ns start_ns done_ns instructions l1i_misses l1i_cross_misses\n{}\n",
+        vs.turns(),
+        lines.join("\n")
+    );
+    let full = format!(
+        "{}/tests/golden/virtual_schedule.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    if std::env::var_os("BUFFERDB_UPDATE_GOLDEN").is_some() {
+        std::fs::write(&full, &got).expect("write golden");
+        return;
+    }
+    let want =
+        std::fs::read_to_string(&full).expect("missing golden (set BUFFERDB_UPDATE_GOLDEN=1)");
+    assert_eq!(
+        got, want,
+        "virtual-server schedule changed; rerun with BUFFERDB_UPDATE_GOLDEN=1 \
+         and review the diff if the change is intentional"
     );
 }
 
