@@ -39,8 +39,8 @@ experiments:
   analyze <file.json>  validate a bench report's schema/schema_version and
             summarize it (rejects unknown versions, exit code 2)
   analyze <new.json> <committed.json>  gate a fresh BENCH_modes.json against
-            the committed one: one-worker cells exact, the rest within 2% of
-            L1i misses, push beats pull at one worker (exit code 1)
+            the committed one: exact on every cell, push beats pull at one
+            worker (exit code 1)
   trace <query>  flight-recorder trace of one query (Q1 Q6 Q12 Q14
             paperQ1 paperQ2), write Perfetto JSON to TRACE_<query>.json
   trace --server  whole-server flight recorder: admission waits, query

@@ -68,20 +68,13 @@ pub fn check_report(text: &str) -> Result<String, String> {
 }
 
 /// Gate a freshly written `BENCH_modes.json` against the committed one
-/// (`repro analyze <new> <committed>`). Every other report regenerates byte
-/// for byte and is gated with `cmp`; cells with more than one worker depend
-/// on the morsel claim order, so this report needs rules:
+/// (`repro analyze <new> <committed>`). Solo exchange lanes run fixed
+/// morsel stripes, so the report is exact; the gate keeps rules (not `cmp`)
+/// so a failure names the cell:
 ///
 /// - both documents pass [`check_report`] and carry the same schema;
 /// - the cell set, keyed on (query, mode, workers), is unchanged;
-/// - every cell's `rows` is unchanged;
-/// - one-worker cells are deterministic: every field is unchanged (not
-///   only instructions and L1i misses: `modeled_wall_seconds` also carries
-///   the L1d, branch and ITLB cycles a slip in a tuple slot's width would
-///   move);
-/// - other cells keep `l1i_misses` within 2 % + 100 of the committed value
-///   (fifteen regenerations moved them by at most 0.82 %; EXPERIMENTS.md
-///   "Multi-worker cells");
+/// - every field of every cell is unchanged;
 /// - the headline: at one worker, push beats pull on every query.
 ///
 /// Returns a one-line summary, or every violated rule, one per line, each
@@ -104,35 +97,18 @@ pub fn compare_modes(new: &str, committed: &str) -> Result<String, String> {
             broken.push(format!("{cell}: missing from the new report"));
             continue;
         };
-        let mut fields = vec!["rows"];
-        if key.2 == 1 {
-            fields = field_names(base);
-            fields.extend(
-                field_names(cur)
-                    .into_iter()
-                    .filter(|f| base.get(f).is_none()),
-            );
-        }
+        let mut fields = field_names(base);
+        fields.extend(
+            field_names(cur)
+                .into_iter()
+                .filter(|f| base.get(f).is_none()),
+        );
         for f in fields {
             if base.get(f) != cur.get(f) {
                 broken.push(format!(
                     "{cell}: {f} {} -> {}",
                     show(base.get(f)),
                     show(cur.get(f))
-                ));
-            }
-        }
-        if key.2 > 1 {
-            let (b, c) = (base.get("l1i_misses"), cur.get("l1i_misses"));
-            let within = match (b.and_then(Json::as_f64), c.and_then(Json::as_f64)) {
-                (Some(b), Some(c)) => 0.98 * b - 100.0 <= c && c <= 1.02 * b + 100.0,
-                _ => false,
-            };
-            if !within {
-                broken.push(format!(
-                    "{cell}: l1i_misses {} -> {} (more than 2 % + 100 apart)",
-                    show(b),
-                    show(c)
                 ));
             }
         }
@@ -154,8 +130,7 @@ pub fn compare_modes(new: &str, committed: &str) -> Result<String, String> {
     }
     if broken.is_empty() {
         Ok(format!(
-            "{} cells: one-worker cells exact, the rest within 2 % + 100 L1i misses; push \
-             beats pull at one worker on every query",
+            "{} cells: exact on every cell; push beats pull at one worker on every query",
             new_cells.len()
         ))
     } else {
@@ -291,6 +266,7 @@ mod tests {
             speedup_vs_pull,
             instructions: 9_000,
             l1i_misses: 100_000,
+            modeled_wall_seconds: 0.5,
             ..ModesEntry::default()
         };
         let committed = ModesReport {
@@ -309,16 +285,22 @@ mod tests {
             compare_modes(&new.to_json(), &committed.to_json())
         };
         assert!(gate(&|_| {}).is_ok());
-        // A multi-worker cell may wobble within the band.
-        assert!(gate(&|r| r.entries[2].l1i_misses = 101_500).is_ok());
-        let broken: [(&Edit, &str); 5] = [
+        let broken: [(&Edit, &str); 7] = [
             (
                 &|r| r.entries[1].instructions = 9_001,
                 "Q6 push @1w: instructions 9000 -> 9001",
             ),
             (
+                &|r| r.entries[2].l1i_misses = 101_500,
+                "Q6 pull @2w: l1i_misses 100000 -> 101500",
+            ),
+            (
                 &|r| r.entries[3].l1i_misses = 103_000,
                 "Q6 push @2w: l1i_misses 100000 -> 103000",
+            ),
+            (
+                &|r| r.entries[3].modeled_wall_seconds = 0.5001,
+                "Q6 push @2w: modeled_wall_seconds 0.5 -> 0.5001",
             ),
             (&|r| r.entries[2].rows = 2, "Q6 pull @2w: rows 1 -> 2"),
             (

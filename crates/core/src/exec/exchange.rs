@@ -4,9 +4,11 @@
 //! (contiguous row-id ranges) and runs them as one phase (`PhaseState`,
 //! `exec/phase.rs`): a private copy of the subtree per lane, each lane with
 //! its own [`ExecContext`] (arena, and when the query is profiled its own
-//! [`crate::obs::QueryProfiler`] over the same subtree labels). A solo query runs the phase on one scoped thread per lane, each
-//! on a fresh simulated [`Machine`] — per-core L1i/ITLB/branch state, as the
-//! paper assumes; a server query hands it to the server's scheduler. Either
+//! [`crate::obs::QueryProfiler`] over the same subtree labels). A solo query
+//! runs the phase on one scoped thread per lane, each on a fresh simulated
+//! [`Machine`] — per-core L1i/ITLB/branch state, as the paper assumes — and
+//! each running its lane's fixed morsel stripe; a server query hands it to
+//! the server's scheduler, whose workers steal morsels. Either
 //! way every lane's counters and profile are merged into the coordinating
 //! context with exact conservation (see [`ExecContext::absorb_worker`]).
 //!
@@ -29,12 +31,14 @@ use std::collections::VecDeque;
 
 /// Upper bound on rows per morsel. Large enough that per-morsel overhead
 /// (one subtree open/close, one coordinator dispatch) is noise; small
-/// enough that a scan splits into many more morsels than workers, so
-/// stealing balances skew from uneven predicates.
+/// enough that a scan splits into many more morsels than workers, so each
+/// solo lane's fixed stripe interleaves the whole scan and server workers
+/// have morsels left to steal.
 pub const MORSEL_ROWS: u32 = 4096;
 
-/// Morsels per worker targeted when the domain is small: work-stealing
-/// between lanes needs several morsels per lane to balance.
+/// Morsels per worker targeted when the domain is small: a solo lane's
+/// stripe spans the scan in several pieces, and server workers stealing
+/// between lanes need several morsels per lane to balance.
 const MORSELS_PER_WORKER: usize = 4;
 
 /// Modeled instructions the coordinator spends handing one gathered tuple
@@ -227,24 +231,15 @@ impl ExchangeOp {
     }
 }
 
-/// Run a phase without a server: one scoped thread per lane, each on a fresh
-/// machine (a private core), pulling units until every morsel is claimed.
-/// With as many threads as lanes, a thread that holds no lane always finds
-/// one in the pool, so `begin_unit` returning `None` means the morsels ran
-/// out.
+/// Run a phase without a server: thread `w` takes lane `w` and a fresh
+/// machine (a private core) and runs lane `w`'s morsel stripe on it.
 fn run_solo(ctx: &ExecContext, req: PhaseRequest) -> PhaseOutcome {
     let threads = req.trees.len();
-    let phase = PhaseState::new(req, 0, ctx);
+    let phase = &PhaseState::new(req, 0, ctx);
     let cfg = ctx.machine.config();
     std::thread::scope(|s| {
-        for t in 0..threads {
-            let phase = &phase;
-            s.spawn(move || {
-                let mut machine = Machine::new(cfg.clone());
-                while let Some((lane, idx)) = phase.begin_unit(t) {
-                    phase.run_unit(lane, idx, &mut machine);
-                }
-            });
+        for w in 0..threads {
+            s.spawn(move || phase.run_stripe(w, &mut Machine::new(cfg.clone())));
         }
     });
     phase.collect()

@@ -1,24 +1,25 @@
-//! The one way an exchange phase runs: shared work-stealing phase state that
-//! solo threads, server pool workers and the coordinating drive all pull
-//! morsels from.
+//! The one way an exchange phase runs: phase state holding the morsels, the
+//! per-lane output buckets and the lanes themselves.
 //!
 //! When an exchange opens it builds a [`PhaseState`]: the morsel ranges of
-//! its driving scan, striped across per-lane shards, plus one [`Lane`] per
-//! plan-time worker. Whoever runs the phase loops
-//! [`PhaseState::begin_unit`] / [`PhaseState::run_unit`] and finally
-//! [`PhaseState::collect`]s it:
+//! its driving scan, striped across per-lane shards (shard `w` owns morsels
+//! `w`, `w + W`, `w + 2W`, …), plus one [`Lane`] per plan-time worker, and
+//! finally [`PhaseState::collect`]s it. Two kinds of runner drive it:
 //!
 //! - a solo query runs one scoped thread per lane, each on a fresh
-//!   simulated machine (`ExchangeOp::open`);
-//! - a server hands the phase to its scheduler, whose pool workers claim
-//!   units of *different queries'* phases onto their **long-lived
-//!   machines**. The machine (and its L1i) persists across queries, so a
-//!   unit of query B executed right after a unit of query A on the same
-//!   worker misses on the lines A's code evicted — counted per query in
-//!   [`bufferdb_cachesim::PerfCounters::l1i_cross_misses`] via the cache's
-//!   evictor tags.
+//!   simulated machine ([`PhaseState::run_stripe`]): thread `w` owns lane
+//!   `w` for the whole phase and runs exactly shard `w`'s stripe, so which
+//!   core runs which morsel is fixed and every solo counter is exact;
+//! - a server hands the phase to its scheduler, whose pool workers loop
+//!   [`PhaseState::begin_unit`] / [`PhaseState::run_unit`], claiming units
+//!   of *different queries'* phases (stealing across shards) onto their
+//!   **long-lived machines**. The machine (and its L1i) persists across
+//!   queries, so a unit of query B executed right after a unit of query A
+//!   on the same worker misses on the lines A's code evicted — counted per
+//!   query in [`bufferdb_cachesim::PerfCounters::l1i_cross_misses`] via the
+//!   cache's evictor tags.
 //!
-//! A unit swaps the claiming worker's machine into the lane's context for
+//! A unit swaps the running worker's machine into the lane's context for
 //! the duration of one morsel, and writes the morsel's rows straight into
 //! its bucket: no channel, no per-tuple hand-off between threads.
 //!
@@ -190,10 +191,11 @@ impl PhaseState {
         None
     }
 
-    /// Check out a lane *and* claim a morsel for it, atomically with respect
-    /// to phase completion: a lane only ever leaves the pool together with a
-    /// claimed morsel, so once every morsel is accounted (`done`), all lanes
-    /// are guaranteed back in the pool and `collect` cannot lose one.
+    /// Check out a lane *and* claim a morsel for it (a server worker's
+    /// step), atomically with respect to phase completion: here a lane only
+    /// ever leaves the pool together with a claimed morsel, so once every
+    /// morsel is accounted (`done`), all lanes are guaranteed back in the
+    /// pool and `collect` cannot lose one.
     pub(crate) fn begin_unit(&self, preferred: usize) -> Option<(Lane, usize)> {
         if self.drained.load(Ordering::Relaxed) {
             return None;
@@ -222,20 +224,42 @@ impl PhaseState {
         self.stop.store(true, Ordering::Release);
     }
 
-    /// Return the lane and mark one morsel handled. Lane return *precedes*
-    /// the completion count so `done` implies every lane is home.
-    fn finish_unit(&self, lane: Lane) {
+    /// Run one claimed unit on `machine` (the claiming worker's core,
+    /// swapped into the lane for the duration) and hand the lane back.
+    /// Returns the unit's simulated cycle cost (for virtual-time callers;
+    /// everyone else ignores it).
+    pub(crate) fn run_unit(&self, mut lane: Lane, idx: usize, machine: &mut Machine) -> u64 {
+        let cycles = self.run_morsel(&mut lane, idx, machine);
+        // Lane return *precedes* the completion count, so `done` implies
+        // every lane is home.
         lock(&self.lanes).push(lane);
         self.completed.fetch_add(1, Ordering::Release);
+        cycles
     }
 
-    /// Run one claimed unit on `machine` (the claiming worker's core,
-    /// swapped into the lane for the duration). Returns the unit's simulated
-    /// cycle cost (for virtual-time callers; everyone else ignores it).
-    pub(crate) fn run_unit(&self, mut lane: Lane, idx: usize, machine: &mut Machine) -> u64 {
+    /// Run lane `w`'s stripe — morsels `w`, `w + W`, `w + 2W`, … — start to
+    /// finish on `machine`, the one core this lane gets on the solo path.
+    /// Nothing is claimed, so a solo run places every morsel the same way.
+    pub(crate) fn run_stripe(&self, w: usize, machine: &mut Machine) {
+        let taken = {
+            let mut lanes = lock(&self.lanes);
+            let at = lanes.iter().position(|l| l.lane_id == w as u64);
+            at.map(|at| lanes.swap_remove(at))
+        };
+        let Some(mut lane) = taken else {
+            // One thread per lane: a missing lane is a bug, never a skip.
+            let e = format!("exchange lane {w} taken twice");
+            return self.fail(DbError::WorkerFailed(e));
+        };
+        for idx in (w..self.morsels.len()).step_by(self.shards.len()) {
+            self.run_morsel(&mut lane, idx, machine);
+        }
+        lock(&self.lanes).push(lane);
+    }
+
+    fn run_morsel(&self, lane: &mut Lane, idx: usize, machine: &mut Machine) -> u64 {
         // Drained after a stop: account the morsel without running it.
         if self.stop.load(Ordering::Acquire) {
-            self.finish_unit(lane);
             return 0;
         }
         let range = self.morsels[idx];
@@ -258,7 +282,7 @@ impl PhaseState {
         lane.morsels += 1;
         let mut out: Vec<Tuple> = Vec::new();
         let caught = {
-            let (lane, out) = (&mut lane, &mut out);
+            let (lane, out) = (&mut *lane, &mut out);
             catch_unwind(AssertUnwindSafe(move || -> Result<()> {
                 let (tree, ctx) = (&mut lane.tree, &mut lane.ctx);
                 ctx.check_cancel()?;
@@ -315,7 +339,6 @@ impl PhaseState {
         if !out.is_empty() {
             lock(&self.buckets)[idx] = out;
         }
-        self.finish_unit(lane);
         cycles
     }
 
@@ -325,7 +348,8 @@ impl PhaseState {
     }
 
     /// Tear the completed phase down into the exchange's merge shape. Must
-    /// only be called once `done()` holds (all lanes back in the pool).
+    /// only be called once all lanes are back in the pool: once `done()`
+    /// holds on a server, once the stripe threads joined solo.
     pub(crate) fn collect(&self) -> PhaseOutcome {
         let lanes = std::mem::take(&mut *lock(&self.lanes));
         let buckets = std::mem::take(&mut *lock(&self.buckets));

@@ -98,7 +98,9 @@ fn refined_parallel_results_match_serial() {
 
 /// Profiler conservation under parallelism: per-operator counters (with
 /// worker-lane work folded in) must sum exactly to the aggregate machine
-/// snapshot, and exchange lanes must account for every gathered row.
+/// snapshot, and exchange lanes must account for every gathered row. Solo
+/// lanes run fixed morsel stripes, so a second run repeats every counter
+/// and every lane record exactly.
 #[test]
 fn parallel_profile_conserves_counters_and_lane_rows() {
     let catalog = tpch::generate_catalog(0.002, 7);
@@ -107,10 +109,13 @@ fn parallel_profile_conserves_counters_and_lane_rows() {
         for workers in [2usize, 7] {
             let par = parallelize_plan(&plan, &catalog, workers).unwrap();
             let opts = QueryOpts::new().profile(true);
-            let (_, stats, profile) = execute_query(&par, &catalog, &machine, &opts)
-                .into_result()
-                .unwrap_or_else(|e| panic!("{name} at {workers} workers: {e}"));
-            let profile = profile.expect("profiling was requested");
+            let run = || {
+                let (_, stats, profile) = execute_query(&par, &catalog, &machine, &opts)
+                    .into_result()
+                    .unwrap_or_else(|e| panic!("{name} at {workers} workers: {e}"));
+                (stats, profile.expect("profiling was requested"))
+            };
+            let (stats, profile) = run();
             assert_eq!(
                 profile.sum_op_counters(),
                 stats.counters,
@@ -129,6 +134,21 @@ fn parallel_profile_conserves_counters_and_lane_rows() {
                     );
                 }
             }
+            let lane_records = |p: &QueryProfile| -> Vec<_> {
+                (p.ops.iter().filter_map(|op| op.workers.as_ref()).flatten())
+                    .map(|l| (l.worker, l.morsels, l.rows, l.counters))
+                    .collect()
+            };
+            let (again, again_profile) = run();
+            assert_eq!(
+                stats.counters, again.counters,
+                "{name} at {workers} workers: counters differ between two runs"
+            );
+            assert_eq!(
+                lane_records(&profile),
+                lane_records(&again_profile),
+                "{name} at {workers} workers: lane records differ between two runs"
+            );
         }
     }
 }
